@@ -31,7 +31,7 @@ from .fingroup import (
     subgroup_as_group,
 )
 from .gring import DENSE_BUDGET
-from .homology import LevelComplex, homology_table
+from .homology import LevelComplex, feasible_degree, homology_table
 from .loday import (
     SimplicialGRing,
     loday_free,
@@ -146,27 +146,16 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _subgroup_rows(g: FiniteGroup) -> list[dict]:
-    subs = g.all_subgroups()
-    # conjugacy classes of subgroups, numbered by first appearance
-    class_of: dict[int, int] = {}
-    nclasses = 0
-    for i, s in enumerate(subs):
-        if i in class_of:
-            continue
-        class_of[i] = nclasses
-        for j in range(i + 1, len(subs)):
-            if j not in class_of and g.are_conjugate_subgroups(subs[j], s) is not None:
-                class_of[j] = nclasses
-        nclasses += 1
+    class_of = {s: c for c, cls in enumerate(g.subgroup_classes()) for s in cls}
     rows = []
-    for i, s in enumerate(subs):
+    for i, s in enumerate(g.all_subgroups()):
         w, _, _ = g.weyl(s)
         rows.append({
             "index": i,
             "order": len(s),
             "elements": list(s),
             "normal": g.is_normal(s),
-            "conjugacy_class": class_of[i],
+            "conjugacy_class": class_of[s],
             "normalizer_order": len(g.normalizer(s)),
             "weyl_order": w.order,
             "weyl_abelian": w.is_abelian(),
@@ -402,14 +391,9 @@ def build_pipeline(x: FinSimpGSet, coeff: Coefficient, inner: str,
 def _pick_subgroups(g: FiniteGroup, which: str) -> list[tuple[int, ...]]:
     if which == "free":
         return [(0,)]
-    subs = g.all_subgroups()
     if which == "all":
-        return subs
-    reps: list[tuple[int, ...]] = []
-    for s in subs:
-        if not any(g.are_conjugate_subgroups(s, r) is not None for r in reps):
-            reps.append(s)
-    return reps
+        return g.all_subgroups()
+    return [cls[0] for cls in g.subgroup_classes()]
 
 
 def _structured_faces(s: SimplicialGRing, level: int) -> list[list[list]]:
@@ -423,22 +407,9 @@ def _structured_faces(s: SimplicialGRing, level: int) -> list[list[list]]:
     return faces
 
 
-def _feasible_degree(s: SimplicialGRing, want: int, budget: int) -> int:
-    """Largest degree whose homology fits the dense budget (-1: none do)."""
-    k = -1
-    for d in range(want + 1):
-        if d + 1 > s.top():
-            break
-        if all(s.level_rank(l) <= budget for l in range(d + 2)):
-            k = d
-        else:
-            break
-    return k
-
-
 def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
                    budget: int) -> list[dict]:
-    kmax = _feasible_degree(s, max_degree, budget)
+    kmax = feasible_degree(s, max_degree, budget)
     rows: list[dict] = []
     for sub in subgroups:
         if kmax >= 0:
@@ -485,7 +456,7 @@ def cmd_loday(args, out) -> int:
         if args.emit_complex:
             obj["faces"] = {str(n): _structured_faces(s, n)
                             for n in range(1, s.top() + 1)}
-            kmax = _feasible_degree(s, max_degree, args.budget)
+            kmax = feasible_degree(s, max_degree, args.budget)
             moore = {}
             for sub in subgroups:
                 if kmax < 0:

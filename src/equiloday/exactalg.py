@@ -24,9 +24,8 @@ True
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 
 class SizeBudgetExceeded(Exception):
@@ -70,9 +69,6 @@ class IntMatrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
 
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
@@ -142,18 +138,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
-    def to_json(self) -> str:
-        return json.dumps({"rows": self.rows, "cols": self.cols,
-                           "entries": [v for row in self.data for v in row]})
-
-    @staticmethod
-    def from_json(text: str) -> "IntMatrix":
-        obj = json.loads(text)
-        r, c, flat = obj["rows"], obj["cols"], obj["entries"]
-        if len(flat) != r * c:
-            raise ValueError("entry count does not match shape")
-        return IntMatrix(r, c, [list(map(int, flat[i * c:(i + 1) * c])) for i in range(r)])
-
 
 def bareiss_det(M: IntMatrix) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
@@ -216,16 +200,6 @@ class _SparseWork:
         return w
 
     @staticmethod
-    def from_cols(cols: Sequence[dict[int, int]], nrows: int) -> "_SparseWork":
-        w = _SparseWork(nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                if v:
-                    w.row.setdefault(i, {})[j] = v
-                    w.colidx.setdefault(j, set()).add(i)
-        return w
-
-    @staticmethod
     def eye(n: int) -> "_SparseWork":
         w = _SparseWork(n, n)
         for i in range(n):
@@ -235,22 +209,6 @@ class _SparseWork:
 
     def get(self, i: int, j: int) -> int:
         return self.row.get(i, {}).get(j, 0)
-
-    def set(self, i: int, j: int, v: int):
-        if v:
-            self.row.setdefault(i, {})[j] = v
-            self.colidx.setdefault(j, set()).add(i)
-        else:
-            r = self.row.get(i)
-            if r and j in r:
-                del r[j]
-                if not r:
-                    del self.row[i]
-                s = self.colidx.get(j)
-                if s:
-                    s.discard(i)
-                    if not s:
-                        del self.colidx[j]
 
     def swap_rows(self, a: int, b: int):
         if a == b:
@@ -458,10 +416,6 @@ def invariant_factors(M: IntMatrix) -> list[int]:
     return [A.get(i, i) for i in range(rank)]
 
 
-def _snf_cols(cols: Sequence[dict[int, int]], nrows: int, want_u: bool, want_v: bool):
-    return _snf_engine(_SparseWork.from_cols(cols, nrows), want_u, want_v)
-
-
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns form a basis of ``{x : M x = 0}`` (a saturated sublattice)."""
     A, _, VT, rank = _snf_engine(_SparseWork.from_dense(M), False, True)
@@ -472,28 +426,50 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(cols, M.cols)
 
 
-def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution of ``M x = b``, or None."""
-    A, U, VT, rank = _snf_engine(_SparseWork.from_dense(M), True, True)
-    ub = [0] * M.rows
-    for i, r in U.row.items():
-        ub[i] = sum(v * b[j] for j, v in r.items())
-    y = [0] * M.cols
-    for i in range(M.rows):
-        d = A.get(i, i) if i < rank else 0
-        if d:
-            q, rem = divmod(ub[i], d)
+class SmithSolver:
+    """Integer solutions of ``M x = b`` from one cached Smith form of M.
+
+    With ``U M V = D``, ``M x = b`` has an integer solution exactly when
+    ``U b`` vanishes past the rank and each entry before it is divisible by
+    the matching diagonal entry; then ``x = V y`` with ``y = D^-1 U b``.
+    """
+
+    __slots__ = ("A", "U", "VT", "rank", "cols")
+
+    def __init__(self, M: IntMatrix):
+        self.A, self.U, self.VT, self.rank = _snf_engine(
+            _SparseWork.from_dense(M), True, True)
+        self.cols = M.cols
+
+    def __call__(self, b: Sequence[int]) -> Optional[list[int]]:
+        """One solution of ``M x = b``, or None."""
+        A, rank = self.A, self.rank
+        y = [0] * self.cols
+        for i, r in self.U.row.items():
+            ub = 0
+            for j, v in r.items():
+                bv = b[j]  # b is mostly zeros on the levels this package carves
+                if bv:
+                    ub += v * bv
+            if not ub:
+                continue
+            if i >= rank:
+                return None
+            q, rem = divmod(ub, A.get(i, i))
             if rem:
                 return None
             y[i] = q
-        elif ub[i]:
-            return None
-    x = [0] * M.cols
-    for j, yv in enumerate(y):
-        if yv:
-            for i, v in VT.row.get(j, {}).items():
-                x[i] += yv * v
-    return x
+        x = [0] * self.cols
+        for j, yv in enumerate(y):
+            if yv:
+                for i, v in self.VT.row.get(j, {}).items():
+                    x[i] += yv * v
+        return x
+
+
+def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
+    """One integer solution of ``M x = b``, or None."""
+    return SmithSolver(M)(b)
 
 
 def column_space_basis(M: IntMatrix) -> IntMatrix:
@@ -597,9 +573,6 @@ class FgAbelianGroup:
             if b % a:
                 raise ValueError("torsion must form a divisibility chain")
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:
@@ -608,9 +581,6 @@ class FgAbelianGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    def to_json_obj(self):
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
 class PresentedAb:
@@ -644,17 +614,6 @@ class PresentedAb:
             tors = tuple(d for d in facs if d >= 2)
             self._canonical = FgAbelianGroup(self.ngens - len(facs), tors)
         return self._canonical
-
-    def equals_canonically(self, other: "PresentedAb") -> bool:
-        return self.canonical() == other.canonical()
-
-    def zero(self) -> list[int]:
-        return [0] * self.ngens
-
-    def gen(self, i: int) -> list[int]:
-        v = [0] * self.ngens
-        v[i] = 1
-        return v
 
     def __repr__(self):
         return f"PresentedAb(ngens={self.ngens}, nrels={self.relations.cols})"
@@ -698,23 +657,8 @@ class AbHom:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-        if check:
-            for rc in domain.relations.columns():
-                if not codomain.is_zero_element(matrix.apply(rc)):
-                    raise ValueError("map does not kill a domain relation")
-
-    @staticmethod
-    def identity(g: PresentedAb) -> "AbHom":
-        return AbHom(g, g, IntMatrix.identity(g.ngens), check=False)
-
-    def compose(self, inner: "AbHom") -> "AbHom":
-        """self after inner."""
-        if inner.codomain is not self.domain and inner.codomain.ngens != self.domain.ngens:
-            raise ValueError("composition mismatch")
-        return AbHom(inner.domain, self.codomain, self.matrix @ inner.matrix, check=False)
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        return self.matrix.apply(vec)
+        if check and not hom_is_well_defined(domain, codomain, matrix):
+            raise ValueError("map does not kill a domain relation")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbHom):
@@ -764,11 +708,9 @@ class SubQuotient:
         span = IntMatrix.from_cols(_dedup_cols(span_cols), ambient)
         self.lift = column_space_basis(span)
         r = self.lift.cols
-        # cache an SNF-backed solver for lift @ c = v
-        A, U, VT, rank = _snf_engine(_SparseWork.from_dense(self.lift), True, True)
-        if rank != r:
+        self.express = SmithSolver(self.lift)
+        if self.express.rank != r:
             raise RuntimeError("column basis was not a basis")
-        self._solver = (A, U, VT, rank)
         rel_in_coords = []
         for c in _dedup_cols(sub_cols):
             coords = self.express(c)
@@ -776,34 +718,6 @@ class SubQuotient:
                 raise ValueError("relation column not inside the subgroup")
             rel_in_coords.append(coords)
         self.pres = PresentedAb(r, IntMatrix.from_cols(_dedup_cols(rel_in_coords), r))
-
-    def express(self, vec: Sequence[int]) -> Optional[list[int]]:
-        A, U, VT, rank = self._solver
-        ub = [0] * self.lift.rows
-        for i, r in U.row.items():
-            s = 0
-            for j, v in r.items():
-                bv = vec[j]
-                if bv:
-                    s += v * bv
-            ub[i] = s
-        y = [0] * self.lift.cols
-        for i in range(self.lift.rows):
-            d = A.get(i, i) if i < rank else 0
-            if d:
-                q, rem = divmod(ub[i], d)
-                if rem:
-                    return None
-                y[i] = q
-            elif ub[i]:
-                return None
-        x = [0] * self.lift.cols
-        for j in range(self.lift.cols):
-            yv = y[j]
-            if yv:
-                for i, v in VT.row.get(j, {}).items():
-                    x[i] += yv * v
-        return x
 
 
 def _dedup_cols(cols: Iterable[Sequence[int]]) -> list[list[int]]:

@@ -164,6 +164,20 @@ class FiniteGroup:
                     frontier.append(bigger)
         return sorted(found, key=lambda h: (len(h), h))
 
+    def subgroup_classes(self) -> list[list[tuple[int, ...]]]:
+        """Conjugacy classes of subgroups, in ``all_subgroups`` order: classes
+        by their first member, and the members of each class in that order."""
+        subs = self.all_subgroups()
+        seen: set[tuple[int, ...]] = set()
+        classes = []
+        for h in subs:
+            if h in seen:
+                continue
+            orbit = {self.conjugate_subgroup(g, h) for g in range(self.order)}
+            seen |= orbit
+            classes.append([k for k in subs if k in orbit])
+        return classes
+
     def conjugate_subgroup(self, g: int, sub: Sequence[int]) -> tuple[int, ...]:
         return tuple(sorted(self.conj(g, x) for x in sub))
 

@@ -23,12 +23,10 @@ commutativity, so pipelines meant to be order-safe can assert they never did.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactalg import (
-    AbHom,
     IntMatrix,
-    Lattice,
     PresentedAb,
     SizeBudgetExceeded,
     hom_is_well_defined,
@@ -199,10 +197,6 @@ class PresentedRing:
         return f"PresentedRing({self.label}, ngens={self.ngens})"
 
 
-def ring_of_integers() -> PresentedRing:
-    return PresentedRing(1, None, [[[1]]], [1], gen_names=["1"], label="Z")
-
-
 # ---------------------------------------------------------------------------
 # rings with group action
 
@@ -264,10 +258,6 @@ class RingWithAction:
             raise ValueError("pullback along a map into a different group")
         acts = [self.acts[phi(g)] for g in range(phi.src.order)]
         return RingWithAction(phi.src, self.ring, acts, check=False)
-
-    def is_trivial_action(self) -> bool:
-        rid = self.ring.reduce_matrix(self.ring.identity_matrix())
-        return all(not anti and self.ring.reduce_matrix(m) == rid for m, anti in self.acts)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +343,7 @@ class StructuredHom:
 
     def __init__(self, src: TensorRing, dst: TensorRing,
                  targets: Sequence[Sequence[tuple[int, IntMatrix, bool]]],
-                 check: bool = True, check_twists: bool = False):
+                 check: bool = True):
         if src.base != dst.base:
             raise ValueError("source and target must share a base ring")
         self.src = src
@@ -372,11 +362,6 @@ class StructuredHom:
                 for _, m, _ in lst:
                     if m.rows != r or m.cols != r:
                         raise ValueError("twist matrix has wrong shape")
-        if check_twists:
-            for lst in self.targets:
-                for _, m, a in lst:
-                    if not src.base.matrix_is_morphism(m, a):
-                        raise ValueError("twist is not a ring (anti)morphism as flagged")
 
     @staticmethod
     def identity(tr: TensorRing) -> "StructuredHom":
@@ -709,9 +694,6 @@ class NormRing:
         """Coefficient action at a subgroup element given by ambient index."""
         return self.rwa.acts[self._pos[h]]
 
-    def sub_pos(self, h: int) -> int:
-        return self._pos[h]
-
     def __repr__(self):
         return (f"NormRing({self.group.label}, |H|={len(self.sub)}, "
                 f"{len(self.cosets)} cosets)")
@@ -720,13 +702,6 @@ class NormRing:
 def tensor_induce(group: FiniteGroup, sub_elems: Sequence[int],
                   rwa: RingWithAction) -> NormRing:
     return NormRing(group, sub_elems, rwa)
-
-
-def norm_restricted(group: FiniteGroup, sub_elems: Sequence[int],
-                    rwa_full: RingWithAction) -> NormRing:
-    """Norm of the restriction of a full-group action to a subgroup."""
-    sub_rwa, _ = rwa_full.restrict(sub_elems)
-    return NormRing(group, sub_elems, sub_rwa)
 
 
 # ---------------------------------------------------------------------------

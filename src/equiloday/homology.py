@@ -228,38 +228,33 @@ def _conditions_subquotient(rank: int, rels: IntMatrix,
     return SubQuotient(rank, span + rel_cols, rel_cols)
 
 
-def _restricted(dst: Carved, dense_map: Optional[IntMatrix], src: Carved) -> IntMatrix:
+def _restricted(dst: Carved, dense_map: Optional[IntMatrix], src: Carved,
+                dst_inner: Optional[Carved] = None,
+                src_inner: Optional[Carved] = None) -> IntMatrix:
     """Matrix of dense_map between two carved-out subgroups, in their bases.
 
     ``None`` is the identity map (used when the two carvings share ambient
-    coordinates but differ as subgroups).
+    coordinates but differ as subgroups).  Given ``src_inner`` and
+    ``dst_inner``, the map runs between those subgroups, carved inside the
+    fixed coordinates of ``src`` and ``dst``; otherwise source columns are
+    read straight off ``src.lift``.
     """
     cols = []
-    for j in range(src.lift.cols):
-        img = src.lift.column(j)
+    ncols = src.lift.cols if src_inner is None else src_inner.lift.cols
+    for j in range(ncols):
+        if src_inner is None:
+            img = src.lift.column(j)
+        else:
+            img = src.lift.apply(src_inner.lift.column(j))
         if dense_map is not None:
             img = dense_map.apply(img)
         coords = dst.express(img)
+        if coords is not None and dst_inner is not None:
+            coords = dst_inner.express(coords)
         if coords is None:
             raise ValueError("map does not carry the source subgroup into the target")
         cols.append(coords)
-    return IntMatrix.from_cols(cols, dst.lift.cols)
-
-
-def _through_fixed(dst_fixed: Carved, dst_inner: Carved, dense_map: Optional[IntMatrix],
-                   src_fixed: Carved, src_inner: Carved) -> IntMatrix:
-    """Matrix of an ambient map between subgroups carved inside fixed parts."""
-    cols = []
-    for j in range(src_inner.lift.cols):
-        amb = src_fixed.lift.apply(src_inner.lift.column(j))
-        if dense_map is not None:
-            amb = dense_map.apply(amb)
-        w = dst_fixed.express(amb)
-        coords = None if w is None else dst_inner.express(w)
-        if coords is None:
-            raise ValueError("map does not carry the source subgroup into the target")
-        cols.append(coords)
-    return IntMatrix.from_cols(cols, dst_inner.lift.cols)
+    return IntMatrix.from_cols(cols, (dst if dst_inner is None else dst_inner).lift.cols)
 
 
 def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
@@ -350,9 +345,9 @@ class LevelComplex:
                 term = self.dense_face(n, i)
                 total = total + term if i % 2 == 0 else total - term
             unnorm.append(_restricted(self.fixed[n - 1], total, self.fixed[n]))
-            norm.append(_through_fixed(self.fixed[n - 1], self.reduced[n - 1],
-                                       self.dense_face(n, 0),
-                                       self.fixed[n], self.reduced[n]))
+            norm.append(_restricted(self.fixed[n - 1], self.dense_face(n, 0),
+                                    self.fixed[n], self.reduced[n - 1],
+                                    self.reduced[n]))
         self.unnormalized = ChainComplex([f.pres for f in self.fixed], unnorm, check=check)
         self.normalized = ChainComplex([r.pres for r in self.reduced], norm, check=check)
 
@@ -384,6 +379,20 @@ def moore(s, sub: Sequence[int], max_level: Optional[int] = None,
           budget: int = DENSE_BUDGET) -> LevelComplex:
     """The normalized fixed-point complex (with its unnormalized shadow)."""
     return LevelComplex(s, sub, max_level=max_level, budget=budget)
+
+
+def feasible_degree(s, want: int, budget: int) -> int:
+    """Largest degree <= want whose homology fits the dense budget; -1 when
+    even degree zero does not fit."""
+    k = -1
+    for d in range(want + 1):
+        if d + 1 > s.top():
+            break
+        if all(s.level_rank(l) <= budget for l in range(d + 2)):
+            k = d
+        else:
+            break
+    return k
 
 
 def homology_table(s, sub: Sequence[int], max_k: int,
@@ -474,8 +483,8 @@ class MackeyH:
                       dense_map: Optional[IntMatrix]) -> IntMatrix:
         k = self.degree
         a, b = self._lc[src], self._lc[dst]
-        return _through_fixed(b.fixed[k], b.reduced[k], dense_map,
-                              a.fixed[k], a.reduced[k])
+        return _restricted(b.fixed[k], dense_map, a.fixed[k],
+                           b.reduced[k], a.reduced[k])
 
     def res(self, big: Sequence[int], small: Sequence[int]) -> IntMatrix:
         """Induced by the inclusion of fixed points, bigger subgroup to smaller."""
@@ -554,14 +563,10 @@ def mackey_homology(s, k: int, subgroups: Optional[Sequence[Sequence[int]]] = No
         for h in subs:
             if not g.is_subgroup(h):
                 raise ValueError(f"{h} is not a subgroup")
-    classes: list[list[tuple[int, ...]]] = []
-    for h in subs:
-        for cls in classes:
-            if g.are_conjugate_subgroups(cls[0], h) is not None:
-                cls.append(h)
-                break
-        else:
-            classes.append([h])
+    wanted = set(subs)
+    classes = [c for c in ([h for h in cls if h in wanted]
+                           for cls in g.subgroup_classes()) if c]
+    classes.sort(key=lambda c: (len(c[0]), c[0]))
     lcs = {h: LevelComplex(s, h, max_level=k + 1, budget=budget) for h in subs}
     hds = {h: lc.homology_data(k) for h, lc in lcs.items()}
     values = {h: hd.pres.canonical() for h, hd in hds.items()}

@@ -24,7 +24,7 @@ from .coeffs import Coefficient
 from .exactalg import IntMatrix
 from .fingroup import FiniteGroup, make_cyclic
 from .gring import (GTensorRing, NormRing, PresentedRing, RingWithAction,
-                    StructuredHom, TensorRing, equivariance_defect,
+                    StructuredHom, equivariance_defect,
                     tensor_induce, tensor_of_actions)
 from .simpgset import EqMap, FinSimpGSet
 
@@ -192,13 +192,6 @@ def _induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
 
 # ---------------------------------------------------------------------------
 # norm assignments per isotropy mode
-
-
-def _c2_like(ring: PresentedRing, involution: tuple[IntMatrix, bool]
-             ) -> RingWithAction:
-    c2 = make_cyclic(2)
-    ident = ring.identity_matrix()
-    return RingWithAction(c2, ring, [(ident, False), involution])
 
 
 def _trivial_norm(group: FiniteGroup, ring: PresentedRing) -> NormRing:
@@ -486,9 +479,13 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
         t.append(("right", n_norm.sub, n_norm.transversal))
         tags.append(t)
 
-    def block_offset(level_n: int, tag) -> int:
-        tr = levels[level_n].tensor
-        return tr.slot_index((tag, 0))
+    def block_len(tag) -> int:
+        """Coset count of the norm block carrying ``tag``."""
+        if tag == "left":
+            return len(m_norm.cosets)
+        if tag == "right":
+            return len(n_norm.cosets)
+        return len(a_norm.cosets)
 
     ident = ring.identity_matrix()
 
@@ -502,7 +499,7 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
         def route(src_tag, dst_tag, hom: Optional[StructuredHom],
                   passthrough: bool = False):
             if hom is None:
-                for c in range(_block_len(src_tag)):
+                for c in range(block_len(src_tag)):
                     p = src_tr.slot_index((src_tag, c))
                     q = dst_tr.slot_index((dst_tag, c))
                     contribs[q].append((p, ident, False))
@@ -514,13 +511,6 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
                     for (c, mtx, anti) in lst:
                         contribs[q].append(
                             (src_tr.slot_index((src_tag, c)), mtx, anti))
-
-        def _block_len(tag) -> int:
-            if tag == "left":
-                return len(m_norm.cosets)
-            if tag == "right":
-                return len(n_norm.cosets)
-            return len(a_norm.cosets)
 
         if i == 0:
             route("left", "left", None)
@@ -554,10 +544,7 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
             [[] for _ in range(dst_tr.nslots)]
 
         def wire(src_tag, dst_tag):
-            length = len(m_norm.cosets) if src_tag == "left" else \
-                len(n_norm.cosets) if src_tag == "right" else \
-                len(a_norm.cosets)
-            for c in range(length):
+            for c in range(block_len(src_tag)):
                 p = src_tr.slot_index((src_tag, c))
                 q = dst_tr.slot_index((dst_tag, c))
                 targets[q].append((p, ident, False))

@@ -150,9 +150,6 @@ class EqMap:
         self.dst = dst
         self.entries = tuple((t, u) for t, u in entries)
 
-    def apply_orbit(self, o: int) -> tuple[int, int]:
-        return self.entries[o]
-
     def apply_element(self, el: tuple[int, int]) -> tuple[int, int]:
         o, c = el
         w = self.src.transversal(o)[c]

@@ -24,7 +24,10 @@ from .coeffs import Coefficient, gaussian, load_bundled, load_file, quaternions
 from .exactalg import IntMatrix, SizeBudgetExceeded
 from .fingroup import (
     FiniteGroup,
+    direct_product,
+    make_alternating4,
     make_cyclic,
+    make_dicyclic,
     make_dihedral,
     make_klein_four,
     make_quaternion8,
@@ -33,6 +36,7 @@ from .fingroup import (
 )
 from .gring import (
     DENSE_BUDGET,
+    NormRing,
     PresentedRing,
     RingWithAction,
     StructuredHom,
@@ -54,7 +58,7 @@ from .gring import (
     tensor_induce,
     weyl_relabeling,
 )
-from .homology import homology_table
+from .homology import feasible_degree, homology_table
 from .loday import (
     esigma_check,
     loday_free,
@@ -358,6 +362,31 @@ def _weyl_roster():
             ("dic3", make_dicyclic(3))]
 
 
+def _action_stabilizer(n: NormRing, normal: tuple[int, ...]) -> list[int]:
+    """Normalizer elements whose conjugation fixes the coefficient action
+    pointwise: the only ones with a Weyl self-map of the norm."""
+    g, ring = n.group, n.rwa.ring
+
+    def act(h):
+        m, anti = n.act_of(h)
+        return ring.reduce_matrix(m), anti
+
+    return [gam for gam in normal
+            if all(act(g.conj(gam, h)) == act(h) for h in n.sub)]
+
+
+def _accepted(n: NormRing, gammas) -> list[int]:
+    """The elements of ``gammas`` that ``weyl_relabeling`` does not reject."""
+    out = []
+    for gam in gammas:
+        try:
+            weyl_relabeling(n, gam)
+            out.append(gam)
+        except ValueError:
+            pass
+    return out
+
+
 def suite_weyl(params: Optional[dict] = None) -> dict:
     params = params or {}
     report = _new_report("weyl")
@@ -375,7 +404,8 @@ def suite_weyl(params: Optional[dict] = None) -> dict:
                 nat = StructuredHom(n.tensor, n.tensor,
                                     [[(i, conj, False)] for i in range(nslots)],
                                     check=False)
-                relabelings = {gam: weyl_relabeling(n, gam) for gam in normal}
+                stab = _action_stabilizer(n, normal)
+                relabelings = {gam: weyl_relabeling(n, gam) for gam in stab}
 
                 bad_eq = [gam for gam, wr in relabelings.items()
                           if not is_equivariant(wr, n.gt, n.gt)]
@@ -402,30 +432,29 @@ def suite_weyl(params: Optional[dict] = None) -> dict:
                 _check(report, f"{tag}/subgroup-elements-act-by-inner-twist",
                        not bad_h, {"h": bad_h} if bad_h else None)
                 if alabel == "trivial":
-                    bad_cls = [(gam, h) for gam in normal for h in sub
+                    bad_cls = [(gam, h) for gam in stab for h in sub
                                if weyl_relabeling(n, g.mul(gam, h))
                                != relabelings[gam]]
                     _check(report,
                            f"{tag}/trivial-coefficients-see-only-the-coset",
                            not bad_cls, {"pairs": bad_cls} if bad_cls else None)
 
-                bad_mul = [(a, b) for a in normal for b in normal
+                bad_mul = [(a, b) for a in stab for b in stab
                            if relabelings[a].compose(relabelings[b])
                            != relabelings[g.mul(a, b)]]
                 _check(report, f"{tag}/composes-as-a-group-action",
                        not bad_mul, {"pairs": bad_mul} if bad_mul else None)
+
+                leaked = _accepted(n, [gam for gam in normal
+                                       if gam not in relabelings])
+                _check(report, f"{tag}/coefficient-moving-rejected",
+                       not leaked, {"gamma": leaked} if leaked else None)
             # elements outside the normalizer must be rejected
-            outside = [gam for gam in g.elements() if gam not in normal]
-            leaked = []
             n0 = tensor_induce(g, sub,
                                RingWithAction.trivial(
                                    subgroup_as_group(g, sub)[0], gz.ring))
-            for gam in outside:
-                try:
-                    weyl_relabeling(n0, gam)
-                    leaked.append(gam)
-                except ValueError:
-                    pass
+            leaked = _accepted(n0, [gam for gam in g.elements()
+                                    if gam not in normal])
             _check(report, f"{glabel}/H={list(sub)}/non-normalizing-rejected",
                    not leaked, {"gamma": leaked} if leaked else None)
     return report
@@ -591,33 +620,6 @@ def suite_two_isotropy(params: Optional[dict] = None) -> dict:
 # suite: realhh (polygon pipeline against the two-sided bar resolution)
 
 
-def _conjugacy_class_reps(group: FiniteGroup) -> list[tuple[int, ...]]:
-    reps = []
-    seen: set = set()
-    for sub in group.all_subgroups():
-        if sub in seen:
-            continue
-        cls = [t for t in group.all_subgroups()
-               if group.are_conjugate_subgroups(sub, t) is not None]
-        seen.update(cls)
-        reps.append(sub)
-    return reps
-
-
-def _feasible_degree(s, want: int, budget: int) -> int:
-    """Largest degree <= want whose homology fits the dense budget; -1 when
-    even degree zero does not fit."""
-    k = -1
-    for d in range(want + 1):
-        if d + 1 > s.top():
-            break
-        if all(s.level_rank(l) <= budget for l in range(d + 2)):
-            k = d
-        else:
-            break
-    return k
-
-
 def _load_coefficient(spec: str) -> Coefficient:
     if os.path.exists(spec):
         return load_file(spec)
@@ -645,10 +647,10 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
 
     group = rh.loday_side.group
     if subgroups == "all":
-        subs = list(group.all_subgroups())
+        subs = group.all_subgroups()
     else:
-        subs = _conjugacy_class_reps(group)
-    kmax = _feasible_degree(rh.loday_side, max_degree, budget)
+        subs = [cls[0] for cls in group.subgroup_classes()]
+    kmax = feasible_degree(rh.loday_side, max_degree, budget)
     if kmax < 0:
         _skip(report, f"{tag}/homology-tables",
               "level ranks exceed the dense budget at degree 0")
@@ -662,9 +664,12 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
                f"{tag}/H={list(sub)}/tables-agree-through-degree-{kmax}",
                got == want, {"polygon": got, "bar": want})
     for d in range(kmax + 1, max_degree + 1):
-        _skip(report, f"{tag}/degree-{d}",
-              f"level rank {rh.loday_side.level_rank(d + 1)} exceeds the "
-              f"dense budget {budget}")
+        if d + 1 > truncation:
+            reason = f"degree {d} needs level {d + 1}, beyond truncation {truncation}"
+        else:
+            reason = (f"level rank {rh.loday_side.level_rank(d + 1)} exceeds "
+                      f"the dense budget {budget}")
+        _skip(report, f"{tag}/degree-{d}", reason)
 
 
 def suite_realhh(params: Optional[dict] = None) -> dict:
@@ -739,8 +744,8 @@ def suite_esigma(params: Optional[dict] = None) -> dict:
     _check(report, f"quaternion-pipeline-m{m}/validates-and-commutes",
            msgs == [], msgs or None)
     group = rh.loday_side.group
-    kmax = _feasible_degree(rh.loday_side, 1, DENSE_BUDGET)
-    for sub in _conjugacy_class_reps(group):
+    kmax = feasible_degree(rh.loday_side, 1, DENSE_BUDGET)
+    for sub in [cls[0] for cls in group.subgroup_classes()]:
         tl = homology_table(rh.loday_side, sub, kmax)
         tb = homology_table(rh.bar_side, sub, kmax)
         _check(report,

@@ -12,6 +12,7 @@ from equiloday.exactalg import (
     IntMatrix,
     Lattice,
     PresentedAb,
+    SmithSolver,
     SubQuotient,
     bareiss_det,
     column_space_basis,
@@ -126,6 +127,43 @@ def test_kernel_and_solve(M):
         s2 = solve(M, off)
         if s2 is not None:
             assert M.apply(s2) == off
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_strategy.flatmap(
+    lambda M: st.tuples(st.just(M), st.lists(st.integers(-5, 5),
+                                             min_size=M.cols,
+                                             max_size=M.cols))))
+def test_solve_finds_a_preimage(case):
+    M, x0 = case
+    b = M.apply(x0)
+    x = solve(M, b)
+    assert x is not None and len(x) == M.cols
+    assert M.apply(x) == b
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrix_strategy)
+def test_smith_solver_reused_matches_fresh_solve(M):
+    # one cached Smith form answers every right-hand side as a fresh solve does
+    solver = SmithSolver(M)
+    rng = random.Random(3)
+    for _ in range(4):
+        b = M.apply([rng.randint(-3, 3) for _ in range(M.cols)])
+        if M.rows:
+            b[rng.randrange(M.rows)] += rng.randint(0, 1)
+        x = solver(b)
+        assert x == solve(M, b)
+        assert x is None or M.apply(x) == b
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("n", [1, 3])
+def test_solve_diagonal_rejects_unit_vector(d, n):
+    D = IntMatrix(n, n, [[d if i == j else 0 for j in range(n)] for i in range(n)])
+    e1 = [1] + [0] * (n - 1)
+    assert solve(D, e1) is None
+    assert solve(D, [d * v for v in e1]) == e1
 
 
 def test_solve_no_solution():

@@ -216,3 +216,26 @@ def test_weyl_acts_on_cosets(d8):
         for r in reps:
             assert d8.conjugate_subgroup(r, sub) == tuple(sorted(sub))
         assert w.order * len(sub) == len(d8.normalizer(sub))
+
+
+def _stock_groups():
+    return [make_cyclic(n) for n in (1, 2, 3, 4, 6, 8, 12)] + [
+        make_klein_four(), make_dihedral(4), make_dihedral(6),
+        make_dihedral(8), make_dihedral(12), make_symmetric(3),
+        make_symmetric(4), make_quaternion8(), make_alternating4(),
+        make_dicyclic(3), direct_product(make_cyclic(2), make_cyclic(4))]
+
+
+@pytest.mark.parametrize("g", _stock_groups(), ids=lambda g: g.label)
+def test_subgroup_classes_match_pairwise_conjugacy(g):
+    # oracle: partition all_subgroups() by pairwise conjugacy tests, each
+    # subgroup joining the first class whose first member it is conjugate to
+    brute: list[list[tuple[int, ...]]] = []
+    for h in g.all_subgroups():
+        for cls in brute:
+            if g.are_conjugate_subgroups(cls[0], h) is not None:
+                cls.append(h)
+                break
+        else:
+            brute.append([h])
+    assert g.subgroup_classes() == brute

@@ -251,7 +251,7 @@ def test_real_hochschild_tables_match_c2mod2(c2mod2):
 def test_iso_induces_equality_on_homology(zmod4):
     # not only equal tables: the levelwise relabeling is a chain map, so it
     # should induce the identity-sized match degreewise
-    from equiloday.homology import _through_fixed
+    from equiloday.homology import _restricted
     from equiloday.exactalg import induced_map
     rh = real_hochschild(1, zmod4, truncation=3)
     sub = (0, 1)
@@ -259,8 +259,8 @@ def test_iso_induces_equality_on_homology(zmod4):
     bb = LevelComplex(rh.bar_side, sub, max_level=2)
     k = 1
     dense = rh.isos[k].dense()
-    chain = _through_fixed(bb.fixed[k], bb.reduced[k], dense,
-                           ll.fixed[k], ll.reduced[k])
+    chain = _restricted(bb.fixed[k], dense, ll.fixed[k],
+                        bb.reduced[k], ll.reduced[k])
     m = induced_map(ll.homology_data(k), bb.homology_data(k), chain)
     assert ll.homology(k) == bb.homology(k)
     # induced matrix is a bijection on the presented groups
@@ -272,7 +272,7 @@ def test_iso_induces_equality_on_homology(zmod4):
 def test_comparison_commutes_with_res(zmod4):
     # the induced comparison at the fixed level, followed by restriction on
     # the bar side, equals restriction on the loday side then the comparison
-    from equiloday.homology import _through_fixed
+    from equiloday.homology import _restricted
     from equiloday.exactalg import induced_map
     rh = real_hochschild(1, zmod4, truncation=2)
     k = 0
@@ -282,8 +282,8 @@ def test_comparison_commutes_with_res(zmod4):
     comp = {}
     for sub in ((0,), (0, 1)):
         ll, bb = mk_l._lc[sub], mk_b._lc[sub]
-        chain = _through_fixed(bb.fixed[k], bb.reduced[k], dense,
-                               ll.fixed[k], ll.reduced[k])
+        chain = _restricted(bb.fixed[k], dense, ll.fixed[k],
+                            bb.reduced[k], ll.reduced[k])
         comp[sub] = induced_map(mk_l._hd[sub], mk_b._hd[sub], chain)
     lhs = mk_b.res((0, 1), (0,)) @ comp[(0, 1)]
     rhs = comp[(0,)] @ mk_l.res((0, 1), (0,))
