@@ -3,9 +3,12 @@ Loday pipelines, and execute the named verification suites.
 
 Exit codes: 0 everything passed, 1 a verification/validation failure (with a
 serialized witness on stdout), 2 a usage error (bad flags, missing files,
-unknown names).  For fixed inputs and flags the bytes written to stdout are
-deterministic; ``bench`` keeps that promise by sending its wall-clock timings
-to stderr and only the (reproducible) dimension statistics to stdout.
+unknown names, suite parameters the suite rejects), 3 an internal error: a
+suite raised anything else, which is a bug rather than a verdict (its
+traceback and a one-line summary go to stderr, nothing to stdout).  For fixed inputs
+and flags the bytes written to stdout are deterministic; ``bench`` keeps
+that promise by sending its wall-clock timings to stderr and only the
+(reproducible) dimension statistics to stdout.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from .simpgset import (
     build_rot_circle,
     build_sigma_circle,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, SuiteParameterError, run_suite
 
-OK, FAILED, USAGE = 0, 1, 2
+OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 class UsageError(Exception):
@@ -504,8 +507,14 @@ def cmd_verify(args, out) -> int:
             params[key] = val
     try:
         report = run_suite(args.suite, params)
-    except (ValueError, KeyError) as e:
+    except SuiteParameterError as e:
         raise UsageError(f"suite {args.suite!r} rejected its parameters: {e}")
+    except Exception as e:
+        import traceback  # only on this path: keeps it out of start-up time
+        traceback.print_exc()
+        print(f"internal error in suite {args.suite}: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return INTERNAL
     if args.format == "json":
         _emit_json(report, out)
     else:

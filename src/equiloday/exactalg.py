@@ -90,8 +90,7 @@ class IntMatrix:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+    __hash__ = None  # type: ignore[assignment]  # mutable
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -137,6 +136,90 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
+
+
+class SparseMatrix:
+    """Column-sparse exact integer matrix: ``data[j]`` lists the nonzero
+    ``(row, value)`` pairs of column ``j`` in increasing row order.
+
+    Expanded structured maps are stored this way: on free levels they have
+    one nonzero per column.  ``to_dense`` converts for the Smith-form code.
+    """
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, data: list[list[tuple[int, int]]]):
+        self.rows = rows
+        self.cols = len(data)
+        self.data = data
+
+    @staticmethod
+    def from_cols(cols: Sequence[Sequence[int]], nrows: int) -> "SparseMatrix":
+        return SparseMatrix(nrows, [[(i, v) for i, v in enumerate(c) if v]
+                                    for c in cols])
+
+    @staticmethod
+    def identity(n: int) -> "SparseMatrix":
+        return SparseMatrix(n, [[(j, 1)] for j in range(n)])
+
+    def column(self, j: int) -> list[int]:
+        col = [0] * self.rows
+        for i, v in self.data[j]:
+            col[i] = v
+        return col
+
+    def apply(self, vec: Sequence[int]) -> list[int]:
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
+        out = [0] * self.rows
+        data = self.data
+        for j, x in enumerate(vec):
+            if x:
+                for i, v in data[j]:
+                    out[i] += v * x
+        return out
+
+    def __matmul__(self, other: "SparseMatrix | IntMatrix") -> "SparseMatrix":
+        """Product with a sparse or dense right factor."""
+        if self.cols != other.rows:
+            raise ValueError("inner dimensions differ")
+        if isinstance(other, IntMatrix):
+            other = SparseMatrix.from_cols(other.columns(), other.rows)
+        cols = []
+        for col in other.data:
+            acc: dict[int, int] = {}
+            for k, w in col:
+                for i, v in self.data[k]:
+                    acc[i] = acc.get(i, 0) + v * w
+            cols.append(sorted((i, v) for i, v in acc.items() if v))
+        return SparseMatrix(self.rows, cols)
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        cols = []
+        for a, b in zip(self.data, other.data):
+            acc = dict(a)
+            for i, v in b:
+                acc[i] = acc.get(i, 0) + v
+            cols.append(sorted((i, v) for i, v in acc.items() if v))
+        return SparseMatrix(self.rows, cols)
+
+    def __neg__(self) -> "SparseMatrix":
+        return SparseMatrix(self.rows, [[(i, -v) for i, v in col] for col in self.data])
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self + (-other)
+
+    def to_dense(self) -> IntMatrix:
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.data):
+            for i, v in col:
+                data[i][j] = v
+        return IntMatrix(self.rows, self.cols, data)
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}x{self.cols})"
 
 
 def bareiss_det(M: IntMatrix) -> int:

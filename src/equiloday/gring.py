@@ -9,7 +9,9 @@ maps - sends each source tensor factor through a twist (an additive map of R
 recorded as a matrix) into one target slot, where factors are multiplied in a
 recorded order.  A ``StructuredHom`` stores that routing verbatim, so maps
 compose and compare exactly, with no dependence on the size of the expanded
-tensor power.  Dense matrices are expanded only on demand, under a budget.
+tensor power.  Maps are expanded only on demand, under a budget, into
+column-sparse matrices (``StructuredHom.sparse``); the dense form
+(``StructuredHom.dense``) is a conversion kept for oracles and tests.
 
 A twist carries an ``anti`` flag recording whether its matrix is a ring
 homomorphism or an anti-homomorphism.  Composition through an anti twist
@@ -29,6 +31,7 @@ from .exactalg import (
     IntMatrix,
     PresentedAb,
     SizeBudgetExceeded,
+    SparseMatrix,
     hom_is_well_defined,
 )
 from .fingroup import FiniteGroup, GroupHom, subgroup_as_group
@@ -267,8 +270,8 @@ class RingWithAction:
 class TensorRing:
     """Tensor power of a base ring, slots labeled by hashable tags.
 
-    The additive group is never materialized here; dense expansion happens
-    per-map in StructuredHom.dense under a budget.
+    The additive group is never materialized here; expansion happens per
+    map in StructuredHom.sparse under a budget.
     """
 
     def __init__(self, base: PresentedRing, slots: Sequence):
@@ -320,7 +323,7 @@ class TensorRing:
                 and self.slots == other.slots)
 
     def __hash__(self):
-        return hash((id(self.base), self.slots))
+        return hash((self.base, self.slots))
 
     def __repr__(self):
         return f"TensorRing({self.base.label}^(x){self.nslots})"
@@ -486,31 +489,49 @@ class StructuredHom:
             col = [c * vj for c in col for vj in vec]
         return col
 
-    def dense(self, budget: int = DENSE_BUDGET) -> IntMatrix:
-        """Matrix on expanded tensor bases (slot 0 most significant)."""
+    def sparse(self, budget: int = DENSE_BUDGET) -> SparseMatrix:
+        """Matrix on expanded tensor bases (slot 0 most significant).
+
+        Column ``idx`` is the Kronecker product, over target slots, of the
+        reduced product of the twisted factors routed there.  Each slot
+        vector is computed once per combination of the source indices it
+        reads, and kept sparse.
+        """
         base = self.src.base
         r = base.ngens
         nrows = self.dst.dense_rank(budget)
-        ncols = self.src.dense_rank(budget)
-        twist_cols: dict[int, list[list[int]]] = {}
-        for t, lst in enumerate(self.targets):
-            for s, m, _ in lst:
-                twist_cols[(t << 20) | s] = [m.column(j) for j in range(r)]
+        self.src.dense_rank(budget)
+        twist_cols = [[[m.column(j) for j in range(r)] for _, m, _ in lst]
+                      for lst in self.targets]
+        slots = [tuple(s for s, _, _ in lst) for lst in self.targets]
+        memo: list[dict] = [{} for _ in self.targets]
         cols = []
         for idx in product(range(r), repeat=self.src.nslots):
-            col = [1]
-            for t, lst in enumerate(self.targets):
-                if not lst:
-                    vec = base.unit_vec()
-                else:
-                    vec = None
-                    for s, m, _ in lst:
-                        w = twist_cols[(t << 20) | s][idx[s]]
-                        vec = w if vec is None else base.vec_mul(vec, w)
-                    vec = list(base.reduce_vec(vec))
-                col = [c * vj for c in col for vj in vec]
+            col = [(0, 1)]
+            for t, srcs in enumerate(slots):
+                key = tuple(idx[s] for s in srcs)
+                vec = memo[t].get(key)
+                if vec is None:
+                    if not srcs:
+                        dense = base.unit_vec()
+                    else:
+                        dense = None
+                        for tw, j in zip(twist_cols[t], key):
+                            w = tw[j]
+                            dense = w if dense is None else base.vec_mul(dense, w)
+                        dense = base.reduce_vec(dense)
+                    vec = memo[t][key] = [(k, v) for k, v in enumerate(dense) if v]
+                col = [(row * r + k, c * v) for row, c in col for k, v in vec]
             cols.append(col)
-        return IntMatrix.from_cols(cols, nrows)
+        return SparseMatrix(nrows, cols)
+
+    def dense(self, budget: int = DENSE_BUDGET) -> IntMatrix:
+        """``sparse`` converted to a dense matrix.
+
+        A conversion kept for oracles (``hom_equal_dense``) and tests; the
+        homology code works on the sparse form.
+        """
+        return self.sparse(budget).to_dense()
 
 
 def hom_equal_dense(f: StructuredHom, g: StructuredHom,

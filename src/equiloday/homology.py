@@ -22,17 +22,20 @@ invertibly) can be checked by exhaustion on small groups.
 
 Sizes are guarded the same way as everywhere else: any level whose expanded
 rank would exceed the dense budget raises ``SizeBudgetExceeded``, which
-callers are expected to report as a skip rather than swallow.  Integer
-Smith-form solves at ambient rank are the dominant cost, so the fixed
-carving happens once per level and the normalized part is carved inside the
-fixed coordinates rather than back at ambient size.
+callers are expected to report as a skip rather than swallow.  Expanded face
+and action maps are column-sparse (``SparseMatrix``) and cached per
+simplicial ring, so every subgroup reuses them.  On free levels whose
+actions are signed permutations the fixed points are orbit sums; elsewhere
+they are carved by Smith form.  The fixed carving happens once per level
+and the normalized part is carved inside the fixed coordinates rather than
+back at ambient size.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
-                       SubQuotient, induced_map, kernel_basis)
+                       SparseMatrix, SubQuotient, induced_map, kernel_basis)
 from .fingroup import FiniteGroup
 from .gring import DENSE_BUDGET
 
@@ -41,31 +44,13 @@ from .gring import DENSE_BUDGET
 # carving subgroups out of presented levels
 
 
-class _FullLift:
-    """Unit-vector columns, standing in for an identity matrix nobody stores."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, n: int):
-        self.rows = n
-        self.cols = n
-
-    def column(self, j: int) -> list[int]:
-        col = [0] * self.rows
-        col[j] = 1
-        return col
-
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        return list(vec)
-
-
 class _FullLevel:
     """SubQuotient stand-in when the carved subgroup is the whole level."""
 
     def __init__(self, pres: PresentedAb):
         self.ambient = pres.ngens
         self.pres = pres
-        self.lift = _FullLift(pres.ngens)
+        self.lift = SparseMatrix.identity(pres.ngens)
 
     def express(self, vec: Sequence[int]) -> list[int]:
         return list(vec)
@@ -133,13 +118,10 @@ class _OrbitFixed:
                 self._pot[m] = pot[m] * base if r not in dead_roots else 0
             if r in dead_roots:
                 continue
-            col = [0] * rank
-            for m in members:
-                col[m] = self._pot[m]
-            cols.append(col)
+            cols.append([(m, self._pot[m]) for m in members])
             self._live_roots.append(head)
         self._live_index = {h: idx for idx, h in enumerate(self._live_roots)}
-        self.lift = IntMatrix.from_cols(cols, rank)
+        self.lift = SparseMatrix(rank, cols)
         self.pres = PresentedAb(len(cols), IntMatrix.from_cols([], len(cols)))
 
     def express(self, vec: Sequence[int]) -> Optional[list[int]]:
@@ -154,18 +136,6 @@ class _OrbitFixed:
         return out
 
 
-def _signed_perm_cols(m: IntMatrix) -> Optional[list[tuple[int, int]]]:
-    """Per column the single (row, +-1) entry, or None if not that shape."""
-    out = []
-    for j in range(m.cols):
-        col = m.column(j)
-        hits = [(i, v) for i, v in enumerate(col) if v]
-        if len(hits) != 1 or hits[0][1] not in (1, -1):
-            return None
-        out.append(hits[0])
-    return out
-
-
 class _SpanOnly:
     """Spanning columns of a carved subgroup, without the express solver.
 
@@ -176,7 +146,7 @@ class _SpanOnly:
     """
 
     def __init__(self, rank: int, rels: IntMatrix,
-                 conds: list[tuple[IntMatrix, IntMatrix]]):
+                 conds: list[tuple[SparseMatrix, IntMatrix]]):
         cols = _joint_solution_span(rank, conds)
         if cols is None:
             cols = [list(c) for c in IntMatrix.identity(rank).columns()]
@@ -190,7 +160,7 @@ Carved = Union[SubQuotient, _FullLevel, _OrbitFixed]
 
 
 def _joint_solution_span(rank: int,
-                         conds: list[tuple[IntMatrix, IntMatrix]]) -> Optional[list[list[int]]]:
+                         conds: list[tuple[SparseMatrix, IntMatrix]]) -> Optional[list[list[int]]]:
     """Columns spanning all x in Z^rank with A @ x in the lattice of B, per (A, B).
 
     The solution set of each condition is the projection to the first
@@ -198,28 +168,29 @@ def _joint_solution_span(rank: int,
     conditions block-diagonally in the padding columns solves them jointly.
     ``None`` means no conditions survived (everything solves them).
     """
-    conds = [(a, b) for (a, b) in conds if a.rows and any(any(c) for c in a.columns())]
+    conds = [(a, b) for (a, b) in conds if a.rows and any(a.data)]
     if not conds:
         return None
-    pads = [b.cols for (_, b) in conds]
-    blocks = []
-    for j, (a, b) in enumerate(conds):
+    width = rank + sum(b.cols for _, b in conds)
+    rows: list[list[int]] = []
+    pad = rank
+    for a, b in conds:
         if a.cols != rank:
             raise ValueError("condition matrix has the wrong number of columns")
-        row = a
-        for jj, width in enumerate(pads):
-            pad = (-b) if jj == j else IntMatrix.zeros(a.rows, width)
-            if width:
-                row = row.hstack(pad)
-        blocks.append(row)
-    big = blocks[0]
-    for extra in blocks[1:]:
-        big = big.vstack(extra)
+        block = [[0] * width for _ in range(a.rows)]
+        for j, col in enumerate(a.data):
+            for i, v in col:
+                block[i][j] = v
+        for i, row in enumerate(b.data):
+            block[i][pad:pad + b.cols] = [-v for v in row]
+        rows += block
+        pad += b.cols
+    big = IntMatrix(len(rows), width, rows)
     return [col[:rank] for col in kernel_basis(big).columns()]
 
 
 def _conditions_subquotient(rank: int, rels: IntMatrix,
-                            conds: list[tuple[IntMatrix, IntMatrix]]) -> Carved:
+                            conds: list[tuple[SparseMatrix, IntMatrix]]) -> Carved:
     """The joint solution set packaged as a subgroup of Z^rank / rels."""
     span = _joint_solution_span(rank, conds)
     if span is None:
@@ -228,26 +199,30 @@ def _conditions_subquotient(rank: int, rels: IntMatrix,
     return SubQuotient(rank, span + rel_cols, rel_cols)
 
 
-def _restricted(dst: Carved, dense_map: Optional[IntMatrix], src: Carved,
+def _restricted(dst: Carved, linear_map, src: Carved,
                 dst_inner: Optional[Carved] = None,
                 src_inner: Optional[Carved] = None) -> IntMatrix:
-    """Matrix of dense_map between two carved-out subgroups, in their bases.
+    """Matrix of linear_map between two carved-out subgroups, in their bases.
 
-    ``None`` is the identity map (used when the two carvings share ambient
-    coordinates but differ as subgroups).  Given ``src_inner`` and
-    ``dst_inner``, the map runs between those subgroups, carved inside the
-    fixed coordinates of ``src`` and ``dst``; otherwise source columns are
-    read straight off ``src.lift``.
+    ``linear_map`` is anything with ``apply`` (a ``SparseMatrix`` or an
+    ``IntMatrix``); ``None`` is the identity map (used when the two carvings
+    share ambient coordinates but differ as subgroups).  Given ``src_inner``
+    and ``dst_inner``, the map runs between those subgroups, carved inside
+    the fixed coordinates of ``src`` and ``dst``; otherwise source columns
+    are read straight off ``src.lift``.
     """
+    lift = src.lift
+    if isinstance(linear_map, SparseMatrix):
+        lift, linear_map = linear_map @ lift, None
     cols = []
-    ncols = src.lift.cols if src_inner is None else src_inner.lift.cols
+    ncols = lift.cols if src_inner is None else src_inner.lift.cols
     for j in range(ncols):
         if src_inner is None:
-            img = src.lift.column(j)
+            img = lift.column(j)
         else:
-            img = src.lift.apply(src_inner.lift.column(j))
-        if dense_map is not None:
-            img = dense_map.apply(img)
+            img = lift.apply(src_inner.lift.column(j))
+        if linear_map is not None:
+            img = linear_map.apply(img)
         coords = dst.express(img)
         if coords is not None and dst_inner is not None:
             coords = dst_inner.express(coords)
@@ -272,12 +247,11 @@ def _fixed_level(s, n: int, gens: Sequence[int], budget: int) -> Carved:
     pres = s.levels[n].tensor.dense_group(budget)
     if not gens:
         return _FullLevel(pres)
-    mats = [s.levels[n].act(k).dense(budget) for k in gens]
-    if not pres.relations.cols:
-        perms = [_signed_perm_cols(m) for m in mats]
-        if all(p is not None for p in perms):
-            return _OrbitFixed(pres.ngens, perms)
-    ident = IntMatrix.identity(pres.ngens)
+    mats = [s.expanded_act(n, k, budget) for k in gens]
+    if not pres.relations.cols and all(len(col) == 1 and col[0][1] in (1, -1)
+                                       for m in mats for col in m.data):
+        return _OrbitFixed(pres.ngens, [[col[0] for col in m.data] for m in mats])
+    ident = SparseMatrix.identity(pres.ngens)
     conds = [(m - ident, pres.relations) for m in mats]
     return _conditions_subquotient(pres.ngens, pres.relations, conds)
 
@@ -310,7 +284,6 @@ class LevelComplex:
         self.sub = sub
         self.top = top
         self.budget = budget
-        self._face_cache: dict[tuple[int, int], IntMatrix] = {}
 
         gens = _generating_subset(g, sub)
         self.dense = [s.levels[n].tensor.dense_group(budget) for n in range(top + 1)]
@@ -325,12 +298,8 @@ class LevelComplex:
         self.reduced: list[Carved] = [_FullLevel(self.fixed[0].pres)]
         for n in range(1, top + 1):
             fx = self.fixed[n]
-            conds = []
-            for i in range(1, n + 1):
-                f = self.dense_face(n, i)
-                a = IntMatrix.from_cols(
-                    [f.apply(fx.lift.column(j)) for j in range(fx.lift.cols)], f.rows)
-                conds.append((a, self.dense[n - 1].relations))
+            conds = [(self.face(n, i) @ fx.lift, self.dense[n - 1].relations)
+                     for i in range(1, n + 1)]
             if n == top:
                 self.reduced.append(_SpanOnly(fx.pres.ngens, fx.pres.relations, conds))
             else:
@@ -340,22 +309,19 @@ class LevelComplex:
         unnorm = []
         norm = []
         for n in range(1, top + 1):
-            total = self.dense_face(n, 0)
+            total = self.face(n, 0)
             for i in range(1, n + 1):
-                term = self.dense_face(n, i)
+                term = self.face(n, i)
                 total = total + term if i % 2 == 0 else total - term
             unnorm.append(_restricted(self.fixed[n - 1], total, self.fixed[n]))
-            norm.append(_restricted(self.fixed[n - 1], self.dense_face(n, 0),
+            norm.append(_restricted(self.fixed[n - 1], self.face(n, 0),
                                     self.fixed[n], self.reduced[n - 1],
                                     self.reduced[n]))
         self.unnormalized = ChainComplex([f.pres for f in self.fixed], unnorm, check=check)
         self.normalized = ChainComplex([r.pres for r in self.reduced], norm, check=check)
 
-    def dense_face(self, n: int, i: int) -> IntMatrix:
-        key = (n, i)
-        if key not in self._face_cache:
-            self._face_cache[key] = self.s.face(n, i).dense(self.budget)
-        return self._face_cache[key]
+    def face(self, n: int, i: int) -> SparseMatrix:
+        return self.s.expanded_face(n, i, self.budget)
 
     def homology(self, k: int) -> FgAbelianGroup:
         self._check_degree(k)
@@ -421,7 +387,7 @@ def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGro
         raise ValueError(f"{subt} is not a subgroup")
     gens = _generating_subset(g, subt)
     sq = [_fixed_level(s, n, gens, budget) for n in (0, 1)]
-    diff = s.face(1, 0).dense(budget) - s.face(1, 1).dense(budget)
+    diff = s.expanded_face(1, 0, budget) - s.expanded_face(1, 1, budget)
     restricted = _restricted(sq[0], diff, sq[1])
     rels = sq[0].pres.relations
     rels = rels.hstack(restricted) if rels.cols else restricted
@@ -480,11 +446,15 @@ class MackeyH:
         return key
 
     def _chain_matrix(self, src: tuple[int, ...], dst: tuple[int, ...],
-                      dense_map: Optional[IntMatrix]) -> IntMatrix:
+                      level_map: Optional[SparseMatrix]) -> IntMatrix:
         k = self.degree
         a, b = self._lc[src], self._lc[dst]
-        return _restricted(b.fixed[k], dense_map, a.fixed[k],
+        return _restricted(b.fixed[k], level_map, a.fixed[k],
                            b.reduced[k], a.reduced[k])
+
+    def _act(self, sub: tuple[int, ...], elem: int) -> SparseMatrix:
+        lc = self._lc[sub]
+        return lc.s.expanded_act(self.degree, elem, lc.budget)
 
     def res(self, big: Sequence[int], small: Sequence[int]) -> IntMatrix:
         """Induced by the inclusion of fixed points, bigger subgroup to smaller."""
@@ -499,12 +469,10 @@ class MackeyH:
         small, big = self._key(small), self._key(big)
         if not set(small) <= set(big):
             raise ValueError("transfer goes from a subgroup to one containing it")
-        k = self.degree
         reps = _relative_transversal(self.group, big, small)
-        lv = self._lc[small].s.levels[k]
-        total = lv.act(reps[0]).dense(self._lc[small].budget)
+        total = self._act(small, reps[0])
         for l in reps[1:]:
-            total = total + lv.act(l).dense(self._lc[small].budget)
+            total = total + self._act(small, l)
         chain = self._chain_matrix(small, big, total)
         return induced_map(self._hd[small], self._hd[big], chain)
 
@@ -512,8 +480,7 @@ class MackeyH:
         """Action of one group element, sub-fixed points to their conjugate's."""
         sub = self._key(sub)
         target = self._key(self.group.conjugate_subgroup(elem, sub))
-        dense = self._lc[sub].s.levels[self.degree].act(elem).dense(self._lc[sub].budget)
-        chain = self._chain_matrix(sub, target, dense)
+        chain = self._chain_matrix(sub, target, self._act(sub, elem))
         return induced_map(self._hd[sub], self._hd[target], chain), target
 
     def maps_equal(self, target: Sequence[int], a: IntMatrix, b: IntMatrix) -> bool:

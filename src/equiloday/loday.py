@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .coeffs import Coefficient
-from .exactalg import IntMatrix
+from .exactalg import IntMatrix, SparseMatrix
 from .fingroup import FiniteGroup, make_cyclic
-from .gring import (GTensorRing, NormRing, PresentedRing, RingWithAction,
-                    StructuredHom, equivariance_defect,
+from .gring import (DENSE_BUDGET, GTensorRing, NormRing, PresentedRing,
+                    RingWithAction, StructuredHom, equivariance_defect,
                     tensor_induce, tensor_of_actions)
 from .simpgset import EqMap, FinSimpGSet
 
@@ -46,6 +46,7 @@ class SimplicialGRing:
         self.degens = [list(d) for d in degens]
         self.tags = [list(t) for t in tags]
         self.label = label
+        self._expanded: dict[tuple, SparseMatrix] = {}
 
     def top(self) -> int:
         return len(self.levels) - 1
@@ -60,6 +61,24 @@ class SimplicialGRing:
             raise ValueError("degeneracy s_%d out of range at level %d"
                              % (j, n))
         return self.degens[n][j]
+
+    def expanded_face(self, n: int, i: int,
+                      budget: int = DENSE_BUDGET) -> SparseMatrix:
+        """``face(n, i).sparse()``, expanded once and kept."""
+        return self._expand(("face", n, i), self.face(n, i), budget)
+
+    def expanded_act(self, n: int, g: int,
+                     budget: int = DENSE_BUDGET) -> SparseMatrix:
+        """``levels[n].act(g).sparse()``, expanded once and kept."""
+        return self._expand(("act", n, g), self.levels[n].act(g), budget)
+
+    def _expand(self, key: tuple, hom: StructuredHom,
+                budget: int) -> SparseMatrix:
+        hom.src.dense_rank(budget)
+        hom.dst.dense_rank(budget)
+        if key not in self._expanded:
+            self._expanded[key] = hom.sparse(budget)
+        return self._expanded[key]
 
     def level_rank(self, n: int) -> int:
         base = self.levels[n].tensor.base

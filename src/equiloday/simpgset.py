@@ -181,7 +181,8 @@ class EqMap:
         return True
 
     def __hash__(self):
-        return hash((id(self.src), id(self.dst), self.entries))
+        # equality reads u only modulo the target isotropy: leave it out
+        return hash((id(self.src), id(self.dst), tuple(t for t, _ in self.entries)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ serialize::
 A failing check carries enough data (group label, subgroup, element index,
 the offending columns) to replay the single equation that broke.  Work that
 would blow the dense-matrix budget is reported as an explicit skip, never
-silently dropped.
+silently dropped.  Parameters a suite cannot use (a group label its roster
+lacks, a coefficient without an involution, ...) raise ``SuiteParameterError``;
+any other exception is a bug, not a verdict.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ from .simpgset import (
 )
 
 
+class SuiteParameterError(ValueError):
+    """A suite was given parameters it cannot run with: the caller's fault."""
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -111,6 +117,20 @@ def _shape(h) -> list:
 # rosters
 
 
+def _pick(roster: list, group: Optional[str]) -> list:
+    """Roster entries whose first item, a group label, is ``group``; the
+    whole roster when ``group`` is None.  A label matching no entry is
+    rejected, naming the valid ones."""
+    if group is None:
+        return roster
+    picked = [entry for entry in roster if entry[0] == group]
+    if not picked:
+        labels = dict.fromkeys(entry[0] for entry in roster)
+        raise SuiteParameterError(
+            f"unknown group {group!r}; this suite knows: {', '.join(labels)}")
+    return picked
+
+
 def _index_two_action(group: FiniteGroup, even: tuple[int, ...],
                       coeff: Coefficient) -> RingWithAction:
     """Coefficient involution on the odd coset of an index-2 subgroup."""
@@ -136,15 +156,14 @@ def _power_instances(group_filter: Optional[str]):
     checks: the four standard small groups against rings of rank <= 2,
     with the trivial action always and a sign-twisted action when the
     group has an index-2 part to carry it."""
-    groups = [("c2", make_cyclic(2)), ("c3", make_cyclic(3)),
-              ("s3", make_symmetric(3)), ("d4", make_dihedral(8))]
+    groups = _pick([("c2", make_cyclic(2)), ("c3", make_cyclic(3)),
+                    ("s3", make_symmetric(3)), ("d4", make_dihedral(8))],
+                   group_filter)
     rings = [("z", load_bundled("z")), ("zmod4", load_bundled("zmod4")),
              ("gaussian", gaussian()),
              ("sign_square_zero", load_bundled("sign_square_zero"))]
     out = []
     for glabel, g in groups:
-        if group_filter is not None and glabel != group_filter:
-            continue
         even = _even_part(g)
         for rlabel, coeff in rings:
             out.append((glabel, rlabel + "/trivial",
@@ -258,9 +277,7 @@ _XI_FLIP_INSTANCES = [
 
 def _xi_flip_checks(report: dict, group_filter: Optional[str]):
     ring = gaussian().ring
-    for glabel, maker, arg, sub in _XI_FLIP_INSTANCES:
-        if group_filter is not None and glabel != group_filter:
-            continue
+    for glabel, maker, arg, sub in _pick(_XI_FLIP_INSTANCES, group_filter):
         g = maker(arg)
         xi = coset_blocking(g, sub, ring)
         tag = f"{glabel}/H={list(sub)}"
@@ -392,9 +409,7 @@ def suite_weyl(params: Optional[dict] = None) -> dict:
     report = _new_report("weyl")
     gz = gaussian()
     conj = gz.involution[0]
-    for glabel, g in _weyl_roster():
-        if params.get("group") is not None and glabel != params["group"]:
-            continue
+    for glabel, g in _pick(_weyl_roster(), params.get("group")):
         for sub in g.all_subgroups():
             normal = g.normalizer(sub)
             for alabel, rwa in _norm_coefficients(g, sub):
@@ -468,9 +483,7 @@ def suite_conjugate_switch(params: Optional[dict] = None) -> dict:
     params = params or {}
     report = _new_report("conjugate-switch")
     roster = [("s3", make_symmetric(3)), ("d6", make_dihedral(12))]
-    for glabel, g in roster:
-        if params.get("group") is not None and glabel != params["group"]:
-            continue
+    for glabel, g in _pick(roster, params.get("group")):
         for sub in g.all_subgroups():
             for alabel, rwa in _norm_coefficients(g, sub):
                 n = tensor_induce(g, sub, rwa)
@@ -621,9 +634,22 @@ def suite_two_isotropy(params: Optional[dict] = None) -> dict:
 
 
 def _load_coefficient(spec: str) -> Coefficient:
-    if os.path.exists(spec):
-        return load_file(spec)
-    return load_bundled(spec)
+    """A file path or bundled name, for the polygon pipeline (which needs
+    the coefficient's involution)."""
+    try:
+        coeff = load_file(spec) if os.path.exists(spec) else load_bundled(spec)
+    except (ValueError, KeyError, OSError) as e:
+        raise SuiteParameterError(str(e)) from e
+    if coeff.involution is None:
+        raise SuiteParameterError(f"coefficient {spec!r} carries no involution")
+    return coeff
+
+
+def _at_least_one(params: dict, key: str, default: int) -> int:
+    val = params.get(key, default)
+    if val < 1:
+        raise SuiteParameterError(f"{key} must be at least 1")
+    return val
 
 
 def _realhh_instance(report: dict, m: int, coeff: Coefficient,
@@ -675,12 +701,12 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
 def suite_realhh(params: Optional[dict] = None) -> dict:
     params = params or {}
     report = _new_report("realhh")
-    ms = [params["m"]] if params.get("m") is not None else [1, 2, 3]
+    ms = [1, 2, 3] if params.get("m") is None else [_at_least_one(params, "m", 1)]
     if params.get("coeff") is not None:
         coeffs = [_load_coefficient(params["coeff"])]
     else:
         coeffs = [load_bundled("zmod4"), gaussian()]
-    truncation = params.get("truncation", 4)
+    truncation = _at_least_one(params, "truncation", 4)
     max_degree = params.get("max_degree", 3)
     budget = params.get("budget", DENSE_BUDGET)
     # rank-1 coefficients stay cheap at every subgroup; larger rings switch
@@ -716,6 +742,7 @@ def _upper_triangular_mod2() -> tuple[PresentedRing, tuple[IntMatrix, bool]]:
 
 def suite_esigma(params: Optional[dict] = None) -> dict:
     params = params or {}
+    m = _at_least_one(params, "m", 1)
     report = _new_report("esigma")
     q = quaternions()
     rep = esigma_check(q.ring, q.involution)
@@ -737,7 +764,6 @@ def suite_esigma(params: Optional[dict] = None) -> dict:
 
     # the polygon pipeline itself, on a noncommutative ring: nothing along
     # the way may ever appeal to commutativity
-    m = params.get("m", 1)
     reset_commutativity_uses()
     rh = real_hochschild(m, q, truncation=3)
     msgs = rh.loday_side.validate() + rh.bar_side.validate() + rh.iso_commutes()

@@ -206,6 +206,38 @@ def test_verify_bad_suite_params(capsys):
     assert "involution" in err
 
 
+@pytest.mark.parametrize("suite,known", [
+    ("counit", "c2, c3, s3, d4"),
+    ("psi", "c2, c3, s3, d4"),
+    ("xi", "s3, d4, d6"),
+    ("weyl", "c1, c2, c3"),
+    ("conjugate-switch", "s3, d6"),
+])
+def test_verify_unknown_group_is_a_usage_error(capsys, suite, known):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--group", "zz")
+    assert code == 2
+    assert out == ""
+    assert "'zz'" in err and known in err
+
+
+def test_verify_internal_error_exits_three(capsys, monkeypatch):
+    # a ValueError from deep inside a suite is a bug, not a bad parameter
+    import equiloday.homology as homology
+
+    def broken(*args, **kwargs):
+        raise ValueError("carving went wrong")
+
+    monkeypatch.setattr(homology, "_restricted", broken)
+    code, out, err = run(capsys, "verify", "--suite", "realhh", "--m", "1",
+                         "--coeff", "zmod4", "--truncation", "2",
+                         "--max-degree", "1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert err.endswith("internal error in suite realhh: ValueError: "
+                        "carving went wrong\n")
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     def broken(params=None):
         return {"suite": "broken", "failures": 1, "skipped": 0,

@@ -48,6 +48,18 @@ def test_cli_stdout_matches_golden(name):
     assert out == want
 
 
+@pytest.mark.slow
+def test_realhh_stdout_matches_benchmark_reference():
+    # the reference the benchmark judges its realhh workload by (read only)
+    ref = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "reference", "realhh-m1-gaussian.out")
+    code, out = _stdout(["verify", "--suite", "realhh", "--m", "1",
+                         "--coeff", "gaussian"])
+    assert code == 0
+    with open(ref, encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+
+
 def test_group_list_is_covered():
     code, out = _stdout(["group", "list", "--format", "csv"])
     assert code == 0

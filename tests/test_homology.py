@@ -240,6 +240,7 @@ def test_real_hochschild_tables_match_zmod4(zmod4):
         assert tl == tb, sub
 
 
+@pytest.mark.slow
 def test_real_hochschild_tables_match_c2mod2(c2mod2):
     rh = real_hochschild(1, c2mod2, truncation=3)
     for sub in rh.loday_side.group.all_subgroups():

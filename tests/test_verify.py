@@ -18,6 +18,8 @@ SMOKE = [
     ("normal-subgroups", {}),
     ("two-isotropy", {}),
     ("realhh", {"m": 1, "coeff": "zmod4", "truncation": 3}),
+    # free levels: takes the signed-orbit carving, which zmod4 never does
+    ("realhh", {"m": 1, "coeff": "gaussian", "truncation": 3, "max_degree": 2}),
 ]
 
 
