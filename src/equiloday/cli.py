@@ -3,12 +3,13 @@ Loday pipelines, and execute the named verification suites.
 
 Exit codes: 0 everything passed, 1 a verification/validation failure (with a
 serialized witness on stdout), 2 a usage error (bad flags, missing files,
-unknown names, suite parameters the suite rejects), 3 an internal error: a
-suite raised anything else, which is a bug rather than a verdict (its
-traceback and a one-line summary go to stderr, nothing to stdout).  For fixed inputs
-and flags the bytes written to stdout are deterministic; ``bench`` keeps
-that promise by sending its wall-clock timings to stderr and only the
-(reproducible) dimension statistics to stdout.
+unknown names, suite parameters the suite rejects or never reads), 3 an
+internal error: a suite raised anything else, which is a bug rather than a
+verdict (its traceback and a one-line summary go to stderr, nothing to
+stdout).  For fixed inputs and flags the bytes written to stdout are
+deterministic; ``bench`` keeps that promise by sending its wall-clock
+timings to stderr and only the (reproducible) dimension statistics to
+stdout.
 """
 
 from __future__ import annotations

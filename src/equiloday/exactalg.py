@@ -24,6 +24,7 @@ True
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -95,13 +96,19 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        # transpose the right factor once; skips zero terms, which dominates
-        # on the permutation-like matrices this package produces.
-        ot = other.transpose().data
+        # row i of the product is the sum of self[i][k] * other row k over
+        # the nonzero self[i][k], each over the nonzeros of that row only:
+        # both factors are mostly zeros on the permutation-like matrices this
+        # package produces.
+        orows = [[(j, w) for j, w in enumerate(r) if w] for r in other.data]
         out = []
         for row in self.data:
-            nz = [(j, v) for j, v in enumerate(row) if v]
-            out.append([sum(v * ocol[j] for j, v in nz) for ocol in ot])
+            acc = [0] * other.cols
+            for k, v in enumerate(row):
+                if v:
+                    for j, w in orows[k]:
+                        acc[j] += v * w
+            out.append(acc)
         return IntMatrix(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence[int]) -> list[int]:
@@ -260,6 +267,10 @@ def bareiss_det(M: IntMatrix) -> int:
 # makes the diagonal a divisibility chain with no separate pass.
 
 
+def _sparse_rows(M: IntMatrix) -> list[dict[int, int]]:
+    return [{j: v for j, v in enumerate(r) if v} for r in M.data]
+
+
 class _SparseWork:
     """Row-dict matrix with a column index, supporting the SNF row/col ops."""
 
@@ -272,15 +283,25 @@ class _SparseWork:
         self.colidx: dict[int, set[int]] = {}
 
     @staticmethod
-    def from_dense(M: IntMatrix) -> "_SparseWork":
-        w = _SparseWork(M.rows, M.cols)
-        for i, r in enumerate(M.data):
-            d = {j: v for j, v in enumerate(r) if v}
+    def from_rows(rows: list[dict[int, int]], n: int) -> "_SparseWork":
+        """Work matrix whose row i is ``rows[i]``, taken over, not copied.
+
+        Each dict must hold nonzero values under increasing column keys.
+        Insertion order fixes how ``row`` and the ``colidx`` sets iterate,
+        and with it which row operations the engine performs, so every
+        matrix reaches the engine through here in the same order.
+        """
+        w = _SparseWork(len(rows), n)
+        for i, d in enumerate(rows):
             if d:
                 w.row[i] = d
                 for j in d:
                     w.colidx.setdefault(j, set()).add(i)
         return w
+
+    @staticmethod
+    def from_dense(M: IntMatrix) -> "_SparseWork":
+        return _SparseWork.from_rows(_sparse_rows(M), M.cols)
 
     @staticmethod
     def eye(n: int) -> "_SparseWork":
@@ -385,28 +406,34 @@ class _SparseWork:
 
 
 def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
+    """Reduce A in place to Smith form; return ``(A, U, VT, rank)``.
+
+    Pivot rule: the remaining entry (row and column >= t) of smallest
+    absolute value, ties going to the first in row-major order.  It is found
+    as the smallest ``(|v|, column)`` of each remaining row, rows visited in
+    increasing order, stopping at the first row that holds a unit (no entry
+    can beat it).  Every carved basis and ``--emit-complex`` byte depends on
+    this exact pivot sequence.
+
+    The divisibility sweep, which pulls up a row the pivot does not divide,
+    is skipped at a unit pivot: ``v % 1`` and ``v % -1`` are always zero, so
+    it could find no offender.
+    """
     m, n = A.m, A.n
     U = _SparseWork.eye(m) if want_u else None
     VT = _SparseWork.eye(n) if want_v else None  # rows of VT are columns of V
     t = 0
     limit = min(m, n)
     while t < limit:
-        # deterministic pivot search: minimal |value|, ties row-major
         best = None
-        for i in sorted(A.row):
-            if i < t:
-                continue
-            row = A.row[i]
-            for j in sorted(row):
-                if j < t:
-                    continue
-                a = abs(row[j])
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-                    if a == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
+        keys = sorted(A.row)
+        for i in keys[bisect_left(keys, t):]:
+            cand = min(((abs(v), j) for j, v in A.row[i].items() if j >= t),
+                       default=None)
+            if cand is not None and (best is None or cand[0] < best[0]):
+                best = (cand[0], i, cand[1])
+                if cand[0] == 1:
+                    break
         if best is None:
             break
         _, pi, pj = best
@@ -463,16 +490,12 @@ def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
                 continue
             # divisibility sweep: pivot must divide the remaining submatrix
             pivot = A.get(t, t)
-            offender = None
-            for i in sorted(A.row):
-                if i <= t:
-                    continue
-                for j, v in sorted(A.row[i].items()):
-                    if j > t and v % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if pivot in (1, -1):
+                break
+            keys = sorted(A.row)
+            offender = next((i for i in keys[bisect_right(keys, t):]
+                             if any(v % pivot for j, v in A.row[i].items() if j > t)),
+                            None)
             if offender is None:
                 break
             A.add_row(offender, t, 1)
@@ -501,12 +524,23 @@ def invariant_factors(M: IntMatrix) -> list[int]:
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns form a basis of ``{x : M x = 0}`` (a saturated sublattice)."""
-    A, _, VT, rank = _snf_engine(_SparseWork.from_dense(M), False, True)
+    return IntMatrix.from_cols(kernel_columns(_sparse_rows(M), M.cols, M.cols),
+                               M.cols)
+
+
+def kernel_columns(rows: list[dict[int, int]], n: int, keep: int) -> list[list[int]]:
+    """The first ``keep`` coordinates of the ``kernel_basis`` columns of the
+    matrix with ``n`` columns and sparse rows ``rows`` (as ``from_rows``
+    takes them, and consumes them)."""
+    _, _, VT, rank = _snf_engine(_SparseWork.from_rows(rows, n), False, True)
     cols = []
-    for j in range(rank, M.cols):
-        r = VT.row.get(j, {})
-        cols.append([r.get(i, 0) for i in range(M.cols)])
-    return IntMatrix.from_cols(cols, M.cols)
+    for j in range(rank, n):
+        col = [0] * keep
+        for i, v in VT.row.get(j, {}).items():
+            if i < keep:
+                col[i] = v
+        cols.append(col)
+    return cols
 
 
 class SmithSolver:
@@ -557,22 +591,18 @@ def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
 
 def column_space_basis(M: IntMatrix) -> IntMatrix:
     """A basis (as columns) of the column span of M."""
-    A, _, VT, rank = _snf_engine(_SparseWork.from_dense(M), False, True)
-    if rank == 0:
-        return IntMatrix(M.rows, 0, [[] for _ in range(M.rows)])
-    vcols = []
-    for j in range(rank):
-        r = VT.row.get(j, {})
-        vcols.append({i: v for i, v in r.items()})
+    rows = _sparse_rows(M)
+    mcols: list[list[tuple[int, int]]] = [[] for _ in range(M.cols)]
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            mcols[j].append((i, v))
+    _, _, VT, rank = _snf_engine(_SparseWork.from_rows(rows, M.cols), False, True)
     out = []
-    for col in vcols:
+    for j in range(rank):
         acc = [0] * M.rows
-        for jj, v in col.items():
-            if v:
-                for i in range(M.rows):
-                    mv = M.data[i][jj]
-                    if mv:
-                        acc[i] += v * mv
+        for jj, v in VT.row.get(j, {}).items():
+            for i, mv in mcols[jj]:
+                acc[i] += v * mv
         out.append(acc)
     return IntMatrix.from_cols(out, M.rows)
 

@@ -28,14 +28,15 @@ simplicial ring, so every subgroup reuses them.  On free levels whose
 actions are signed permutations the fixed points are orbit sums; elsewhere
 they are carved by Smith form.  The fixed carving happens once per level
 and the normalized part is carved inside the fixed coordinates rather than
-back at ambient size.
+back at ambient size.  The conditions that carve them reach the Smith-form
+engine as sparse rows (``kernel_columns``), never as a dense matrix.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
-                       SparseMatrix, SubQuotient, induced_map, kernel_basis)
+                       SparseMatrix, SubQuotient, induced_map, kernel_columns)
 from .fingroup import FiniteGroup
 from .gring import DENSE_BUDGET
 
@@ -172,21 +173,28 @@ def _joint_solution_span(rank: int,
     if not conds:
         return None
     width = rank + sum(b.cols for _, b in conds)
-    rows: list[list[int]] = []
+    return kernel_columns(_condition_rows(rank, conds), width, rank)
+
+
+def _condition_rows(rank: int,
+                    conds: list[tuple[SparseMatrix, IntMatrix]]) -> list[dict[int, int]]:
+    """The stacked ``[A | -B]`` blocks as sparse rows, columns increasing."""
+    rows: list[dict[int, int]] = []
     pad = rank
     for a, b in conds:
         if a.cols != rank:
             raise ValueError("condition matrix has the wrong number of columns")
-        block = [[0] * width for _ in range(a.rows)]
+        block: list[dict[int, int]] = [{} for _ in range(a.rows)]
         for j, col in enumerate(a.data):
             for i, v in col:
                 block[i][j] = v
         for i, row in enumerate(b.data):
-            block[i][pad:pad + b.cols] = [-v for v in row]
+            for k, v in enumerate(row):
+                if v:
+                    block[i][pad + k] = -v
         rows += block
         pad += b.cols
-    big = IntMatrix(len(rows), width, rows)
-    return [col[:rank] for col in kernel_basis(big).columns()]
+    return rows
 
 
 def _conditions_subquotient(rank: int, rels: IntMatrix,

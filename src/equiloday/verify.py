@@ -13,8 +13,9 @@ A failing check carries enough data (group label, subgroup, element index,
 the offending columns) to replay the single equation that broke.  Work that
 would blow the dense-matrix budget is reported as an explicit skip, never
 silently dropped.  Parameters a suite cannot use (a group label its roster
-lacks, a coefficient without an involution, ...) raise ``SuiteParameterError``;
-any other exception is a bug, not a verdict.
+lacks, a coefficient without an involution, a negative degree, ...) or never
+reads (each ``SUITES`` entry carries the set it reads) raise
+``SuiteParameterError``; any other exception is a bug, not a verdict.
 """
 
 from __future__ import annotations
@@ -348,6 +349,8 @@ def suite_xi(params: Optional[dict] = None) -> dict:
 
 
 def suite_xi_counterexample(params: Optional[dict] = None) -> dict:
+    params = params or {}
+    _pick([("s3",)], params.get("group"))  # its one instance lives on S3
     report = _new_report("xi-diagonal-counterexample")
     _xi_counterexample_checks(report)
     return report
@@ -645,10 +648,10 @@ def _load_coefficient(spec: str) -> Coefficient:
     return coeff
 
 
-def _at_least_one(params: dict, key: str, default: int) -> int:
+def _at_least(params: dict, key: str, default: int, least: int) -> int:
     val = params.get(key, default)
-    if val < 1:
-        raise SuiteParameterError(f"{key} must be at least 1")
+    if val < least:
+        raise SuiteParameterError(f"{key} must be at least {least}")
     return val
 
 
@@ -701,13 +704,13 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
 def suite_realhh(params: Optional[dict] = None) -> dict:
     params = params or {}
     report = _new_report("realhh")
-    ms = [1, 2, 3] if params.get("m") is None else [_at_least_one(params, "m", 1)]
+    ms = [1, 2, 3] if params.get("m") is None else [_at_least(params, "m", 1, 1)]
     if params.get("coeff") is not None:
         coeffs = [_load_coefficient(params["coeff"])]
     else:
         coeffs = [load_bundled("zmod4"), gaussian()]
-    truncation = _at_least_one(params, "truncation", 4)
-    max_degree = params.get("max_degree", 3)
+    truncation = _at_least(params, "truncation", 4, 1)
+    max_degree = _at_least(params, "max_degree", 3, 0)
     budget = params.get("budget", DENSE_BUDGET)
     # rank-1 coefficients stay cheap at every subgroup; larger rings switch
     # to conjugacy class representatives, legitimate because switching to a
@@ -742,7 +745,7 @@ def _upper_triangular_mod2() -> tuple[PresentedRing, tuple[IntMatrix, bool]]:
 
 def suite_esigma(params: Optional[dict] = None) -> dict:
     params = params or {}
-    m = _at_least_one(params, "m", 1)
+    m = _at_least(params, "m", 1, 1)
     report = _new_report("esigma")
     q = quaternions()
     rep = esigma_check(q.ring, q.involution)
@@ -788,22 +791,37 @@ def suite_esigma(params: Optional[dict] = None) -> dict:
 # registry
 
 
+def _reads(suite, *params: str):
+    """Register ``suite`` as reading exactly ``params``; ``run_suite``
+    rejects any other parameter instead of silently ignoring it."""
+    suite.params = frozenset(params)
+    return suite
+
+
 SUITES = {
-    "counit": suite_counit,
-    "psi": suite_psi,
-    "xi": suite_xi,
-    "xi-diagonal-counterexample": suite_xi_counterexample,
-    "weyl": suite_weyl,
-    "conjugate-switch": suite_conjugate_switch,
-    "one-isotropy": suite_one_isotropy,
-    "normal-subgroups": suite_normal_subgroups,
-    "two-isotropy": suite_two_isotropy,
-    "realhh": suite_realhh,
-    "esigma": suite_esigma,
+    "counit": _reads(suite_counit, "group"),
+    "psi": _reads(suite_psi, "group"),
+    "xi": _reads(suite_xi, "group"),
+    "xi-diagonal-counterexample": _reads(suite_xi_counterexample, "group"),
+    "weyl": _reads(suite_weyl, "group"),
+    "conjugate-switch": _reads(suite_conjugate_switch, "group"),
+    "one-isotropy": _reads(suite_one_isotropy),
+    "normal-subgroups": _reads(suite_normal_subgroups),
+    "two-isotropy": _reads(suite_two_isotropy),
+    "realhh": _reads(suite_realhh, "m", "coeff", "truncation", "max_degree",
+                     "budget", "subgroups"),
+    "esigma": _reads(suite_esigma, "m"),
 }
 
 
 def run_suite(name: str, params: Optional[dict] = None) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return SUITES[name](params)
+    suite = SUITES[name]
+    reads = getattr(suite, "params", frozenset())  # unregistered: reads none
+    for key in params or {}:
+        if key not in reads:
+            raise SuiteParameterError(
+                f"{key!r} is not a parameter of suite {name!r} "
+                f"(it reads: {', '.join(sorted(reads)) or 'none'})")
+    return suite(params)

@@ -8,7 +8,7 @@ so that agreement between the two is evidence rather than tautology.
 from itertools import product
 
 from equiloday.exactalg import (ChainComplex, IntMatrix, PresentedAb,
-                                kernel_basis)
+                                _SparseWork, kernel_basis)
 from equiloday.gring import PresentedRing
 
 
@@ -196,3 +196,114 @@ def sd_face_column(ring: PresentedRing, r: int, k: int, i: int,
 def coequalizer_h0(d0: IntMatrix, d1: IntMatrix):
     """Cokernel of d0 - d1 in canonical form."""
     return PresentedAb(d0.rows, d0 + (-d1)).canonical()
+
+
+# ---------------------------------------------------------------------------
+# the Smith-form engine as it was before its pivot search went sparse
+
+
+def reference_snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
+    """Smith reduction with a full sorted scan per pivot and per sweep.
+
+    Kept verbatim as the reference: ``exactalg._snf_engine`` must pick the
+    same pivots and so return the same ``A``, ``U``, ``VT`` and rank.
+    """
+    m, n = A.m, A.n
+    U = _SparseWork.eye(m) if want_u else None
+    VT = _SparseWork.eye(n) if want_v else None  # rows of VT are columns of V
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        # deterministic pivot search: minimal |value|, ties row-major
+        best = None
+        for i in sorted(A.row):
+            if i < t:
+                continue
+            row = A.row[i]
+            for j in sorted(row):
+                if j < t:
+                    continue
+                a = abs(row[j])
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        A.swap_rows(t, pi)
+        A.swap_cols(t, pj)
+        if U is not None:
+            U.swap_rows(t, pi)
+        if VT is not None:
+            VT.swap_rows(t, pj)
+
+        while True:
+            # clear column t
+            changed = True
+            while changed:
+                changed = False
+                pivot = A.get(t, t)
+                for i in list(A.colidx.get(t, ())):
+                    if i == t or i < t:
+                        continue
+                    q = A.row[i][t] // pivot
+                    if q:
+                        A.add_row(t, i, -q)
+                        if U is not None:
+                            U.add_row(t, i, -q)
+                    if A.get(i, t):
+                        # remainder smaller than pivot: promote it
+                        A.swap_rows(t, i)
+                        if U is not None:
+                            U.swap_rows(t, i)
+                        changed = True
+                        break
+            # clear row t
+            pivot = A.get(t, t)
+            dirty = False
+            for j in sorted(A.row.get(t, {})):
+                if j <= t:
+                    continue
+                q = A.row[t][j] // pivot
+                if q:
+                    A.add_col(t, j, -q)
+                    if VT is not None:
+                        VT.add_row(t, j, -q)
+                if A.get(t, j):
+                    A.swap_cols(t, j)
+                    if VT is not None:
+                        VT.swap_rows(t, j)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            # column may have been dirtied by col ops? col ops only touch
+            # rows that had entries in col t or j; row t alone here.
+            if any(i > t for i in A.colidx.get(t, ())):
+                continue
+            # divisibility sweep: pivot must divide the remaining submatrix
+            pivot = A.get(t, t)
+            offender = None
+            for i in sorted(A.row):
+                if i <= t:
+                    continue
+                for j, v in sorted(A.row[i].items()):
+                    if j > t and v % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            A.add_row(offender, t, 1)
+            if U is not None:
+                U.add_row(offender, t, 1)
+        if A.get(t, t) < 0:
+            A.negate_row(t)
+            if U is not None:
+                U.negate_row(t)
+        t += 1
+    return A, U, VT, t

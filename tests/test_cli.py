@@ -210,6 +210,7 @@ def test_verify_bad_suite_params(capsys):
     ("counit", "c2, c3, s3, d4"),
     ("psi", "c2, c3, s3, d4"),
     ("xi", "s3, d4, d6"),
+    ("xi-diagonal-counterexample", "s3"),
     ("weyl", "c1, c2, c3"),
     ("conjugate-switch", "s3, d6"),
 ])
@@ -218,6 +219,32 @@ def test_verify_unknown_group_is_a_usage_error(capsys, suite, known):
     assert code == 2
     assert out == ""
     assert "'zz'" in err and known in err
+
+
+def test_verify_negative_max_degree_is_a_usage_error(capsys):
+    # not a budget skip: zmod4 levels have rank 1
+    code, out, err = run(capsys, "verify", "--suite", "realhh", "--m", "1",
+                         "--coeff", "zmod4", "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "max_degree must be at least 0" in err
+
+
+@pytest.mark.parametrize("suite,flag,value,key", [
+    ("one-isotropy", "--group", "zz", "group"),
+    ("normal-subgroups", "--m", "2", "m"),
+    ("two-isotropy", "--coeff", "zmod4", "coeff"),
+    ("xi-diagonal-counterexample", "--m", "1", "m"),
+    ("counit", "--truncation", "2", "truncation"),
+    ("conjugate-switch", "--budget", "10", "budget"),
+    ("realhh", "--group", "c2", "group"),
+    ("esigma", "--subgroups", "all", "subgroups"),
+])
+def test_verify_unread_param_is_a_usage_error(capsys, suite, flag, value, key):
+    code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"{key!r} is not a parameter of suite {suite!r}" in err
 
 
 def test_verify_internal_error_exits_three(capsys, monkeypatch):

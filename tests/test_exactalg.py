@@ -1,5 +1,6 @@
 """Exact linear algebra layer: Smith form, presentations, homology."""
 
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,8 @@ from equiloday.exactalg import (
     solve,
     tensor,
 )
+from equiloday.exactalg import _SparseWork, _snf_engine
+from oracles import reference_snf_engine
 
 
 def rand_matrix(rng, m, n, lo=-9, hi=9):
@@ -106,6 +109,69 @@ def test_snf_matches_sympy(M):
     sd = sym_snf(sympy.Matrix(M.data))
     theirs = [abs(sd[i, i]) for i in range(min(M.rows, M.cols)) if sd[i, i] != 0]
     assert invariant_factors(M) == theirs
+
+
+@st.composite
+def engine_matrix(draw):
+    """Small matrices biased towards what makes the pivot search work:
+    non-unit entries (no unit pivot to stop at), repeated magnitudes (ties)
+    and whole zero rows and columns."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    values = draw(st.sampled_from([(-6, -4, -3, -2, 2, 3, 4, 6, 9),
+                                   (-2, 2, 4), (-1, 1, 2, 3),
+                                   tuple(range(-12, 13))]))
+    entry = st.one_of(st.just(0), st.sampled_from(values))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
+        if i < m:
+            rows[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, 5), max_size=2)):
+        if j < n:
+            for r in rows:
+                r[j] = 0
+    return IntMatrix(m, n, rows)
+
+
+def _layout(w):
+    """Contents of a work matrix in iteration order, column index included."""
+    if w is None:
+        return None
+    return ([(i, list(r.items())) for i, r in w.row.items()],
+            [(j, list(rows)) for j, rows in w.colidx.items()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_matrix())
+def test_snf_engine_picks_the_reference_pivots(M):
+    # same pivots means the same A, U, VT and rank, down to iteration order
+    for want_u, want_v in itertools.product((False, True), repeat=2):
+        got = _snf_engine(_SparseWork.from_dense(M), want_u, want_v)
+        ref = reference_snf_engine(_SparseWork.from_dense(M), want_u, want_v)
+        assert [_layout(w) for w in got[:3]] == [_layout(w) for w in ref[:3]]
+        assert got[3] == ref[3]
+
+
+@st.composite
+def matmul_pair(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(-2 ** 70, 2 ** 70))
+
+    def mat(rows, cols):
+        return IntMatrix(rows, cols, draw(st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    return mat(r, k), mat(k, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matmul_pair())
+def test_matmul_matches_triple_loop(pair):
+    a, b = pair
+    want = [[sum(a.data[i][k] * b.data[k][j] for k in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+    assert (a @ b) == IntMatrix(a.rows, b.cols, want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,10 @@
 
 ``StructuredHom.sparse`` is checked column by column against
 ``apply_basis``, the independent per-tuple oracle; the signed-orbit carving
-of fixed points against the general Smith-form carving; and the homology
-layer is run with the dense expansion switched off.
+of fixed points against the general Smith-form carving; the sparse
+conditions handed to the Smith-form engine against the dense matrix they
+replaced; and the homology layer is run with the dense expansion switched
+off.
 """
 
 import itertools
@@ -12,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiloday.coeffs import gaussian, load_bundled, quaternions
-from equiloday.exactalg import IntMatrix, SparseMatrix
+from equiloday.exactalg import IntMatrix, SparseMatrix, _SparseWork
 from equiloday.gring import StructuredHom
-from equiloday.homology import (_conditions_subquotient, _fixed_level,
-                                _generating_subset, _OrbitFixed,
+from equiloday.homology import (_condition_rows, _conditions_subquotient,
+                                _fixed_level, _generating_subset, _OrbitFixed,
                                 homology_table)
 from equiloday.loday import real_hochschild
 
@@ -134,6 +136,73 @@ def test_orbit_carving_matches_general_carving(m, levels):
             assert fast.pres.ngens == general.pres.ngens, (sub, n)
             assert _same_subgroup(fast, general), (sub, n)
     assert took_orbits
+
+
+# ---------------------------------------------------------------------------
+# sparse conditions against the dense [A | -B] matrix they replaced
+
+
+def _dense_conditions(rank, conds) -> IntMatrix:
+    """The stacked ``[A | -B]`` matrix, written out densely."""
+    width = rank + sum(b.cols for _, b in conds)
+    rows = []
+    pad = rank
+    for a, b in conds:
+        block = [[0] * width for _ in range(a.rows)]
+        for j, col in enumerate(a.data):
+            for i, v in col:
+                block[i][j] = v
+        for i, row in enumerate(b.data):
+            block[i][pad:pad + b.cols] = [-v for v in row]
+        rows += block
+        pad += b.cols
+    return IntMatrix(len(rows), width, rows)
+
+
+def _assert_same_work(rank, conds):
+    # equal down to the iteration order of rows and of the column index,
+    # which fixes the order of the engine's row operations
+    width = rank + sum(b.cols for _, b in conds)
+    sparse = _SparseWork.from_rows(_condition_rows(rank, conds), width)
+    dense = _SparseWork.from_dense(_dense_conditions(rank, conds))
+    assert (sparse.m, sparse.n) == (dense.m, dense.n)
+    assert ([(i, list(r.items())) for i, r in sparse.row.items()]
+            == [(i, list(r.items())) for i, r in dense.row.items()])
+    assert ([(j, list(s)) for j, s in sparse.colidx.items()]
+            == [(j, list(s)) for j, s in dense.colidx.items()])
+
+
+@st.composite
+def _conditions(draw):
+    rank = draw(st.integers(1, 4))
+    conds = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, nrel = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+        conds.append((_sparse(draw(_matrix(rows, rank))),
+                      draw(_matrix(rows, nrel))))
+    return rank, conds
+
+
+@settings(max_examples=80, deadline=None)
+@given(_conditions())
+def test_condition_rows_match_dense_work_matrix(case):
+    _assert_same_work(*case)
+
+
+@pytest.mark.parametrize("coeff", [gaussian, lambda: load_bundled("group_ring_c2_mod2")],
+                         ids=["gaussian", "group-ring-c2-mod2"])
+def test_pipeline_conditions_match_dense_work_matrix(coeff):
+    # the face conditions the normalized carving imposes, on free levels
+    # and on levels with Z/2 relations
+    s = real_hochschild(1, coeff(), 3).loday_side
+    for sub in s.group.all_subgroups():
+        gens = _generating_subset(s.group, sub)
+        for n in (1, 2):
+            fx = _fixed_level(s, n, gens, 5000)
+            rels = s.levels[n - 1].tensor.dense_group().relations
+            conds = [(s.expanded_face(n, i) @ fx.lift, rels)
+                     for i in range(1, n + 1)]
+            _assert_same_work(fx.pres.ngens, conds)
 
 
 # ---------------------------------------------------------------------------
