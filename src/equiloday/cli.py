@@ -430,18 +430,26 @@ def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
     return rows
 
 
+def _max_degree(args, s: SimplicialGRing, default: int) -> int:
+    """``--max-degree``, checked against the truncation; when absent,
+    ``default`` capped below the top level."""
+    k = args.max_degree
+    if k is None:
+        return min(default, s.top() - 1)
+    if k < 0:
+        raise UsageError(f"--max-degree must be at least 0, got {k}")
+    if k > s.top() - 1:
+        raise UsageError(f"--max-degree {k} needs level {k + 1}, "
+                         f"beyond truncation {s.top()}")
+    return k
+
+
 def cmd_loday(args, out) -> int:
     x = build_space(args)
     coeff = resolve_coefficient(args.coeff)
     s = build_pipeline(x, coeff, args.inner, args.action)
     errors = s.validate() if args.check else []
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = min(2, s.top() - 1)
-    if max_degree > s.top() - 1:
-        raise UsageError(
-            f"--max-degree {max_degree} needs level {max_degree + 1}, "
-            f"beyond truncation {s.top()}")
+    max_degree = _max_degree(args, s, 2)
     subgroups = _pick_subgroups(x.group, args.subgroups)
     rows = _homology_rows(s, subgroups, max_degree, args.budget)
     if args.format == "json":
@@ -540,9 +548,7 @@ def cmd_bench(args, out) -> int:
     t1 = time.perf_counter()
     s = build_pipeline(x, coeff, args.inner, args.action)
     t2 = time.perf_counter()
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = min(1, s.top() - 1)
+    max_degree = _max_degree(args, s, 1)
     subgroups = _pick_subgroups(x.group, args.subgroups)
     dims = []
     base_rank = s.levels[0].tensor.base.ngens

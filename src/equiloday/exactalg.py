@@ -74,6 +74,10 @@ class IntMatrix:
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """Row i as ``{column: value}`` over its nonzeros, columns increasing."""
+        return [{j: v for j, v in enumerate(r) if v} for r in self.data]
+
     def columns(self) -> list[list[int]]:
         return [self.column(j) for j in range(self.cols)]
 
@@ -149,8 +153,10 @@ class SparseMatrix:
     """Column-sparse exact integer matrix: ``data[j]`` lists the nonzero
     ``(row, value)`` pairs of column ``j`` in increasing row order.
 
-    Expanded structured maps are stored this way: on free levels they have
-    one nonzero per column.  ``to_dense`` converts for the Smith-form code.
+    Expanded structured maps and the lifts of carved subgroups are stored
+    this way: on free levels a map has one nonzero per column.  No explicit
+    zero is ever stored, so ``sparse_rows`` hands the Smith-form engine the
+    same rows ``IntMatrix.sparse_rows`` gives for the dense matrix.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -175,6 +181,14 @@ class SparseMatrix:
             col[i] = v
         return col
 
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """Row i as ``{column: value}`` over its nonzeros, columns increasing."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.data):
+            for i, v in col:
+                rows[i][j] = v
+        return rows
+
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -186,12 +200,9 @@ class SparseMatrix:
                     out[i] += v * x
         return out
 
-    def __matmul__(self, other: "SparseMatrix | IntMatrix") -> "SparseMatrix":
-        """Product with a sparse or dense right factor."""
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        if isinstance(other, IntMatrix):
-            other = SparseMatrix.from_cols(other.columns(), other.rows)
         cols = []
         for col in other.data:
             acc: dict[int, int] = {}
@@ -267,10 +278,6 @@ def bareiss_det(M: IntMatrix) -> int:
 # makes the diagonal a divisibility chain with no separate pass.
 
 
-def _sparse_rows(M: IntMatrix) -> list[dict[int, int]]:
-    return [{j: v for j, v in enumerate(r) if v} for r in M.data]
-
-
 class _SparseWork:
     """Row-dict matrix with a column index, supporting the SNF row/col ops."""
 
@@ -301,7 +308,7 @@ class _SparseWork:
 
     @staticmethod
     def from_dense(M: IntMatrix) -> "_SparseWork":
-        return _SparseWork.from_rows(_sparse_rows(M), M.cols)
+        return _SparseWork.from_rows(M.sparse_rows(), M.cols)
 
     @staticmethod
     def eye(n: int) -> "_SparseWork":
@@ -524,23 +531,18 @@ def invariant_factors(M: IntMatrix) -> list[int]:
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns form a basis of ``{x : M x = 0}`` (a saturated sublattice)."""
-    return IntMatrix.from_cols(kernel_columns(_sparse_rows(M), M.cols, M.cols),
-                               M.cols)
+    return SparseMatrix(M.cols, kernel_columns(M.sparse_rows(), M.cols,
+                                               M.cols)).to_dense()
 
 
-def kernel_columns(rows: list[dict[int, int]], n: int, keep: int) -> list[list[int]]:
+def kernel_columns(rows: list[dict[int, int]], n: int,
+                   keep: int) -> list[list[tuple[int, int]]]:
     """The first ``keep`` coordinates of the ``kernel_basis`` columns of the
     matrix with ``n`` columns and sparse rows ``rows`` (as ``from_rows``
-    takes them, and consumes them)."""
+    takes them, and consumes them), as ``SparseMatrix`` columns."""
     _, _, VT, rank = _snf_engine(_SparseWork.from_rows(rows, n), False, True)
-    cols = []
-    for j in range(rank, n):
-        col = [0] * keep
-        for i, v in VT.row.get(j, {}).items():
-            if i < keep:
-                col[i] = v
-        cols.append(col)
-    return cols
+    return [sorted((i, v) for i, v in VT.row.get(j, {}).items() if i < keep)
+            for j in range(rank, n)]
 
 
 class SmithSolver:
@@ -549,38 +551,37 @@ class SmithSolver:
     With ``U M V = D``, ``M x = b`` has an integer solution exactly when
     ``U b`` vanishes past the rank and each entry before it is divisible by
     the matching diagonal entry; then ``x = V y`` with ``y = D^-1 U b``.
+    ``M`` is an ``IntMatrix`` or a ``SparseMatrix``.
     """
 
     __slots__ = ("A", "U", "VT", "rank", "cols")
 
-    def __init__(self, M: IntMatrix):
+    def __init__(self, M: "IntMatrix | SparseMatrix"):
         self.A, self.U, self.VT, self.rank = _snf_engine(
-            _SparseWork.from_dense(M), True, True)
+            _SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
         self.cols = M.cols
 
     def __call__(self, b: Sequence[int]) -> Optional[list[int]]:
         """One solution of ``M x = b``, or None."""
-        A, rank = self.A, self.rank
-        y = [0] * self.cols
-        for i, r in self.U.row.items():
-            ub = 0
-            for j, v in r.items():
-                bv = b[j]  # b is mostly zeros on the levels this package carves
-                if bv:
-                    ub += v * bv
-            if not ub:
+        # U b through the nonzeros of b: b is mostly zeros on the levels
+        # this package carves, U is not
+        U = self.U
+        ub: dict[int, int] = {}
+        for j, bv in enumerate(b):
+            if bv:
+                for i in U.colidx.get(j, ()):
+                    ub[i] = ub.get(i, 0) + U.row[i][j] * bv
+        x = [0] * self.cols
+        for i, v in ub.items():
+            if not v:
                 continue
-            if i >= rank:
+            if i >= self.rank:
                 return None
-            q, rem = divmod(ub, A.get(i, i))
+            q, rem = divmod(v, self.A.get(i, i))
             if rem:
                 return None
-            y[i] = q
-        x = [0] * self.cols
-        for j, yv in enumerate(y):
-            if yv:
-                for i, v in self.VT.row.get(j, {}).items():
-                    x[i] += yv * v
+            for k, w in self.VT.row.get(i, {}).items():
+                x[k] += q * w
         return x
 
 
@@ -589,29 +590,19 @@ def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
     return SmithSolver(M)(b)
 
 
-def column_space_basis(M: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the column span of M."""
-    rows = _sparse_rows(M)
-    mcols: list[list[tuple[int, int]]] = [[] for _ in range(M.cols)]
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            mcols[j].append((i, v))
-    _, _, VT, rank = _snf_engine(_SparseWork.from_rows(rows, M.cols), False, True)
-    out = []
-    for j in range(rank):
-        acc = [0] * M.rows
-        for jj, v in VT.row.get(j, {}).items():
-            for i, mv in mcols[jj]:
-                acc[i] += v * mv
-        out.append(acc)
-    return IntMatrix.from_cols(out, M.rows)
+def column_space_basis(M: SparseMatrix) -> SparseMatrix:
+    """A basis (as columns) of the column span of M: the first ``rank``
+    columns of ``M V`` for the Smith form ``U M V``."""
+    _, _, VT, rank = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols),
+                                 False, True)
+    return M @ SparseMatrix(M.cols, [sorted(VT.row.get(j, {}).items())
+                                     for j in range(rank)])
 
 
 class Lattice:
     """Integer column lattice with membership test and canonical reduction."""
 
     def __init__(self, gens: IntMatrix):
-        self.ambient = gens.rows
         self.gens = gens
         # column-style Hermite form: lower staircase, positive pivots,
         # entries right of a pivot reduced into [0, pivot)
@@ -732,13 +723,6 @@ class PresentedAb:
         return f"PresentedAb(ngens={self.ngens}, nrels={self.relations.cols})"
 
 
-def direct_sum(a: PresentedAb, b: PresentedAb) -> PresentedAb:
-    n = a.ngens + b.ngens
-    cols = ([c + [0] * b.ngens for c in a.relations.columns()]
-            + [[0] * a.ngens + c for c in b.relations.columns()])
-    return PresentedAb(n, IntMatrix.from_cols(cols, n))
-
-
 def tensor(a: PresentedAb, b: PresentedAb) -> PresentedAb:
     """Tensor product; generators are pairs (i, j) ordered lexicographically."""
     n = a.ngens * b.ngens
@@ -811,74 +795,33 @@ def hom_is_well_defined(domain: PresentedAb, codomain: PresentedAb, matrix: IntM
 class SubQuotient:
     """A subgroup-of-a-quotient presented on a basis of its lift.
 
-    ``pres`` is the presented group; ``lift`` maps its generators to ambient
-    vectors; ``express`` writes an ambient vector (known to lie in the
-    subgroup's lift) in those generators.
+    ``span_cols`` and ``sub_cols`` are ``SparseMatrix`` columns of length
+    ``ambient`` spanning the subgroup and the part divided out.  ``pres`` is
+    the presented group; ``lift`` (a ``SparseMatrix``) maps its generators
+    to ambient vectors; ``express`` writes an ambient vector (known to lie
+    in the subgroup's lift) in those generators.
     """
 
-    def __init__(self, ambient: int, span_cols: list[list[int]], sub_cols: list[list[int]]):
-        self.ambient = ambient
-        span = IntMatrix.from_cols(_dedup_cols(span_cols), ambient)
-        self.lift = column_space_basis(span)
+    def __init__(self, ambient: int, span_cols: list[list[tuple[int, int]]],
+                 sub_cols: list[list[tuple[int, int]]]):
+        self.lift = column_space_basis(SparseMatrix(ambient, _dedup_cols(span_cols)))
         r = self.lift.cols
         self.express = SmithSolver(self.lift)
         if self.express.rank != r:
             raise RuntimeError("column basis was not a basis")
+        subs = SparseMatrix(ambient, _dedup_cols(sub_cols))
         rel_in_coords = []
-        for c in _dedup_cols(sub_cols):
-            coords = self.express(c)
+        for j in range(subs.cols):
+            coords = self.express(subs.column(j))
             if coords is None:
                 raise ValueError("relation column not inside the subgroup")
-            rel_in_coords.append(coords)
-        self.pres = PresentedAb(r, IntMatrix.from_cols(_dedup_cols(rel_in_coords), r))
+            rel_in_coords.append([(i, v) for i, v in enumerate(coords) if v])
+        self.pres = PresentedAb(r, SparseMatrix(r, _dedup_cols(rel_in_coords)).to_dense())
 
 
-def _dedup_cols(cols: Iterable[Sequence[int]]) -> list[list[int]]:
-    seen = set()
-    out = []
-    for c in cols:
-        t = tuple(c)
-        if any(t) and t not in seen:
-            seen.add(t)
-            out.append(list(c))
-    return out
-
-
-def fixed_subgroup(group: PresentedAb, endos: Sequence[IntMatrix]) -> tuple[PresentedAb, AbHom]:
-    """Largest subgroup on which every listed endomorphism acts as identity.
-
-    Returns the fixed group together with its inclusion.  Each endomorphism
-    must be well defined on ``group`` (it must preserve the relation lattice).
-    """
-    n = group.ngens
-    for e in endos:
-        if not hom_is_well_defined(group, group, e):
-            raise ValueError("endomorphism does not preserve relations")
-    rels = group.relations
-    nr = rels.cols
-    endos = [e for e in endos if e != IntMatrix.identity(n)]
-    if not endos:
-        sq = SubQuotient(n, [list(c) for c in IntMatrix.identity(n).columns()],
-                         [list(c) for c in rels.columns()])
-    else:
-        # x is fixed iff (e - 1) x lies in the relation lattice, for every e
-        blocks = []
-        for k, e in enumerate(endos):
-            diff = e - IntMatrix.identity(n)
-            row_block = diff
-            for k2 in range(len(endos)):
-                pad = -rels if k2 == k else IntMatrix.zeros(n, nr)
-                row_block = row_block.hstack(pad)
-            blocks.append(row_block)
-        big = blocks[0]
-        for b in blocks[1:]:
-            big = big.vstack(b)
-        ker = kernel_basis(big)
-        xs = [col[:n] for col in ker.columns()]
-        sq = SubQuotient(n, xs + [list(c) for c in rels.columns()],
-                         [list(c) for c in rels.columns()])
-    incl = AbHom(sq.pres, group, sq.lift, check=False)
-    return sq.pres, incl
+def _dedup_cols(cols: Iterable[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
+    """The nonzero sparse columns, each first occurrence once."""
+    return [list(c) for c in dict.fromkeys(tuple(c) for c in cols if c)]
 
 
 # ---------------------------------------------------------------------------
@@ -920,18 +863,18 @@ class ChainComplex:
         if not (0 <= k <= self.top()):
             raise ValueError("degree out of range")
         nk = self.levels[k].ngens
-        relk = self.levels[k].relations
         if k == 0:
-            cycles = [list(c) for c in IntMatrix.identity(nk).columns()]
+            cycles = SparseMatrix.identity(nk).data
         else:
             d = self.boundaries[k - 1]
             rel_prev = self.levels[k - 1].relations
             stacked = d.hstack(-rel_prev) if rel_prev.cols else d
             ker = kernel_basis(stacked)
-            cycles = [col[:nk] for col in ker.columns()]
-        sub = [list(c) for c in relk.columns()]
+            cycles = SparseMatrix.from_cols([c[:nk] for c in ker.columns()], nk).data
+        sub = self.levels[k].relations.columns()
         if k < self.top():
-            sub += [list(c) for c in self.boundaries[k].columns()]
+            sub += self.boundaries[k].columns()
+        sub = SparseMatrix.from_cols(sub, nk).data
         return SubQuotient(nk, cycles + sub, sub)
 
 

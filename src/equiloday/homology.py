@@ -24,12 +24,14 @@ Sizes are guarded the same way as everywhere else: any level whose expanded
 rank would exceed the dense budget raises ``SizeBudgetExceeded``, which
 callers are expected to report as a skip rather than swallow.  Expanded face
 and action maps are column-sparse (``SparseMatrix``) and cached per
-simplicial ring, so every subgroup reuses them.  On free levels whose
-actions are signed permutations the fixed points are orbit sums; elsewhere
-they are carved by Smith form.  The fixed carving happens once per level
-and the normalized part is carved inside the fixed coordinates rather than
-back at ambient size.  The conditions that carve them reach the Smith-form
-engine as sparse rows (``kernel_columns``), never as a dense matrix.
+simplicial ring, so every subgroup reuses them.  A carving is one of two
+kinds, each with a ``SparseMatrix`` lift: on free levels whose actions are
+signed permutations (and on whole levels) the fixed points are orbit sums
+(``_OrbitFixed``); elsewhere they are carved by Smith form
+(``SubQuotient``).  The fixed carving happens once per level and the
+normalized part is carved inside the fixed coordinates rather than back at
+ambient size.  The conditions that carve them reach the Smith-form engine
+as sparse rows (``kernel_columns``), and the carved bases stay sparse.
 """
 
 from dataclasses import dataclass, field
@@ -45,18 +47,6 @@ from .gring import DENSE_BUDGET
 # carving subgroups out of presented levels
 
 
-class _FullLevel:
-    """SubQuotient stand-in when the carved subgroup is the whole level."""
-
-    def __init__(self, pres: PresentedAb):
-        self.ambient = pres.ngens
-        self.pres = pres
-        self.lift = SparseMatrix.identity(pres.ngens)
-
-    def express(self, vec: Sequence[int]) -> list[int]:
-        return list(vec)
-
-
 class _OrbitFixed:
     """Joint fixed points of signed-permutation actions on a free level.
 
@@ -64,10 +54,13 @@ class _OrbitFixed:
     level carries no additive relations, the fixed subgroup has a basis of
     signed orbit sums; an orbit whose sign monodromy is -1 dies (2x = 0 has
     no free solutions).  That makes carving and expressing linear-time,
-    bypassing the Smith-form machinery the general carving needs.
+    bypassing the Smith-form machinery the general carving needs.  With no
+    actions at all every orbit is a single point: the carving is the whole
+    level ``pres``, relations included.
     """
 
-    def __init__(self, rank: int, perms: list[list[tuple[int, int]]]):
+    def __init__(self, pres: PresentedAb, perms: list[list[tuple[int, int]]]):
+        rank = pres.ngens
         parent = list(range(rank))
         sign = [1] * rank  # sign relative to parent
         dead_roots: set[int] = set()
@@ -105,64 +98,33 @@ class _OrbitFixed:
             r, s = find(i)
             orbits.setdefault(r, []).append(i)
             pot[i] = s
-        self.ambient = rank
-        self._root_of = [0] * rank
         self._pot = [0] * rank
         cols = []
         self._live_roots = []
         for r in sorted(orbits):
+            if r in dead_roots:
+                continue
             members = orbits[r]
             head = min(members)
             base = pot[head]
             for m in members:
-                self._root_of[m] = head
-                self._pot[m] = pot[m] * base if r not in dead_roots else 0
-            if r in dead_roots:
-                continue
+                self._pot[m] = pot[m] * base
             cols.append([(m, self._pot[m]) for m in members])
             self._live_roots.append(head)
-        self._live_index = {h: idx for idx, h in enumerate(self._live_roots)}
         self.lift = SparseMatrix(rank, cols)
-        self.pres = PresentedAb(len(cols), IntMatrix.from_cols([], len(cols)))
+        self.pres = pres if not perms else PresentedAb(len(cols))
 
     def express(self, vec: Sequence[int]) -> Optional[list[int]]:
-        out = [0] * len(self._live_roots)
-        for h, idx in self._live_index.items():
-            out[idx] = vec[h] * self._pot[h]
-        for i, v in enumerate(vec):
-            p = self._pot[i]
-            want = 0 if p == 0 else out[self._live_index[self._root_of[i]]] * p
-            if v != want:
-                return None
-        return out
+        out = [vec[h] * self._pot[h] for h in self._live_roots]
+        return out if self.lift.apply(out) == list(vec) else None
 
 
-class _SpanOnly:
-    """Spanning columns of a carved subgroup, without the express solver.
-
-    Fit for the top materialized level, whose only job is to push its
-    boundary image downstairs.  The presentation treats the span columns as
-    free generators: degrees at this level are never queried, and an image
-    quotient is insensitive to redundancy among its spanning columns.
-    """
-
-    def __init__(self, rank: int, rels: IntMatrix,
-                 conds: list[tuple[SparseMatrix, IntMatrix]]):
-        cols = _joint_solution_span(rank, conds)
-        if cols is None:
-            cols = [list(c) for c in IntMatrix.identity(rank).columns()]
-        cols += [list(c) for c in rels.columns()]
-        self.ambient = rank
-        self.lift = IntMatrix.from_cols(cols, rank)
-        self.pres = PresentedAb(self.lift.cols, IntMatrix.from_cols([], self.lift.cols))
+Carved = Union[SubQuotient, _OrbitFixed]
 
 
-Carved = Union[SubQuotient, _FullLevel, _OrbitFixed]
-
-
-def _joint_solution_span(rank: int,
-                         conds: list[tuple[SparseMatrix, IntMatrix]]) -> Optional[list[list[int]]]:
-    """Columns spanning all x in Z^rank with A @ x in the lattice of B, per (A, B).
+def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, IntMatrix]]
+                         ) -> Optional[list[list[tuple[int, int]]]]:
+    """Sparse columns spanning all x in Z^rank with A @ x in the lattice of B, per (A, B).
 
     The solution set of each condition is the projection to the first
     ``rank`` coordinates of the kernel of ``[A | -B]``; stacking the
@@ -202,42 +164,29 @@ def _conditions_subquotient(rank: int, rels: IntMatrix,
     """The joint solution set packaged as a subgroup of Z^rank / rels."""
     span = _joint_solution_span(rank, conds)
     if span is None:
-        return _FullLevel(PresentedAb(rank, rels))
-    rel_cols = [list(c) for c in rels.columns()]
+        return _OrbitFixed(PresentedAb(rank, rels), [])
+    rel_cols = SparseMatrix.from_cols(rels.columns(), rank).data
     return SubQuotient(rank, span + rel_cols, rel_cols)
 
 
-def _restricted(dst: Carved, linear_map, src: Carved,
-                dst_inner: Optional[Carved] = None,
-                src_inner: Optional[Carved] = None) -> IntMatrix:
-    """Matrix of linear_map between two carved-out subgroups, in their bases.
+def _restricted(dst: Carved, cols: SparseMatrix,
+                dst_inner: Optional[Carved] = None) -> IntMatrix:
+    """The ambient columns ``cols`` written in the basis of a carved subgroup.
 
-    ``linear_map`` is anything with ``apply`` (a ``SparseMatrix`` or an
-    ``IntMatrix``); ``None`` is the identity map (used when the two carvings
-    share ambient coordinates but differ as subgroups).  Given ``src_inner``
-    and ``dst_inner``, the map runs between those subgroups, carved inside
-    the fixed coordinates of ``src`` and ``dst``; otherwise source columns
-    are read straight off ``src.lift``.
+    Callers compose the map with the source lifts first, e.g.
+    ``face @ fixed.lift @ reduced.lift``.  Given ``dst_inner``, a carving
+    inside the fixed coordinates of ``dst``, the columns are written in its
+    basis instead.
     """
-    lift = src.lift
-    if isinstance(linear_map, SparseMatrix):
-        lift, linear_map = linear_map @ lift, None
-    cols = []
-    ncols = lift.cols if src_inner is None else src_inner.lift.cols
-    for j in range(ncols):
-        if src_inner is None:
-            img = lift.column(j)
-        else:
-            img = lift.apply(src_inner.lift.column(j))
-        if linear_map is not None:
-            img = linear_map.apply(img)
-        coords = dst.express(img)
+    out = []
+    for j in range(cols.cols):
+        coords = dst.express(cols.column(j))
         if coords is not None and dst_inner is not None:
             coords = dst_inner.express(coords)
         if coords is None:
             raise ValueError("map does not carry the source subgroup into the target")
-        cols.append(coords)
-    return IntMatrix.from_cols(cols, (dst if dst_inner is None else dst_inner).lift.cols)
+        out.append(coords)
+    return IntMatrix.from_cols(out, (dst if dst_inner is None else dst_inner).pres.ngens)
 
 
 def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
@@ -253,12 +202,10 @@ def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
 
 def _fixed_level(s, n: int, gens: Sequence[int], budget: int) -> Carved:
     pres = s.levels[n].tensor.dense_group(budget)
-    if not gens:
-        return _FullLevel(pres)
     mats = [s.expanded_act(n, k, budget) for k in gens]
     if not pres.relations.cols and all(len(col) == 1 and col[0][1] in (1, -1)
                                        for m in mats for col in m.data):
-        return _OrbitFixed(pres.ngens, [[col[0] for col in m.data] for m in mats])
+        return _OrbitFixed(pres, [[col[0] for col in m.data] for m in mats])
     ident = SparseMatrix.identity(pres.ngens)
     conds = [(m - ident, pres.relations) for m in mats]
     return _conditions_subquotient(pres.ngens, pres.relations, conds)
@@ -272,9 +219,14 @@ class LevelComplex:
     """Fixed points of a simplicial ring under one subgroup, as complexes.
 
     ``fixed[n]`` carves the fixed part out of the expanded level;
-    ``reduced[n]`` carves the intersection of the kernels of faces 1..n out
-    of the *fixed coordinates* (so its lift composes with ``fixed[n].lift``
-    to reach ambient vectors).  ``normalized`` and ``unnormalized`` are the
+    ``reduced[n]``, for n below the top, carves the intersection of the
+    kernels of faces 1..n out of the *fixed coordinates* (so its lift
+    composes with ``fixed[n].lift`` to reach ambient vectors).  The top level
+    only ever contributes its boundary image, since homology there is out of
+    range, so ``top_span`` keeps just spanning columns of that intersection
+    (then the relation columns), with free generators on them in the
+    normalized complex: an image is insensitive to redundancy among its
+    spanning columns.  ``normalized`` and ``unnormalized`` are the
     corresponding chain complexes; ``max_level`` trims how far up the
     truncation is materialized.
     """
@@ -298,38 +250,43 @@ class LevelComplex:
         self.fixed: list[Carved] = [_fixed_level(s, n, gens, budget)
                                     for n in range(top + 1)]
 
-        # faces 1..n restricted to fixed coordinates, then their joint kernel
-        # (level 0 has no faces to kill, so its carving is the identity).
-        # The top level only ever contributes its boundary image — homology
-        # there is out of range — so it keeps a bare span without the
-        # expressing machinery a full carving would set up.
-        self.reduced: list[Carved] = [_FullLevel(self.fixed[0].pres)]
-        for n in range(1, top + 1):
-            fx = self.fixed[n]
-            conds = [(self.face(n, i) @ fx.lift, self.dense[n - 1].relations)
-                     for i in range(1, n + 1)]
-            if n == top:
-                self.reduced.append(_SpanOnly(fx.pres.ngens, fx.pres.relations, conds))
-            else:
-                self.reduced.append(
-                    _conditions_subquotient(fx.pres.ngens, fx.pres.relations, conds))
+        # level 0 has no faces to kill, so its carving is the whole level
+        self.reduced: list[Carved] = [
+            _conditions_subquotient(f.pres.ngens, f.pres.relations,
+                                    self._face_conditions(n))
+            for n, f in enumerate(self.fixed[:top])]
+        rank = self.fixed[top].pres.ngens
+        span = _joint_solution_span(rank, self._face_conditions(top))
+        if span is None:
+            span = SparseMatrix.identity(rank).data
+        rels = SparseMatrix.from_cols(self.fixed[top].pres.relations.columns(), rank)
+        self.top_span = SparseMatrix(rank, span + rels.data)
 
         unnorm = []
         norm = []
+        inner = [r.lift for r in self.reduced] + [self.top_span]
         for n in range(1, top + 1):
             total = self.face(n, 0)
             for i in range(1, n + 1):
                 term = self.face(n, i)
                 total = total + term if i % 2 == 0 else total - term
-            unnorm.append(_restricted(self.fixed[n - 1], total, self.fixed[n]))
-            norm.append(_restricted(self.fixed[n - 1], self.face(n, 0),
-                                    self.fixed[n], self.reduced[n - 1],
-                                    self.reduced[n]))
+            unnorm.append(_restricted(self.fixed[n - 1], total @ self.fixed[n].lift))
+            norm.append(_restricted(self.fixed[n - 1],
+                                    self.face(n, 0) @ self.fixed[n].lift @ inner[n],
+                                    self.reduced[n - 1]))
         self.unnormalized = ChainComplex([f.pres for f in self.fixed], unnorm, check=check)
-        self.normalized = ChainComplex([r.pres for r in self.reduced], norm, check=check)
+        self.normalized = ChainComplex(
+            [r.pres for r in self.reduced] + [PresentedAb(self.top_span.cols)],
+            norm, check=check)
 
     def face(self, n: int, i: int) -> SparseMatrix:
         return self.s.expanded_face(n, i, self.budget)
+
+    def _face_conditions(self, n: int) -> list[tuple[SparseMatrix, IntMatrix]]:
+        """Faces 1..n on the fixed coordinates of level n, each to vanish
+        modulo the relations of level n - 1."""
+        return [(self.face(n, i) @ self.fixed[n].lift, self.dense[n - 1].relations)
+                for i in range(1, n + 1)]
 
     def homology(self, k: int) -> FgAbelianGroup:
         self._check_degree(k)
@@ -396,7 +353,7 @@ def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGro
     gens = _generating_subset(g, subt)
     sq = [_fixed_level(s, n, gens, budget) for n in (0, 1)]
     diff = s.expanded_face(1, 0, budget) - s.expanded_face(1, 1, budget)
-    restricted = _restricted(sq[0], diff, sq[1])
+    restricted = _restricted(sq[0], diff @ sq[1].lift)
     rels = sq[0].pres.relations
     rels = rels.hstack(restricted) if rels.cols else restricted
     return PresentedAb(sq[0].pres.ngens, rels).canonical()
@@ -457,8 +414,10 @@ class MackeyH:
                       level_map: Optional[SparseMatrix]) -> IntMatrix:
         k = self.degree
         a, b = self._lc[src], self._lc[dst]
-        return _restricted(b.fixed[k], level_map, a.fixed[k],
-                           b.reduced[k], a.reduced[k])
+        cols = a.fixed[k].lift @ a.reduced[k].lift
+        if level_map is not None:
+            cols = level_map @ cols
+        return _restricted(b.fixed[k], cols, b.reduced[k])
 
     def _act(self, sub: tuple[int, ...], elem: int) -> SparseMatrix:
         lc = self._lc[sub]

@@ -307,3 +307,38 @@ def reference_snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
                 U.negate_row(t)
         t += 1
     return A, U, VT, t
+
+
+# ---------------------------------------------------------------------------
+# the Smith-form solve as it was before it read right-hand sides sparsely
+
+
+def reference_smith_solve(solver, b):
+    """``SmithSolver.__call__`` with a walk over every row of ``U``.
+
+    Kept verbatim as the reference: ``exactalg.SmithSolver`` reads ``U b``
+    through the nonzeros of ``b`` and must return the same solution or None.
+    """
+    self = solver
+    A, rank = self.A, self.rank
+    y = [0] * self.cols
+    for i, r in self.U.row.items():
+        ub = 0
+        for j, v in r.items():
+            bv = b[j]  # b is mostly zeros on the levels this package carves
+            if bv:
+                ub += v * bv
+        if not ub:
+            continue
+        if i >= rank:
+            return None
+        q, rem = divmod(ub, A.get(i, i))
+        if rem:
+            return None
+        y[i] = q
+    x = [0] * self.cols
+    for j, yv in enumerate(y):
+        if yv:
+            for i, v in self.VT.row.get(j, {}).items():
+                x[i] += yv * v
+    return x

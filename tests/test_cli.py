@@ -230,6 +230,24 @@ def test_verify_negative_max_degree_is_a_usage_error(capsys):
     assert "max_degree must be at least 0" in err
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("degree,message", [
+    ("-1", "--max-degree must be at least 0, got -1"),
+    ("-3", "--max-degree must be at least 0, got -3"),
+    ("5", "--max-degree 5 needs level 6, beyond truncation 2"),
+])
+def test_loday_max_degree_out_of_range_is_a_usage_error(capsys, command,
+                                                        degree, message):
+    # neither an empty table (exit 0) nor a traceback (exit 1)
+    argv = (["loday", "run"] if command == "run" else ["bench"])
+    code, out, err = run(capsys, *argv, "--kind", "polygon", "--m", "1",
+                         "--coeff", "zmod4", "--truncation", "2",
+                         "--max-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("suite,flag,value,key", [
     ("one-isotropy", "--group", "zz", "group"),
     ("normal-subgroups", "--m", "2", "m"),

@@ -27,6 +27,10 @@ CASES["loday-polygon-m1-gaussian-classes.json"] = [
 CASES["loday-polygon-m2-zmod4-classes.json"] = [
     "loday", "run", "--kind", "polygon", "--m", "2", "--coeff", "zmod4",
     "--truncation", "3", "--subgroups", "classes", "--emit-complex"]
+CASES["loday-polygon-m1-c2mod2-classes.json"] = [
+    "loday", "run", "--kind", "polygon", "--m", "1", "--coeff",
+    "group_ring_c2_mod2", "--truncation", "3", "--max-degree", "1",
+    "--subgroups", "classes", "--emit-complex"]
 
 
 def _stdout(argv) -> tuple[int, str]:

@@ -54,7 +54,9 @@ def test_sparse_matrix_agrees_with_dense(triple, vec):
     assert (sa + sb).to_dense() == a + b
     assert (sa - sb).to_dense() == a - b
     assert (sa @ sc).to_dense() == a @ c
-    assert (sa @ c).to_dense() == a @ c
+    # the Smith-form engine sees the same rows, in the same insertion order
+    assert ([list(r.items()) for r in sa.sparse_rows()]
+            == [list(r.items()) for r in a.sparse_rows()])
     # no explicit zeros are ever stored
     for m in (sa + sb, sa - sb, sa @ sc, sa - sa):
         assert all(v for col in m.data for _, v in col)

@@ -53,7 +53,8 @@ def test_traced_verify_records_layers_and_unwraps(monkeypatch, capsys):
     after = _bindings(tracer.LAYERS)
     assert code == 0, capsys.readouterr().err
     seen = {t.names[span[0]] for span in t.spans}
-    assert {"exactalg.kernel_basis", "exactalg.chain_check"} <= seen
+    assert {"exactalg.kernel_basis", "exactalg.chain_check",
+            "exactalg.subquotient", "exactalg.column_space_basis"} <= seen
     assert t.counts["exactalg.kernel_basis.calls"] > 0
     assert t.counts["exactalg.chain_check.calls"] > 0
     assert t.maxima["exactalg.kernel_basis.max_cells"] > 0
