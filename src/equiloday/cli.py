@@ -406,7 +406,8 @@ def _structured_faces(s: SimplicialGRing, level: int) -> list[list[list]]:
     faces = []
     for i in range(level + 1):
         f = s.face(level, i)
-        faces.append([[[src, m.data, anti] for (src, m, anti) in lst]
+        matrices = f.src.base.twists.matrices
+        faces.append([[[src, matrices[t].data, anti] for (src, t, anti) in lst]
                       for lst in f.targets])
     return faces
 
@@ -444,7 +445,13 @@ def _max_degree(args, s: SimplicialGRing, default: int) -> int:
     return k
 
 
+def _check_budget(args) -> None:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
+
+
 def cmd_loday(args, out) -> int:
+    _check_budget(args)
     x = build_space(args)
     coeff = resolve_coefficient(args.coeff)
     s = build_pipeline(x, coeff, args.inner, args.action)
@@ -542,6 +549,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
+    _check_budget(args)
     t0 = time.perf_counter()
     x = build_space(args)
     coeff = resolve_coefficient(args.coeff)

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .exactalg import IntMatrix
 from .fingroup import FiniteGroup, make_cyclic
-from .gring import PresentedRing, RingWithAction
+from .gring import IDENTITY_TWIST, PresentedRing, RingWithAction
 
 
 @dataclass
@@ -46,7 +46,8 @@ class Coefficient:
         if self.involution is None:
             return RingWithAction.trivial(c2, self.ring)
         m, anti = self.involution
-        return RingWithAction(c2, self.ring, [(self.ring.identity_matrix(), False), (m, anti)])
+        return RingWithAction(c2, self.ring, [(IDENTITY_TWIST, False),
+                                              (self.ring.twists.intern(m), anti)])
 
     def trivial_action(self, group: FiniteGroup) -> RingWithAction:
         return RingWithAction.trivial(group, self.ring)
@@ -56,11 +57,13 @@ class Coefficient:
             raise ValueError(f"coefficient {self.name} declares no cyclic action")
         order, m = self.cyclic_action
         cn = make_cyclic(order)
-        acts = [(self.ring.identity_matrix(), False)]
-        cur = m
+        twists = self.ring.twists
+        step = twists.intern(m)
+        acts = [(IDENTITY_TWIST, False)]
+        cur = step
         for _ in range(order - 1):
             acts.append((cur, False))
-            cur = m @ cur
+            cur = twists.product(step, cur)
         return RingWithAction(cn, self.ring, acts)
 
     def to_json_obj(self) -> dict:
@@ -100,8 +103,7 @@ def coefficient_from_obj(obj: dict) -> Coefficient:
         if not ring.matrix_is_morphism(m, anti):
             raise ValueError(f"{obj['name']}: involution is not a ring "
                              f"{'anti-' if anti else ''}morphism")
-        sq = ring.reduce_matrix(m @ m)
-        if sq != ring.reduce_matrix(ring.identity_matrix()):
+        if not ring.twists.same(ring.twists.intern(m @ m), IDENTITY_TWIST):
             raise ValueError(f"{obj['name']}: involution does not square to the identity")
         involution = (m, anti)
     cyclic_action = None
@@ -110,11 +112,10 @@ def coefficient_from_obj(obj: dict) -> Coefficient:
         m = IntMatrix.from_rows(obj["cyclic_action"]["matrix"])
         if not ring.matrix_is_morphism(m, False):
             raise ValueError(f"{obj['name']}: cyclic action is not a ring morphism")
-        ident = ring.reduce_matrix(ring.identity_matrix())
         cur = m
         for _ in range(order - 1):
             cur = m @ cur
-        if ring.reduce_matrix(cur) != ident:
+        if not ring.twists.same(ring.twists.intern(cur), IDENTITY_TWIST):
             raise ValueError(f"{obj['name']}: cyclic action has the wrong order")
         cyclic_action = (order, m)
     return Coefficient(obj["name"], obj.get("description", ""), ring,
@@ -177,4 +178,4 @@ def coordinate_permutation_action(group: FiniteGroup, perms) -> RingWithAction:
     n = len(perms[0])
     ring = coordinate_ring(n)
     return RingWithAction(group, ring,
-                          [(permutation_matrix(p, n), False) for p in perms])
+                          [(ring.twists.intern(permutation_matrix(p, n)), False) for p in perms])

@@ -48,6 +48,7 @@ class FiniteGroup:
         if check:
             self._validate()
         self._inv = tuple(self._find_inverse(a) for a in range(n))
+        self._gens: Optional[tuple[int, ...]] = None
 
     def _validate(self):
         n = self.order
@@ -267,21 +268,45 @@ class FiniteGroup:
 
     # -- automorphisms and isomorphisms --------------------------------------
 
-    def generating_sequence(self) -> list[int]:
-        """A short generating list, found greedily by subgroup growth."""
-        gens: list[int] = []
-        cur = (0,)
-        while len(cur) < self.order:
-            best = None
-            for g in range(1, self.order):
-                if g in cur:
-                    continue
-                grown = self.subgroup_generated(gens + [g])
-                if best is None or len(grown) > len(best[1]):
-                    best = (g, grown)
-            gens.append(best[0])
-            cur = best[1]
-        return gens
+    def generating_sequence(self) -> tuple[int, ...]:
+        """A short generating list, found greedily by subgroup growth.
+
+        Computed once per group (the table is immutable)."""
+        if self._gens is None:
+            gens: list[int] = []
+            cur = (0,)
+            while len(cur) < self.order:
+                best = None
+                for g in range(1, self.order):
+                    if g in cur:
+                        continue
+                    grown = self.subgroup_generated(gens + [g])
+                    if best is None or len(grown) > len(best[1]):
+                        best = (g, grown)
+                gens.append(best[0])
+                cur = best[1]
+            self._gens = tuple(gens)
+        return self._gens
+
+    def generator_pairs(self) -> list[tuple[int, int]]:
+        """The pairs (g, s), g in G and s in ``generating_sequence()``, on
+        which a map rho on the elements must be tested for multiplicativity.
+
+        Let rho take values in a monoid (composition of maps) whose equality
+        is a congruence: x = x' implies x y = x' y and y x = y x'.  If
+        rho(e) = id and rho(g s) = rho(g) rho(s) for all such pairs, then
+        rho(g h) = rho(g) rho(h) for all g, h.  Proof by induction on the
+        length of h as a word in the generators (every element is one: in a
+        finite group s^-1 is a positive power of s).  Length 0 is
+        rho(g e) = rho(g) = rho(g) id.  For h = h' s,
+        rho(g h) = rho((g h') s) = rho(g h') rho(s)
+                 = (rho(g) rho(h')) rho(s)      (induction, congruence)
+                 = rho(g) (rho(h') rho(s))      (associativity)
+                 = rho(g) rho(h)                (the pair (h', s), congruence).
+        This cuts a multiplicativity check from |G|^2 tests to |G| |S|.
+        """
+        return [(g, s) for s in self.generating_sequence()
+                for g in range(self.order)]
 
     def isomorphisms_to(self, other: "FiniteGroup",
                         first_only: bool = True) -> list[tuple[int, ...]]:
@@ -382,10 +407,10 @@ class GroupHom:
         if check:
             if self.images[0] != 0:
                 raise ValueError("identity must map to identity")
-            for a in range(src.order):
-                for b in range(src.order):
-                    if self.images[src.table[a][b]] != dst.table[self.images[a]][self.images[b]]:
-                        raise ValueError("not a homomorphism")
+            # enough on generators: see FiniteGroup.generator_pairs
+            for a, b in src.generator_pairs():
+                if self.images[src.table[a][b]] != dst.table[self.images[a]][self.images[b]]:
+                    raise ValueError("not a homomorphism")
 
     def __call__(self, a: int) -> int:
         return self.images[a]

@@ -5,13 +5,19 @@ in a norm, a group tensor power, or a simplicial level is a tensor power of a
 single small presented ring R, with slots labeled by group data (elements,
 cosets, coset pairs).  Every map that appears - group actions, counits,
 coset-blocking, Weyl relabelings, conjugation switches, face and degeneracy
-maps - sends each source tensor factor through a twist (an additive map of R
-recorded as a matrix) into one target slot, where factors are multiplied in a
-recorded order.  A ``StructuredHom`` stores that routing verbatim, so maps
-compose and compare exactly, with no dependence on the size of the expanded
-tensor power.  Maps are expanded only on demand, under a budget, into
-column-sparse matrices (``StructuredHom.sparse``); the dense form
-(``StructuredHom.dense``) is a conversion kept for oracles and tests.
+maps - sends each source tensor factor through a twist (an additive map of R)
+into one target slot, where factors are multiplied in a recorded order.  A
+``StructuredHom`` stores that routing verbatim, so maps compose and compare
+exactly, with no dependence on the size of the expanded tensor power.  Maps
+are expanded only on demand, under a budget, into column-sparse matrices
+(``StructuredHom.sparse``); the dense form (``StructuredHom.dense``) is a
+conversion kept for oracles and tests.
+
+A twist is a small integer id into the ``TwistTable`` of the base ring
+(``PresentedRing.twists``), which holds its matrix exactly as given, the id
+of its class modulo relations, and memoized products and inverses.  So
+composing two maps is table lookups, and comparing them is comparing
+``(slot, class id)`` tuples.  Rings that are equal by value share one table.
 
 A twist carries an ``anti`` flag recording whether its matrix is a ring
 homomorphism or an anti-homomorphism.  Composition through an anti twist
@@ -20,6 +26,9 @@ flag.  Equality of maps ignores flags (equal matrices give equal additive
 maps) but respects factor order unless the base ring is commutative, and a
 module-level counter records every time a comparison actually had to invoke
 commutativity, so pipelines meant to be order-safe can assert they never did.
+
+Group actions (``RingWithAction``, ``GTensorRing``) are checked to be
+multiplicative on generators only; see ``FiniteGroup.generator_pairs``.
 """
 
 from __future__ import annotations
@@ -33,10 +42,13 @@ from .exactalg import (
     SizeBudgetExceeded,
     SparseMatrix,
     hom_is_well_defined,
+    solve,
 )
 from .fingroup import FiniteGroup, GroupHom, subgroup_as_group
 
 DENSE_BUDGET = 5000
+
+IDENTITY_TWIST = 0  # the id of the identity matrix in every twist table
 
 _commutativity_uses = 0
 
@@ -89,6 +101,10 @@ class PresentedRing:
         self.commutative = all(
             self.ab.is_zero_element([a - b for a, b in zip(self.mult[i][j], self.mult[j][i])])
             for i in range(ngens) for j in range(i))
+        table = _TWIST_TABLES.get(self)
+        if table is None:
+            table = _TWIST_TABLES[self] = TwistTable(self.ab)
+        self.twists = table
 
     def _validate(self):
         n = self.ngens
@@ -139,15 +155,8 @@ class PresentedRing:
     def reduce_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         return self.ab.reduce(v)
 
-    def reduce_matrix(self, m: IntMatrix) -> tuple[tuple[int, ...], ...]:
-        """Column-reduced form of a twist matrix, for exact map comparison."""
-        return tuple(self.ab.reduce(m.column(j)) for j in range(m.cols))
-
     def unit_vec(self) -> list[int]:
         return list(self.unit)
-
-    def identity_matrix(self) -> IntMatrix:
-        return IntMatrix.identity(self.ngens)
 
     def matrix_is_morphism(self, m: IntMatrix, anti: bool) -> bool:
         """Does the matrix define a ring (anti)homomorphism on the quotient?"""
@@ -170,28 +179,12 @@ class PresentedRing:
                     return False
         return True
 
-    def matrix_inverse(self, m: IntMatrix) -> IntMatrix:
-        """Inverse of an additively invertible twist, modulo relations."""
-        from .exactalg import solve
-        n = self.ngens
-        rels = self.ab.relations
-        stacked = m.hstack(rels) if rels.cols else m
-        cols = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            sol = solve(stacked, e)
-            if sol is None:
-                raise ValueError("twist is not invertible modulo relations")
-            cols.append(sol[:n])
-        return IntMatrix.from_cols(cols, n)
-
     def __eq__(self, other):
-        return (isinstance(other, PresentedRing)
-                and self.ngens == other.ngens
-                and self.ab.relations == other.ab.relations
-                and self.mult == other.mult
-                and self.unit == other.unit)
+        return self is other or (isinstance(other, PresentedRing)
+                                 and self.ngens == other.ngens
+                                 and self.ab.relations == other.ab.relations
+                                 and self.mult == other.mult
+                                 and self.unit == other.unit)
 
     def __hash__(self):
         return hash((self.ngens, self.mult, self.unit))
@@ -200,53 +193,134 @@ class PresentedRing:
         return f"PresentedRing({self.label}, ngens={self.ngens})"
 
 
+class TwistTable:
+    """The twists of one presented ring, as small integer ids.
+
+    ``matrices[t]`` is twist t's matrix exactly as it was first given, so
+    anything printed from it (``--emit-complex``) keeps its bytes.
+    ``classes[t]`` is the id of its column-reduced form: two twists are
+    the same additive map of the ring iff their classes agree (``same``).
+    ``product`` memoizes per ordered pair of ids and interns the exact
+    ``matrices[a] @ matrices[b]``; ``inverse`` is memoized too.  Id 0 is
+    the identity (``IDENTITY_TWIST``).  Ids and class ids only ever name
+    matrices: their numeric order decides nothing.
+    """
+
+    def __init__(self, ab: PresentedAb):
+        self._ab = ab
+        self.matrices: list[IntMatrix] = []
+        self.classes: list[int] = []
+        self._ids: dict[tuple, int] = {}
+        self._class_ids: dict[tuple, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._inverses: dict[int, Optional[int]] = {}
+        self.intern(IntMatrix.identity(ab.ngens))
+
+    def intern(self, m: IntMatrix) -> int:
+        """The twist id of an r x r matrix."""
+        key = tuple(map(tuple, m.data))
+        t = self._ids.get(key)
+        if t is None:
+            r = self._ab.ngens
+            if m.rows != r or m.cols != r:
+                raise ValueError("twist matrix has wrong shape")
+            reduced = tuple(self._ab.reduce(m.column(j)) for j in range(r))
+            t = self._ids[key] = len(self.matrices)
+            self.matrices.append(m)
+            self.classes.append(self._class_ids.setdefault(reduced, len(self._class_ids)))
+        return t
+
+    def check(self, t: int):
+        if not (isinstance(t, int) and 0 <= t < len(self.matrices)):
+            raise ValueError(f"{t!r} is not a twist id of this ring")
+
+    def same(self, a: int, b: int) -> bool:
+        """Do the two twists agree modulo relations?"""
+        return self.classes[a] == self.classes[b]
+
+    def product(self, a: int, b: int) -> int:
+        """The twist ``matrices[a] @ matrices[b]``."""
+        t = self._products.get((a, b))
+        if t is None:
+            t = self._products[(a, b)] = self.intern(self.matrices[a] @ self.matrices[b])
+        return t
+
+    def inverse(self, t: int) -> int:
+        """An inverse of an additively invertible twist, modulo relations."""
+        if t not in self._inverses:
+            n = self._ab.ngens
+            rels = self._ab.relations
+            m = self.matrices[t]
+            stacked = m.hstack(rels) if rels.cols else m
+            cols = []
+            for i in range(n):
+                e = [0] * n
+                e[i] = 1
+                sol = solve(stacked, e)
+                if sol is None:
+                    cols = None
+                    break
+                cols.append(sol[:n])
+            self._inverses[t] = None if cols is None else self.intern(IntMatrix.from_cols(cols, n))
+        inv = self._inverses[t]
+        if inv is None:
+            raise ValueError("twist is not invertible modulo relations")
+        return inv
+
+
+# one table per presented ring value, so maps over equal rings share ids
+_TWIST_TABLES: dict[PresentedRing, TwistTable] = {}
+
+
 # ---------------------------------------------------------------------------
 # rings with group action
 
 
 class RingWithAction:
     """A presented ring together with a group acting by ring automorphisms
-    and/or anti-automorphisms (one matrix and one anti flag per element)."""
+    and/or anti-automorphisms: one (twist id, anti flag) per element."""
 
     def __init__(self, group: FiniteGroup, ring: PresentedRing,
-                 acts: Sequence[tuple[IntMatrix, bool]], check: bool = True):
+                 acts: Sequence[tuple[int, bool]], check: bool = True):
         if len(acts) != group.order:
             raise ValueError("need one action entry per group element")
         self.group = group
         self.ring = ring
-        self.acts = [(m, bool(a)) for m, a in acts]
+        self.acts = [(t, bool(a)) for t, a in acts]
         if check:
             self._validate()
 
     def _validate(self):
-        ident = self.ring.identity_matrix()
-        m0, a0 = self.acts[0]
-        if a0 or self.ring.reduce_matrix(m0) != self.ring.reduce_matrix(ident):
+        tw = self.ring.twists
+        for t, _ in self.acts:
+            tw.check(t)
+        t0, a0 = self.acts[0]
+        if a0 or not tw.same(t0, IDENTITY_TWIST):
             raise ValueError("identity element must act as the identity map")
-        for g, (m, anti) in enumerate(self.acts):
-            if not self.ring.matrix_is_morphism(m, anti):
+        for g, (t, anti) in enumerate(self.acts):
+            if not self.ring.matrix_is_morphism(tw.matrices[t], anti):
                 raise ValueError(f"element {self.group.names[g]} does not act by a ring "
                                  f"{'anti-' if anti else ''}automorphism")
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                mg, ag = self.acts[g]
-                mh, ah = self.acts[h]
-                mgh, agh = self.acts[self.group.mul(g, h)]
-                if (ag != ah) != agh:
-                    raise ValueError("anti flags are not multiplicative")
-                if self.ring.reduce_matrix(mg @ mh) != self.ring.reduce_matrix(mgh):
-                    raise ValueError("action matrices are not multiplicative")
+        # enough on generators (FiniteGroup.generator_pairs): matrix products
+        # are associative, and agreeing mod relations is a congruence for
+        # them because every action matrix was just checked to preserve the
+        # relations
+        for g, h in self.group.generator_pairs():
+            tg, ag = self.acts[g]
+            th, ah = self.acts[h]
+            tgh, agh = self.acts[self.group.mul(g, h)]
+            if (ag != ah) != agh:
+                raise ValueError("anti flags are not multiplicative")
+            if not tw.same(tw.product(tg, th), tgh):
+                raise ValueError("action matrices are not multiplicative")
 
     def act_matrix(self, g: int) -> IntMatrix:
-        return self.acts[g][0]
-
-    def act_anti(self, g: int) -> bool:
-        return self.acts[g][1]
+        return self.ring.twists.matrices[self.acts[g][0]]
 
     @staticmethod
     def trivial(group: FiniteGroup, ring: PresentedRing) -> "RingWithAction":
-        ident = ring.identity_matrix()
-        return RingWithAction(group, ring, [(ident, False)] * group.order, check=False)
+        return RingWithAction(group, ring, [(IDENTITY_TWIST, False)] * group.order,
+                              check=False)
 
     def restrict(self, elems: Sequence[int]) -> tuple["RingWithAction", tuple[int, ...]]:
         """Restriction to a subgroup; returns the sub-action and the ambient
@@ -319,8 +393,8 @@ class TensorRing:
         return product(range(self.base.ngens), repeat=self.nslots)
 
     def __eq__(self, other):
-        return (isinstance(other, TensorRing) and self.base == other.base
-                and self.slots == other.slots)
+        return self is other or (isinstance(other, TensorRing) and self.base == other.base
+                                 and self.slots == other.slots)
 
     def __hash__(self):
         return hash((self.base, self.slots))
@@ -336,22 +410,23 @@ class TensorRing:
 class StructuredHom:
     """Additive map between tensor powers of one base ring.
 
-    ``targets[t]`` is the ordered list of (source slot index, twist matrix,
+    ``targets[t]`` is the ordered list of (source slot index, twist id,
     anti flag) whose twisted factors are multiplied, left to right, to fill
-    target slot t.  Every source slot appears exactly once across all target
-    lists; an empty list inserts the unit.
+    target slot t.  Twist ids index ``src.base.twists``.  Every source slot
+    appears exactly once across all target lists; an empty list inserts the
+    unit.
     """
 
     __slots__ = ("src", "dst", "targets", "_reduced")
 
     def __init__(self, src: TensorRing, dst: TensorRing,
-                 targets: Sequence[Sequence[tuple[int, IntMatrix, bool]]],
+                 targets: Sequence[Sequence[tuple[int, int, bool]]],
                  check: bool = True):
         if src.base != dst.base:
             raise ValueError("source and target must share a base ring")
         self.src = src
         self.dst = dst
-        self.targets = tuple(tuple((int(s), m, bool(a)) for s, m, a in lst)
+        self.targets = tuple(tuple((int(s), t, bool(a)) for s, t, a in lst)
                              for lst in targets)
         self._reduced = None
         if check:
@@ -360,29 +435,26 @@ class StructuredHom:
             used = [s for lst in self.targets for (s, _, _) in lst]
             if sorted(used) != list(range(src.nslots)):
                 raise ValueError("each source slot must be used exactly once")
-            r = src.base.ngens
             for lst in self.targets:
-                for _, m, _ in lst:
-                    if m.rows != r or m.cols != r:
-                        raise ValueError("twist matrix has wrong shape")
+                for _, t, _ in lst:
+                    src.base.twists.check(t)
 
     @staticmethod
     def identity(tr: TensorRing) -> "StructuredHom":
-        ident = tr.base.identity_matrix()
-        return StructuredHom(tr, tr, [[(i, ident, False)] for i in range(tr.nslots)],
+        return StructuredHom(tr, tr, [[(i, IDENTITY_TWIST, False)] for i in range(tr.nslots)],
                              check=False)
 
     @staticmethod
     def from_routes(src: TensorRing, dst: TensorRing,
-                    routes: Sequence[tuple[object, object, IntMatrix, bool]],
+                    routes: Sequence[tuple[object, object, int, bool]],
                     check: bool = True) -> "StructuredHom":
-        """Build from (source label, target label, twist, anti) tuples.
+        """Build from (source label, target label, twist id, anti) tuples.
 
         Routes landing in one target slot are multiplied in listed order.
         """
-        lists: list[list[tuple[int, IntMatrix, bool]]] = [[] for _ in dst.slots]
-        for s_label, t_label, m, a in routes:
-            lists[dst.slot_index(t_label)].append((src.slot_index(s_label), m, a))
+        lists: list[list[tuple[int, int, bool]]] = [[] for _ in dst.slots]
+        for s_label, t_label, t, a in routes:
+            lists[dst.slot_index(t_label)].append((src.slot_index(s_label), t, a))
         return StructuredHom(src, dst, lists, check=check)
 
     # -- composition ---------------------------------------------------------
@@ -391,11 +463,12 @@ class StructuredHom:
         """self after inner."""
         if inner.dst != self.src:
             raise ValueError("composition mismatch")
+        product = self.src.base.twists.product
         new_targets = []
         for lst in self.targets:
-            out: list[tuple[int, IntMatrix, bool]] = []
+            out: list[tuple[int, int, bool]] = []
             for s_mid, m, a in lst:
-                spliced = [(s0, m @ n, a != b) for (s0, n, b) in inner.targets[s_mid]]
+                spliced = [(s0, product(m, n), a != b) for (s0, n, b) in inner.targets[s_mid]]
                 if a:
                     spliced.reverse()
                 out.extend(spliced)
@@ -405,12 +478,12 @@ class StructuredHom:
     # -- comparison ------------------------------------------------------------
 
     def reduced_form(self):
-        """Targets with twist matrices column-reduced; flags kept separately."""
+        """Targets as (source slot, twist class) pairs.  Flags are dropped:
+        they never change the additive map."""
         if self._reduced is None:
-            base = self.src.base
-            self._reduced = tuple(
-                tuple((s, base.reduce_matrix(m), a) for s, m, a in lst)
-                for lst in self.targets)
+            classes = self.src.base.twists.classes
+            self._reduced = tuple(tuple((s, classes[t]) for s, t, _ in lst)
+                                  for lst in self.targets)
         return self._reduced
 
     def __eq__(self, other):
@@ -420,15 +493,12 @@ class StructuredHom:
             return False
         a = self.reduced_form()
         b = other.reduced_form()
-        # flags never change the additive map; drop them for comparison
-        a_flat = tuple(tuple((s, m) for s, m, _ in lst) for lst in a)
-        b_flat = tuple(tuple((s, m) for s, m, _ in lst) for lst in b)
-        if a_flat == b_flat:
+        if a == b:
             return True
         if not self.src.base.commutative:
             return False
-        a_sorted = tuple(tuple(sorted(lst)) for lst in a_flat)
-        b_sorted = tuple(tuple(sorted(lst)) for lst in b_flat)
+        a_sorted = tuple(tuple(sorted(lst)) for lst in a)
+        b_sorted = tuple(tuple(sorted(lst)) for lst in b)
         if a_sorted == b_sorted:
             _bump_commutativity()
             return True
@@ -453,10 +523,10 @@ class StructuredHom:
         """Slotwise with every twist additively invertible mod relations."""
         if not self.is_slotwise():
             return False
+        twists = self.src.base.twists
         for lst in self.targets:
-            _, m, _ = lst[0]
             try:
-                self.src.base.matrix_inverse(m)
+                twists.inverse(lst[0][1])
             except ValueError:
                 return False
         return True
@@ -464,11 +534,11 @@ class StructuredHom:
     def inverse(self) -> "StructuredHom":
         if not self.is_slotwise():
             raise ValueError("only slotwise maps invert structurally")
-        base = self.src.base
-        targets: list[Optional[tuple[int, IntMatrix, bool]]] = [None] * self.src.nslots
+        twists = self.src.base.twists
+        targets: list[Optional[tuple[int, int, bool]]] = [None] * self.src.nslots
         for t, lst in enumerate(self.targets):
             s, m, a = lst[0]
-            targets[s] = (t, base.matrix_inverse(m), a)
+            targets[s] = (t, twists.inverse(m), a)
         return StructuredHom(self.dst, self.src, [[e] for e in targets], check=False)
 
     # -- dense expansion ---------------------------------------------------------
@@ -476,14 +546,15 @@ class StructuredHom:
     def apply_basis(self, idx: Sequence[int]) -> list[int]:
         """Dense image of one source basis tuple, without building the matrix."""
         base = self.src.base
+        matrices = base.twists.matrices
         col = [1]
         for lst in self.targets:
             if not lst:
                 vec = base.unit_vec()
             else:
                 vec = None
-                for s, m, _ in lst:
-                    w = m.column(idx[s])
+                for s, t, _ in lst:
+                    w = matrices[t].column(idx[s])
                     vec = w if vec is None else base.vec_mul(vec, w)
                 vec = list(base.reduce_vec(vec))
             col = [c * vj for c in col for vj in vec]
@@ -498,10 +569,11 @@ class StructuredHom:
         reads, and kept sparse.
         """
         base = self.src.base
+        matrices = base.twists.matrices
         r = base.ngens
         nrows = self.dst.dense_rank(budget)
         self.src.dense_rank(budget)
-        twist_cols = [[[m.column(j) for j in range(r)] for _, m, _ in lst]
+        twist_cols = [[[matrices[t].column(j) for j in range(r)] for _, t, _ in lst]
                       for lst in self.targets]
         slots = [tuple(s for s, _, _ in lst) for lst in self.targets]
         memo: list[dict] = [{} for _ in self.targets]
@@ -569,12 +641,16 @@ class GTensorRing:
             for f in self.action:
                 if f.src != tensor or f.dst != tensor:
                     raise ValueError("action maps must be endomorphisms of the tensor ring")
-            for g in range(group.order):
-                for h in range(group.order):
-                    if self.action[g].compose(self.action[h]) != self.action[group.mul(g, h)]:
-                        raise ValueError(
-                            f"action not multiplicative at "
-                            f"({group.names[g]}, {group.names[h]})")
+            # enough on generators (FiniteGroup.generator_pairs): compose is
+            # associative, and structural equality is a congruence for it
+            # since equal twist classes stay equal under products with
+            # relation-preserving twists, and a commutative reordering within
+            # a slot is carried along by splicing
+            for g, h in group.generator_pairs():
+                if self.action[g].compose(self.action[h]) != self.action[group.mul(g, h)]:
+                    raise ValueError(
+                        f"action not multiplicative at "
+                        f"({group.names[g]}, {group.names[h]})")
 
     def act(self, g: int) -> StructuredHom:
         return self.action[g]
@@ -608,11 +684,10 @@ def group_power_ring(group: FiniteGroup, base: PresentedRing) -> TensorRing:
 def flip_power(group: FiniteGroup, base: PresentedRing) -> GTensorRing:
     """Group permuting its own tensor coordinates by left translation."""
     tr = group_power_ring(group, base)
-    ident = base.identity_matrix()
     action = []
     for g in range(group.order):
         ginv = group.inv(g)
-        targets = [[(group.mul(ginv, t), ident, False)] for t in range(group.order)]
+        targets = [[(group.mul(ginv, t), IDENTITY_TWIST, False)] for t in range(group.order)]
         action.append(StructuredHom(tr, tr, targets, check=False))
     return GTensorRing(group, tr, action)
 
@@ -634,7 +709,7 @@ def flip_to_diagonal(rwa: RingWithAction) -> StructuredHom:
     """The untwisting isomorphism from the flip power to the diagonal power:
     the factor in slot g goes through the action of g."""
     tr = group_power_ring(rwa.group, rwa.ring)
-    targets = [[(g, rwa.act_matrix(g), rwa.act_anti(g))] for g in range(rwa.group.order)]
+    targets = [[(g, *rwa.acts[g])] for g in range(rwa.group.order)]
     return StructuredHom(tr, tr, targets, check=False)
 
 
@@ -655,8 +730,7 @@ def multiply_out_diagonal(rwa: RingWithAction) -> StructuredHom:
         raise ValueError("total multiplication needs a commutative base ring")
     tr = group_power_ring(rwa.group, rwa.ring)
     one = TensorRing(rwa.ring, ("*",))
-    ident = rwa.ring.identity_matrix()
-    targets = [[(g, ident, False) for g in range(rwa.group.order)]]
+    targets = [[(g, IDENTITY_TWIST, False) for g in range(rwa.group.order)]]
     return StructuredHom(tr, one, targets, check=False)
 
 
@@ -667,8 +741,7 @@ def multiply_out_flip(rwa: RingWithAction) -> StructuredHom:
         raise ValueError("total multiplication needs a commutative base ring")
     tr = group_power_ring(rwa.group, rwa.ring)
     one = TensorRing(rwa.ring, ("*",))
-    targets = [[(g, rwa.act_matrix(g), rwa.act_anti(g))
-                for g in range(rwa.group.order)]]
+    targets = [[(g, *rwa.acts[g]) for g in range(rwa.group.order)]]
     return StructuredHom(tr, one, targets, check=False)
 
 
@@ -711,8 +784,9 @@ class NormRing:
             action.append(StructuredHom(self.tensor, self.tensor, targets, check=False))
         self.gt = GTensorRing(group, self.tensor, action)
 
-    def act_of(self, h: int) -> tuple[IntMatrix, bool]:
-        """Coefficient action at a subgroup element given by ambient index."""
+    def act_of(self, h: int) -> tuple[int, bool]:
+        """Coefficient action (twist id, anti) at a subgroup element given by
+        ambient index."""
         return self.rwa.acts[self._pos[h]]
 
     def __repr__(self):
@@ -748,12 +822,11 @@ def coset_blocking(group: FiniteGroup, sub_elems: Sequence[int],
     dst = blocked_ring(group, sub, base)
     transversal = group.transversal(sub)
     coset_of = group.coset_index(sub)
-    ident = base.identity_matrix()
     routes = []
     for g in range(group.order):
         c = coset_of[g]
         h = group.mul(group.inv(transversal[c]), g)
-        routes.append((g, (c, h), ident, False))
+        routes.append((g, (c, h), IDENTITY_TWIST, False))
     return StructuredHom.from_routes(src, dst, routes)
 
 
@@ -765,7 +838,6 @@ def blocked_flip(group: FiniteGroup, sub_elems: Sequence[int],
     tr = blocked_ring(group, sub, base)
     transversal = group.transversal(sub)
     coset_of = group.coset_index(sub)
-    ident = base.identity_matrix()
     action = []
     for g in range(group.order):
         routes = []
@@ -773,7 +845,7 @@ def blocked_flip(group: FiniteGroup, sub_elems: Sequence[int],
             t = coset_of[group.mul(g, transversal[c])]
             k = group.mul(group.mul(group.inv(transversal[t]), g), transversal[c])
             for h in sub:
-                routes.append(((c, h), (t, group.mul(k, h)), ident, False))
+                routes.append(((c, h), (t, group.mul(k, h)), IDENTITY_TWIST, False))
         action.append(StructuredHom.from_routes(tr, tr, routes, check=False))
     return GTensorRing(group, tr, action)
 
@@ -817,7 +889,7 @@ def blocking_diagonal_certificate(group: FiniteGroup, sub_elems: Sequence[int],
     dst = blocked_diagonal(group, sub, rwa)
     transversal = group.transversal(sub)
     coset_of = group.coset_index(sub)
-    ring = rwa.ring
+    twists = rwa.ring.twists
     defect = []
     witness = {}
     for g in range(group.order):
@@ -830,7 +902,7 @@ def blocking_diagonal_certificate(group: FiniteGroup, sub_elems: Sequence[int],
             t = coset_of[group.mul(g, transversal[c])]
             k = group.mul(group.mul(group.inv(transversal[t]), g), transversal[c])
             witness[(g, c)] = k
-            if ring.reduce_matrix(rwa.act_matrix(k)) != ring.reduce_matrix(rwa.act_matrix(g)):
+            if not twists.same(rwa.acts[k][0], rwa.acts[g][0]):
                 mism = True
         if mism:
             assert left != right, "twist mismatch did not break the comparison"
@@ -866,12 +938,12 @@ def weyl_relabeling(norm: NormRing, gamma: int) -> StructuredHom:
     sub = norm.sub
     if g.conjugate_subgroup(gamma, sub) != sub:
         raise ValueError("element does not normalize the subgroup")
-    ring = norm.rwa.ring
+    twists = norm.rwa.ring.twists
     for h in sub:
         hh = g.conj(gamma, h)
         m1, a1 = norm.act_of(hh)
         m2, a2 = norm.act_of(h)
-        if a1 != a2 or ring.reduce_matrix(m1) != ring.reduce_matrix(m2):
+        if a1 != a2 or not twists.same(m1, m2):
             raise ValueError(
                 "conjugation by the element moves the coefficient action; "
                 "the relabeling would land on a different norm")
@@ -931,7 +1003,7 @@ def project_power_to_norm(norm: NormRing, u: int = 0) -> StructuredHom:
     """
     g = norm.group
     src = group_power_ring(g, norm.rwa.ring)
-    entries: list[list[tuple[int, int, IntMatrix, bool]]] = [[] for _ in norm.cosets]
+    entries: list[list[tuple[int, int, int, bool]]] = [[] for _ in norm.cosets]
     for x in range(g.order):
         xu = g.mul(x, u)
         c = norm.coset_of[xu]
@@ -968,9 +1040,9 @@ def norm_projection(src: NormRing, dst: NormRing, u: int = 0) -> StructuredHom:
     for k in src.sub:
         m1, a1 = src.act_of(k)
         m2, a2 = dst.act_of(g.conj(uinv, k))
-        if a1 != a2 or ring.reduce_matrix(m1) != ring.reduce_matrix(m2):
+        if a1 != a2 or not ring.twists.same(m1, m2):
             raise ValueError("coefficient actions do not match along the collapse")
-    entries: list[list[tuple[int, int, IntMatrix, bool]]] = [[] for _ in dst.cosets]
+    entries: list[list[tuple[int, int, int, bool]]] = [[] for _ in dst.cosets]
     for c in range(len(src.cosets)):
         rep = src.transversal[c]
         t = dst.coset_of[g.mul(rep, u)]
@@ -1032,7 +1104,7 @@ def power_translation(group: FiniteGroup, base: PresentedRing, u: int,
     for x in range(group.order):
         t = group.mul(x, u)
         if rwa is None:
-            m, a = base.identity_matrix(), False
+            m, a = IDENTITY_TWIST, False
         else:
             m, a = rwa.acts[group.conj(x, u)]
         routes.append((x, t, m, a))

@@ -11,7 +11,9 @@ generated abelian groups.  Two complexes are kept side by side:
   of all faces as boundary.
 
 They compute the same homology; holding both turns that into an executable
-cross-check rather than a fact we silently rely on.  ``oracle_h0`` is a
+cross-check rather than a fact we silently rely on.  The unnormalized
+complex is built on first read (``LevelComplex.unnormalized``), so only the
+cross-check pays for it.  ``oracle_h0`` is a
 third, still more independent route at degree zero.
 
 On top of the per-subgroup tables, ``mackey_homology`` assembles the
@@ -35,6 +37,7 @@ as sparse rows (``kernel_columns``), and the carved bases stay sparse.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
@@ -262,22 +265,30 @@ class LevelComplex:
         rels = SparseMatrix.from_cols(self.fixed[top].pres.relations.columns(), rank)
         self.top_span = SparseMatrix(rank, span + rels.data)
 
-        unnorm = []
+        self.check = check
         norm = []
         inner = [r.lift for r in self.reduced] + [self.top_span]
         for n in range(1, top + 1):
+            norm.append(_restricted(self.fixed[n - 1],
+                                    self.face(n, 0) @ self.fixed[n].lift @ inner[n],
+                                    self.reduced[n - 1]))
+        self.normalized = ChainComplex(
+            [r.pres for r in self.reduced] + [PresentedAb(self.top_span.cols)],
+            norm, check=check)
+
+    @cached_property
+    def unnormalized(self) -> ChainComplex:
+        """The alternating-sum complex on the full fixed levels, built (and
+        checked, as ``normalized`` was) on first read: only the cross-check
+        against the normalized complex reads it."""
+        unnorm = []
+        for n in range(1, self.top + 1):
             total = self.face(n, 0)
             for i in range(1, n + 1):
                 term = self.face(n, i)
                 total = total + term if i % 2 == 0 else total - term
             unnorm.append(_restricted(self.fixed[n - 1], total @ self.fixed[n].lift))
-            norm.append(_restricted(self.fixed[n - 1],
-                                    self.face(n, 0) @ self.fixed[n].lift @ inner[n],
-                                    self.reduced[n - 1]))
-        self.unnormalized = ChainComplex([f.pres for f in self.fixed], unnorm, check=check)
-        self.normalized = ChainComplex(
-            [r.pres for r in self.reduced] + [PresentedAb(self.top_span.cols)],
-            norm, check=check)
+        return ChainComplex([f.pres for f in self.fixed], unnorm, check=self.check)
 
     def face(self, n: int, i: int) -> SparseMatrix:
         return self.s.expanded_face(n, i, self.budget)

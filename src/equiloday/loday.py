@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 from .coeffs import Coefficient
 from .exactalg import IntMatrix, SparseMatrix
 from .fingroup import FiniteGroup, make_cyclic
-from .gring import (DENSE_BUDGET, GTensorRing, NormRing, PresentedRing,
-                    RingWithAction, StructuredHom, equivariance_defect,
-                    tensor_induce, tensor_of_actions)
+from .gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing, NormRing,
+                    PresentedRing, RingWithAction, StructuredHom,
+                    equivariance_defect, tensor_induce, tensor_of_actions)
 from .simpgset import EqMap, FinSimpGSet
 
 
@@ -165,8 +165,8 @@ class SimplicialGRing:
 # fold ordering
 
 
-def _ordered_fold(contribs: list[tuple[int, IntMatrix, bool]],
-                  pass_pos: Optional[int]) -> list[tuple[int, IntMatrix, bool]]:
+def _ordered_fold(contribs: list[tuple[int, int, bool]],
+                  pass_pos: Optional[int]) -> list[tuple[int, int, bool]]:
     """Order one target slot's contributions by the reflection rule."""
     if any(a for (_, _, a) in contribs) and pass_pos is None:
         raise ValueError("twisted fold without a pass-through factor")
@@ -184,7 +184,7 @@ def _induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
     """Level map induced by an equivariant map of the underlying levels."""
     g = space.group
     src_tr, dst_tr = src_ring.tensor, dst_ring.tensor
-    contribs: list[list[tuple[int, IntMatrix, bool]]] = \
+    contribs: list[list[tuple[int, int, bool]]] = \
         [[] for _ in range(dst_tr.nslots)]
     pass_pos: list[Optional[int]] = [None] * dst_tr.nslots
     hit = [False] * dst_tr.nslots
@@ -215,12 +215,12 @@ def _induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
 
 def _trivial_norm(group: FiniteGroup, ring: PresentedRing) -> NormRing:
     one = make_cyclic(1)
-    rwa = RingWithAction(one, ring, [(ring.identity_matrix(), False)])
+    rwa = RingWithAction(one, ring, [(IDENTITY_TWIST, False)])
     return tensor_induce(group, (0,), rwa)
 
 
 def _subgroup_rwa(group: FiniteGroup, sub: Sequence[int],
-                  act_of: Callable[[int], tuple[IntMatrix, bool]],
+                  act_of: Callable[[int], tuple[int, bool]],
                   ring: PresentedRing) -> RingWithAction:
     """Coefficient action over a subgroup given elementwise, local order."""
     from .fingroup import subgroup_as_group
@@ -248,7 +248,7 @@ def _check_assignment(space: FinSimpGSet, norms: Sequence[NormRing]):
                 k2 = g.conj(uinv, k)
                 m1, a1 = s_norm.act_of(k)
                 m2, a2 = t_norm.act_of(k2)
-                if a1 != a2 or base.reduce_matrix(m1) != base.reduce_matrix(m2):
+                if a1 != a2 or not base.twists.same(m1, m2):
                     raise ValueError(
                         "coefficient actions of cells %s -> %s do not match "
                         "along the face" % (cell.label, space.cells[c2].label))
@@ -351,12 +351,13 @@ def loday_two_isotropy(space: FinSimpGSet, coeff: Coefficient
     if len(h) != 2 or len(h2) != 2:
         raise ValueError("vertex stabilizers must have order two")
     ring = coeff.ring
-    ident = ring.identity_matrix()
+    mtx, anti = coeff.involution
+    invol = (ring.twists.intern(mtx), anti)
 
     def order_two_rwa(sub: tuple[int, ...]) -> RingWithAction:
         return _subgroup_rwa(
             g, sub,
-            lambda k: (ident, False) if k == 0 else coeff.involution,
+            lambda k: (IDENTITY_TWIST, False) if k == 0 else invol,
             ring)
 
     cache: dict[tuple[int, ...], NormRing] = {}
@@ -506,12 +507,10 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
             return len(n_norm.cosets)
         return len(a_norm.cosets)
 
-    ident = ring.identity_matrix()
-
     def assemble(n: int, i: int) -> StructuredHom:
         src_tr = levels[n].tensor
         dst_tr = levels[n - 1].tensor
-        contribs: list[list[tuple[int, IntMatrix, bool]]] = \
+        contribs: list[list[tuple[int, int, bool]]] = \
             [[] for _ in range(dst_tr.nslots)]
         pass_pos: list[Optional[int]] = [None] * dst_tr.nslots
 
@@ -521,7 +520,7 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
                 for c in range(block_len(src_tag)):
                     p = src_tr.slot_index((src_tag, c))
                     q = dst_tr.slot_index((dst_tag, c))
-                    contribs[q].append((p, ident, False))
+                    contribs[q].append((p, IDENTITY_TWIST, False))
                     if passthrough:
                         pass_pos[q] = p
             else:
@@ -559,14 +558,14 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
     def assemble_deg(n: int, j: int) -> StructuredHom:
         src_tr = levels[n].tensor
         dst_tr = levels[n + 1].tensor
-        targets: list[list[tuple[int, IntMatrix, bool]]] = \
+        targets: list[list[tuple[int, int, bool]]] = \
             [[] for _ in range(dst_tr.nslots)]
 
         def wire(src_tag, dst_tag):
             for c in range(block_len(src_tag)):
                 p = src_tr.slot_index((src_tag, c))
                 q = dst_tr.slot_index((dst_tag, c))
-                targets[q].append((p, ident, False))
+                targets[q].append((p, IDENTITY_TWIST, False))
 
         wire("left", "left")
         new_block = n + 1 - j
@@ -632,7 +631,6 @@ def real_hochschild(m: int, coeff: Coefficient,
     for n in range(truncation + 1):
         src_tr = L.levels[n].tensor
         dst_tr = B.levels[n].tensor
-        ident = coeff.ring.identity_matrix()
         targets = [None] * dst_tr.nslots
         for p, (o, c) in enumerate(src_tr.slots):
             if o == 0:
@@ -642,7 +640,7 @@ def real_hochschild(m: int, coeff: Coefficient,
             else:
                 tag = ("mid", o)
             q = dst_tr.slot_index((tag, c))
-            targets[q] = [(p, ident, False)]
+            targets[q] = [(p, IDENTITY_TWIST, False)]
         isos.append(StructuredHom(src_tr, dst_tr, targets, check=False))
     return RealHochschild(L, B, isos)
 
@@ -675,9 +673,8 @@ def esigma_check(ring: PresentedRing, involution: tuple[IntMatrix, bool],
              ring.matrix_is_morphism(mtx, True),
              None if ring.matrix_is_morphism(mtx, True)
              else _reversal_witness(ring, mtx))
-    sq = ring.reduce_matrix(mtx @ mtx)
     item("involution-squares-to-identity",
-         sq == ring.reduce_matrix(ring.identity_matrix()))
+         ring.twists.same(ring.twists.intern(mtx @ mtx), IDENTITY_TWIST))
     unit = list(fixed_unit) if fixed_unit is not None else ring.unit_vec()
     item("fixed-element-is-unit",
          ring.reduce_vec(unit) == ring.reduce_vec(ring.unit_vec()))

@@ -39,6 +39,7 @@ from .fingroup import (
 )
 from .gring import (
     DENSE_BUDGET,
+    IDENTITY_TWIST,
     NormRing,
     PresentedRing,
     RingWithAction,
@@ -136,8 +137,8 @@ def _index_two_action(group: FiniteGroup, even: tuple[int, ...],
                       coeff: Coefficient) -> RingWithAction:
     """Coefficient involution on the odd coset of an index-2 subgroup."""
     m, anti = coeff.involution
-    ident = coeff.ring.identity_matrix()
-    acts = [(ident, False) if g in even else (m, anti)
+    invol = (coeff.ring.twists.intern(m), anti)
+    acts = [(IDENTITY_TWIST, False) if g in even else invol
             for g in group.elements()]
     return RingWithAction(group, coeff.ring, acts)
 
@@ -171,8 +172,7 @@ def _power_instances(group_filter: Optional[str]):
                         RingWithAction.trivial(g, coeff.ring)))
             if even is not None and coeff.involution is not None:
                 m, _ = coeff.involution
-                if coeff.ring.reduce_matrix(m) == coeff.ring.reduce_matrix(
-                        coeff.ring.identity_matrix()):
+                if coeff.ring.twists.same(coeff.ring.twists.intern(m), IDENTITY_TWIST):
                     continue
                 out.append((glabel, rlabel + "/sign",
                             _index_two_action(g, even, coeff)))
@@ -291,11 +291,10 @@ def _xi_flip_checks(report: dict, group_filter: Optional[str]):
 def _barred_blocks(ring: PresentedRing, hom: StructuredHom) -> dict:
     """Group the target slots by coset block and record which carry a twist
     other than the identity."""
-    ident = ring.reduce_matrix(ring.identity_matrix())
     blocks: dict[int, list] = {}
     for t, lst in enumerate(hom.targets):
         c, h = hom.dst.slots[t]
-        barred = any(ring.reduce_matrix(m) != ident for _, m, _ in lst)
+        barred = any(not ring.twists.same(m, IDENTITY_TWIST) for _, m, _ in lst)
         blocks.setdefault(c, []).append(barred)
     return {c: flags for c, flags in sorted(blocks.items())}
 
@@ -385,11 +384,11 @@ def _weyl_roster():
 def _action_stabilizer(n: NormRing, normal: tuple[int, ...]) -> list[int]:
     """Normalizer elements whose conjugation fixes the coefficient action
     pointwise: the only ones with a Weyl self-map of the norm."""
-    g, ring = n.group, n.rwa.ring
+    g, classes = n.group, n.rwa.ring.twists.classes
 
     def act(h):
         m, anti = n.act_of(h)
-        return ring.reduce_matrix(m), anti
+        return classes[m], anti
 
     return [gam for gam in normal
             if all(act(g.conj(gam, h)) == act(h) for h in n.sub)]
@@ -411,7 +410,7 @@ def suite_weyl(params: Optional[dict] = None) -> dict:
     params = params or {}
     report = _new_report("weyl")
     gz = gaussian()
-    conj = gz.involution[0]
+    conj = gz.ring.twists.intern(gz.involution[0])
     for glabel, g in _pick(_weyl_roster(), params.get("group")):
         for sub in g.all_subgroups():
             normal = g.normalizer(sub)
@@ -571,8 +570,8 @@ def suite_normal_subgroups(params: Optional[dict] = None) -> dict:
     report = _new_report("normal-subgroups")
     gz = gaussian()
     d8 = make_dihedral(8)
-    inv = gz.involution
-    ident = gz.ring.identity_matrix()
+    inv = (gz.ring.twists.intern(gz.involution[0]), gz.involution[1])
+    ident = IDENTITY_TWIST
 
     spc = build_coset_cayley(d8, (0, 2), (1,), 2,
                              mode=("normal_with_subgroups", (0, 1, 2, 3),
@@ -711,7 +710,7 @@ def suite_realhh(params: Optional[dict] = None) -> dict:
         coeffs = [load_bundled("zmod4"), gaussian()]
     truncation = _at_least(params, "truncation", 4, 1)
     max_degree = _at_least(params, "max_degree", 3, 0)
-    budget = params.get("budget", DENSE_BUDGET)
+    budget = _at_least(params, "budget", DENSE_BUDGET, 1)
     # rank-1 coefficients stay cheap at every subgroup; larger rings switch
     # to conjugacy class representatives, legitimate because switching to a
     # conjugate is an isomorphism (see the conjugate-switch suite)
@@ -758,7 +757,7 @@ def suite_esigma(params: Optional[dict] = None) -> dict:
     _check(report, "upper-triangular-mod2/certified", rep["passes"],
            rep["items"])
 
-    bad = esigma_check(q.ring, (q.ring.identity_matrix(), True))
+    bad = esigma_check(q.ring, (IntMatrix.identity(q.ring.ngens), True))
     item = next(it for it in bad["items"]
                 if it["check"] == "involution-reverses-products")
     _check(report, "identity-involution-rejected-with-witness",

@@ -8,7 +8,8 @@ so that agreement between the two is evidence rather than tautology.
 from itertools import product
 
 from equiloday.exactalg import (ChainComplex, IntMatrix, PresentedAb,
-                                _SparseWork, kernel_basis)
+                                SparseMatrix, _SparseWork, kernel_basis)
+from equiloday import gring
 from equiloday.gring import PresentedRing
 
 
@@ -342,3 +343,138 @@ def reference_smith_solve(solver, b):
             for i, v in self.VT.row.get(j, {}).items():
                 x[i] += yv * v
     return x
+
+
+# ---------------------------------------------------------------------------
+# structured maps with twist matrices in their targets (before twist ids):
+# compose multiplies matrices, equality column-reduces them, and group
+# actions are checked on every pair of elements
+
+
+def matrix_targets(f) -> tuple:
+    """``f.targets`` with every twist id replaced by its matrix."""
+    matrices = f.src.base.twists.matrices
+    return tuple(tuple((s, matrices[t], a) for s, t, a in lst)
+                 for lst in f.targets)
+
+
+def reduce_matrix(ring: PresentedRing, m: IntMatrix) -> tuple:
+    """Column-reduced form of a twist matrix, for exact map comparison."""
+    return tuple(ring.ab.reduce(m.column(j)) for j in range(m.cols))
+
+
+def reference_compose(outer: tuple, inner: tuple) -> tuple:
+    """Matrix targets of ``outer`` after ``inner``."""
+    new_targets = []
+    for lst in outer:
+        out = []
+        for s_mid, m, a in lst:
+            spliced = [(s0, m @ n, a != b) for (s0, n, b) in inner[s_mid]]
+            if a:
+                spliced.reverse()
+            out.extend(spliced)
+        new_targets.append(tuple(out))
+    return tuple(new_targets)
+
+
+def reference_eq(ring: PresentedRing, a_targets: tuple, b_targets: tuple) -> bool:
+    """Structural equality of two maps between the same tensor rings,
+    bumping the commutativity counter exactly when the old ``__eq__`` did."""
+    a = tuple(tuple((s, reduce_matrix(ring, m), a) for s, m, a in lst)
+              for lst in a_targets)
+    b = tuple(tuple((s, reduce_matrix(ring, m), a) for s, m, a in lst)
+              for lst in b_targets)
+    # flags never change the additive map; drop them for comparison
+    a_flat = tuple(tuple((s, m) for s, m, _ in lst) for lst in a)
+    b_flat = tuple(tuple((s, m) for s, m, _ in lst) for lst in b)
+    if a_flat == b_flat:
+        return True
+    if not ring.commutative:
+        return False
+    a_sorted = tuple(tuple(sorted(lst)) for lst in a_flat)
+    b_sorted = tuple(tuple(sorted(lst)) for lst in b_flat)
+    if a_sorted == b_sorted:
+        gring._bump_commutativity()
+        return True
+    return False
+
+
+def reference_sparse(base: PresentedRing, targets: tuple, src_nslots: int,
+                     dst_nslots: int) -> SparseMatrix:
+    """The expanded matrix of a map given by matrix targets."""
+    r = base.ngens
+    twist_cols = [[[m.column(j) for j in range(r)] for _, m, _ in lst]
+                  for lst in targets]
+    slots = [tuple(s for s, _, _ in lst) for lst in targets]
+    memo = [{} for _ in targets]
+    cols = []
+    for idx in product(range(r), repeat=src_nslots):
+        col = [(0, 1)]
+        for t, srcs in enumerate(slots):
+            key = tuple(idx[s] for s in srcs)
+            vec = memo[t].get(key)
+            if vec is None:
+                if not srcs:
+                    dense = base.unit_vec()
+                else:
+                    dense = None
+                    for tw, j in zip(twist_cols[t], key):
+                        w = tw[j]
+                        dense = w if dense is None else base.vec_mul(dense, w)
+                    dense = base.reduce_vec(dense)
+                vec = memo[t][key] = [(k, v) for k, v in enumerate(dense) if v]
+            col = [(row * r + k, c * v) for row, c in col for k, v in vec]
+        cols.append(col)
+    return SparseMatrix(r ** dst_nslots, cols)
+
+
+def full_gtensor_check(group, tensor, action):
+    """Every-pair multiplicativity check of a structured group action;
+    raises ValueError where ``GTensorRing`` must."""
+    ident = gring.StructuredHom.identity(tensor)
+    if action[0] != ident:
+        raise ValueError("identity must act as the identity map")
+    for f in action:
+        if f.src != tensor or f.dst != tensor:
+            raise ValueError("action maps must be endomorphisms of the tensor ring")
+    for g in range(group.order):
+        for h in range(group.order):
+            if action[g].compose(action[h]) != action[group.mul(g, h)]:
+                raise ValueError(
+                    f"action not multiplicative at "
+                    f"({group.names[g]}, {group.names[h]})")
+
+
+def full_ring_action_check(group, ring: PresentedRing, acts):
+    """Every-pair check of a coefficient action given as (twist id, anti)
+    pairs, on matrices; raises ValueError where ``RingWithAction`` must."""
+    matrices = ring.twists.matrices
+    acts = [(matrices[t], a) for t, a in acts]
+    ident = IntMatrix.identity(ring.ngens)
+    m0, a0 = acts[0]
+    if a0 or reduce_matrix(ring, m0) != reduce_matrix(ring, ident):
+        raise ValueError("identity element must act as the identity map")
+    for g, (m, anti) in enumerate(acts):
+        if not ring.matrix_is_morphism(m, anti):
+            raise ValueError(f"element {group.names[g]} does not act by a ring "
+                             f"{'anti-' if anti else ''}automorphism")
+    for g in range(group.order):
+        for h in range(group.order):
+            mg, ag = acts[g]
+            mh, ah = acts[h]
+            mgh, agh = acts[group.mul(g, h)]
+            if (ag != ah) != agh:
+                raise ValueError("anti flags are not multiplicative")
+            if reduce_matrix(ring, mg @ mh) != reduce_matrix(ring, mgh):
+                raise ValueError("action matrices are not multiplicative")
+
+
+def full_grouphom_check(src, dst, images):
+    """Every-pair homomorphism check; raises ValueError where ``GroupHom``
+    must."""
+    if images[0] != 0:
+        raise ValueError("identity must map to identity")
+    for a in range(src.order):
+        for b in range(src.order):
+            if images[src.table[a][b]] != dst.table[images[a]][images[b]]:
+                raise ValueError("not a homomorphism")

@@ -230,6 +230,33 @@ def test_verify_negative_max_degree_is_a_usage_error(capsys):
     assert "max_degree must be at least 0" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_is_a_usage_error(capsys, budget):
+    # not a row of "exceeds the dense budget" skips with exit 0
+    for argv in (["loday", "run", "--kind", "polygon", "--m", "1",
+                  "--coeff", "gaussian", "--truncation", "2"],
+                 ["bench", "--kind", "polygon", "--m", "1",
+                  "--coeff", "gaussian", "--truncation", "2"]):
+        code, out, err = run(capsys, *argv, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert f"--budget must be at least 1, got {budget}" in err
+    code, out, err = run(capsys, "verify", "--suite", "realhh", "--m", "1",
+                         "--coeff", "gaussian", "--max-degree", "0",
+                         "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "budget must be at least 1" in err
+
+
+def test_budget_of_one_still_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "realhh", "--m", "1",
+                       "--coeff", "zmod4", "--max-degree", "0",
+                       "--budget", "1")
+    assert code == 0
+    assert json.loads(out)["passed"]
+
+
 @pytest.mark.parametrize("command", ["run", "bench"])
 @pytest.mark.parametrize("degree,message", [
     ("-1", "--max-degree must be at least 0, got -1"),

@@ -1,12 +1,15 @@
 """Byte-for-byte CLI stdout against golden files under ``tests/golden``.
 
 The golden files pin the subgroup conjugacy-class numbering of ``group
-info`` and the carved bases behind ``loday run --emit-complex``.  To
+info`` and the carved bases behind ``loday run --emit-complex``.  Every
+timed operation of the benchmark roster (``perfbench/roster.json``) is also
+held to its reference output under ``perfbench/reference``.  To
 regenerate them after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 import io
+import json
 import os
 import sys
 
@@ -52,13 +55,24 @@ def test_cli_stdout_matches_golden(name):
     assert out == want
 
 
-@pytest.mark.slow
-def test_realhh_stdout_matches_benchmark_reference():
-    # the reference the benchmark judges its realhh workload by (read only)
-    ref = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                       "reference", "realhh-m1-gaussian.out")
-    code, out = _stdout(["verify", "--suite", "realhh", "--m", "1",
-                         "--coeff", "gaussian"])
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _roster_ops():
+    """Every timed operation of the benchmark roster (read only), with the
+    workload that times it; the realhh workload's ops are marked slow."""
+    with open(os.path.join(PERFBENCH, "roster.json"), encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    return [pytest.param(op["id"], op["argv"], id=op["id"],
+                         marks=[pytest.mark.slow] if name == "realhh-free" else [])
+            for name, wl in workloads.items() for op in wl["ops"]]
+
+
+@pytest.mark.parametrize("op_id,argv", _roster_ops())
+def test_roster_stdout_matches_benchmark_reference(op_id, argv):
+    # the references the benchmark judges its operations by
+    ref = os.path.join(PERFBENCH, "reference", f"{op_id}.out")
+    code, out = _stdout(argv)
     assert code == 0
     with open(ref, encoding="utf-8", newline="") as fh:
         assert out == fh.read()

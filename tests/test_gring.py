@@ -19,6 +19,7 @@ from equiloday.fingroup import (
     make_symmetric,
 )
 from equiloday.gring import (
+    IDENTITY_TWIST,
     GTensorRing,
     NormRing,
     PresentedRing,
@@ -96,20 +97,20 @@ def test_gaussian_conjugation_is_both(gauss_rwa):
 
 def test_action_validation():
     g = gaussian().ring
-    conj = gaussian().involution[0]
+    conj = g.twists.intern(gaussian().involution[0])
     c2 = make_cyclic(2)
     with pytest.raises(ValueError):
         # conj has order 2, cannot let the generator of C4... order mismatch
         RingWithAction(make_cyclic(4), g,
-                       [(g.identity_matrix(), False), (conj, True),
-                        (conj, True), (g.identity_matrix(), False)])
+                       [(IDENTITY_TWIST, False), (conj, True),
+                        (conj, True), (IDENTITY_TWIST, False)])
     # but the C4 -> C2 pullback pattern is a perfectly good C4 action
     RingWithAction(make_cyclic(4), g,
-                   [(g.identity_matrix(), False), (conj, True),
-                    (g.identity_matrix(), False), (conj, True)])
+                   [(IDENTITY_TWIST, False), (conj, True),
+                    (IDENTITY_TWIST, False), (conj, True)])
     with pytest.raises(ValueError):
-        RingWithAction(c2, g, [(g.identity_matrix(), False),
-                               (IntMatrix.from_rows([[1, 0], [1, 1]]), False)])
+        RingWithAction(c2, g, [(IDENTITY_TWIST, False),
+                               (g.twists.intern(IntMatrix.from_rows([[1, 0], [1, 1]])), False)])
 
 
 def test_restrict_and_pullback(z3_s3):
@@ -138,17 +139,17 @@ def test_source_slots_must_be_covered():
     tr = TensorRing(z, (0, 1))
     one = TensorRing(z, ("*",))
     with pytest.raises(ValueError):
-        StructuredHom(tr, one, [[(0, z.identity_matrix(), False)]])
+        StructuredHom(tr, one, [[(0, IDENTITY_TWIST, False)]])
     with pytest.raises(ValueError):
-        StructuredHom(tr, one, [[(0, z.identity_matrix(), False),
-                                 (0, z.identity_matrix(), False)]])
+        StructuredHom(tr, one, [[(0, IDENTITY_TWIST, False),
+                                 (0, IDENTITY_TWIST, False)]])
 
 
 def test_equality_uses_commutativity_only_when_needed():
     z = integers().ring
     tr = TensorRing(z, (0, 1))
     one = TensorRing(z, ("*",))
-    ident = z.identity_matrix()
+    ident = IDENTITY_TWIST
     f = StructuredHom(tr, one, [[(0, ident, False), (1, ident, False)]])
     g = StructuredHom(tr, one, [[(1, ident, False), (0, ident, False)]])
     reset_commutativity_uses()
@@ -160,7 +161,7 @@ def test_equality_uses_commutativity_only_when_needed():
     q = quaternions().ring
     trq = TensorRing(q, (0, 1))
     oneq = TensorRing(q, ("*",))
-    qi = q.identity_matrix()
+    qi = IDENTITY_TWIST
     fq = StructuredHom(trq, oneq, [[(0, qi, False), (1, qi, False)]])
     gq = StructuredHom(trq, oneq, [[(1, qi, False), (0, qi, False)]])
     reset_commutativity_uses()
@@ -171,7 +172,7 @@ def test_equality_uses_commutativity_only_when_needed():
 
 def test_anti_flags_do_not_affect_map_equality():
     g = gaussian()
-    conj, _ = g.involution
+    conj = g.ring.twists.intern(g.involution[0])
     tr = TensorRing(g.ring, (0,))
     f = StructuredHom(tr, tr, [[(0, conj, True)]])
     h = StructuredHom(tr, tr, [[(0, conj, False)]])
@@ -182,10 +183,10 @@ def test_anti_flags_do_not_affect_map_equality():
 
 def test_compose_through_anti_twist_reverses_order():
     q = quaternions().ring
-    conj = quaternions().involution[0]
+    conj = q.twists.intern(quaternions().involution[0])
     tr2 = TensorRing(q, (0, 1))
     one = TensorRing(q, ("*",))
-    ident = q.identity_matrix()
+    ident = IDENTITY_TWIST
     merge = StructuredHom(tr2, one, [[(0, ident, False), (1, ident, False)]])
     post = StructuredHom(one, one, [[(0, conj, True)]])
     comp = post.compose(merge)
@@ -224,7 +225,7 @@ def test_unit_insertion_dense():
     g = gaussian().ring
     src = TensorRing(g, (0,))
     dst = TensorRing(g, ("a", "b"))
-    f = StructuredHom(src, dst, [[(0, g.identity_matrix(), False)], []])
+    f = StructuredHom(src, dst, [[(0, IDENTITY_TWIST, False)], []])
     m = f.dense()
     # e_1 (the element i) goes to i (x) 1 = basis (1, 0)
     col = m.column(1)
@@ -309,11 +310,11 @@ def test_blocking_dichotomy_abelian_group():
     # inner defects act trivially but the outer elements conjugate, so the
     # blocking map cannot be equivariant for the diagonal actions
     g = gaussian()
-    conj = g.involution[0]
+    conj = g.ring.twists.intern(g.involution[0])
     c4 = make_cyclic(4)
     rwa = RingWithAction(c4, g.ring,
-                         [(g.ring.identity_matrix(), False), (conj, True),
-                          (g.ring.identity_matrix(), False), (conj, True)])
+                         [(IDENTITY_TWIST, False), (conj, True),
+                          (IDENTITY_TWIST, False), (conj, True)])
     defect, _ = blocking_diagonal_certificate(c4, (0, 2), rwa)
     assert defect == [1, 3]
 
@@ -341,7 +342,7 @@ def test_norm_action_twists(gauss_rwa):
     act = n.gt.act(2)
     slot0 = act.targets[0]
     assert slot0[0][0] == 0
-    assert slot0[0][1] == gauss_rwa.act_matrix(1)
+    assert slot0[0][1] == gauss_rwa.acts[1][0]
 
 
 def test_norm_size_check(gauss_rwa):
@@ -364,8 +365,8 @@ def test_projection_to_norm(gauss_rwa):
     # s-factor twisted by conjugation
     lst = p.targets[0]
     assert [e[0] for e in lst] == [0, 2]
-    assert lst[0][1] == gauss_rwa.ring.identity_matrix()
-    assert lst[1][1] == gauss_rwa.act_matrix(1)
+    assert lst[0][1] == IDENTITY_TWIST
+    assert lst[1][1] == gauss_rwa.acts[1][0]
     assert lst[1][2] is True
 
 
@@ -407,7 +408,7 @@ def test_weyl_relabeling(gauss_rwa):
     assert weyl_relabeling(n, 0) == ident
     # the reflection fixes every coset and twists each slot by its own
     # coefficient action
-    conj = gauss_rwa.act_matrix(1)
+    conj = gauss_rwa.acts[1][0]
     inner = StructuredHom(n.tensor, n.tensor,
                           [[(i, conj, False)] for i in range(n.tensor.nslots)],
                           check=False)
@@ -428,12 +429,11 @@ def test_weyl_relabeling_needs_defect_twists():
     from equiloday.gring import weyl_relabeling
     c4 = make_cyclic(4)
     g = gaussian()
-    rwa = RingWithAction(make_cyclic(2), g.ring,
-                         [(g.ring.identity_matrix(), False), g.involution])
+    rwa = g.c2_action()
     n = NormRing(c4, (0, 2), rwa)
     wr = weyl_relabeling(n, 1)
     assert is_equivariant(wr, n.gt, n.gt)
-    ident = g.ring.identity_matrix()
+    ident = IDENTITY_TWIST
     bare = StructuredHom.from_routes(
         n.tensor, n.tensor,
         [(c, n.coset_of[c4.mul(n.transversal[c], c4.inv(1))], ident, False)

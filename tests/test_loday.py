@@ -5,8 +5,8 @@ import pytest
 from equiloday.coeffs import gaussian, integers, load_bundled, quaternions
 from equiloday.exactalg import IntMatrix
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
-from equiloday.gring import (GTensorRing, NormRing, PresentedRing,
-                             RingWithAction, StructuredHom,
+from equiloday.gring import (IDENTITY_TWIST, GTensorRing, NormRing,
+                             PresentedRing, RingWithAction, StructuredHom,
                              commutativity_uses, norm_projection,
                              reset_commutativity_uses, tensor_induce)
 from equiloday.loday import (_ordered_fold, bar, esigma_check, loday,
@@ -25,7 +25,7 @@ from oracles import _tuple_index, sd_face_column
 
 
 def test_ordered_fold_reflects_antis():
-    ident = IntMatrix.identity(2)
+    ident = IDENTITY_TWIST
     plain = [(0, ident, False), (3, ident, False), (5, ident, False)]
     assert _ordered_fold(plain, None) == sorted(plain)
     # pass-through at 3: anti contributions mirror across it
@@ -64,8 +64,7 @@ def test_sigma_circle_two_isotropy_validates():
 
 def test_one_isotropy_permutohedron_validates():
     gz = gaussian()
-    rwa = RingWithAction(make_cyclic(2), gz.ring,
-                         [(gz.ring.identity_matrix(), False), gz.involution])
+    rwa = gz.c2_action()
     s = loday_one_isotropy(build_permutohedron_skeleton(3, 2), rwa)
     assert s.validate() == []
 
@@ -76,8 +75,7 @@ def test_one_isotropy_conjugate_stabilizers():
     s3 = make_symmetric(3)
     space = build_coset_cayley(s3, (0, 2), (3,), 2)
     gz = gaussian()
-    rwa = RingWithAction(make_cyclic(2), gz.ring,
-                         [(gz.ring.identity_matrix(), False), gz.involution])
+    rwa = gz.c2_action()
     s = loday_one_isotropy(space, rwa)
     assert s.validate() == []
 
@@ -89,10 +87,10 @@ def test_normal_mode_validates():
                              mode=("normal_with_subgroups", (0, 1, 2, 3),
                                    ((0, 2), (0,))))
     assert spc.validate() == []
-    inv = gz.involution
+    inv = gz.c2_action().acts[1]
     rwa = RingWithAction(make_cyclic(4), gz.ring,
-                         [(gz.ring.identity_matrix(), False), inv,
-                          (gz.ring.identity_matrix(), False), inv])
+                         [(IDENTITY_TWIST, False), inv,
+                          (IDENTITY_TWIST, False), inv])
     s = loday_normal_sub(spc, rwa)
     assert s.validate() == []
 
@@ -102,8 +100,8 @@ def test_nested_norm_projection_composite():
     # for the order-8 dihedral group, rotations over half-rotations
     gz = gaussian()
     d8 = make_dihedral(8)
-    inv = gz.involution
-    ident = gz.ring.identity_matrix()
+    inv = gz.c2_action().acts[1]
+    ident = IDENTITY_TWIST
     rwa_h = RingWithAction(make_cyclic(4), gz.ring,
                            [(ident, False), inv, (ident, False), inv])
     rwa_k, _ = rwa_h.restrict((0, 2))
@@ -134,7 +132,7 @@ def test_one_isotropy_trivial_matches_free():
     a = loday_free(cay, rwa3, inner="flip")
     one = make_cyclic(1)
     b = loday_one_isotropy(triv, RingWithAction(
-        one, gz.ring, [(gz.ring.identity_matrix(), False)]))
+        one, gz.ring, [(IDENTITY_TWIST, False)]))
     for n in range(1, 3):
         for i in range(n + 1):
             assert a.face(n, i) == b.face(n, i)
@@ -202,17 +200,15 @@ def test_flip_faces_untwisted_diagonal_last_face_twisted():
     space = build_rot_circle(2, 3)
     flip = loday_free(space, rwa, inner="flip")
     diag = loday_free(space, rwa, inner="diagonal")
-    ident = coeff.ring.reduce_matrix(coeff.ring.identity_matrix())
-    red = coeff.ring.reduce_matrix
+    same = coeff.ring.twists.same
     for n in range(1, 4):
         for i in range(n + 1):
             for lst in flip.face(n, i).targets:
                 for (_, m, a) in lst:
-                    assert red(m) == ident and not a
+                    assert same(m, IDENTITY_TWIST) and not a
     for n in range(1, 4):
-        twists = [red(m) for lst in diag.face(n, n).targets
-                  for (_, m, _) in lst]
-        assert any(t != ident for t in twists)
+        twists = [m for lst in diag.face(n, n).targets for (_, m, _) in lst]
+        assert any(not same(t, IDENTITY_TWIST) for t in twists)
         assert diag.face(n, n) != flip.face(n, n)
 
 
@@ -261,7 +257,7 @@ def test_rot2_equals_subdivided_cyclic_bar():
 def test_bar_of_integers_levels():
     z = integers()
     c1 = make_cyclic(1)
-    rwa = RingWithAction(c1, z.ring, [(z.ring.identity_matrix(), False)])
+    rwa = RingWithAction(c1, z.ring, [(IDENTITY_TWIST, False)])
     nrm = tensor_induce(c1, (0,), rwa)
     f = norm_projection(nrm, nrm, 0)
     b = bar(nrm, nrm, nrm, f, f, truncation=4)
@@ -276,7 +272,7 @@ def test_bar_level_ranks_count_blocks():
     m = NormRing(c2, (0, 1), rwa)
     one = make_cyclic(1)
     a = tensor_induce(c2, (0,), RingWithAction(
-        one, gz.ring, [(gz.ring.identity_matrix(), False)]))
+        one, gz.ring, [(IDENTITY_TWIST, False)]))
     f = norm_projection(a, m, 0)
     b = bar(m, a, m, f, f, truncation=3)
     assert b.validate() == []
@@ -364,7 +360,7 @@ def test_esigma_accepts_upper_triangular():
 
 def test_esigma_rejects_non_reversing():
     q = quaternions()
-    bad = (q.ring.identity_matrix(), True)  # identity does not reverse ij
+    bad = (IntMatrix.identity(q.ring.ngens), True)  # identity does not reverse ij
     rep = esigma_check(q.ring, bad)
     assert not rep["passes"]
     item = next(it for it in rep["items"]
