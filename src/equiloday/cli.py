@@ -484,7 +484,7 @@ def cmd_loday(args, out) -> int:
                 lc = LevelComplex(s, sub, max_level=kmax + 1,
                                   budget=args.budget)
                 moore[_elements_str(sub)] = [
-                    b.data for b in lc.normalized.boundaries]
+                    b.to_dense().data for b in lc.normalized.boundaries]
             obj["moore_boundaries"] = moore
         _emit_json(obj, out)
     else:

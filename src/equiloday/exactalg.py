@@ -7,7 +7,12 @@ fixed-width path exists anywhere in this module.
 
 Conventions
 -----------
-* ``IntMatrix`` stores ``data[i][j]`` = row ``i``, column ``j``.
+* ``IntMatrix`` stores ``data[i][j]`` = row ``i``, column ``j``.  It holds
+  r x r twists, presentation relations and maps between homology groups.
+* ``SparseMatrix`` holds every matrix of expanded or carved size: face and
+  action maps, carved lifts, boundaries and chain maps.  Its columns, lists
+  of ``(row, value)`` over the nonzeros, are what ``SmithSolver``,
+  ``express`` and ``ChainComplex`` take and return.
 * Homomorphisms act on column vectors: ``x -> M @ x``.
 * A ``PresentedAb`` is ``Z^ngens / (integer span of the columns of
   ``relations``)``.  Elements are integer coordinate vectors of length
@@ -139,12 +144,6 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols + other.cols,
                          [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return IntMatrix(self.rows + other.rows, self.cols,
-                         [row[:] for row in self.data] + [row[:] for row in other.data])
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
@@ -174,12 +173,6 @@ class SparseMatrix:
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix(n, [[(j, 1)] for j in range(n)])
-
-    def column(self, j: int) -> list[int]:
-        col = [0] * self.rows
-        for i, v in self.data[j]:
-            col[i] = v
-        return col
 
     def sparse_rows(self) -> list[dict[int, int]]:
         """Row i as ``{column: value}`` over its nonzeros, columns increasing."""
@@ -545,13 +538,37 @@ def kernel_columns(rows: list[dict[int, int]], n: int,
             for j in range(rank, n)]
 
 
+def _condition_rows(rank: int,
+                    conds: list[tuple[SparseMatrix, IntMatrix]]) -> list[dict[int, int]]:
+    """The stacked ``[A | -B]`` blocks as sparse rows, columns increasing,
+    as ``IntMatrix.sparse_rows`` gives them for the dense matrix.  Its kernel
+    cut to Z^rank is all x with ``A @ x`` in the lattice of B, per (A, B)."""
+    rows: list[dict[int, int]] = []
+    pad = rank
+    for a, b in conds:
+        if a.cols != rank:
+            raise ValueError("condition matrix has the wrong number of columns")
+        block: list[dict[int, int]] = [{} for _ in range(a.rows)]
+        for j, col in enumerate(a.data):
+            for i, v in col:
+                block[i][j] = v
+        for i, row in enumerate(b.data):
+            for k, v in enumerate(row):
+                if v:
+                    block[i][pad + k] = -v
+        rows += block
+        pad += b.cols
+    return rows
+
+
 class SmithSolver:
     """Integer solutions of ``M x = b`` from one cached Smith form of M.
 
     With ``U M V = D``, ``M x = b`` has an integer solution exactly when
     ``U b`` vanishes past the rank and each entry before it is divisible by
     the matching diagonal entry; then ``x = V y`` with ``y = D^-1 U b``.
-    ``M`` is an ``IntMatrix`` or a ``SparseMatrix``.
+    ``M`` is an ``IntMatrix`` or a ``SparseMatrix``.  Sparse columns in,
+    sparse columns out.  ``VT`` is None when ``y`` itself is the answer.
     """
 
     __slots__ = ("A", "U", "VT", "rank", "cols")
@@ -561,17 +578,16 @@ class SmithSolver:
             _SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
         self.cols = M.cols
 
-    def __call__(self, b: Sequence[int]) -> Optional[list[int]]:
+    def __call__(self, b: Iterable[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
         """One solution of ``M x = b``, or None."""
         # U b through the nonzeros of b: b is mostly zeros on the levels
         # this package carves, U is not
-        U = self.U
+        U, VT = self.U, self.VT
         ub: dict[int, int] = {}
-        for j, bv in enumerate(b):
-            if bv:
-                for i in U.colidx.get(j, ()):
-                    ub[i] = ub.get(i, 0) + U.row[i][j] * bv
-        x = [0] * self.cols
+        for j, bv in b:
+            for i in U.colidx.get(j, ()):
+                ub[i] = ub.get(i, 0) + U.row[i][j] * bv
+        x: dict[int, int] = {}
         for i, v in ub.items():
             if not v:
                 continue
@@ -580,23 +596,26 @@ class SmithSolver:
             q, rem = divmod(v, self.A.get(i, i))
             if rem:
                 return None
-            for k, w in self.VT.row.get(i, {}).items():
-                x[k] += q * w
-        return x
+            for k, w in VT.row.get(i, {}).items() if VT is not None else ((i, 1),):
+                x[k] = x.get(k, 0) + q * w
+        return sorted((k, v) for k, v in x.items() if v)
 
 
 def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution of ``M x = b``, or None."""
-    return SmithSolver(M)(b)
+    """One integer solution of ``M x = b``, or None (dense ``b`` and ``x``)."""
+    x = SmithSolver(M)([(j, v) for j, v in enumerate(b) if v])
+    return None if x is None else SparseMatrix(M.cols, [x]).to_dense().column(0)
 
 
-def column_space_basis(M: SparseMatrix) -> SparseMatrix:
-    """A basis (as columns) of the column span of M: the first ``rank``
-    columns of ``M V`` for the Smith form ``U M V``."""
-    _, _, VT, rank = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols),
-                                 False, True)
-    return M @ SparseMatrix(M.cols, [sorted(VT.row.get(j, {}).items())
-                                     for j in range(rank)])
+def column_space_basis(M: SparseMatrix) -> tuple[SparseMatrix, SmithSolver]:
+    """A basis (as columns) of the column span of M, and a solver for
+    coordinates in it: with ``U M V = D`` the basis is the first ``rank``
+    columns of ``M V = U^-1 D``, so ``b = basis @ y`` iff ``U b = D y``."""
+    solver = SmithSolver(M)
+    basis = M @ SparseMatrix(M.cols, [sorted(solver.VT.row.get(j, {}).items())
+                                      for j in range(solver.rank)])
+    solver.VT, solver.cols = None, solver.rank
+    return basis, solver
 
 
 class Lattice:
@@ -798,24 +817,19 @@ class SubQuotient:
     ``span_cols`` and ``sub_cols`` are ``SparseMatrix`` columns of length
     ``ambient`` spanning the subgroup and the part divided out.  ``pres`` is
     the presented group; ``lift`` (a ``SparseMatrix``) maps its generators
-    to ambient vectors; ``express`` writes an ambient vector (known to lie
-    in the subgroup's lift) in those generators.
+    to ambient vectors; ``express`` writes a sparse ambient column in those
+    generators, as a sparse column, or gives None off the subgroup's lift.
+    One Smith form of the span gives both ``lift`` and ``express``.
     """
 
     def __init__(self, ambient: int, span_cols: list[list[tuple[int, int]]],
                  sub_cols: list[list[tuple[int, int]]]):
-        self.lift = column_space_basis(SparseMatrix(ambient, _dedup_cols(span_cols)))
+        self.lift, self.express = column_space_basis(
+            SparseMatrix(ambient, _dedup_cols(span_cols)))
         r = self.lift.cols
-        self.express = SmithSolver(self.lift)
-        if self.express.rank != r:
-            raise RuntimeError("column basis was not a basis")
-        subs = SparseMatrix(ambient, _dedup_cols(sub_cols))
-        rel_in_coords = []
-        for j in range(subs.cols):
-            coords = self.express(subs.column(j))
-            if coords is None:
-                raise ValueError("relation column not inside the subgroup")
-            rel_in_coords.append([(i, v) for i, v in enumerate(coords) if v])
+        rel_in_coords = [self.express(col) for col in _dedup_cols(sub_cols)]
+        if None in rel_in_coords:
+            raise ValueError("relation column not inside the subgroup")
         self.pres = PresentedAb(r, SparseMatrix(r, _dedup_cols(rel_in_coords)).to_dense())
 
 
@@ -831,12 +845,14 @@ def _dedup_cols(cols: Iterable[list[tuple[int, int]]]) -> list[list[tuple[int, i
 class ChainComplex:
     """Bounded complex ... -> C_1 -> C_0 of presented groups.
 
-    ``boundaries[k]`` is the matrix of the map C_k -> C_{k-1}; the list is
-    indexed from k = 1.  Validation checks that composites vanish modulo the
-    target relations.
+    ``boundaries[k]`` is the ``SparseMatrix`` of the map C_k -> C_{k-1}; the
+    list is indexed from k = 1.  Sparse columns in, sparse columns out: the
+    cycles are the kernel of the sparse ``[d | -relations]`` rows, and the
+    homology generators lift to sparse columns.  Validation checks that
+    composites vanish modulo the target relations.
     """
 
-    def __init__(self, levels: list[PresentedAb], boundaries: list[IntMatrix],
+    def __init__(self, levels: list[PresentedAb], boundaries: list[SparseMatrix],
                  check: bool = True):
         if len(boundaries) != max(0, len(levels) - 1):
             raise ValueError("need exactly len(levels) - 1 boundaries")
@@ -845,8 +861,9 @@ class ChainComplex:
         if check:
             for k in range(1, len(boundaries)):
                 square = boundaries[k - 1] @ boundaries[k]
-                for col in square.columns():
-                    if not levels[k - 1].is_zero_element(col):
+                for col in square.data:
+                    if col and not levels[k - 1].is_zero_element(
+                            SparseMatrix(square.rows, [col]).to_dense().column(0)):
                         raise ValueError(f"boundary composite at degree {k + 1} is nonzero")
             for k, b in enumerate(boundaries, start=1):
                 if not hom_is_well_defined(levels[k], levels[k - 1], b):
@@ -866,25 +883,18 @@ class ChainComplex:
         if k == 0:
             cycles = SparseMatrix.identity(nk).data
         else:
-            d = self.boundaries[k - 1]
             rel_prev = self.levels[k - 1].relations
-            stacked = d.hstack(-rel_prev) if rel_prev.cols else d
-            ker = kernel_basis(stacked)
-            cycles = SparseMatrix.from_cols([c[:nk] for c in ker.columns()], nk).data
-        sub = self.levels[k].relations.columns()
+            rows = _condition_rows(nk, [(self.boundaries[k - 1], rel_prev)])
+            cycles = kernel_columns(rows, nk + rel_prev.cols, nk)
+        sub = SparseMatrix.from_cols(self.levels[k].relations.columns(), nk).data
         if k < self.top():
-            sub += self.boundaries[k].columns()
-        sub = SparseMatrix.from_cols(sub, nk).data
+            sub += self.boundaries[k].data
         return SubQuotient(nk, cycles + sub, sub)
 
 
-def induced_map(h_dom: SubQuotient, h_cod: SubQuotient, chain_map: IntMatrix) -> IntMatrix:
-    """Matrix of the map induced on homology by a chain map."""
-    cols = []
-    for j in range(h_dom.lift.cols):
-        img = chain_map.apply(h_dom.lift.column(j))
-        coords = h_cod.express(img)
-        if coords is None:
-            raise ValueError("chain map does not send cycles to cycles")
-        cols.append(coords)
-    return IntMatrix.from_cols(cols, h_cod.pres.ngens)
+def induced_map(h_dom: SubQuotient, h_cod: SubQuotient, chain_map: SparseMatrix) -> IntMatrix:
+    """Matrix of the map induced on homology by a sparse chain map."""
+    cols = [h_cod.express(col) for col in (chain_map @ h_dom.lift).data]
+    if None in cols:
+        raise ValueError("chain map does not send cycles to cycles")
+    return SparseMatrix(h_cod.pres.ngens, cols).to_dense()

@@ -32,8 +32,10 @@ signed permutations (and on whole levels) the fixed points are orbit sums
 (``_OrbitFixed``); elsewhere they are carved by Smith form
 (``SubQuotient``).  The fixed carving happens once per level and the
 normalized part is carved inside the fixed coordinates rather than back at
-ambient size.  The conditions that carve them reach the Smith-form engine
-as sparse rows (``kernel_columns``), and the carved bases stay sparse.
+ambient size.  Sparse columns in, sparse columns out: the carving
+conditions reach the Smith-form engine as sparse rows (``kernel_columns``),
+and the restricted boundaries and chain maps are ``SparseMatrix`` all the
+way to ``ChainComplex`` and ``induced_map``.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +43,8 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
-                       SparseMatrix, SubQuotient, induced_map, kernel_columns)
+                       SparseMatrix, SubQuotient, _condition_rows, induced_map,
+                       kernel_columns)
 from .fingroup import FiniteGroup
 from .gring import DENSE_BUDGET
 
@@ -101,25 +104,24 @@ class _OrbitFixed:
             r, s = find(i)
             orbits.setdefault(r, []).append(i)
             pot[i] = s
-        self._pot = [0] * rank
         cols = []
-        self._live_roots = []
+        self._head: dict[int, int] = {}  # head of a live orbit -> its column
         for r in sorted(orbits):
             if r in dead_roots:
                 continue
             members = orbits[r]
             head = min(members)
             base = pot[head]
-            for m in members:
-                self._pot[m] = pot[m] * base
-            cols.append([(m, self._pot[m]) for m in members])
-            self._live_roots.append(head)
+            cols.append([(m, pot[m] * base) for m in members])
+            self._head[head] = len(self._head)
         self.lift = SparseMatrix(rank, cols)
         self.pres = pres if not perms else PresentedAb(len(cols))
 
-    def express(self, vec: Sequence[int]) -> Optional[list[int]]:
-        out = [vec[h] * self._pot[h] for h in self._live_roots]
-        return out if self.lift.apply(out) == list(vec) else None
+    def express(self, col: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
+        """Orbit-sum coordinates (each sum is 1 at its head), or None."""
+        out = sorted((k, v) for i, v in col if (k := self._head.get(i)) is not None)
+        back = self.lift @ SparseMatrix(self.lift.cols, [out])
+        return out if back.data[0] == list(col) else None
 
 
 Carved = Union[SubQuotient, _OrbitFixed]
@@ -141,27 +143,6 @@ def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, IntMatrix]]
     return kernel_columns(_condition_rows(rank, conds), width, rank)
 
 
-def _condition_rows(rank: int,
-                    conds: list[tuple[SparseMatrix, IntMatrix]]) -> list[dict[int, int]]:
-    """The stacked ``[A | -B]`` blocks as sparse rows, columns increasing."""
-    rows: list[dict[int, int]] = []
-    pad = rank
-    for a, b in conds:
-        if a.cols != rank:
-            raise ValueError("condition matrix has the wrong number of columns")
-        block: list[dict[int, int]] = [{} for _ in range(a.rows)]
-        for j, col in enumerate(a.data):
-            for i, v in col:
-                block[i][j] = v
-        for i, row in enumerate(b.data):
-            for k, v in enumerate(row):
-                if v:
-                    block[i][pad + k] = -v
-        rows += block
-        pad += b.cols
-    return rows
-
-
 def _conditions_subquotient(rank: int, rels: IntMatrix,
                             conds: list[tuple[SparseMatrix, IntMatrix]]) -> Carved:
     """The joint solution set packaged as a subgroup of Z^rank / rels."""
@@ -173,7 +154,7 @@ def _conditions_subquotient(rank: int, rels: IntMatrix,
 
 
 def _restricted(dst: Carved, cols: SparseMatrix,
-                dst_inner: Optional[Carved] = None) -> IntMatrix:
+                dst_inner: Optional[Carved] = None) -> SparseMatrix:
     """The ambient columns ``cols`` written in the basis of a carved subgroup.
 
     Callers compose the map with the source lifts first, e.g.
@@ -182,14 +163,14 @@ def _restricted(dst: Carved, cols: SparseMatrix,
     basis instead.
     """
     out = []
-    for j in range(cols.cols):
-        coords = dst.express(cols.column(j))
+    for col in cols.data:
+        coords = dst.express(col)
         if coords is not None and dst_inner is not None:
             coords = dst_inner.express(coords)
         if coords is None:
             raise ValueError("map does not carry the source subgroup into the target")
         out.append(coords)
-    return IntMatrix.from_cols(out, (dst if dst_inner is None else dst_inner).pres.ngens)
+    return SparseMatrix((dst if dst_inner is None else dst_inner).pres.ngens, out)
 
 
 def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
@@ -249,7 +230,8 @@ class LevelComplex:
         self.budget = budget
 
         gens = _generating_subset(g, sub)
-        self.dense = [s.levels[n].tensor.dense_group(budget) for n in range(top + 1)]
+        self._rels = [s.levels[n].tensor.dense_group(budget).relations
+                      for n in range(top)]  # where the faces land
         self.fixed: list[Carved] = [_fixed_level(s, n, gens, budget)
                                     for n in range(top + 1)]
 
@@ -296,7 +278,7 @@ class LevelComplex:
     def _face_conditions(self, n: int) -> list[tuple[SparseMatrix, IntMatrix]]:
         """Faces 1..n on the fixed coordinates of level n, each to vanish
         modulo the relations of level n - 1."""
-        return [(self.face(n, i) @ self.fixed[n].lift, self.dense[n - 1].relations)
+        return [(self.face(n, i) @ self.fixed[n].lift, self._rels[n - 1])
                 for i in range(1, n + 1)]
 
     def homology(self, k: int) -> FgAbelianGroup:
@@ -364,7 +346,7 @@ def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGro
     gens = _generating_subset(g, subt)
     sq = [_fixed_level(s, n, gens, budget) for n in (0, 1)]
     diff = s.expanded_face(1, 0, budget) - s.expanded_face(1, 1, budget)
-    restricted = _restricted(sq[0], diff @ sq[1].lift)
+    restricted = _restricted(sq[0], diff @ sq[1].lift).to_dense()
     rels = sq[0].pres.relations
     rels = rels.hstack(restricted) if rels.cols else restricted
     return PresentedAb(sq[0].pres.ngens, rels).canonical()
@@ -422,7 +404,7 @@ class MackeyH:
         return key
 
     def _chain_matrix(self, src: tuple[int, ...], dst: tuple[int, ...],
-                      level_map: Optional[SparseMatrix]) -> IntMatrix:
+                      level_map: Optional[SparseMatrix]) -> SparseMatrix:
         k = self.degree
         a, b = self._lc[src], self._lc[dst]
         cols = a.fixed[k].lift @ a.reduced[k].lift

@@ -8,7 +8,8 @@ so that agreement between the two is evidence rather than tautology.
 from itertools import product
 
 from equiloday.exactalg import (ChainComplex, IntMatrix, PresentedAb,
-                                SparseMatrix, _SparseWork, kernel_basis)
+                                SparseMatrix, SubQuotient, _SparseWork,
+                                kernel_basis)
 from equiloday import gring
 from equiloday.gring import PresentedRing
 
@@ -153,7 +154,7 @@ def cyclic_bar_homology(ring: PresentedRing, max_k: int) -> list:
             m = cyclic_bar_face_matrix(ring, n, i)
             signed = m if i % 2 == 0 else -m
             total = signed if total is None else total + signed
-        bounds.append(total)
+        bounds.append(SparseMatrix.from_cols(total.columns(), total.rows))
     cx = ChainComplex(levels, bounds)
     return [cx.homology(k) for k in range(max_k + 1)]
 
@@ -478,3 +479,32 @@ def full_grouphom_check(src, dst, images):
         for b in range(src.order):
             if images[src.table[a][b]] != dst.table[images[a]][images[b]]:
                 raise ValueError("not a homomorphism")
+
+
+# ---------------------------------------------------------------------------
+# homology of a complex with dense boundaries, as it was before the sparse path
+
+
+def dense_homology_data(levels, boundaries, k):
+    """``ChainComplex.homology_data`` on ``IntMatrix`` boundaries.
+
+    Kept verbatim as the reference: the cycles are ``kernel_basis`` of the
+    dense ``[d | -relations]`` stack.  ``ChainComplex`` reads the same rows
+    sparsely and must give the same lifts and presentations.
+    """
+    if not (0 <= k <= len(levels) - 1):
+        raise ValueError("degree out of range")
+    nk = levels[k].ngens
+    if k == 0:
+        cycles = SparseMatrix.identity(nk).data
+    else:
+        d = boundaries[k - 1]
+        rel_prev = levels[k - 1].relations
+        stacked = d.hstack(-rel_prev) if rel_prev.cols else d
+        ker = kernel_basis(stacked)
+        cycles = SparseMatrix.from_cols([c[:nk] for c in ker.columns()], nk).data
+    sub = levels[k].relations.columns()
+    if k < len(levels) - 1:
+        sub += boundaries[k].columns()
+    sub = SparseMatrix.from_cols(sub, nk).data
+    return SubQuotient(nk, cycles + sub, sub)

@@ -1,6 +1,7 @@
 """Exact linear algebra layer: Smith form, presentations, homology."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -27,11 +28,27 @@ from equiloday.exactalg import (
     tensor,
 )
 from equiloday.exactalg import _SparseWork, _snf_engine
-from oracles import reference_smith_solve, reference_snf_engine
+from oracles import dense_homology_data, reference_smith_solve, reference_snf_engine
 
 
 def rand_matrix(rng, m, n, lo=-9, hi=9):
     return IntMatrix(m, n, [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)])
+
+
+def sparse(rows) -> SparseMatrix:
+    """A ``SparseMatrix`` from dense rows (or an ``IntMatrix``)."""
+    m = rows if isinstance(rows, IntMatrix) else IntMatrix.from_rows(rows)
+    return SparseMatrix.from_cols(m.columns(), m.rows)
+
+
+def pairs(vec):
+    """A dense vector as a sparse column."""
+    return [(i, v) for i, v in enumerate(vec) if v]
+
+
+def dense(col, n):
+    """A sparse column, or None, as a dense vector of length n, or None."""
+    return None if col is None else SparseMatrix(n, [col]).to_dense().column(0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +234,7 @@ def test_smith_solver_reused_matches_fresh_solve(M):
         b = M.apply([rng.randint(-3, 3) for _ in range(M.cols)])
         if M.rows:
             b[rng.randrange(M.rows)] += rng.randint(0, 1)
-        x = solver(b)
+        x = dense(solver(pairs(b)), M.cols)
         assert x == solve(M, b)
         assert x is None or M.apply(x) == b
 
@@ -236,8 +253,8 @@ def test_smith_solver_matches_reference_solve(case):
     solver = SmithSolver(M)
     inside = M.apply(x0)
     for b in (inside, [u + v for u, v in zip(inside, nudge)]):
-        assert solver(b) == reference_smith_solve(solver, b)
-    assert solver(inside) is not None
+        assert dense(solver(pairs(b)), M.cols) == reference_smith_solve(solver, b)
+    assert solver(pairs(inside)) is not None
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
@@ -257,12 +274,41 @@ def test_solve_no_solution():
 
 def test_column_space_basis_spans():
     M = IntMatrix.from_rows([[2, 4, 6], [0, 0, 0], [1, 2, 3]])
-    B = column_space_basis(SparseMatrix.from_cols(M.columns(), M.rows)).to_dense()
+    B = column_space_basis(sparse(M))[0].to_dense()
     assert B.cols == 1
     for c in M.columns():
         assert solve(B, c) is not None
     for c in B.columns():
         assert solve(M, c) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_strategy.flatmap(
+    lambda M: st.tuples(st.just(M),
+                        st.lists(st.integers(-4, 4), min_size=M.cols,
+                                 max_size=M.cols),
+                        st.lists(st.integers(-2, 2), min_size=M.rows,
+                                 max_size=M.rows))))
+def test_column_space_solver_matches_fresh_solver(case):
+    # the reduction that gives the basis also gives coordinates in it, as a
+    # second Smith form of the basis would: on the span, off it, and on
+    # vectors of the rational span that miss the lattice by divisibility
+    M, x0, nudge = case
+    basis, coords = column_space_basis(sparse(M))
+    oracle = SmithSolver(basis)
+    assert oracle.rank == basis.cols
+    inside = M.apply(x0)
+    cases = [inside, [u + v for u, v in zip(inside, nudge)]]
+    for b in [inside] + [dense(c, M.rows) for c in basis.data]:
+        g = math.gcd(*b)
+        if g > 1:
+            cases.append([v // g for v in b])
+    for b in cases:
+        x = coords(pairs(b))
+        assert x == oracle(pairs(b))
+        if x is not None:
+            assert basis.apply(dense(x, basis.cols)) == b
+    assert coords(pairs(inside)) is not None
 
 
 def test_bareiss_det():
@@ -364,15 +410,14 @@ def test_hom_is_isomorphism():
 
 
 def test_homology_multiplication_by_two():
-    cx = ChainComplex([PresentedAb(1), PresentedAb(1)],
-                      [IntMatrix.from_rows([[2]])])
+    cx = ChainComplex([PresentedAb(1), PresentedAb(1)], [sparse([[2]])])
     assert cx.homology(0) == FgAbelianGroup(0, (2,))
     assert cx.homology(1) == FgAbelianGroup(0)
 
 
 def test_homology_circle():
     # two vertices, two edges glued into a circle
-    d = IntMatrix.from_rows([[1, -1], [-1, 1]])
+    d = sparse([[1, -1], [-1, 1]])
     cx = ChainComplex([PresentedAb(2), PresentedAb(2)], [d])
     assert cx.homology(0) == FgAbelianGroup(1)
     assert cx.homology(1) == FgAbelianGroup(1)
@@ -382,7 +427,7 @@ def test_homology_rp2():
     # minimal CW structure: one cell per degree, degree-2 attaching map
     cx = ChainComplex(
         [PresentedAb(1), PresentedAb(1), PresentedAb(1)],
-        [IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2]])],
+        [sparse([[0]]), sparse([[2]])],
     )
     assert cx.homology(0) == FgAbelianGroup(1)
     assert cx.homology(1) == FgAbelianGroup(0, (2,))
@@ -393,7 +438,7 @@ def test_homology_with_presented_levels():
     # Z/4 --2--> Z/4: kernel and image are both 2Z/4
     z4a = PresentedAb(1, IntMatrix.from_rows([[4]]))
     z4b = PresentedAb(1, IntMatrix.from_rows([[4]]))
-    cx = ChainComplex([z4a, z4b], [IntMatrix.from_rows([[2]])])
+    cx = ChainComplex([z4a, z4b], [sparse([[2]])])
     assert cx.homology(0) == FgAbelianGroup(0, (2,))
     assert cx.homology(1) == FgAbelianGroup(0, (2,))
 
@@ -402,16 +447,76 @@ def test_boundary_square_validation():
     with pytest.raises(ValueError):
         ChainComplex(
             [PresentedAb(1), PresentedAb(1), PresentedAb(1)],
-            [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])],
+            [sparse([[1]]), sparse([[1]])],
         )
+
+
+def test_boundary_square_vanishing_modulo_relations():
+    # twice 1 is zero in Z/2, not in Z
+    z2 = [PresentedAb(1, IntMatrix.from_rows([[2]])) for _ in range(3)]
+    ChainComplex(z2, [sparse([[1]]), sparse([[2]])])
+    with pytest.raises(ValueError, match="composite at degree 2 is nonzero"):
+        ChainComplex([PresentedAb(1)] * 3, [sparse([[1]]), sparse([[2]])])
+
+
+@st.composite
+def chain_complex(draw):
+    """A three-term complex Z^a -> Z^b -> Z^c, free or with every level
+    Z/t: d1 kills the image of d2 through the left kernel of d2, plus t
+    times anything when there are relations."""
+    a, b, c = (draw(st.integers(0, 4)) for _ in range(3))
+    t = draw(st.sampled_from([None, 2, 3, 4, 6]))
+    entries = st.integers(-4, 4)
+
+    def mat(rows, cols):
+        return IntMatrix(rows, cols, draw(st.lists(
+            st.lists(entries, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    d2 = mat(b, a)
+    left = kernel_basis(d2.transpose()).transpose()
+    d1 = mat(c, left.rows) @ left if left.rows else IntMatrix.zeros(c, b)
+    if t is not None:
+        d1 = d1 + IntMatrix(c, b, [[t * v for v in r] for r in mat(c, b).data])
+    levels = [PresentedAb(n) if t is None
+              else PresentedAb(n, IntMatrix(n, n, [[t * (i == j) for j in range(n)]
+                                                   for i in range(n)]))
+              for n in (c, b, a)]
+    return levels, [d1, d2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_complex())
+def test_homology_data_matches_dense_oracle(case):
+    # the sparse [d | -relations] rows against the dense stack they replaced
+    levels, bounds = case
+    cx = ChainComplex(levels, [sparse(d) for d in bounds])
+    for k in range(3):
+        got, want = cx.homology_data(k), dense_homology_data(levels, bounds, k)
+        assert got.lift.data == want.lift.data
+        assert got.pres.relations == want.pres.relations
+        assert got.pres.canonical() == want.pres.canonical()
+
+
+def test_induced_map_rejects_a_non_chain_map():
+    # the generator of H_1 of Z --0--> Z is no cycle of Z --1--> Z
+    h_dom = ChainComplex([PresentedAb(1)] * 2, [sparse([[0]])]).homology_data(1)
+    h_cod = ChainComplex([PresentedAb(1)] * 2, [sparse([[1]])]).homology_data(1)
+    with pytest.raises(ValueError, match="does not send cycles to cycles"):
+        induced_map(h_dom, h_cod, sparse([[1]]))
+
+
+def test_subquotient_rejects_relations_outside_the_span():
+    with pytest.raises(ValueError, match="relation column not inside the subgroup"):
+        SubQuotient(2, [[(0, 2)]], [[(0, 1)]])
 
 
 def test_induced_map_on_homology():
     # degree-3 self-map of the circle multiplies H_1 by 3
-    d = IntMatrix.from_rows([[1, -1], [-1, 1]])
+    d = sparse([[1, -1], [-1, 1]])
     cx = ChainComplex([PresentedAb(2), PresentedAb(2)], [d])
     h1 = cx.homology_data(1)
-    tripled = IntMatrix.from_rows([[3, 0], [0, 3]])
+    tripled = sparse([[3, 0], [0, 3]])
     mat = induced_map(h1, h1, tripled)
     assert mat.data in ([[3]], [[-3]])
 
@@ -419,7 +524,7 @@ def test_induced_map_on_homology():
 def test_subquotient_express_roundtrip():
     sq = SubQuotient(3, [[(0, 2)], [(1, 2)]], [[(0, 4)]])
     assert sq.pres.canonical() == FgAbelianGroup(1, (2,))
-    coords = sq.express([4, 2, 0])
+    coords = sq.express([(0, 4), (1, 2)])
     assert coords is not None
-    assert sq.lift.apply(coords) == [4, 2, 0]
-    assert sq.express([1, 0, 0]) is None
+    assert sq.lift.apply(dense(coords, sq.lift.cols)) == [4, 2, 0]
+    assert sq.express([(0, 1)]) is None

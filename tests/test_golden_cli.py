@@ -8,6 +8,7 @@ regenerate them after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,9 @@ import sys
 import pytest
 
 from equiloday.cli import main
+from equiloday.exactalg import ChainComplex
+
+from oracles import dense_homology_data
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -53,6 +57,43 @@ def test_cli_stdout_matches_golden(name):
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
         want = fh.read()
     assert out == want
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("loday-")))
+def test_golden_complexes_match_dense_oracle(name, monkeypatch):
+    # every normalized complex behind a golden, through the sparse path and
+    # through the dense one it replaced
+    made = []
+    init = ChainComplex.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ChainComplex, "__init__", record)
+    assert _stdout(CASES[name])[0] == 0
+    assert made
+    for cx in made:
+        bounds = [b.to_dense() for b in cx.boundaries]
+        for k in range(cx.top() + 1):
+            got, want = cx.homology_data(k), dense_homology_data(cx.levels, bounds, k)
+            assert got.lift.data == want.lift.data
+            assert got.pres.relations == want.pres.relations
+            assert got.pres.canonical() == want.pres.canonical()
+
+
+@pytest.mark.slow
+def test_largest_carving_output_is_pinned():
+    # the m = 2 Gaussian polygon carves complexes far larger than the three
+    # goldens above reach; its 20 MB of stdout is pinned by hash
+    code, out = _stdout(["loday", "run", "--kind", "polygon", "--m", "2",
+                         "--coeff", "gaussian", "--truncation", "3",
+                         "--subgroups", "classes", "--emit-complex"])
+    assert code == 0
+    data = out.encode("utf-8")
+    assert len(data) == 20_756_461
+    assert hashlib.sha256(data).hexdigest() == (
+        "2f82020ad49160eead3864c01ec053d6e4a509226fbca6f32ec3b4d0a34a44db")
 
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")

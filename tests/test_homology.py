@@ -3,7 +3,7 @@
 import pytest
 
 from equiloday.coeffs import gaussian, integers, load_bundled
-from equiloday.exactalg import FgAbelianGroup, IntMatrix
+from equiloday.exactalg import FgAbelianGroup, IntMatrix, PresentedAb, SparseMatrix, SubQuotient
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.gring import SizeBudgetExceeded, norm_projection, tensor_induce
 from equiloday.homology import (LevelComplex, homology_table, mackey_homology,
@@ -166,7 +166,7 @@ def test_fixed_inclusion_commutes_with_boundaries():
         incl_prev = _restricted(lc_all.fixed[n - 1], lc_sub.fixed[n - 1].lift)
         lhs = lc_all.unnormalized.boundaries[n - 1] @ incl_n
         rhs = incl_prev @ lc_sub.unnormalized.boundaries[n - 1]
-        assert lhs == rhs, n
+        assert lhs.to_dense() == rhs.to_dense(), n
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,38 @@ def test_comparison_commutes_with_res(zmod4):
 
 # ---------------------------------------------------------------------------
 # guard rails
+
+
+def test_restricted_rejects_columns_off_an_orbit_carving():
+    from equiloday.homology import _OrbitFixed, _restricted
+    # point 0 is negated (its orbit dies), points 1 and 2 are swapped: the
+    # fixed vectors are the multiples of e1 + e2, with e1 the orbit's head
+    fixed = _OrbitFixed(PresentedAb(3), [[(0, -1), (2, 1), (1, 1)]])
+    good = _restricted(fixed, SparseMatrix(3, [[(1, 3), (2, 3)], []]))
+    assert (good.rows, good.data) == (1, [[(0, 3)], []])
+    for col in ([(2, 1)],           # nonzero only off the head
+                [(1, 1)],           # the head, not the whole orbit
+                [(0, 1)],           # a dead orbit
+                [(0, 2), (1, 1), (2, 1)]):
+        with pytest.raises(ValueError, match="does not carry the source subgroup"):
+            _restricted(fixed, SparseMatrix(3, [[(1, 1), (2, 1)], col]))
+
+
+def test_restricted_rejects_columns_off_a_smith_carving():
+    from equiloday.homology import _OrbitFixed, _restricted
+    carved = SubQuotient(3, [[(0, 2)], [(1, 2)]], [])
+    good = _restricted(carved, SparseMatrix(3, [[(0, 4), (1, -2)]]))
+    assert (carved.lift @ good).data == [[(0, 4), (1, -2)]]
+    for col in ([(0, 1)], [(2, 2)]):
+        with pytest.raises(ValueError, match="does not carry the source subgroup"):
+            _restricted(carved, SparseMatrix(3, [col]))
+    # and inside the fixed coordinates of a carving, as the normalized
+    # complex restricts: e1 is fixed, but misses the inner carving
+    whole = _OrbitFixed(PresentedAb(2), [])
+    inner = SubQuotient(2, [[(0, 1)]], [])
+    assert _restricted(whole, SparseMatrix(2, [[(0, 5)]]), inner).data == [[(0, 5)]]
+    with pytest.raises(ValueError, match="does not carry the source subgroup"):
+        _restricted(whole, SparseMatrix(2, [[(1, 1)]]), inner)
 
 
 def test_degree_past_truncation_raises(zmod4):

@@ -5,6 +5,9 @@ name from outside the package, so a renamed or re-signed callable would
 only break a traced benchmark run.  This loads the tracer without writing
 anything next to it, traces one small verify run and checks that the
 layers it relies on were seen and that every wrapper came off again.
+The homology path reaches the Smith-form engine through sparse rows, not
+through ``kernel_basis``, so the dense front door is called once by hand
+inside the traced window to keep its measure hook covered.
 """
 
 import importlib
@@ -12,7 +15,8 @@ import importlib.util
 import pathlib
 import sys
 
-from equiloday import cli
+from equiloday import cli, exactalg
+from equiloday.exactalg import IntMatrix
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,12 +52,13 @@ def test_traced_verify_records_layers_and_unwraps(monkeypatch, capsys):
     try:
         code = cli.main(["verify", "--suite", "realhh", "--m", "1",
                          "--coeff", "zmod4", "--truncation", "3"])
+        exactalg.kernel_basis(IntMatrix.from_rows([[1, -1]]))
     finally:
         t.uninstall()
     after = _bindings(tracer.LAYERS)
     assert code == 0, capsys.readouterr().err
     seen = {t.names[span[0]] for span in t.spans}
-    assert {"exactalg.kernel_basis", "exactalg.chain_check",
+    assert {"exactalg.kernel_basis", "exactalg.chain_check", "exactalg.homology",
             "exactalg.subquotient", "exactalg.column_space_basis"} <= seen
     assert t.counts["exactalg.kernel_basis.calls"] > 0
     assert t.counts["exactalg.chain_check.calls"] > 0
