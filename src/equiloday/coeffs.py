@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .exactalg import IntMatrix
+from .exactalg import IntMatrix, SparseMatrix
 from .fingroup import FiniteGroup, make_cyclic
 from .gring import IDENTITY_TWIST, PresentedRing, RingWithAction
 
@@ -71,7 +71,7 @@ class Coefficient:
             "name": self.name,
             "description": self.description,
             "generators": list(self.ring.gen_names),
-            "relations": [list(c) for c in self.ring.ab.relations.columns()],
+            "relations": self.ring.ab.relations.to_dense().columns(),
             "mult": [[list(cell) for cell in row] for row in self.ring.mult],
             "unit": list(self.ring.unit),
             "commutative": self.ring.commutative,
@@ -91,8 +91,10 @@ def coefficient_from_obj(obj: dict) -> Coefficient:
     gens = obj["generators"]
     n = len(gens)
     rel_cols = [list(map(int, c)) for c in obj.get("relations", [])]
-    relations = IntMatrix.from_cols(rel_cols, n) if rel_cols else None
-    ring = PresentedRing(n, relations, obj["mult"], obj["unit"],
+    if any(len(c) != n for c in rel_cols):
+        raise ValueError(f"{obj['name']}: every relation column needs {n} entries, "
+                         f"one per generator")
+    ring = PresentedRing(n, SparseMatrix.from_cols(rel_cols, n), obj["mult"], obj["unit"],
                          gen_names=gens, label=obj["name"])
     if "commutative" in obj and bool(obj["commutative"]) != ring.commutative:
         raise ValueError(f"{obj['name']}: stored commutativity flag is wrong")

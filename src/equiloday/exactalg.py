@@ -8,16 +8,19 @@ fixed-width path exists anywhere in this module.
 Conventions
 -----------
 * ``IntMatrix`` stores ``data[i][j]`` = row ``i``, column ``j``.  It holds
-  r x r twists, presentation relations and maps between homology groups.
+  only r x r twists, maps between homology groups (``induced_map``,
+  ``MackeyH``) and the dense front doors and oracles (``kernel_basis``,
+  ``smith_normal_form``, ``solve``, ``StructuredHom.dense``).
 * ``SparseMatrix`` holds every matrix of expanded or carved size: face and
-  action maps, carved lifts, boundaries and chain maps.  Its columns, lists
-  of ``(row, value)`` over the nonzeros, are what ``SmithSolver``,
-  ``express`` and ``ChainComplex`` take and return.
+  action maps, carved lifts, boundaries, chain maps and every relation
+  matrix.  Its columns, lists of ``(row, value)`` over the nonzeros, are
+  what ``SmithSolver``, ``express``, ``Lattice`` and ``ChainComplex`` take
+  and return.
 * Homomorphisms act on column vectors: ``x -> M @ x``.
 * A ``PresentedAb`` is ``Z^ngens / (integer span of the columns of
-  ``relations``)``.  Elements are integer coordinate vectors of length
-  ``ngens``; two vectors represent the same element iff their difference is
-  in the relation lattice.
+  ``relations``)``, a ``SparseMatrix``.  Elements are integer coordinate
+  vectors of length ``ngens``; two vectors represent the same element iff
+  their difference is in the relation lattice.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> U, D, V = smith_normal_form(M)
@@ -25,11 +28,15 @@ Conventions
 [2, 4]
 >>> (U @ M @ V) == D
 True
+>>> G = PresentedAb(2, SparseMatrix(2, [[(0, 2)], [(0, 3), (1, 6)]]))
+>>> str(G.canonical())
+'Z/12'
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -138,12 +145,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [[-v for v in row] for row in self.data])
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [r1 + r2 for r1, r2 in zip(self.data, other.data)])
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
@@ -218,6 +219,12 @@ class SparseMatrix:
 
     def __neg__(self) -> "SparseMatrix":
         return SparseMatrix(self.rows, [[(i, -v) for i, v in col] for col in self.data])
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SparseMatrix) and self.rows == other.rows
+                and list(map(list, self.data)) == list(map(list, other.data)))
+
+    __hash__ = None  # type: ignore[assignment]  # mutable
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
@@ -298,10 +305,6 @@ class _SparseWork:
                 for j in d:
                     w.colidx.setdefault(j, set()).add(i)
         return w
-
-    @staticmethod
-    def from_dense(M: IntMatrix) -> "_SparseWork":
-        return _SparseWork.from_rows(M.sparse_rows(), M.cols)
 
     @staticmethod
     def eye(n: int) -> "_SparseWork":
@@ -512,13 +515,14 @@ def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular ``(U, D, V)`` with ``U @ M @ V == D`` diagonal and
     each diagonal entry dividing the next."""
-    A, U, VT, _ = _snf_engine(_SparseWork.from_dense(M), True, True)
+    A, U, VT, _ = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
     return U.to_dense(), A.to_dense(), VT.to_dense().transpose()
 
 
-def invariant_factors(M: IntMatrix) -> list[int]:
+def invariant_factors(M: "IntMatrix | SparseMatrix") -> list[int]:
     """Nonzero diagonal of the Smith form, cheapest path (no U or V)."""
-    A, _, _, rank = _snf_engine(_SparseWork.from_dense(M), False, False)
+    A, _, _, rank = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols),
+                                False, False)
     return [A.get(i, i) for i in range(rank)]
 
 
@@ -539,7 +543,7 @@ def kernel_columns(rows: list[dict[int, int]], n: int,
 
 
 def _condition_rows(rank: int,
-                    conds: list[tuple[SparseMatrix, IntMatrix]]) -> list[dict[int, int]]:
+                    conds: list[tuple[SparseMatrix, SparseMatrix]]) -> list[dict[int, int]]:
     """The stacked ``[A | -B]`` blocks as sparse rows, columns increasing,
     as ``IntMatrix.sparse_rows`` gives them for the dense matrix.  Its kernel
     cut to Z^rank is all x with ``A @ x`` in the lattice of B, per (A, B)."""
@@ -552,10 +556,9 @@ def _condition_rows(rank: int,
         for j, col in enumerate(a.data):
             for i, v in col:
                 block[i][j] = v
-        for i, row in enumerate(b.data):
-            for k, v in enumerate(row):
-                if v:
-                    block[i][pad + k] = -v
+        for k, col in enumerate(b.data, start=pad):
+            for i, v in col:
+                block[i][k] = -v
         rows += block
         pad += b.cols
     return rows
@@ -619,18 +622,16 @@ def column_space_basis(M: SparseMatrix) -> tuple[SparseMatrix, SmithSolver]:
 
 
 class Lattice:
-    """Integer column lattice with membership test and canonical reduction."""
+    """Integer span of the columns of a ``SparseMatrix``: membership, reduction."""
 
-    def __init__(self, gens: IntMatrix):
-        self.gens = gens
+    def __init__(self, gens: SparseMatrix):
         # column-style Hermite form: lower staircase, positive pivots,
         # entries right of a pivot reduced into [0, pivot)
         self._hnf_cols, self._pivots = self._hermite(gens)
 
     @staticmethod
-    def _hermite(M: IntMatrix):
-        cols = [dict((i, v) for i, v in enumerate(c) if v) for c in M.columns()]
-        cols = [c for c in cols if c]
+    def _hermite(M: SparseMatrix):
+        cols = [dict(c) for c in M.data if c]
         hnf: list[dict[int, int]] = []
         pivots: list[int] = []
         for i in range(M.rows):
@@ -664,18 +665,23 @@ class Lattice:
             cols = rest
         return hnf, pivots
 
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical representative of ``vec`` modulo the lattice."""
-        v = list(vec)
+    def _reduce(self, v):
+        """Reduce ``v`` in place: a dense list, or a ``defaultdict(int)``
+        holding a sparse column."""
         for c, i in zip(self._hnf_cols, self._pivots):
             q = v[i] // c[i]
             if q:
                 for k, cv in c.items():
                     v[k] -= q * cv
-        return tuple(v)
+        return v
 
-    def member(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """Canonical representative of ``vec`` modulo the lattice."""
+        return tuple(self._reduce(list(vec)))
+
+    def member(self, col: Iterable[tuple[int, int]]) -> bool:
+        """Does the lattice hold the sparse column ``col``?"""
+        return not any(self._reduce(defaultdict(int, col)).values())
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +715,11 @@ class FgAbelianGroup:
 class PresentedAb:
     """Finitely presented abelian group Z^ngens / span(relation columns)."""
 
-    def __init__(self, ngens: int, relations: Optional[IntMatrix] = None):
+    def __init__(self, ngens: int, relations: Optional[SparseMatrix] = None):
         if relations is None:
-            relations = IntMatrix(ngens, 0, [[] for _ in range(ngens)])
+            relations = SparseMatrix(ngens, [])
+        if not isinstance(relations, SparseMatrix):
+            raise TypeError("relations must be a SparseMatrix")
         if relations.rows != ngens:
             raise ValueError("relation rows must equal ngens")
         self.ngens = ngens
@@ -729,7 +737,10 @@ class PresentedAb:
         return self.lattice.reduce(vec)
 
     def is_zero_element(self, vec: Sequence[int]) -> bool:
-        return self.lattice.member(vec)
+        return not any(self.lattice.reduce(vec))
+
+    def is_zero_column(self, col: Iterable[tuple[int, int]]) -> bool:
+        return self.lattice.member(col)
 
     def canonical(self) -> FgAbelianGroup:
         if self._canonical is None:
@@ -744,23 +755,12 @@ class PresentedAb:
 
 def tensor(a: PresentedAb, b: PresentedAb) -> PresentedAb:
     """Tensor product; generators are pairs (i, j) ordered lexicographically."""
-    n = a.ngens * b.ngens
-    cols = []
-    for rc in a.relations.columns():
-        for j in range(b.ngens):
-            col = [0] * n
-            for i, v in enumerate(rc):
-                if v:
-                    col[i * b.ngens + j] = v
-            cols.append(col)
-    for rc in b.relations.columns():
-        for i in range(a.ngens):
-            col = [0] * n
-            for j, v in enumerate(rc):
-                if v:
-                    col[i * b.ngens + j] = v
-            cols.append(col)
-    return PresentedAb(n, IntMatrix.from_cols(cols, n))
+    n, m = a.ngens * b.ngens, b.ngens
+    cols = [[(i * m + j, v) for i, v in rc]
+            for rc in a.relations.data for j in range(m)]
+    cols += [[(i * m + j, v) for j, v in rc]
+             for rc in b.relations.data for i in range(a.ngens)]
+    return PresentedAb(n, SparseMatrix(n, cols))
 
 
 class AbHom:
@@ -787,24 +787,27 @@ class AbHom:
     __hash__ = None  # type: ignore[assignment]
 
     def is_isomorphism(self) -> bool:
+        img = SparseMatrix.from_cols(self.matrix.columns(), self.matrix.rows).data
+        rels = self.codomain.relations
         # surjective: image + relations span the full ambient lattice
-        span = self.matrix.hstack(self.codomain.relations)
-        facs = invariant_factors(span)
+        facs = invariant_factors(SparseMatrix(rels.rows, img + rels.data))
         if len(facs) < self.codomain.ngens or any(d != 1 for d in facs):
             return False
         # injective: anything mapping into the codomain lattice lies in the
         # domain lattice
-        stacked = self.matrix.hstack(-self.codomain.relations)
-        ker = kernel_basis(stacked)
-        for col in ker.columns():
-            if not self.domain.is_zero_element(col[:self.domain.ngens]):
-                return False
-        return True
+        rows = _condition_rows(len(img), [(SparseMatrix(rels.rows, img), rels)])
+        return all(self.domain.is_zero_column(col) for col in kernel_columns(
+            rows, len(img) + rels.cols, self.domain.ngens))
 
 
-def hom_is_well_defined(domain: PresentedAb, codomain: PresentedAb, matrix: IntMatrix) -> bool:
-    return all(codomain.is_zero_element(matrix.apply(rc))
-               for rc in domain.relations.columns())
+def hom_is_well_defined(domain: PresentedAb, codomain: PresentedAb,
+                        matrix: "IntMatrix | SparseMatrix") -> bool:
+    """Does ``matrix`` (dense or sparse) send every relation of ``domain``
+    into the relation lattice of ``codomain``?"""
+    rels = domain.relations
+    if rels.cols and isinstance(matrix, IntMatrix):
+        matrix = SparseMatrix.from_cols(matrix.columns(), matrix.rows)
+    return not rels.cols or all(map(codomain.is_zero_column, (matrix @ rels).data))
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +833,7 @@ class SubQuotient:
         rel_in_coords = [self.express(col) for col in _dedup_cols(sub_cols)]
         if None in rel_in_coords:
             raise ValueError("relation column not inside the subgroup")
-        self.pres = PresentedAb(r, SparseMatrix(r, _dedup_cols(rel_in_coords)).to_dense())
+        self.pres = PresentedAb(r, SparseMatrix(r, _dedup_cols(rel_in_coords)))
 
 
 def _dedup_cols(cols: Iterable[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
@@ -861,10 +864,8 @@ class ChainComplex:
         if check:
             for k in range(1, len(boundaries)):
                 square = boundaries[k - 1] @ boundaries[k]
-                for col in square.data:
-                    if col and not levels[k - 1].is_zero_element(
-                            SparseMatrix(square.rows, [col]).to_dense().column(0)):
-                        raise ValueError(f"boundary composite at degree {k + 1} is nonzero")
+                if not all(map(levels[k - 1].is_zero_column, square.data)):
+                    raise ValueError(f"boundary composite at degree {k + 1} is nonzero")
             for k, b in enumerate(boundaries, start=1):
                 if not hom_is_well_defined(levels[k], levels[k - 1], b):
                     raise ValueError(f"boundary at degree {k} not well defined")
@@ -886,9 +887,9 @@ class ChainComplex:
             rel_prev = self.levels[k - 1].relations
             rows = _condition_rows(nk, [(self.boundaries[k - 1], rel_prev)])
             cycles = kernel_columns(rows, nk + rel_prev.cols, nk)
-        sub = SparseMatrix.from_cols(self.levels[k].relations.columns(), nk).data
+        sub = self.levels[k].relations.data
         if k < self.top():
-            sub += self.boundaries[k].data
+            sub = sub + self.boundaries[k].data
         return SubQuotient(nk, cycles + sub, sub)
 
 

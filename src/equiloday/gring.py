@@ -40,9 +40,9 @@ from .exactalg import (
     IntMatrix,
     PresentedAb,
     SizeBudgetExceeded,
+    SmithSolver,
     SparseMatrix,
     hom_is_well_defined,
-    solve,
 )
 from .fingroup import FiniteGroup, GroupHom, subgroup_as_group
 
@@ -74,12 +74,12 @@ def _bump_commutativity():
 class PresentedRing:
     """Ring on finitely many additive generators over Z.
 
-    Additively this is Z^ngens modulo the columns of ``relations``; the
-    product is the bilinear extension of ``mult[i][j]``, a vector giving
-    e_i * e_j in generator coordinates.
+    Additively this is Z^ngens modulo the columns of ``relations``, a
+    ``SparseMatrix``; the product is the bilinear extension of
+    ``mult[i][j]``, a vector giving e_i * e_j in generator coordinates.
     """
 
-    def __init__(self, ngens: int, relations: Optional[IntMatrix],
+    def __init__(self, ngens: int, relations: Optional[SparseMatrix],
                  mult: Sequence[Sequence[Sequence[int]]],
                  unit: Sequence[int],
                  gen_names: Optional[Sequence[str]] = None,
@@ -110,7 +110,8 @@ class PresentedRing:
         n = self.ngens
         red = self.ab.is_zero_element
         # multiplication must descend to the quotient
-        for col in self.ab.relations.columns():
+        for rel in map(dict, self.ab.relations.data):
+            col = [rel.get(i, 0) for i in range(n)]
             for j in range(n):
                 ej = [0] * n
                 ej[j] = 1
@@ -246,22 +247,17 @@ class TwistTable:
         return t
 
     def inverse(self, t: int) -> int:
-        """An inverse of an additively invertible twist, modulo relations."""
+        """An inverse of an additively invertible twist, modulo relations:
+        column i solves ``m x = e_i`` modulo them, all n through one Smith
+        form of the sparse ``[m | relations]``."""
         if t not in self._inverses:
             n = self._ab.ngens
-            rels = self._ab.relations
             m = self.matrices[t]
-            stacked = m.hstack(rels) if rels.cols else m
-            cols = []
-            for i in range(n):
-                e = [0] * n
-                e[i] = 1
-                sol = solve(stacked, e)
-                if sol is None:
-                    cols = None
-                    break
-                cols.append(sol[:n])
-            self._inverses[t] = None if cols is None else self.intern(IntMatrix.from_cols(cols, n))
+            solver = SmithSolver(SparseMatrix(n, SparseMatrix.from_cols(
+                m.columns(), n).data + self._ab.relations.data))
+            cols = [solver([(i, 1)]) for i in range(n)]
+            self._inverses[t] = None if None in cols else self.intern(SparseMatrix(
+                n, [[(k, v) for k, v in x if k < n] for x in cols]).to_dense())
         inv = self._inverses[t]
         if inv is None:
             raise ValueError("twist is not invertible modulo relations")
@@ -344,8 +340,10 @@ class RingWithAction:
 class TensorRing:
     """Tensor power of a base ring, slots labeled by hashable tags.
 
-    The additive group is never materialized here; expansion happens per
-    map in StructuredHom.sparse under a budget.
+    Maps are expanded per map in StructuredHom.sparse under a budget.  The
+    expanded additive group (``dense_group``) is built on first request and
+    cached: every later call gets the same ``PresentedAb``, with its lattice
+    and canonical form, as long as the rank fits that call's budget.
     """
 
     def __init__(self, base: PresentedRing, slots: Sequence):
@@ -354,6 +352,7 @@ class TensorRing:
         if len(set(self.slots)) != len(self.slots):
             raise ValueError("slot labels must be distinct")
         self._index = {s: i for i, s in enumerate(self.slots)}
+        self._group: Optional[PresentedAb] = None
 
     @property
     def nslots(self) -> int:
@@ -370,23 +369,20 @@ class TensorRing:
         return r
 
     def dense_group(self, budget: int = DENSE_BUDGET) -> PresentedAb:
-        """The expanded additive group, relations included."""
+        """The expanded additive group, relations included: each base
+        relation in each slot, against every basis tuple of the others."""
         rank = self.dense_rank(budget)
-        n = self.base.ngens
-        rels = self.base.ab.relations
-        cols = []
-        for pos in range(self.nslots):
-            outer = n ** pos
-            inner = n ** (self.nslots - pos - 1)
-            for rc in rels.columns():
-                for o in range(outer):
-                    for i in range(inner):
-                        col = [0] * rank
-                        for k, v in enumerate(rc):
-                            if v:
-                                col[(o * n + k) * inner + i] = v
-                        cols.append(col)
-        return PresentedAb(rank, IntMatrix.from_cols(cols, rank))
+        if self._group is None:
+            n = self.base.ngens
+            cols = []
+            for pos in range(self.nslots):
+                outer = n ** pos
+                inner = n ** (self.nslots - pos - 1)
+                cols += [[((o * n + k) * inner + i, v) for k, v in rc]
+                         for rc in self.base.ab.relations.data
+                         for o in range(outer) for i in range(inner)]
+            self._group = PresentedAb(rank, SparseMatrix(rank, cols))
+        return self._group
 
     def basis_tuples(self, budget: int = DENSE_BUDGET):
         self.dense_rank(budget)

@@ -32,10 +32,13 @@ signed permutations (and on whole levels) the fixed points are orbit sums
 (``_OrbitFixed``); elsewhere they are carved by Smith form
 (``SubQuotient``).  The fixed carving happens once per level and the
 normalized part is carved inside the fixed coordinates rather than back at
-ambient size.  Sparse columns in, sparse columns out: the carving
-conditions reach the Smith-form engine as sparse rows (``kernel_columns``),
-and the restricted boundaries and chain maps are ``SparseMatrix`` all the
-way to ``ChainComplex`` and ``induced_map``.
+ambient size.  Sparse columns in, sparse columns out: the level relations
+(``TensorRing.dense_group``, built once per level) and every carved
+presentation are ``SparseMatrix``, the carving conditions reach the
+Smith-form engine as sparse rows (``kernel_columns``), and the restricted
+boundaries and chain maps are ``SparseMatrix`` all the way to
+``ChainComplex`` and ``induced_map``.  Only maps between homology groups
+(``induced_map``, ``MackeyH``) are dense ``IntMatrix``.
 """
 
 from dataclasses import dataclass, field
@@ -127,7 +130,7 @@ class _OrbitFixed:
 Carved = Union[SubQuotient, _OrbitFixed]
 
 
-def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, IntMatrix]]
+def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, SparseMatrix]]
                          ) -> Optional[list[list[tuple[int, int]]]]:
     """Sparse columns spanning all x in Z^rank with A @ x in the lattice of B, per (A, B).
 
@@ -143,14 +146,13 @@ def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, IntMatrix]]
     return kernel_columns(_condition_rows(rank, conds), width, rank)
 
 
-def _conditions_subquotient(rank: int, rels: IntMatrix,
-                            conds: list[tuple[SparseMatrix, IntMatrix]]) -> Carved:
+def _conditions_subquotient(rank: int, rels: SparseMatrix,
+                            conds: list[tuple[SparseMatrix, SparseMatrix]]) -> Carved:
     """The joint solution set packaged as a subgroup of Z^rank / rels."""
     span = _joint_solution_span(rank, conds)
     if span is None:
         return _OrbitFixed(PresentedAb(rank, rels), [])
-    rel_cols = SparseMatrix.from_cols(rels.columns(), rank).data
-    return SubQuotient(rank, span + rel_cols, rel_cols)
+    return SubQuotient(rank, span + rels.data, rels.data)
 
 
 def _restricted(dst: Carved, cols: SparseMatrix,
@@ -244,8 +246,7 @@ class LevelComplex:
         span = _joint_solution_span(rank, self._face_conditions(top))
         if span is None:
             span = SparseMatrix.identity(rank).data
-        rels = SparseMatrix.from_cols(self.fixed[top].pres.relations.columns(), rank)
-        self.top_span = SparseMatrix(rank, span + rels.data)
+        self.top_span = SparseMatrix(rank, span + self.fixed[top].pres.relations.data)
 
         self.check = check
         norm = []
@@ -275,7 +276,7 @@ class LevelComplex:
     def face(self, n: int, i: int) -> SparseMatrix:
         return self.s.expanded_face(n, i, self.budget)
 
-    def _face_conditions(self, n: int) -> list[tuple[SparseMatrix, IntMatrix]]:
+    def _face_conditions(self, n: int) -> list[tuple[SparseMatrix, SparseMatrix]]:
         """Faces 1..n on the fixed coordinates of level n, each to vanish
         modulo the relations of level n - 1."""
         return [(self.face(n, i) @ self.fixed[n].lift, self._rels[n - 1])
@@ -346,10 +347,9 @@ def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGro
     gens = _generating_subset(g, subt)
     sq = [_fixed_level(s, n, gens, budget) for n in (0, 1)]
     diff = s.expanded_face(1, 0, budget) - s.expanded_face(1, 1, budget)
-    restricted = _restricted(sq[0], diff @ sq[1].lift).to_dense()
     rels = sq[0].pres.relations
-    rels = rels.hstack(restricted) if rels.cols else restricted
-    return PresentedAb(sq[0].pres.ngens, rels).canonical()
+    rels = SparseMatrix(rels.rows, rels.data + _restricted(sq[0], diff @ sq[1].lift).data)
+    return PresentedAb(rels.rows, rels).canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactalg import FgAbelianGroup, IntMatrix, PresentedAb, kernel_basis
+from .exactalg import FgAbelianGroup, PresentedAb, SparseMatrix, invariant_factors
 from .fingroup import (FiniteGroup, make_cyclic, make_dihedral,
                        make_symmetric, symmetric_one_line)
 
@@ -467,13 +467,12 @@ def underlying_graph_homology(x: FinSimpGSet) -> tuple[FgAbelianGroup,
         idx0 = g.coset_index(x.cells[c0].isotropy)
         idx1 = g.coset_index(x.cells[c1].isotropy)
         for w in g.transversal(c.isotropy):
-            col = [0] * len(verts)
-            col[vpos[(c0, idx0[g.mul(w, u0)])]] += 1
-            col[vpos[(c1, idx1[g.mul(w, u1)])]] -= 1
-            cols.append(col)
-    boundary = IntMatrix.from_cols(cols, nrows=len(verts))
+            a = vpos[(c0, idx0[g.mul(w, u0)])]
+            b = vpos[(c1, idx1[g.mul(w, u1)])]
+            cols.append([] if a == b else sorted([(a, 1), (b, -1)]))
+    boundary = SparseMatrix(len(verts), cols)
     h0 = PresentedAb(len(verts), boundary).canonical()
-    h1 = FgAbelianGroup(kernel_basis(boundary).cols, ())
+    h1 = FgAbelianGroup(len(cols) - len(invariant_factors(boundary)), ())
     return h0, h1
 
 

@@ -24,7 +24,7 @@ import os
 from typing import Optional
 
 from .coeffs import Coefficient, gaussian, load_bundled, load_file, quaternions
-from .exactalg import IntMatrix, SizeBudgetExceeded
+from .exactalg import IntMatrix, SizeBudgetExceeded, SparseMatrix
 from .fingroup import (
     FiniteGroup,
     direct_product,
@@ -731,7 +731,7 @@ def _upper_triangular_mod2() -> tuple[PresentedRing, tuple[IntMatrix, bool]]:
     anti-involution; the smallest noncommutative test ring after the
     quaternions."""
     n = 3
-    rel = IntMatrix.from_cols([[2, 0, 0], [0, 2, 0], [0, 0, 2]], n)
+    rel = SparseMatrix(n, [[(i, 2)] for i in range(n)])
     mult = [[[0] * n for _ in range(n)] for _ in range(n)]
     mult[0][0][0] = 1
     mult[0][1][1] = 1

@@ -9,7 +9,7 @@ from itertools import product
 
 from equiloday.exactalg import (ChainComplex, IntMatrix, PresentedAb,
                                 SparseMatrix, SubQuotient, _SparseWork,
-                                kernel_basis)
+                                kernel_basis, solve)
 from equiloday import gring
 from equiloday.gring import PresentedRing
 
@@ -122,6 +122,14 @@ def cyclic_bar_face_matrix(ring: PresentedRing, n: int, i: int) -> IntMatrix:
     return IntMatrix.from_cols(cols, rank ** n)
 
 
+def _sparse(m: IntMatrix) -> SparseMatrix:
+    return SparseMatrix.from_cols(m.columns(), m.rows)
+
+
+def _hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix(a.rows, a.cols + b.cols, [r + s for r, s in zip(a.data, b.data)])
+
+
 def _spread_relations(ring: PresentedRing, nslots: int) -> IntMatrix:
     """Additive relations of a tensor power: each ring relation in each slot,
     against every basis combination in the remaining slots."""
@@ -131,7 +139,7 @@ def _spread_relations(ring: PresentedRing, nslots: int) -> IntMatrix:
     for pos in range(nslots):
         outer = rank ** pos
         inner = rank ** (nslots - pos - 1)
-        for rc in ring.ab.relations.columns():
+        for rc in ring.ab.relations.to_dense().columns():
             for o in range(outer):
                 for i in range(inner):
                     col = [0] * total
@@ -145,7 +153,7 @@ def _spread_relations(ring: PresentedRing, nslots: int) -> IntMatrix:
 def cyclic_bar_homology(ring: PresentedRing, max_k: int) -> list:
     """Hochschild homology of the ring in degrees 0..max_k, canonical form."""
     rank = ring.ngens
-    levels = [PresentedAb(rank ** (n + 1), _spread_relations(ring, n + 1))
+    levels = [PresentedAb(rank ** (n + 1), _sparse(_spread_relations(ring, n + 1)))
               for n in range(max_k + 2)]
     bounds = []
     for n in range(1, max_k + 2):
@@ -154,7 +162,7 @@ def cyclic_bar_homology(ring: PresentedRing, max_k: int) -> list:
             m = cyclic_bar_face_matrix(ring, n, i)
             signed = m if i % 2 == 0 else -m
             total = signed if total is None else total + signed
-        bounds.append(SparseMatrix.from_cols(total.columns(), total.rows))
+        bounds.append(_sparse(total))
     cx = ChainComplex(levels, bounds)
     return [cx.homology(k) for k in range(max_k + 1)]
 
@@ -197,7 +205,7 @@ def sd_face_column(ring: PresentedRing, r: int, k: int, i: int,
 
 def coequalizer_h0(d0: IntMatrix, d1: IntMatrix):
     """Cokernel of d0 - d1 in canonical form."""
-    return PresentedAb(d0.rows, d0 + (-d1)).canonical()
+    return PresentedAb(d0.rows, _sparse(d0 + (-d1))).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +372,22 @@ def reduce_matrix(ring: PresentedRing, m: IntMatrix) -> tuple:
     return tuple(ring.ab.reduce(m.column(j)) for j in range(m.cols))
 
 
+def reference_twist_inverse(ring: PresentedRing, m: IntMatrix):
+    """Inverse of a twist modulo relations, one dense ``solve`` per unit
+    vector on ``[m | relations]``, as ``TwistTable.inverse`` did before it
+    kept one Smith form for all of them; None if there is none."""
+    n = ring.ngens
+    rels = ring.ab.relations.to_dense()
+    stacked = _hstack(m, rels)
+    cols = []
+    for i in range(n):
+        sol = solve(stacked, [int(k == i) for k in range(n)])
+        if sol is None:
+            return None
+        cols.append(sol[:n])
+    return IntMatrix.from_cols(cols, n)
+
+
 def reference_compose(outer: tuple, inner: tuple) -> tuple:
     """Matrix targets of ``outer`` after ``inner``."""
     new_targets = []
@@ -499,11 +523,11 @@ def dense_homology_data(levels, boundaries, k):
         cycles = SparseMatrix.identity(nk).data
     else:
         d = boundaries[k - 1]
-        rel_prev = levels[k - 1].relations
-        stacked = d.hstack(-rel_prev) if rel_prev.cols else d
+        rel_prev = levels[k - 1].relations.to_dense()
+        stacked = _hstack(d, -rel_prev)
         ker = kernel_basis(stacked)
         cycles = SparseMatrix.from_cols([c[:nk] for c in ker.columns()], nk).data
-    sub = levels[k].relations.columns()
+    sub = levels[k].relations.to_dense().columns()
     if k < len(levels) - 1:
         sub += boundaries[k].columns()
     sub = SparseMatrix.from_cols(sub, nk).data

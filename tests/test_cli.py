@@ -78,6 +78,24 @@ def test_ring_info_missing_file(capsys):
     assert "neither bundled" in err
 
 
+@pytest.mark.parametrize("relations", [[[4, 7]], [[]]], ids=["too-long", "too-short"])
+@pytest.mark.parametrize("command", [("ring", "info"),
+                                     ("loday", "run", "--kind", "polygon", "--m", "1",
+                                      "--max-degree", "0", "--coeff")],
+                         ids=["ring-info", "loday-run"])
+def test_relation_column_of_the_wrong_length(tmp_path, capsys, relations, command):
+    # Z/4 on one generator: a relation column has exactly one entry
+    code, out, _ = run(capsys, "ring", "info", "zmod4")
+    obj = json.loads(out)
+    obj["relations"] = relations
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "bad coefficient file" in err and "relation column" in err
+
+
 # ---------------------------------------------------------------------------
 # space
 

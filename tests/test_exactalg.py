@@ -162,8 +162,9 @@ def _layout(w):
 def test_snf_engine_picks_the_reference_pivots(M):
     # same pivots means the same A, U, VT and rank, down to iteration order
     for want_u, want_v in itertools.product((False, True), repeat=2):
-        got = _snf_engine(_SparseWork.from_dense(M), want_u, want_v)
-        ref = reference_snf_engine(_SparseWork.from_dense(M), want_u, want_v)
+        got = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols), want_u, want_v)
+        ref = reference_snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols),
+                                   want_u, want_v)
         assert [_layout(w) for w in got[:3]] == [_layout(w) for w in ref[:3]]
         assert got[3] == ref[3]
 
@@ -333,22 +334,25 @@ def test_lattice_reduce_is_canonical():
     for _ in range(40):
         n = rng.randint(1, 4)
         gens = rand_matrix(rng, n, rng.randint(0, 4), -6, 6)
-        lat = Lattice(gens)
+        lat = Lattice(sparse(gens))
         v = [rng.randint(-20, 20) for _ in range(n)]
         shift = gens.apply([rng.randint(-3, 3) for _ in range(gens.cols)])
         w = [a + b for a, b in zip(v, shift)]
         assert lat.reduce(v) == lat.reduce(w)
-        assert lat.member([a - b for a, b in zip(v, w)])
+        assert lat.member(pairs([a - b for a, b in zip(v, w)]))
         red = lat.reduce(v)
-        assert lat.member([a - b for a, b in zip(v, red)])
+        assert lat.member(pairs([a - b for a, b in zip(v, red)]))
+        # membership of a sparse column agrees with dense reduction
+        assert lat.member(pairs(v)) == (not any(red))
+        assert lat.member(pairs(shift))
 
 
 def test_lattice_membership():
-    lat = Lattice(IntMatrix.from_cols([[2, 0], [0, 3]], 2))
-    assert lat.member([4, -3])
-    assert not lat.member([1, 0])
-    assert not lat.member([0, 1])
-    assert lat.member([0, 0])
+    lat = Lattice(SparseMatrix(2, [[(0, 2)], [(1, 3)]]))
+    assert lat.member([(0, 4), (1, -3)])
+    assert not lat.member([(0, 1)])
+    assert not lat.member([(1, 1)])
+    assert lat.member([])
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +361,15 @@ def test_lattice_membership():
 
 def test_canonical_forms():
     assert PresentedAb(3).canonical() == FgAbelianGroup(3)
-    g = PresentedAb(2, IntMatrix.from_cols([[2, 0], [0, 0]], 2))
+    g = PresentedAb(2, sparse(IntMatrix.from_cols([[2, 0], [0, 0]], 2)))
     assert g.canonical() == FgAbelianGroup(1, (2,))
     assert str(g.canonical()) == "Z + Z/2"
-    g2 = PresentedAb(2, IntMatrix.from_cols([[2, 0], [0, 3]], 2))
+    g2 = PresentedAb(2, sparse(IntMatrix.from_cols([[2, 0], [0, 3]], 2)))
     assert g2.canonical() == FgAbelianGroup(0, (6,))
     assert str(FgAbelianGroup(0)) == "0"
+    # relations are sparse: a dense matrix is refused, not misread
+    with pytest.raises(TypeError):
+        PresentedAb(1, IntMatrix.from_rows([[4]]))
 
 
 def test_fg_group_rejects_bad_torsion():
@@ -373,8 +380,8 @@ def test_fg_group_rejects_bad_torsion():
 
 
 def test_tensor_oracle():
-    z4 = PresentedAb(1, IntMatrix.from_rows([[4]]))
-    z6 = PresentedAb(1, IntMatrix.from_rows([[6]]))
+    z4 = PresentedAb(1, sparse([[4]]))
+    z6 = PresentedAb(1, sparse([[6]]))
     assert tensor(z4, z6).canonical() == FgAbelianGroup(0, (2,))
     z = PresentedAb(1)
     assert tensor(z, z4).canonical() == FgAbelianGroup(0, (4,))
@@ -382,8 +389,8 @@ def test_tensor_oracle():
 
 
 def test_hom_well_defined_and_equality():
-    z4 = PresentedAb(1, IntMatrix.from_rows([[4]]))
-    z2 = PresentedAb(1, IntMatrix.from_rows([[2]]))
+    z4 = PresentedAb(1, sparse([[4]]))
+    z2 = PresentedAb(1, sparse([[2]]))
     f = AbHom(z4, z2, IntMatrix.from_rows([[1]]))
     g = AbHom(z4, z2, IntMatrix.from_rows([[3]]))
     assert f == g  # differ by 2, which dies in Z/2
@@ -396,11 +403,11 @@ def test_hom_is_isomorphism():
     z = PresentedAb(1)
     assert AbHom(z, z, IntMatrix.from_rows([[-1]])).is_isomorphism()
     assert not AbHom(z, z, IntMatrix.from_rows([[2]])).is_isomorphism()
-    z6 = PresentedAb(1, IntMatrix.from_rows([[6]]))
+    z6 = PresentedAb(1, sparse([[6]]))
     assert AbHom(z6, z6, IntMatrix.from_rows([[5]])).is_isomorphism()
     assert not AbHom(z6, z6, IntMatrix.from_rows([[2]])).is_isomorphism()
     # Z/2 + Z/3 = Z/6 through (1, 1)
-    mixed = PresentedAb(2, IntMatrix.from_cols([[2, 0], [0, 3]], 2))
+    mixed = PresentedAb(2, sparse(IntMatrix.from_cols([[2, 0], [0, 3]], 2)))
     f = AbHom(mixed, z6, IntMatrix.from_rows([[3, 4]]))
     assert f.is_isomorphism()
 
@@ -436,8 +443,8 @@ def test_homology_rp2():
 
 def test_homology_with_presented_levels():
     # Z/4 --2--> Z/4: kernel and image are both 2Z/4
-    z4a = PresentedAb(1, IntMatrix.from_rows([[4]]))
-    z4b = PresentedAb(1, IntMatrix.from_rows([[4]]))
+    z4a = PresentedAb(1, sparse([[4]]))
+    z4b = PresentedAb(1, sparse([[4]]))
     cx = ChainComplex([z4a, z4b], [sparse([[2]])])
     assert cx.homology(0) == FgAbelianGroup(0, (2,))
     assert cx.homology(1) == FgAbelianGroup(0, (2,))
@@ -453,7 +460,7 @@ def test_boundary_square_validation():
 
 def test_boundary_square_vanishing_modulo_relations():
     # twice 1 is zero in Z/2, not in Z
-    z2 = [PresentedAb(1, IntMatrix.from_rows([[2]])) for _ in range(3)]
+    z2 = [PresentedAb(1, sparse([[2]])) for _ in range(3)]
     ChainComplex(z2, [sparse([[1]]), sparse([[2]])])
     with pytest.raises(ValueError, match="composite at degree 2 is nonzero"):
         ChainComplex([PresentedAb(1)] * 3, [sparse([[1]]), sparse([[2]])])
@@ -479,8 +486,7 @@ def chain_complex(draw):
     if t is not None:
         d1 = d1 + IntMatrix(c, b, [[t * v for v in r] for r in mat(c, b).data])
     levels = [PresentedAb(n) if t is None
-              else PresentedAb(n, IntMatrix(n, n, [[t * (i == j) for j in range(n)]
-                                                   for i in range(n)]))
+              else PresentedAb(n, SparseMatrix(n, [[(i, t)] for i in range(n)]))
               for n in (c, b, a)]
     return levels, [d1, d2]
 

@@ -12,7 +12,7 @@ from equiloday.coeffs import (
     load_bundled,
     quaternions,
 )
-from equiloday.exactalg import IntMatrix, SizeBudgetExceeded
+from equiloday.exactalg import FgAbelianGroup, IntMatrix, SizeBudgetExceeded
 from equiloday.fingroup import (
     make_cyclic,
     make_dihedral,
@@ -48,6 +48,7 @@ from equiloday.gring import (
     tensor_induce,
     tensor_of_actions,
 )
+from oracles import _spread_relations
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +212,19 @@ def test_dense_budget_guard():
     tr = group_power_ring(s3, z3)
     with pytest.raises(SizeBudgetExceeded):
         StructuredHom.identity(tr).dense(budget=500)
+
+
+def test_dense_group_is_built_once_and_still_budgeted():
+    ring = load_bundled("group_ring_c2_mod2").ring
+    tr = TensorRing(ring, range(3))
+    group = tr.dense_group()
+    assert tr.dense_group() is group and tr.dense_group(budget=8) is group
+    # a cached group still answers to each call's budget
+    with pytest.raises(SizeBudgetExceeded):
+        tr.dense_group(budget=7)
+    # the sparse relations, built directly, against the dense oracle
+    assert group.relations.to_dense() == _spread_relations(ring, 3)
+    assert group.canonical() == FgAbelianGroup(0, (2,) * 8)
 
 
 def test_inverse_of_relabeling(gauss_rwa):

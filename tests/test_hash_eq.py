@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equiloday.coeffs import gaussian, load_bundled
-from equiloday.exactalg import IntMatrix
+from equiloday.exactalg import IntMatrix, SparseMatrix
 from equiloday.gring import TensorRing
 from equiloday.simpgset import EqMap, build_polygon
 
@@ -53,7 +53,12 @@ def test_eqmap_hash_follows_eq(polygon_level, data):
 
 
 def test_intmatrix_is_unhashable():
-    # mutable: it must not sit in sets or dict keys
-    with pytest.raises(TypeError):
-        hash(IntMatrix.identity(2))
+    # mutable, and compared by value: neither matrix type may sit in sets
+    # or dict keys
+    for matrix in (IntMatrix.identity(2), SparseMatrix.identity(2)):
+        with pytest.raises(TypeError):
+            hash(matrix)
+    assert SparseMatrix.identity(2) == SparseMatrix(2, [[(0, 1)], [(1, 1)]])
+    assert SparseMatrix.identity(2) != SparseMatrix(2, [[(0, 1)], [(1, -1)]])
+    assert SparseMatrix(2, []) != SparseMatrix(3, [])
 

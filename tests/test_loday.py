@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from equiloday.coeffs import gaussian, integers, load_bundled, quaternions
-from equiloday.exactalg import IntMatrix
+from equiloday.exactalg import IntMatrix, SparseMatrix
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.gring import (IDENTITY_TWIST, GTensorRing, NormRing,
                              PresentedRing, RingWithAction, StructuredHom,
@@ -327,7 +327,7 @@ def test_real_hochschild_rejects_involutionless():
 def upper_triangular_mod2():
     """2x2 upper-triangular matrices over Z/2: e00, e01, e11."""
     n = 3
-    rel = IntMatrix.from_cols([[2, 0, 0], [0, 2, 0], [0, 0, 2]], n)
+    rel = SparseMatrix(n, [[(i, 2)] for i in range(n)])
     e = [[0] * n for _ in range(n)]
     mult = [[list(r) for r in e] for _ in range(n)]
 

@@ -155,7 +155,7 @@ def _dense_conditions(rank, conds) -> IntMatrix:
         for j, col in enumerate(a.data):
             for i, v in col:
                 block[i][j] = v
-        for i, row in enumerate(b.data):
+        for i, row in enumerate(b.to_dense().data):
             block[i][pad:pad + b.cols] = [-v for v in row]
         rows += block
         pad += b.cols
@@ -167,7 +167,8 @@ def _assert_same_work(rank, conds):
     # which fixes the order of the engine's row operations
     width = rank + sum(b.cols for _, b in conds)
     sparse = _SparseWork.from_rows(_condition_rows(rank, conds), width)
-    dense = _SparseWork.from_dense(_dense_conditions(rank, conds))
+    m = _dense_conditions(rank, conds)
+    dense = _SparseWork.from_rows(m.sparse_rows(), m.cols)
     assert (sparse.m, sparse.n) == (dense.m, dense.n)
     assert ([(i, list(r.items())) for i, r in sparse.row.items()]
             == [(i, list(r.items())) for i, r in dense.row.items()])
@@ -182,7 +183,7 @@ def _conditions(draw):
     for _ in range(draw(st.integers(1, 3))):
         rows, nrel = draw(st.integers(1, 4)), draw(st.integers(0, 3))
         conds.append((_sparse(draw(_matrix(rows, rank))),
-                      draw(_matrix(rows, nrel))))
+                      _sparse(draw(_matrix(rows, nrel)))))
     return rank, conds
 
 

@@ -9,6 +9,7 @@ forms do, and a corrupted action must be rejected by the generator-only
 check exactly when the every-pair check rejects it.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiloday.coeffs import (coordinate_permutation_action, gaussian,
@@ -23,7 +24,8 @@ from equiloday.gring import (IDENTITY_TWIST, GTensorRing, NormRing,
                              flip_power, reset_commutativity_uses)
 from oracles import (full_grouphom_check, full_gtensor_check,
                      full_ring_action_check, matrix_targets,
-                     reference_compose, reference_eq, reference_sparse)
+                     reference_compose, reference_eq, reference_sparse,
+                     reference_twist_inverse)
 
 COEFFS = {"gaussian": gaussian(), "quaternion": quaternions(),
           "zmod4": load_bundled("zmod4")}
@@ -124,6 +126,25 @@ def test_equality_matches_matrix_reference(data):
     assert (got, got_uses) == (want, commutativity_uses())
     ref = reference_sparse(ring, matrix_targets(f), src.nslots, dst.nslots)
     assert f.sparse().data == ref.data
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["zmod4", "group_ring_c2_mod2"]), st.data())
+def test_inverse_matches_per_column_solve(name, data):
+    # one Smith form for all unit vectors gives the exact matrix the
+    # per-column solves gave, and the same verdict on singular twists
+    ring = load_bundled(name).ring
+    n = ring.ngens
+    m = IntMatrix(n, n, [[data.draw(st.integers(-5, 5)) for _ in range(n)]
+                         for _ in range(n)])
+    tw = ring.twists
+    t = tw.intern(m)
+    want = reference_twist_inverse(ring, m)
+    if want is None:
+        with pytest.raises(ValueError, match="not invertible"):
+            tw.inverse(t)
+    else:
+        assert tw.matrices[tw.inverse(t)] == want
 
 
 def test_products_are_interned_exactly():
