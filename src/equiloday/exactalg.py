@@ -35,7 +35,7 @@ True
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -276,6 +276,11 @@ def bareiss_det(M: IntMatrix) -> int:
 # slot, clear its row and column by exact division steps, and absorb any
 # remaining entry the pivot does not divide.  That local divisibility sweep
 # makes the diagonal a divisibility chain with no separate pass.
+#
+# Only A, the matrix being reduced, keeps a column index (``colidx``): the
+# engine walks column t through it, and ``add_col``/``swap_cols`` find their
+# rows there.  U and VT change a row at a time and are ``_Rows``, without
+# one; ``SmithSolver`` indexes the columns of U once, after the engine.
 
 
 class _SparseWork:
@@ -308,6 +313,7 @@ class _SparseWork:
 
     @staticmethod
     def eye(n: int) -> "_SparseWork":
+        # U and VT as the reference engine in the tests keeps them
         w = _SparseWork(n, n)
         for i in range(n):
             w.row[i] = {i: 1}
@@ -408,35 +414,77 @@ class _SparseWork:
         return IntMatrix(self.m, self.n, out)
 
 
+class _Rows:
+    """U or VT of the engine, rows only: the identity at the start, then
+    only unimodular row operations, so no row ever empties, the keys of
+    ``row`` stay 0, 1, 2, ... and a row swap swaps two pointers."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, n: int):
+        self.row = {i: {i: 1} for i in range(n)}
+
+    def swap_rows(self, a: int, b: int):
+        r = self.row
+        r[a], r[b] = r[b], r[a]
+
+    def add_row(self, src: int, dst: int, mult: int):
+        # row[dst] += mult * row[src], mult nonzero
+        rd = self.row[dst]
+        for j, v in self.row[src].items():
+            nv = rd.get(j, 0) + mult * v
+            if nv:
+                rd[j] = nv
+            else:
+                del rd[j]
+
+    def negate_row(self, i: int):
+        r = self.row[i]
+        for j in r:
+            r[j] = -r[j]
+
+    def to_dense(self) -> IntMatrix:
+        n = len(self.row)
+        return IntMatrix(n, n, [[r.get(j, 0) for j in range(n)] for r in self.row.values()])
+
+
 def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
     """Reduce A in place to Smith form; return ``(A, U, VT, rank)``.
 
+    A keeps its column index (see above); U and VT, the rows of VT being
+    the columns of V, are ``_Rows``, or None when not wanted.
+
     Pivot rule: the remaining entry (row and column >= t) of smallest
     absolute value, ties going to the first in row-major order.  It is found
-    as the smallest ``(|v|, column)`` of each remaining row, rows visited in
-    increasing order, stopping at the first row that holds a unit (no entry
-    can beat it).  Every carved basis and ``--emit-complex`` byte depends on
+    as the smallest ``(|v|, column)`` of rows t, t + 1, ... in turn (no row
+    past t holds anything left of column t), stopping at the first row that
+    holds a unit.  Every carved basis and ``--emit-complex`` byte depends on
     this exact pivot sequence.
 
-    The divisibility sweep, which pulls up a row the pivot does not divide,
-    is skipped at a unit pivot: ``v % 1`` and ``v % -1`` are always zero, so
-    it could find no offender.
+    At a unit pivot p each quotient ``v // p`` is exactly ``v * p``, so the
+    general loop would clear column t in one pass with nothing to promote,
+    then clear row t by ``add_col`` steps that touch row t alone (column t
+    is clear but for (t, t)) and zero its entries, and its divisibility
+    sweep would find nothing (``v % p == 0``).  The unit branch does those
+    same row operations on A and U and column operations on VT, and deletes
+    row t's other entries from A as those ``add_col`` steps would.
     """
     m, n = A.m, A.n
-    U = _SparseWork.eye(m) if want_u else None
-    VT = _SparseWork.eye(n) if want_v else None  # rows of VT are columns of V
+    U = _Rows(m) if want_u else None
+    VT = _Rows(n) if want_v else None
+    rows, colidx = A.row, A.colidx
     t = 0
     limit = min(m, n)
     while t < limit:
         best = None
-        keys = sorted(A.row)
-        for i in keys[bisect_left(keys, t):]:
-            cand = min(((abs(v), j) for j, v in A.row[i].items() if j >= t),
-                       default=None)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = (cand[0], i, cand[1])
-                if cand[0] == 1:
-                    break
+        for i in range(t, m):
+            r = rows.get(i)
+            if r:
+                a, j = min(zip(map(abs, r.values()), r))
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        break
         if best is None:
             break
         _, pi, pj = best
@@ -447,63 +495,82 @@ def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
         if VT is not None:
             VT.swap_rows(t, pj)
 
-        while True:
-            # clear column t
-            changed = True
-            while changed:
-                changed = False
+        pivot = rows[t][t]
+        if pivot == 1 or pivot == -1:
+            # clear column t, then row t, in one pass each
+            for i in list(colidx[t]):
+                if i > t:
+                    q = rows[i][t] * pivot
+                    A.add_row(t, i, -q)
+                    if U is not None:
+                        U.add_row(t, i, -q)
+            rt = rows[t]
+            for j in [j for j in rt if j != t]:
+                if VT is not None:
+                    VT.add_row(t, j, -rt[j] * pivot)
+                del rt[j]
+                s = colidx[j]
+                s.discard(t)
+                if not s:
+                    del colidx[j]
+        else:
+            while True:
+                # clear column t
+                changed = True
+                while changed:
+                    changed = False
+                    pivot = A.get(t, t)
+                    for i in list(A.colidx.get(t, ())):
+                        if i == t or i < t:
+                            continue
+                        q = A.row[i][t] // pivot
+                        if q:
+                            A.add_row(t, i, -q)
+                            if U is not None:
+                                U.add_row(t, i, -q)
+                        if A.get(i, t):
+                            # remainder smaller than pivot: promote it
+                            A.swap_rows(t, i)
+                            if U is not None:
+                                U.swap_rows(t, i)
+                            changed = True
+                            break
+                # clear row t
                 pivot = A.get(t, t)
-                for i in list(A.colidx.get(t, ())):
-                    if i == t or i < t:
+                dirty = False
+                for j in sorted(A.row.get(t, {})):
+                    if j <= t:
                         continue
-                    q = A.row[i][t] // pivot
+                    q = A.row[t][j] // pivot
                     if q:
-                        A.add_row(t, i, -q)
-                        if U is not None:
-                            U.add_row(t, i, -q)
-                    if A.get(i, t):
-                        # remainder smaller than pivot: promote it
-                        A.swap_rows(t, i)
-                        if U is not None:
-                            U.swap_rows(t, i)
-                        changed = True
+                        A.add_col(t, j, -q)
+                        if VT is not None:
+                            VT.add_row(t, j, -q)
+                    if A.get(t, j):
+                        A.swap_cols(t, j)
+                        if VT is not None:
+                            VT.swap_rows(t, j)
+                        dirty = True
                         break
-            # clear row t
-            pivot = A.get(t, t)
-            dirty = False
-            for j in sorted(A.row.get(t, {})):
-                if j <= t:
+                if dirty:
                     continue
-                q = A.row[t][j] // pivot
-                if q:
-                    A.add_col(t, j, -q)
-                    if VT is not None:
-                        VT.add_row(t, j, -q)
-                if A.get(t, j):
-                    A.swap_cols(t, j)
-                    if VT is not None:
-                        VT.swap_rows(t, j)
-                    dirty = True
+                # column may have been dirtied by col ops? col ops only touch
+                # rows that had entries in col t or j; row t alone here.
+                if any(i > t for i in A.colidx.get(t, ())):
+                    continue
+                # divisibility sweep: pivot must divide the remaining submatrix
+                pivot = A.get(t, t)
+                if pivot in (1, -1):
                     break
-            if dirty:
-                continue
-            # column may have been dirtied by col ops? col ops only touch
-            # rows that had entries in col t or j; row t alone here.
-            if any(i > t for i in A.colidx.get(t, ())):
-                continue
-            # divisibility sweep: pivot must divide the remaining submatrix
-            pivot = A.get(t, t)
-            if pivot in (1, -1):
-                break
-            keys = sorted(A.row)
-            offender = next((i for i in keys[bisect_right(keys, t):]
-                             if any(v % pivot for j, v in A.row[i].items() if j > t)),
-                            None)
-            if offender is None:
-                break
-            A.add_row(offender, t, 1)
-            if U is not None:
-                U.add_row(offender, t, 1)
+                keys = sorted(A.row)
+                offender = next((i for i in keys[bisect_right(keys, t):]
+                                 if any(v % pivot for j, v in A.row[i].items() if j > t)),
+                                None)
+                if offender is None:
+                    break
+                A.add_row(offender, t, 1)
+                if U is not None:
+                    U.add_row(offender, t, 1)
         if A.get(t, t) < 0:
             A.negate_row(t)
             if U is not None:
@@ -538,7 +605,7 @@ def kernel_columns(rows: list[dict[int, int]], n: int,
     matrix with ``n`` columns and sparse rows ``rows`` (as ``from_rows``
     takes them, and consumes them), as ``SparseMatrix`` columns."""
     _, _, VT, rank = _snf_engine(_SparseWork.from_rows(rows, n), False, True)
-    return [sorted((i, v) for i, v in VT.row.get(j, {}).items() if i < keep)
+    return [sorted((i, v) for i, v in VT.row[j].items() if i < keep)
             for j in range(rank, n)]
 
 
@@ -572,24 +639,36 @@ class SmithSolver:
     the matching diagonal entry; then ``x = V y`` with ``y = D^-1 U b``.
     ``M`` is an ``IntMatrix`` or a ``SparseMatrix``.  Sparse columns in,
     sparse columns out.  ``VT`` is None when ``y`` itself is the answer.
+
+    ``U b`` is read through the nonzeros of ``b`` (mostly zeros on the
+    levels this package carves; U is not), from ``ucols``, the columns of U
+    as ``(row, value)`` lists, built once.  U is unimodular, so every row of
+    M has its column there, and a row of ``b`` without one is out of range:
+    ``ValueError``, not a zero.
     """
 
-    __slots__ = ("A", "U", "VT", "rank", "cols")
+    __slots__ = ("A", "U", "VT", "rank", "cols", "ucols")
 
     def __init__(self, M: "IntMatrix | SparseMatrix"):
         self.A, self.U, self.VT, self.rank = _snf_engine(
             _SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
         self.cols = M.cols
+        ucols: dict[int, list[tuple[int, int]]] = {}
+        for i, r in self.U.row.items():
+            for j, v in r.items():
+                ucols.setdefault(j, []).append((i, v))
+        self.ucols = ucols
 
     def __call__(self, b: Iterable[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
-        """One solution of ``M x = b``, or None."""
-        # U b through the nonzeros of b: b is mostly zeros on the levels
-        # this package carves, U is not
-        U, VT = self.U, self.VT
+        """One solution of ``M x = b``, or None; ``b`` is a sparse column."""
+        ucols, VT = self.ucols, self.VT
         ub: dict[int, int] = {}
         for j, bv in b:
-            for i in U.colidx.get(j, ()):
-                ub[i] = ub.get(i, 0) + U.row[i][j] * bv
+            col = ucols.get(j)
+            if col is None:
+                raise ValueError(f"right-hand side row {j} is out of range")
+            for i, u in col:
+                ub[i] = ub.get(i, 0) + u * bv
         x: dict[int, int] = {}
         for i, v in ub.items():
             if not v:
@@ -599,13 +678,15 @@ class SmithSolver:
             q, rem = divmod(v, self.A.get(i, i))
             if rem:
                 return None
-            for k, w in VT.row.get(i, {}).items() if VT is not None else ((i, 1),):
+            for k, w in VT.row[i].items() if VT is not None else ((i, 1),):
                 x[k] = x.get(k, 0) + q * w
         return sorted((k, v) for k, v in x.items() if v)
 
 
 def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
     """One integer solution of ``M x = b``, or None (dense ``b`` and ``x``)."""
+    if len(b) != M.rows:
+        raise ValueError("vector length mismatch")
     x = SmithSolver(M)([(j, v) for j, v in enumerate(b) if v])
     return None if x is None else SparseMatrix(M.cols, [x]).to_dense().column(0)
 
@@ -615,7 +696,7 @@ def column_space_basis(M: SparseMatrix) -> tuple[SparseMatrix, SmithSolver]:
     coordinates in it: with ``U M V = D`` the basis is the first ``rank``
     columns of ``M V = U^-1 D``, so ``b = basis @ y`` iff ``U b = D y``."""
     solver = SmithSolver(M)
-    basis = M @ SparseMatrix(M.cols, [sorted(solver.VT.row.get(j, {}).items())
+    basis = M @ SparseMatrix(M.cols, [sorted(solver.VT.row[j].items())
                                       for j in range(solver.rank)])
     solver.VT, solver.cols = None, solver.rank
     return basis, solver

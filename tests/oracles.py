@@ -319,6 +319,15 @@ def reference_snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
     return A, U, VT, t
 
 
+def engine_layout(A, U, VT, rank):
+    """What a Smith-form engine returns, in iteration order: A's rows and
+    column index, U's and VT's rows (None when not wanted) and the rank.
+    Only A carries a column index in ``exactalg._snf_engine``."""
+    def rows(w):
+        return None if w is None else [(i, list(r.items())) for i, r in w.row.items()]
+    return rows(A), [(j, list(s)) for j, s in A.colidx.items()], rows(U), rows(VT), rank
+
+
 # ---------------------------------------------------------------------------
 # the Smith-form solve as it was before it read right-hand sides sparsely
 

@@ -28,7 +28,8 @@ from equiloday.exactalg import (
     tensor,
 )
 from equiloday.exactalg import _SparseWork, _snf_engine
-from oracles import dense_homology_data, reference_smith_solve, reference_snf_engine
+from oracles import (dense_homology_data, engine_layout, reference_smith_solve,
+                     reference_snf_engine)
 
 
 def rand_matrix(rng, m, n, lo=-9, hi=9):
@@ -149,24 +150,38 @@ def engine_matrix(draw):
     return IntMatrix(m, n, rows)
 
 
-def _layout(w):
-    """Contents of a work matrix in iteration order, column index included."""
-    if w is None:
-        return None
-    return ([(i, list(r.items())) for i, r in w.row.items()],
-            [(j, list(rows)) for j, rows in w.colidx.items()])
+@st.composite
+def fill_in_matrix(draw):
+    """Sparse matrices up to 24 x 24, at most 4 nonzeros a row, mostly +-1
+    with some 2, 3 or -4, and some zero rows and columns: mostly unit
+    pivots, whose row operations fill in the rows below them."""
+    m, n = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    entry = st.sampled_from((1, -1) * 4 + (2, 3, -4))
+    rows = [[0] * n for _ in range(m)]
+    if n:
+        for r in rows:
+            for j, v in draw(st.dictionaries(st.integers(0, n - 1), entry,
+                                             max_size=4)).items():
+                r[j] = v
+    for i in draw(st.sets(st.integers(0, 23), max_size=3)):
+        if i < m:
+            rows[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, 23), max_size=3)):
+        if j < n:
+            for r in rows:
+                r[j] = 0
+    return IntMatrix(m, n, rows)
 
 
 @settings(max_examples=150, deadline=None)
-@given(engine_matrix())
+@given(st.one_of(engine_matrix(), fill_in_matrix()))
 def test_snf_engine_picks_the_reference_pivots(M):
     # same pivots means the same A, U, VT and rank, down to iteration order
     for want_u, want_v in itertools.product((False, True), repeat=2):
         got = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols), want_u, want_v)
         ref = reference_snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols),
                                    want_u, want_v)
-        assert [_layout(w) for w in got[:3]] == [_layout(w) for w in ref[:3]]
-        assert got[3] == ref[3]
+        assert engine_layout(*got) == engine_layout(*ref)
 
 
 @st.composite
@@ -241,7 +256,7 @@ def test_smith_solver_reused_matches_fresh_solve(M):
 
 
 @settings(max_examples=100, deadline=None)
-@given(matrix_strategy.flatmap(
+@given(st.one_of(matrix_strategy, fill_in_matrix()).flatmap(
     lambda M: st.tuples(st.just(M),
                         st.lists(st.integers(-4, 4), min_size=M.cols,
                                  max_size=M.cols),
@@ -271,6 +286,19 @@ def test_solve_no_solution():
     M = IntMatrix.from_rows([[2]])
     assert solve(M, [1]) is None
     assert solve(M, [6]) == [3]
+
+
+@pytest.mark.parametrize("b", [[1, 2, 5], [1], []])
+def test_solve_rejects_a_mis_sized_right_hand_side(b):
+    with pytest.raises(ValueError, match="length mismatch"):
+        solve(IntMatrix.identity(2), b)
+
+
+@pytest.mark.parametrize("b", [[(7, 3)], [(0, 1), (2, 1)], [(-1, 1)]])
+def test_smith_solver_rejects_rows_out_of_range(b):
+    for M in (IntMatrix.identity(2), IntMatrix.from_rows([[2, 0, 4], [0, 0, 0]])):
+        with pytest.raises(ValueError, match="out of range"):
+            SmithSolver(M)(b)
 
 
 def test_column_space_basis_spans():

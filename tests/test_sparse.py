@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiloday.coeffs import gaussian, load_bundled, quaternions
-from equiloday.exactalg import IntMatrix, SparseMatrix, _SparseWork, _condition_rows
+from equiloday.exactalg import (IntMatrix, SparseMatrix, _SparseWork, _condition_rows,
+                                _snf_engine)
 from equiloday.gring import StructuredHom
 from equiloday.homology import (_conditions_subquotient, _fixed_level,
                                 _generating_subset, _OrbitFixed, homology_table)
 from equiloday.loday import real_hochschild
+from oracles import engine_layout, reference_snf_engine
 
 # ---------------------------------------------------------------------------
 # the matrix type against IntMatrix
@@ -197,16 +199,23 @@ def test_condition_rows_match_dense_work_matrix(case):
                          ids=["gaussian", "group-ring-c2-mod2"])
 def test_pipeline_conditions_match_dense_work_matrix(coeff):
     # the face conditions the normalized carving imposes, on free levels
-    # and on levels with Z/2 relations
+    # (all pivots +-1) and on levels with Z/2 relations (a third of the
+    # pivots 2), up to the 192-row conditions on level 3 where the unit
+    # pivots fill in; both engines reduce them to the same A, U, VT and rank
     s = real_hochschild(1, coeff(), 3).loday_side
     for sub in s.group.all_subgroups():
         gens = _generating_subset(s.group, sub)
-        for n in (1, 2):
+        for n in (1, 2, 3):
             fx = _fixed_level(s, n, gens, 5000)
             rels = s.levels[n - 1].tensor.dense_group().relations
             conds = [(s.expanded_face(n, i) @ fx.lift, rels)
                      for i in range(1, n + 1)]
             _assert_same_work(fx.pres.ngens, conds)
+            width = fx.pres.ngens + sum(b.cols for _, b in conds)
+            got, ref = (engine(_SparseWork.from_rows(
+                _condition_rows(fx.pres.ngens, conds), width), True, True)
+                for engine in (_snf_engine, reference_snf_engine))
+            assert engine_layout(*got) == engine_layout(*ref)
 
 
 # ---------------------------------------------------------------------------
