@@ -4,7 +4,7 @@ Loday pipelines, and execute the named verification suites.
 Exit codes: 0 everything passed, 1 a verification/validation failure (with a
 serialized witness on stdout), 2 a usage error (bad flags, missing files,
 unknown names, suite parameters the suite rejects or never reads), 3 an
-internal error: a suite raised anything else, which is a bug rather than a
+internal error: a command raised anything else, which is a bug rather than a
 verdict (its traceback and a one-line summary go to stderr, nothing to
 stdout).  For fixed inputs and flags the bytes written to stdout are
 deterministic; ``bench`` keeps that promise by sending its wall-clock
@@ -525,12 +525,6 @@ def cmd_verify(args, out) -> int:
         report = run_suite(args.suite, params)
     except SuiteParameterError as e:
         raise UsageError(f"suite {args.suite!r} rejected its parameters: {e}")
-    except Exception as e:
-        import traceback  # only on this path: keeps it out of start-up time
-        traceback.print_exc()
-        print(f"internal error in suite {args.suite}: {type(e).__name__}: {e}",
-              file=sys.stderr)
-        return INTERNAL
     if args.format == "json":
         _emit_json(report, out)
     else:
@@ -701,6 +695,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE
     except BrokenPipeError:
         return OK
+    except Exception as e:
+        import traceback  # only on this path: keeps it out of start-up time
+        traceback.print_exc()
+        where = f"suite {args.suite}" if args.command == "verify" else args.command
+        print(f"internal error in {where}: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -558,7 +558,13 @@ def subgroup_as_group(g: FiniteGroup, elems: Sequence[int]) -> tuple[FiniteGroup
     pos = {x: i for i, x in enumerate(emb)}
     table = [[pos[g.table[a][b]] for b in emb] for a in emb]
     names = [g.names[x] for x in emb]
-    return FiniteGroup(table, names, label=f"{g.label}|sub{len(emb)}"), emb
+    # no re-validation needed: is_subgroup gives the identity and closure,
+    # and a finite closed set containing the identity has inverses (the
+    # powers of any element repeat, so some power is its inverse);
+    # associativity and cancellation are inherited from g; and the sorted
+    # emb keeps the identity, ambient index 0, at index 0
+    return FiniteGroup(table, names, label=f"{g.label}|sub{len(emb)}",
+                       check=False), emb
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

@@ -26,7 +26,11 @@ Sizes are guarded the same way as everywhere else: any level whose expanded
 rank would exceed the dense budget raises ``SizeBudgetExceeded``, which
 callers are expected to report as a skip rather than swallow.  Expanded face
 and action maps are column-sparse (``SparseMatrix``) and cached per
-simplicial ring, so every subgroup reuses them.  A carving is one of two
+simplicial ring, so every subgroup reuses them; across rings,
+``homology_tables`` builds one complex per distinct
+``SimplicialGRing.expansion_key``, so rings that are one simplicial module
+up to slot labels (the two sides of ``real_hochschild``) share a single
+expansion, carving and Smith form.  A carving is one of two
 kinds, each with a ``SparseMatrix`` lift: on free levels whose actions are
 signed permutations (and on whole levels) the fixed points are orbit sums
 (``_OrbitFixed``); elsewhere they are carved by Smith form
@@ -320,19 +324,38 @@ def feasible_degree(s, want: int, budget: int) -> int:
     return k
 
 
+def homology_tables(rings: Sequence, sub: Sequence[int], max_k: int,
+                    budget: int = DENSE_BUDGET) -> list[list[FgAbelianGroup]]:
+    """``homology_table`` of each ring, one complex per distinct module.
+
+    Rings with equal ``expansion_key`` up to level max_k + 1 expand to the
+    same faces, actions and levels, so they share one ``LevelComplex``;
+    only the first of them is ever expanded.
+    """
+    if max_k < 0:
+        raise ValueError("max_k must be nonnegative")
+    for s in rings:
+        if max_k > s.top() - 1:
+            raise ValueError(
+                f"degree {max_k} needs level {max_k + 1}, beyond truncation {s.top()}")
+    tables: dict[tuple, list[FgAbelianGroup]] = {}
+    out = []
+    for s in rings:
+        key = s.expansion_key(max_k + 1)
+        if key not in tables:
+            lc = LevelComplex(s, sub, max_level=max_k + 1, budget=budget)
+            tables[key] = [lc.homology(k) for k in range(max_k + 1)]
+        out.append(list(tables[key]))
+    return out
+
+
 def homology_table(s, sub: Sequence[int], max_k: int,
                    budget: int = DENSE_BUDGET) -> list[FgAbelianGroup]:
     """Fixed-point homology in degrees 0..max_k.
 
     Requires max_k + 1 levels, so max_k must stay below the truncation.
     """
-    if max_k < 0:
-        raise ValueError("max_k must be nonnegative")
-    if max_k > s.top() - 1:
-        raise ValueError(
-            f"degree {max_k} needs level {max_k + 1}, beyond truncation {s.top()}")
-    lc = LevelComplex(s, sub, max_level=max_k + 1, budget=budget)
-    return [lc.homology(k) for k in range(max_k + 1)]
+    return homology_tables([s], sub, max_k, budget)[0]
 
 
 def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGroup:

@@ -80,6 +80,25 @@ class SimplicialGRing:
             self._expanded[key] = hom.sparse(budget)
         return self._expanded[key]
 
+    def expansion_key(self, top: int) -> tuple:
+        """Everything a fixed-point complex reads through this ring up to
+        level ``top``, as one hashable value.
+
+        That is the group; per level the base ring, the slot count and the
+        targets of every action; and the targets of every face.  Slot
+        labels, ``tags``, ``label`` and degeneracies are left out on purpose.
+        Invariant: equal keys imply equal ``expanded_face``,
+        ``expanded_act`` and ``dense_group`` at every level up to ``top``.
+        Expansion reads only the base ring, the slot counts and the targets,
+        and equal ``PresentedRing`` values share one ``TwistTable``, so a
+        twist id names the same matrix in both rings.
+        """
+        levels = tuple((lv.tensor.base, lv.tensor.nslots,
+                        tuple(f.targets for f in lv.action))
+                       for lv in self.levels[:top + 1])
+        faces = tuple(tuple(f.targets for f in fs) for fs in self.faces[:top])
+        return self.group, levels, faces
+
     def level_rank(self, n: int) -> int:
         base = self.levels[n].tensor.base
         return base.ngens ** self.levels[n].tensor.nslots

@@ -62,7 +62,7 @@ from .gring import (
     tensor_induce,
     weyl_relabeling,
 )
-from .homology import feasible_degree, homology_table
+from .homology import feasible_degree, homology_tables
 from .loday import (
     esigma_check,
     loday_free,
@@ -684,8 +684,8 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
               "level ranks exceed the dense budget at degree 0")
         return
     for sub in subs:
-        tl = homology_table(rh.loday_side, sub, kmax, budget=budget)
-        tb = homology_table(rh.bar_side, sub, kmax, budget=budget)
+        tl, tb = homology_tables([rh.loday_side, rh.bar_side], sub, kmax,
+                                 budget=budget)
         got = [_shape(h) for h in tl]
         want = [_shape(h) for h in tb]
         _check(report,
@@ -706,12 +706,14 @@ def suite_realhh(params: Optional[dict] = None) -> dict:
     tables agree at every subgroup.
 
     Every ``rh.isos[n]`` is the identity relabeling (slot q to slot q,
-    twist 0), and the two sides expand to equal face and action matrices
-    (seen for gaussian, zmod4, z, group_ring_c2_mod2 and quaternion at the
-    m tried).  So "tables agree" reduces identical Smith-form inputs twice;
-    it guards the construction of the two sides, not the homology.
-    Independent evidence for the tables has to come from closed forms, such
-    as HH_*(A) for the H = e row.
+    twist 0), and the two sides are one simplicial module up to slot labels
+    (equal ``expansion_key``, seen for gaussian, zmod4, z,
+    group_ring_c2_mod2 and quaternion at m = 1, 2, 3).  ``homology_tables``
+    then builds one fixed-point complex for both, so "tables agree" guards
+    the construction of the two sides through that key equality, not the
+    homology; sides whose keys differ still get a complex each and a real
+    shape comparison.  Independent evidence for the tables has to come from
+    closed forms, such as HH_*(A) for the H = e row.
     """
     params = params or {}
     report = _new_report("realhh")
@@ -786,8 +788,7 @@ def suite_esigma(params: Optional[dict] = None) -> dict:
     group = rh.loday_side.group
     kmax = feasible_degree(rh.loday_side, 1, DENSE_BUDGET)
     for sub in [cls[0] for cls in group.subgroup_classes()]:
-        tl = homology_table(rh.loday_side, sub, kmax)
-        tb = homology_table(rh.bar_side, sub, kmax)
+        tl, tb = homology_tables([rh.loday_side, rh.bar_side], sub, kmax)
         _check(report,
                f"quaternion-pipeline-m{m}/H={list(sub)}/tables-agree",
                [_shape(h) for h in tl] == [_shape(h) for h in tb],

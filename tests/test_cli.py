@@ -328,6 +328,27 @@ def test_verify_internal_error_exits_three(capsys, monkeypatch):
                         "carving went wrong\n")
 
 
+@pytest.mark.parametrize("command,patched", [
+    ("loday", "homology_table"),
+    ("bench", "LevelComplex"),
+])
+def test_internal_error_outside_verify_exits_three(capsys, monkeypatch,
+                                                   command, patched):
+    # exit 1 means a verification failure; a crash in any command is exit 3
+    def broken(*args, **kwargs):
+        raise ValueError("carving went wrong")
+
+    monkeypatch.setattr(cli, patched, broken)
+    argv = ["loday", "run"] if command == "loday" else ["bench"]
+    code, out, err = run(capsys, *argv, "--kind", "polygon", "--m", "1",
+                         "--coeff", "zmod4")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert err.endswith(f"internal error in {command}: ValueError: "
+                        "carving went wrong\n")
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     def broken(params=None):
         return {"suite": "broken", "failures": 1, "skipped": 0,

@@ -239,3 +239,18 @@ def test_subgroup_classes_match_pairwise_conjugacy(g):
         else:
             brute.append([h])
     assert g.subgroup_classes() == brute
+
+
+def test_subgroup_tables_pass_full_validation(capsys):
+    # subgroup_as_group skips validation; its tables must still pass it
+    import json
+    from equiloday.cli import main, resolve_group
+    from equiloday.fingroup import subgroup_as_group
+    assert main(["group", "list"]) == 0
+    names = [row["name"] for row in json.loads(capsys.readouterr().out)]
+    for name in names:
+        g = resolve_group(name)
+        for sub in g.all_subgroups():
+            h, emb = subgroup_as_group(g, sub)
+            assert emb[0] == 0
+            FiniteGroup(h.table, h.names, check=True)

@@ -5,10 +5,14 @@ import pytest
 from equiloday.coeffs import gaussian, integers, load_bundled
 from equiloday.exactalg import FgAbelianGroup, IntMatrix, PresentedAb, SparseMatrix, SubQuotient
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
-from equiloday.gring import SizeBudgetExceeded, norm_projection, tensor_induce
-from equiloday.homology import (LevelComplex, homology_table, mackey_homology,
-                                moore, oracle_h0)
-from equiloday.loday import bar, loday_free, loday_two_isotropy, real_hochschild
+from equiloday.gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing,
+                             SizeBudgetExceeded, StructuredHom, TensorRing,
+                             norm_projection, tensor_induce)
+from equiloday.homology import (LevelComplex, feasible_degree, homology_table,
+                                homology_tables, mackey_homology, moore,
+                                oracle_h0)
+from equiloday.loday import (SimplicialGRing, bar, loday_free,
+                             loday_two_isotropy, real_hochschild)
 from equiloday.simpgset import (build_cayley, build_polygon, build_rot_circle,
                                 build_sigma_circle)
 
@@ -247,6 +251,70 @@ def test_real_hochschild_tables_match_c2mod2(c2mod2):
         tl = homology_table(rh.loday_side, sub, 2)
         tb = homology_table(rh.bar_side, sub, 2)
         assert tl == tb, sub
+
+
+# ---------------------------------------------------------------------------
+# one complex per distinct simplicial module (``homology_tables``)
+
+
+@pytest.mark.parametrize("name,m", [
+    ("gaussian", 1), ("zmod4", 1), ("zmod4", 2),
+    pytest.param("gaussian", 2, marks=pytest.mark.slow),
+])
+def test_shared_tables_match_separate_tables(name, m):
+    coeff = gaussian() if name == "gaussian" else load_bundled(name)
+    rh = real_hochschild(m, coeff, truncation=3)
+    L, B = rh.loday_side, rh.bar_side
+    for top in range(4):
+        assert L.expansion_key(top) == B.expansion_key(top), top
+    kmax = feasible_degree(L, 2, DENSE_BUDGET)
+    assert kmax >= 1
+    subs = [cls[0] for cls in L.group.subgroup_classes()]
+    shared = [homology_tables([L, B], sub, kmax) for sub in subs]
+    assert B._expanded == {}  # equal keys: the bar side is never expanded
+    for sub, (tl, tb) in zip(subs, shared):
+        assert tl == tb == homology_table(L, sub, kmax), sub
+        assert tb == homology_table(B, sub, kmax), sub
+
+
+def test_expansion_key_sees_one_face_twist():
+    s = real_hochschild(1, gaussian(), truncation=2).loday_side
+    key = s.expansion_key(2)
+    f = s.face(2, 1)
+    targets = [list(lst) for lst in f.targets]
+    slot, twist, anti = targets[0][0]
+    conj = s.levels[0].tensor.base.twists.intern(gaussian().involution[0])
+    assert conj != IDENTITY_TWIST
+    targets[0][0] = (slot, conj if twist == IDENTITY_TWIST else IDENTITY_TWIST, anti)
+    faces = [list(fs) for fs in s.faces]
+    faces[1][1] = StructuredHom(f.src, f.dst, targets, check=False)
+    t = SimplicialGRing(s.group, s.levels, faces, s.degens, s.tags)
+    assert t.expansion_key(2) != key
+    assert t.expansion_key(1) == s.expansion_key(1)  # level 2 lies above top 1
+
+
+def test_expansion_key_sees_one_level_base(c2mod2):
+    s = real_hochschild(1, gaussian(), truncation=2).loday_side
+    lv = s.levels[1]
+    base = c2mod2.ring
+    assert base != lv.tensor.base and base.ngens == lv.tensor.base.ngens
+    tr = TensorRing(base, lv.tensor.slots)
+    action = [StructuredHom(tr, tr, f.targets, check=False) for f in lv.action]
+    levels = list(s.levels)
+    levels[1] = GTensorRing(s.group, tr, action, check=False)
+    t = SimplicialGRing(s.group, levels, s.faces, s.degens, s.tags)
+    assert t.expansion_key(0) == s.expansion_key(0)
+    assert t.expansion_key(1) != s.expansion_key(1)
+
+
+def test_distinct_keys_get_a_complex_each(c2mod2):
+    sides = [real_hochschild(1, c, truncation=2).loday_side
+             for c in (gaussian(), c2mod2)]
+    assert sides[0].expansion_key(2) != sides[1].expansion_key(2)
+    for sub in sides[0].group.all_subgroups():
+        together = homology_tables(sides, sub, 1)
+        assert together == [homology_table(s, sub, 1) for s in sides], sub
+    assert all(s._expanded for s in sides)
 
 
 def test_iso_induces_equality_on_homology(zmod4):

@@ -4,8 +4,6 @@ import pytest
 
 from equiloday.verify import SUITES, run_suite
 
-# esigma is left out: its quaternion polygon pipeline has no parameter that
-# brings it under about 70 s, far past a tier-1 budget.
 SMOKE = [
     ("counit", {"group": "c2"}),
     ("psi", {"group": "c2"}),
@@ -20,11 +18,12 @@ SMOKE = [
     ("realhh", {"m": 1, "coeff": "zmod4", "truncation": 3}),
     # free levels: takes the signed-orbit carving, which zmod4 never does
     ("realhh", {"m": 1, "coeff": "gaussian", "truncation": 3, "max_degree": 2}),
+    ("esigma", {"m": 1}),
 ]
 
 
 def test_smoke_roster_covers_every_suite():
-    assert {name for name, _ in SMOKE} | {"esigma"} == set(SUITES)
+    assert {name for name, _ in SMOKE} == set(SUITES)
 
 
 @pytest.mark.parametrize("name,params", SMOKE,
