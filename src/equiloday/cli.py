@@ -35,7 +35,7 @@ from .fingroup import (
     subgroup_as_group,
 )
 from .gring import DENSE_BUDGET
-from .homology import LevelComplex, feasible_degree, homology_table
+from .homology import LevelComplex, feasible_degree
 from .loday import (
     SimplicialGRing,
     loday_free,
@@ -413,13 +413,21 @@ def _structured_faces(s: SimplicialGRing, level: int) -> list[list[list]]:
 
 
 def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
-                   budget: int) -> list[dict]:
+                   budget: int) -> tuple[list[dict], list]:
+    """The table rows of every subgroup, and the boundaries of the
+    normalized complex each was read from (None when even degree zero is
+    over budget): one ``LevelComplex`` per subgroup serves both."""
     kmax = feasible_degree(s, max_degree, budget)
     rows: list[dict] = []
+    boundaries = []
     for sub in subgroups:
-        if kmax >= 0:
-            table = homology_table(s, sub, kmax, budget=budget)
-            for k, h in enumerate(table):
+        if kmax < 0:
+            boundaries.append(None)
+        else:
+            lc = LevelComplex(s, sub, max_level=kmax + 1, budget=budget)
+            boundaries.append(lc.normalized.boundaries)
+            for k in range(kmax + 1):
+                h = lc.homology(k)
                 rows.append({"subgroup": list(sub), "degree": k,
                              "status": "ok", "free_rank": h.free_rank,
                              "torsion": list(h.torsion)})
@@ -428,7 +436,7 @@ def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
                          "status": "skipped",
                          "reason": f"level rank {s.level_rank(k + 1)} "
                                    f"exceeds the dense budget {budget}"})
-    return rows
+    return rows, boundaries
 
 
 def _max_degree(args, s: SimplicialGRing, default: int) -> int:
@@ -458,7 +466,7 @@ def cmd_loday(args, out) -> int:
     errors = s.validate() if args.check else []
     max_degree = _max_degree(args, s, 2)
     subgroups = _pick_subgroups(x.group, args.subgroups)
-    rows = _homology_rows(s, subgroups, max_degree, args.budget)
+    rows, boundaries = _homology_rows(s, subgroups, max_degree, args.budget)
     if args.format == "json":
         obj = {
             "space": _space_obj(x, args.kind),
@@ -475,17 +483,10 @@ def cmd_loday(args, out) -> int:
         if args.emit_complex:
             obj["faces"] = {str(n): _structured_faces(s, n)
                             for n in range(1, s.top() + 1)}
-            kmax = feasible_degree(s, max_degree, args.budget)
-            moore = {}
-            for sub in subgroups:
-                if kmax < 0:
-                    moore[_elements_str(sub)] = "over budget"
-                    continue
-                lc = LevelComplex(s, sub, max_level=kmax + 1,
-                                  budget=args.budget)
-                moore[_elements_str(sub)] = [
-                    b.to_dense().data for b in lc.normalized.boundaries]
-            obj["moore_boundaries"] = moore
+            obj["moore_boundaries"] = {
+                _elements_str(sub): "over budget" if bs is None
+                else [b.to_dense().data for b in bs]
+                for sub, bs in zip(subgroups, boundaries)}
         _emit_json(obj, out)
     else:
         header = ["space", "coefficient", "subgroup", "degree", "free_rank",

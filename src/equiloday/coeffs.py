@@ -158,26 +158,3 @@ def gaussian() -> Coefficient:
 
 def quaternions() -> Coefficient:
     return load_bundled("quaternion")
-
-
-def coordinate_ring(n: int) -> PresentedRing:
-    """Z^n with coordinatewise multiplication; unit is all-ones."""
-    mult = [[[1 if (k == i and i == j) else 0 for k in range(n)]
-             for j in range(n)] for i in range(n)]
-    return PresentedRing(n, None, mult, [1] * n, label=f"Z^{n}")
-
-
-def permutation_matrix(p, n: int) -> IntMatrix:
-    """Coordinate permutation e_j -> e_{p[j]} as a matrix."""
-    m = [[0] * n for _ in range(n)]
-    for j in range(n):
-        m[p[j]][j] = 1
-    return IntMatrix.from_rows(m)
-
-
-def coordinate_permutation_action(group: FiniteGroup, perms) -> RingWithAction:
-    """A group acting on a coordinate ring by the given one-line tuples."""
-    n = len(perms[0])
-    ring = coordinate_ring(n)
-    return RingWithAction(group, ring,
-                          [(ring.twists.intern(permutation_matrix(p, n)), False) for p in perms])

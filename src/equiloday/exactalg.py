@@ -9,8 +9,9 @@ Conventions
 -----------
 * ``IntMatrix`` stores ``data[i][j]`` = row ``i``, column ``j``.  It holds
   only r x r twists, maps between homology groups (``induced_map``,
-  ``MackeyH``) and the dense front doors and oracles (``kernel_basis``,
-  ``smith_normal_form``, ``solve``, ``StructuredHom.dense``).
+  ``MackeyH``) and the two dense front doors the per-layer tracer wraps
+  (``kernel_basis``, ``StructuredHom.dense``); the dense oracles live in
+  the test suite.
 * ``SparseMatrix`` holds every matrix of expanded or carved size: face and
   action maps, carved lifts, boundaries, chain maps and every relation
   matrix.  Its columns, lists of ``(row, value)`` over the nonzeros, are
@@ -23,10 +24,11 @@ Conventions
   their difference is in the relation lattice.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
->>> U, D, V = smith_normal_form(M)
->>> D.diagonal()
+>>> invariant_factors(M)
 [2, 4]
->>> (U @ M @ V) == D
+>>> SmithSolver(M)([(0, 2), (1, 2)])   # x with M x = (2, 2), sparse
+[(0, -1), (1, 1)]
+>>> SmithSolver(M)([(0, 1)]) is None     # (1, 0) is off the lattice
 True
 >>> G = PresentedAb(2, SparseMatrix(2, [[(0, 2)], [(0, 3), (1, 6)]]))
 >>> str(G.canonical())
@@ -79,10 +81,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
-
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -92,16 +90,6 @@ class IntMatrix:
 
     def columns(self) -> list[list[int]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def diagonal(self) -> list[int]:
-        return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -240,33 +228,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols})"
 
 
-def bareiss_det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in M.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 #
@@ -309,15 +270,6 @@ class _SparseWork:
                 w.row[i] = d
                 for j in d:
                     w.colidx.setdefault(j, set()).add(i)
-        return w
-
-    @staticmethod
-    def eye(n: int) -> "_SparseWork":
-        # U and VT as the reference engine in the tests keeps them
-        w = _SparseWork(n, n)
-        for i in range(n):
-            w.row[i] = {i: 1}
-            w.colidx[i] = {i}
         return w
 
     def get(self, i: int, j: int) -> int:
@@ -370,16 +322,22 @@ class _SparseWork:
         if not rs:
             return
         rd = self.row.setdefault(dst, {})
-        for j, v in list(rs.items()):
-            nv = rd.get(j, 0) + mult * v
-            if nv:
+        colidx = self.colidx
+        # the column index changes only where an entry appears or vanishes:
+        # an entry already held keeps dst in its column's set
+        for j, v in rs.items():
+            old = rd.get(j)
+            if old is None:
+                rd[j] = mult * v  # nonzero: so are mult and every stored v
+                colidx.setdefault(j, set()).add(dst)
+            elif nv := old + mult * v:
                 rd[j] = nv
-                self.colidx.setdefault(j, set()).add(dst)
-            elif j in rd:
+            else:
                 del rd[j]
-                self.colidx[j].discard(dst)
-                if not self.colidx[j]:
-                    del self.colidx[j]
+                s = colidx[j]
+                s.discard(dst)
+                if not s:
+                    del colidx[j]
         if not rd:
             del self.row[dst]
 
@@ -405,13 +363,6 @@ class _SparseWork:
         if r:
             for j in r:
                 r[j] = -r[j]
-
-    def to_dense(self) -> IntMatrix:
-        out = [[0] * self.n for _ in range(self.m)]
-        for i, r in self.row.items():
-            for j, v in r.items():
-                out[i][j] = v
-        return IntMatrix(self.m, self.n, out)
 
 
 class _Rows:
@@ -442,10 +393,6 @@ class _Rows:
         r = self.row[i]
         for j in r:
             r[j] = -r[j]
-
-    def to_dense(self) -> IntMatrix:
-        n = len(self.row)
-        return IntMatrix(n, n, [[r.get(j, 0) for j in range(n)] for r in self.row.values()])
 
 
 def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
@@ -579,13 +526,6 @@ def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
     return A, U, VT, t
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular ``(U, D, V)`` with ``U @ M @ V == D`` diagonal and
-    each diagonal entry dividing the next."""
-    A, U, VT, _ = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
-    return U.to_dense(), A.to_dense(), VT.to_dense().transpose()
-
-
 def invariant_factors(M: "IntMatrix | SparseMatrix") -> list[int]:
     """Nonzero diagonal of the Smith form, cheapest path (no U or V)."""
     A, _, _, rank = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols),
@@ -681,14 +621,6 @@ class SmithSolver:
             for k, w in VT.row[i].items() if VT is not None else ((i, 1),):
                 x[k] = x.get(k, 0) + q * w
         return sorted((k, v) for k, v in x.items() if v)
-
-
-def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution of ``M x = b``, or None (dense ``b`` and ``x``)."""
-    if len(b) != M.rows:
-        raise ValueError("vector length mismatch")
-    x = SmithSolver(M)([(j, v) for j, v in enumerate(b) if v])
-    return None if x is None else SparseMatrix(M.cols, [x]).to_dense().column(0)
 
 
 def column_space_basis(M: SparseMatrix) -> tuple[SparseMatrix, SmithSolver]:
@@ -844,43 +776,6 @@ def tensor(a: PresentedAb, b: PresentedAb) -> PresentedAb:
     return PresentedAb(n, SparseMatrix(n, cols))
 
 
-class AbHom:
-    """Homomorphism of presented groups, given by a matrix on generators."""
-
-    def __init__(self, domain: PresentedAb, codomain: PresentedAb,
-                 matrix: IntMatrix, check: bool = True):
-        if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
-            raise ValueError("hom matrix shape mismatch")
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        if check and not hom_is_well_defined(domain, codomain, matrix):
-            raise ValueError("map does not kill a domain relation")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbHom):
-            return NotImplemented
-        if self.matrix.cols != other.matrix.cols or self.matrix.rows != other.matrix.rows:
-            return False
-        diff = self.matrix - other.matrix
-        return all(self.codomain.is_zero_element(c) for c in diff.columns())
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_isomorphism(self) -> bool:
-        img = SparseMatrix.from_cols(self.matrix.columns(), self.matrix.rows).data
-        rels = self.codomain.relations
-        # surjective: image + relations span the full ambient lattice
-        facs = invariant_factors(SparseMatrix(rels.rows, img + rels.data))
-        if len(facs) < self.codomain.ngens or any(d != 1 for d in facs):
-            return False
-        # injective: anything mapping into the codomain lattice lies in the
-        # domain lattice
-        rows = _condition_rows(len(img), [(SparseMatrix(rels.rows, img), rels)])
-        return all(self.domain.is_zero_column(col) for col in kernel_columns(
-            rows, len(img) + rels.cols, self.domain.ngens))
-
-
 def hom_is_well_defined(domain: PresentedAb, codomain: PresentedAb,
                         matrix: "IntMatrix | SparseMatrix") -> bool:
     """Does ``matrix`` (dense or sparse) send every relation of ``domain``
@@ -936,20 +831,18 @@ class ChainComplex:
     composites vanish modulo the target relations.
     """
 
-    def __init__(self, levels: list[PresentedAb], boundaries: list[SparseMatrix],
-                 check: bool = True):
+    def __init__(self, levels: list[PresentedAb], boundaries: list[SparseMatrix]):
         if len(boundaries) != max(0, len(levels) - 1):
             raise ValueError("need exactly len(levels) - 1 boundaries")
         self.levels = levels
         self.boundaries = boundaries
-        if check:
-            for k in range(1, len(boundaries)):
-                square = boundaries[k - 1] @ boundaries[k]
-                if not all(map(levels[k - 1].is_zero_column, square.data)):
-                    raise ValueError(f"boundary composite at degree {k + 1} is nonzero")
-            for k, b in enumerate(boundaries, start=1):
-                if not hom_is_well_defined(levels[k], levels[k - 1], b):
-                    raise ValueError(f"boundary at degree {k} not well defined")
+        for k in range(1, len(boundaries)):
+            square = boundaries[k - 1] @ boundaries[k]
+            if not all(map(levels[k - 1].is_zero_column, square.data)):
+                raise ValueError(f"boundary composite at degree {k + 1} is nonzero")
+        for k, b in enumerate(boundaries, start=1):
+            if not hom_is_well_defined(levels[k], levels[k - 1], b):
+                raise ValueError(f"boundary at degree {k} not well defined")
 
     def top(self) -> int:
         return len(self.levels) - 1

@@ -96,13 +96,6 @@ class FiniteGroup:
         """g x g^-1."""
         return self.table[self.table[g][x]][self._inv[g]]
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
@@ -266,7 +259,7 @@ class FiniteGroup:
             to_w[g] = lookup[pos[g]]
         return w, reps_in_g, to_w
 
-    # -- automorphisms and isomorphisms --------------------------------------
+    # -- generators -----------------------------------------------------------
 
     def generating_sequence(self) -> tuple[int, ...]:
         """A short generating list, found greedily by subgroup growth.
@@ -307,75 +300,6 @@ class FiniteGroup:
         """
         return [(g, s) for s in self.generating_sequence()
                 for g in range(self.order)]
-
-    def isomorphisms_to(self, other: "FiniteGroup",
-                        first_only: bool = True) -> list[tuple[int, ...]]:
-        """Isomorphisms self -> other as image tuples, by backtracking on a
-        generating sequence with element-order pruning."""
-        if self.order != other.order:
-            return []
-        my_orders = [self.element_order(a) for a in range(self.order)]
-        their_orders = [other.element_order(a) for a in range(other.order)]
-        if sorted(my_orders) != sorted(their_orders):
-            return []
-        gens = self.generating_sequence()
-        # words expressing every element as a product over gens, via BFS
-        word: dict[int, tuple[int, ...]] = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.table[x][g]
-                    if y not in word:
-                        word[y] = word[x] + (g,)
-                        nxt.append(y)
-            frontier = nxt
-        results: list[tuple[int, ...]] = []
-
-        def evaluate(images: dict[int, int]) -> Optional[list[int]]:
-            out = [0] * self.order
-            for x, w in word.items():
-                acc = 0
-                for g in w:
-                    acc = other.table[acc][images[g]]
-                out[x] = acc
-            if len(set(out)) != self.order:
-                return None
-            for a in range(self.order):
-                for b in range(self.order):
-                    if out[self.table[a][b]] != other.table[out[a]][out[b]]:
-                        return None
-            return out
-
-        def extend(k: int, images: dict[int, int]):
-            if results and first_only:
-                return
-            if k == len(gens):
-                out = evaluate(images)
-                if out is not None:
-                    results.append(tuple(out))
-                return
-            g = gens[k]
-            for cand in range(other.order):
-                if their_orders[cand] == my_orders[g]:
-                    images[g] = cand
-                    extend(k + 1, images)
-                    del images[g]
-
-        extend(0, {})
-        return results
-
-    def is_isomorphic_to(self, other: "FiniteGroup") -> bool:
-        return bool(self.isomorphisms_to(other))
-
-    def automorphisms(self) -> list[tuple[int, ...]]:
-        return self.isomorphisms_to(self, first_only=False)
-
-    def is_inner(self, auto: Sequence[int]) -> bool:
-        a = tuple(auto)
-        return any(tuple(self.conj(g, x) for x in range(self.order)) == a
-                   for g in range(self.order))
 
     # -- serialization --------------------------------------------------------
 
@@ -435,10 +359,6 @@ class GroupHom:
     def identity(g: FiniteGroup) -> "GroupHom":
         return GroupHom(g, g, list(range(g.order)), check=False)
 
-    @staticmethod
-    def conjugation(g: FiniteGroup, by: int) -> "GroupHom":
-        """x -> (by) x (by)^-1 as an automorphism of g."""
-        return GroupHom(g, g, [g.conj(by, x) for x in range(g.order)], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -487,27 +407,6 @@ def make_dihedral(order: int) -> FiniteGroup:
 
     names = [nm(a, 0) for a in range(m)] + [nm(a, 1) for a in range(m)]
     return FiniteGroup(table, names, label=f"D{order}")
-
-
-def dihedral_rotation_subgroup(d: FiniteGroup) -> tuple[int, ...]:
-    return tuple(range(d.order // 2))
-
-
-def dihedral_swap_auto(d: FiniteGroup) -> GroupHom:
-    """The automorphism r -> r^-1, s -> rs of a dihedral group.
-
-    It exchanges the reflection subgroups <s> and <rs>.  Inner when the
-    rotation count is odd, outer when it is even.
-    """
-    m = d.order // 2
-
-    def image(i: int) -> int:
-        if i < m:  # r^a -> r^-a
-            return (-i) % m
-        a = i - m  # r^a s -> r^(1-a) s
-        return m + (1 - a) % m
-
-    return GroupHom(d, d, [image(i) for i in range(d.order)])
 
 
 def make_symmetric(n: int) -> FiniteGroup:

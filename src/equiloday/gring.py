@@ -11,7 +11,7 @@ into one target slot, where factors are multiplied in a recorded order.  A
 exactly, with no dependence on the size of the expanded tensor power.  Maps
 are expanded only on demand, under a budget, into column-sparse matrices
 (``StructuredHom.sparse``); the dense form (``StructuredHom.dense``) is a
-conversion kept for oracles and tests.
+conversion for the per-layer tracer and the test oracles.
 
 A twist is a small integer id into the ``TwistTable`` of the base ring
 (``PresentedRing.twists``), which holds its matrix exactly as given, the id
@@ -29,6 +29,8 @@ commutativity, so pipelines meant to be order-safe can assert they never did.
 
 Group actions (``RingWithAction``, ``GTensorRing``) are checked to be
 multiplicative on generators only; see ``FiniteGroup.generator_pairs``.
+A norm's action (``NormRing``) is multiplicative by construction whenever
+its coefficient action is, so it is not checked again.
 """
 
 from __future__ import annotations
@@ -596,24 +598,11 @@ class StructuredHom:
     def dense(self, budget: int = DENSE_BUDGET) -> IntMatrix:
         """``sparse`` converted to a dense matrix.
 
-        A conversion kept for oracles (``hom_equal_dense``) and tests; the
-        homology code works on the sparse form.
+        The homology code works on the sparse form.  This conversion is the
+        dense expansion the per-layer tracer (``perfbench/tracer.py``) wraps,
+        and the test oracles compare maps through it.
         """
         return self.sparse(budget).to_dense()
-
-
-def hom_equal_dense(f: StructuredHom, g: StructuredHom,
-                    budget: int = DENSE_BUDGET) -> bool:
-    """Numeric equality of two maps on the expanded presentation.
-
-    Entry-wise difference must die in the expanded target group.  Used as an
-    independent cross-check of structural equality on small instances.
-    """
-    if f.src != g.src or f.dst != g.dst:
-        return False
-    target = f.dst.dense_group(budget)
-    diff = f.dense(budget) - g.dense(budget)
-    return all(target.is_zero_element(c) for c in diff.columns())
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +767,15 @@ class NormRing:
                 m, a = self.rwa.acts[self._pos[h]]
                 targets.append([(s, m, a)])
             action.append(StructuredHom(self.tensor, self.tensor, targets, check=False))
-        self.gt = GTensorRing(group, self.tensor, action)
+        # Valid by construction whenever the coefficient action is, so not
+        # re-validated.  Write c_t for transversal[t] and act(h) for the
+        # coefficient action.  Element g fills target slot t from slot
+        # s = [g^-1 c_t], twisted by act(c_t^-1 g c_s).  Composing g after g'
+        # fills slot t from s' = [g'^-1 c_s] = [(g g')^-1 c_t], twisted by
+        # act(c_t^-1 g c_s) act(c_s^-1 g' c_s') = act(c_t^-1 (g g') c_s')
+        # (anti flags multiply with the action): exactly what g g' does.
+        # At g = e, s = t and the twist is act(e), the identity.
+        self.gt = GTensorRing(group, self.tensor, action, check=False)
 
     def act_of(self, h: int) -> tuple[int, bool]:
         """Coefficient action (twist id, anti) at a subgroup element given by
@@ -986,31 +983,7 @@ def conjugate_switch(norm: NormRing, gamma: int) -> tuple[NormRing, StructuredHo
 
 
 # ---------------------------------------------------------------------------
-# builders: projections and free-orbit translations
-
-
-def project_power_to_norm(norm: NormRing, u: int = 0) -> StructuredHom:
-    """The multiply-down map from the full group power onto a norm.
-
-    Slot g lands in the coset of g*u, twisted by the subgroup action of
-    h = c(guH)^-1 g u; the factors arriving in one coset multiply in the
-    order of their h values.  This is the map the one-point projection of
-    orbits induces on coefficients.
-    """
-    g = norm.group
-    src = group_power_ring(g, norm.rwa.ring)
-    entries: list[list[tuple[int, int, int, bool]]] = [[] for _ in norm.cosets]
-    for x in range(g.order):
-        xu = g.mul(x, u)
-        c = norm.coset_of[xu]
-        h = g.mul(g.inv(norm.transversal[c]), xu)
-        m, a = norm.act_of(h)
-        entries[c].append((h, x, m, a))
-    targets = []
-    for lst in entries:
-        lst.sort(key=lambda e: e[0])
-        targets.append([(x, m, a) for (_, x, m, a) in lst])
-    return StructuredHom(src, norm.tensor, targets, check=False)
+# builders: projections
 
 
 def norm_projection(src: NormRing, dst: NormRing, u: int = 0) -> StructuredHom:
@@ -1085,23 +1058,3 @@ def tensor_of_actions(group: FiniteGroup,
             ordered[pos] = lst
         action.append(StructuredHom(tr, tr, ordered, check=False))
     return GTensorRing(group, tr, action, check=False)
-
-
-def power_translation(group: FiniteGroup, base: PresentedRing, u: int,
-                      rwa: Optional[RingWithAction] = None) -> StructuredHom:
-    """Right translation slot g -> slot g*u on the group power.
-
-    Untwisted (the flip-side form) when no action is supplied; with an
-    action the diagonal-side form twists slot g by act(g u g^-1), which is
-    the flip form conjugated through the untwisting isomorphism.
-    """
-    tr = group_power_ring(group, base)
-    routes = []
-    for x in range(group.order):
-        t = group.mul(x, u)
-        if rwa is None:
-            m, a = IDENTITY_TWIST, False
-        else:
-            m, a = rwa.acts[group.conj(x, u)]
-        routes.append((x, t, m, a))
-    return StructuredHom.from_routes(tr, tr, routes, check=False)

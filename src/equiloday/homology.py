@@ -13,8 +13,9 @@ generated abelian groups.  Two complexes are kept side by side:
 They compute the same homology; holding both turns that into an executable
 cross-check rather than a fact we silently rely on.  The unnormalized
 complex is built on first read (``LevelComplex.unnormalized``), so only the
-cross-check pays for it.  ``oracle_h0`` is a
-third, still more independent route at degree zero.
+cross-check pays for it.  The test suite keeps a third, still more
+independent route at degree zero, the bare coequalizer of the two faces
+(``tests/oracles.py``, ``oracle_h0``).
 
 On top of the per-subgroup tables, ``mackey_homology`` assembles the
 restriction, transfer, and conjugation maps between the fixed-point
@@ -222,7 +223,7 @@ class LevelComplex:
     """
 
     def __init__(self, s, sub: Sequence[int], max_level: Optional[int] = None,
-                 budget: int = DENSE_BUDGET, check: bool = True):
+                 budget: int = DENSE_BUDGET):
         g: FiniteGroup = s.group
         sub = tuple(sorted(set(sub) | {0}))
         if not g.is_subgroup(sub):
@@ -252,7 +253,6 @@ class LevelComplex:
             span = SparseMatrix.identity(rank).data
         self.top_span = SparseMatrix(rank, span + self.fixed[top].pres.relations.data)
 
-        self.check = check
         norm = []
         inner = [r.lift for r in self.reduced] + [self.top_span]
         for n in range(1, top + 1):
@@ -261,7 +261,7 @@ class LevelComplex:
                                     self.reduced[n - 1]))
         self.normalized = ChainComplex(
             [r.pres for r in self.reduced] + [PresentedAb(self.top_span.cols)],
-            norm, check=check)
+            norm)
 
     @cached_property
     def unnormalized(self) -> ChainComplex:
@@ -275,7 +275,7 @@ class LevelComplex:
                 term = self.face(n, i)
                 total = total + term if i % 2 == 0 else total - term
             unnorm.append(_restricted(self.fixed[n - 1], total @ self.fixed[n].lift))
-        return ChainComplex([f.pres for f in self.fixed], unnorm, check=self.check)
+        return ChainComplex([f.pres for f in self.fixed], unnorm)
 
     def face(self, n: int, i: int) -> SparseMatrix:
         return self.s.expanded_face(n, i, self.budget)
@@ -302,12 +302,6 @@ class LevelComplex:
         # degree ``top`` would be missing the boundary coming in from above
         if not 0 <= k <= self.top - 1:
             raise ValueError(f"degree {k} not below the materialized top {self.top}")
-
-
-def moore(s, sub: Sequence[int], max_level: Optional[int] = None,
-          budget: int = DENSE_BUDGET) -> LevelComplex:
-    """The normalized fixed-point complex (with its unnormalized shadow)."""
-    return LevelComplex(s, sub, max_level=max_level, budget=budget)
 
 
 def feasible_degree(s, want: int, budget: int) -> int:
@@ -356,23 +350,6 @@ def homology_table(s, sub: Sequence[int], max_k: int,
     Requires max_k + 1 levels, so max_k must stay below the truncation.
     """
     return homology_tables([s], sub, max_k, budget)[0]
-
-
-def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGroup:
-    """Degree-zero homology as a bare coequalizer: coker(d0 - d1) on fixed points.
-
-    Deliberately avoids the normalized complex so the two can check each other.
-    """
-    g: FiniteGroup = s.group
-    subt = tuple(sorted(set(sub) | {0}))
-    if not g.is_subgroup(subt):
-        raise ValueError(f"{subt} is not a subgroup")
-    gens = _generating_subset(g, subt)
-    sq = [_fixed_level(s, n, gens, budget) for n in (0, 1)]
-    diff = s.expanded_face(1, 0, budget) - s.expanded_face(1, 1, budget)
-    rels = sq[0].pres.relations
-    rels = SparseMatrix(rels.rows, rels.data + _restricted(sq[0], diff @ sq[1].lift).data)
-    return PresentedAb(rels.rows, rels).canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -169,15 +169,6 @@ class SimplicialGRing:
                                                           bad[:3]))
         return out
 
-    def provenance(self, n: int) -> list[dict]:
-        g = self.group
-        out = []
-        for tag in self.tags[n]:
-            label, iso, reps = tag
-            out.append({"orbit": label,
-                        "isotropy": [g.name(k) for k in iso],
-                        "cosets": [g.name(r) for r in reps]})
-        return out
 
 
 # ---------------------------------------------------------------------------

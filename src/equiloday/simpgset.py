@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactalg import FgAbelianGroup, PresentedAb, SparseMatrix, invariant_factors
 from .fingroup import (FiniteGroup, make_cyclic, make_dihedral,
                        make_symmetric, symmetric_one_line)
 
@@ -220,9 +219,6 @@ class FinSimpGSet:
         self._face_cache: dict[tuple[int, int], EqMap] = {}
         self._deg_cache: dict[tuple[int, int], EqMap] = {}
 
-    def max_dim(self) -> int:
-        return max(c.dim for c in self.cells)
-
     def _resolve_face(self, s: Simplex, i: int) -> tuple[Simplex, int]:
         """d_i of the orbit (cell, sigma): a simplex one level down plus u."""
         kind = face_precompose(s.sigma, i)
@@ -407,12 +403,6 @@ class FinSimpGSet:
 
     # -- counting and serialization ------------------------------------------
 
-    def euler_characteristic(self) -> int:
-        total = 0
-        for c in self.cells:
-            total += (-1) ** c.dim * (self.group.order // len(c.isotropy))
-        return total
-
     def to_json_obj(self) -> dict:
         return {
             "group": self.group.to_json_obj(),
@@ -441,39 +431,6 @@ class FinSimpGSet:
             mode = (mode[0], mode[1], mode[2],
                     tuple(tuple(p) for p in mode[3]))
         return FinSimpGSet(g, cells, obj["truncation"], mode)
-
-
-# ---------------------------------------------------------------------------
-# homology of the underlying graph (nondegenerate cells only)
-
-
-def underlying_graph_homology(x: FinSimpGSet) -> tuple[FgAbelianGroup,
-                                                       FgAbelianGroup]:
-    if x.max_dim() != 1:
-        raise ValueError("only one-dimensional spaces have a graph homology")
-    g = x.group
-    verts: list[tuple[int, int]] = []
-    vpos: dict[tuple[int, int], int] = {}
-    for ci, c in enumerate(x.cells):
-        if c.dim == 0:
-            for cos in range(g.order // len(c.isotropy)):
-                vpos[(ci, cos)] = len(verts)
-                verts.append((ci, cos))
-    cols = []
-    for ci, c in enumerate(x.cells):
-        if c.dim != 1:
-            continue
-        (c0, _, u0), (c1, _, u1) = c.faces[0], c.faces[1]
-        idx0 = g.coset_index(x.cells[c0].isotropy)
-        idx1 = g.coset_index(x.cells[c1].isotropy)
-        for w in g.transversal(c.isotropy):
-            a = vpos[(c0, idx0[g.mul(w, u0)])]
-            b = vpos[(c1, idx1[g.mul(w, u1)])]
-            cols.append([] if a == b else sorted([(a, 1), (b, -1)]))
-    boundary = SparseMatrix(len(verts), cols)
-    h0 = PresentedAb(len(verts), boundary).canonical()
-    h1 = FgAbelianGroup(len(cols) - len(invariant_factors(boundary)), ())
-    return h0, h1
 
 
 # ---------------------------------------------------------------------------

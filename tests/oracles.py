@@ -1,17 +1,27 @@
 """Independent reference computations used only by the test suite.
 
-Everything here is deliberately built from raw multiplication tables and
+Most of this is deliberately built from raw multiplication tables and
 plain integer matrices, bypassing the structured-homomorphism machinery,
-so that agreement between the two is evidence rather than tautology.
+so that agreement between the two is evidence rather than tautology.  The
+rest are the dense front doors and second routes that only tests read
+(``smith_normal_form``, ``solve``, ``AbHom``, ``isomorphisms_to``,
+``project_power_to_norm``, ``hom_equal_dense``, ``oracle_h0``): the
+package itself keeps only what its pipeline calls.
 """
 
 from itertools import product
+from typing import Optional, Sequence
 
-from equiloday.exactalg import (ChainComplex, IntMatrix, PresentedAb,
-                                SparseMatrix, SubQuotient, _SparseWork,
-                                kernel_basis, solve)
-from equiloday import gring
-from equiloday.gring import PresentedRing
+from equiloday import exactalg, gring
+from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix,
+                                PresentedAb, SmithSolver, SparseMatrix,
+                                SubQuotient, _condition_rows,
+                                hom_is_well_defined, invariant_factors,
+                                kernel_basis, kernel_columns)
+from equiloday.fingroup import FiniteGroup
+from equiloday.gring import (DENSE_BUDGET, NormRing, PresentedRing,
+                             RingWithAction, StructuredHom, group_power_ring)
+from equiloday.homology import _fixed_level, _generating_subset, _restricted
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +219,144 @@ def coequalizer_h0(d0: IntMatrix, d1: IntMatrix):
 
 
 # ---------------------------------------------------------------------------
-# the Smith-form engine as it was before its pivot search went sparse
+# the Smith-form engine as it was before its pivot search went sparse, on
+# its own copy of the work matrix as it was then
 
 
-def reference_snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
+class _SparseWork:
+    """Row-dict matrix with a column index, supporting the SNF row/col ops."""
+
+    __slots__ = ("m", "n", "row", "colidx")
+
+    def __init__(self, m: int, n: int):
+        self.m = m
+        self.n = n
+        self.row: dict[int, dict[int, int]] = {}
+        self.colidx: dict[int, set[int]] = {}
+
+    @staticmethod
+    def from_rows(rows: list[dict[int, int]], n: int) -> "_SparseWork":
+        """Work matrix whose row i is ``rows[i]``, taken over, not copied.
+
+        Each dict must hold nonzero values under increasing column keys.
+        Insertion order fixes how ``row`` and the ``colidx`` sets iterate,
+        and with it which row operations the engine performs, so every
+        matrix reaches the engine through here in the same order.
+        """
+        w = _SparseWork(len(rows), n)
+        for i, d in enumerate(rows):
+            if d:
+                w.row[i] = d
+                for j in d:
+                    w.colidx.setdefault(j, set()).add(i)
+        return w
+
+    @staticmethod
+    def eye(n: int) -> "_SparseWork":
+        # U and VT as the reference engine in the tests keeps them
+        w = _SparseWork(n, n)
+        for i in range(n):
+            w.row[i] = {i: 1}
+            w.colidx[i] = {i}
+        return w
+
+    def get(self, i: int, j: int) -> int:
+        return self.row.get(i, {}).get(j, 0)
+
+    def swap_rows(self, a: int, b: int):
+        if a == b:
+            return
+        ra, rb = self.row.get(a), self.row.get(b)
+        for j in set(ra or ()) | set(rb or ()):
+            s = self.colidx[j]
+            has_a, has_b = a in s, b in s
+            if has_a != has_b:
+                if has_a:
+                    s.discard(a); s.add(b)
+                else:
+                    s.discard(b); s.add(a)
+        if ra is None and rb is None:
+            return
+        if ra is None:
+            self.row[a] = rb; del self.row[b]
+        elif rb is None:
+            self.row[b] = ra; del self.row[a]
+        else:
+            self.row[a], self.row[b] = rb, ra
+
+    def swap_cols(self, a: int, b: int):
+        if a == b:
+            return
+        rows = set(self.colidx.get(a, ())) | set(self.colidx.get(b, ()))
+        for i in rows:
+            r = self.row[i]
+            va, vb = r.get(a, 0), r.get(b, 0)
+            for j, v in ((a, vb), (b, va)):
+                if v:
+                    r[j] = v
+                    self.colidx.setdefault(j, set()).add(i)
+                elif j in r:
+                    del r[j]
+                    self.colidx[j].discard(i)
+        for j in (a, b):
+            if j in self.colidx and not self.colidx[j]:
+                del self.colidx[j]
+
+    def add_row(self, src: int, dst: int, mult: int):
+        # row[dst] += mult * row[src]
+        if mult == 0:
+            return
+        rs = self.row.get(src)
+        if not rs:
+            return
+        rd = self.row.setdefault(dst, {})
+        for j, v in list(rs.items()):
+            nv = rd.get(j, 0) + mult * v
+            if nv:
+                rd[j] = nv
+                self.colidx.setdefault(j, set()).add(dst)
+            elif j in rd:
+                del rd[j]
+                self.colidx[j].discard(dst)
+                if not self.colidx[j]:
+                    del self.colidx[j]
+        if not rd:
+            del self.row[dst]
+
+    def add_col(self, src: int, dst: int, mult: int):
+        # col[dst] += mult * col[src]
+        if mult == 0:
+            return
+        for i in list(self.colidx.get(src, ())):
+            v = self.row[i][src]
+            r = self.row[i]
+            nv = r.get(dst, 0) + mult * v
+            if nv:
+                r[dst] = nv
+                self.colidx.setdefault(dst, set()).add(i)
+            elif dst in r:
+                del r[dst]
+                self.colidx[dst].discard(i)
+                if not self.colidx[dst]:
+                    del self.colidx[dst]
+
+    def negate_row(self, i: int):
+        r = self.row.get(i)
+        if r:
+            for j in r:
+                r[j] = -r[j]
+
+
+def reference_snf_engine(A, want_u: bool, want_v: bool):
     """Smith reduction with a full sorted scan per pivot and per sweep.
 
     Kept verbatim as the reference: ``exactalg._snf_engine`` must pick the
-    same pivots and so return the same ``A``, ``U``, ``VT`` and rank.
+    same pivots and so return the same ``A``, ``U``, ``VT`` and rank.  The
+    input, a work matrix fresh from ``exactalg._SparseWork.from_rows``, is
+    rebuilt row by row as the ``_SparseWork`` above, in the same order, so
+    the two engines share no row or column operation.
     """
+    A = _SparseWork.from_rows([dict(A.row.get(i, ())) for i in range(A.m)], A.n)
     m, n = A.m, A.n
     U = _SparseWork.eye(m) if want_u else None
     VT = _SparseWork.eye(n) if want_v else None  # rows of VT are columns of V
@@ -541,3 +680,272 @@ def dense_homology_data(levels, boundaries, k):
         sub += boundaries[k].columns()
     sub = SparseMatrix.from_cols(sub, nk).data
     return SubQuotient(nk, cycles + sub, sub)
+
+
+# ---------------------------------------------------------------------------
+# dense front doors of the Smith-form engine, and dense linear algebra
+
+
+def transpose(M: IntMatrix) -> IntMatrix:
+    return IntMatrix(M.cols, M.rows,
+                     [[M.data[i][j] for i in range(M.rows)] for j in range(M.cols)])
+
+
+def _dense_rows(row: dict, m: int, n: int) -> IntMatrix:
+    """An engine matrix (``row[i]`` = ``{column: value}``) as ``IntMatrix``."""
+    out = [[0] * n for _ in range(m)]
+    for i, r in row.items():
+        for j, v in r.items():
+            out[i][j] = v
+    return IntMatrix(m, n, out)
+
+
+def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular ``(U, D, V)`` with ``U @ M @ V == D`` diagonal and
+    each diagonal entry dividing the next."""
+    A, U, VT, _ = exactalg._snf_engine(
+        exactalg._SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
+    return (_dense_rows(U.row, M.rows, M.rows), _dense_rows(A.row, M.rows, M.cols),
+            transpose(_dense_rows(VT.row, M.cols, M.cols)))
+
+
+def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
+    """One integer solution of ``M x = b``, or None (dense ``b`` and ``x``)."""
+    if len(b) != M.rows:
+        raise ValueError("vector length mismatch")
+    x = SmithSolver(M)([(j, v) for j, v in enumerate(b) if v])
+    return None if x is None else SparseMatrix(M.cols, [x]).to_dense().column(0)
+
+
+def bareiss_det(M: IntMatrix) -> int:
+    """Exact determinant by fraction-free Gaussian elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = [row[:] for row in M.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms of presented groups, for isomorphism checks on homology
+
+
+class AbHom:
+    """Homomorphism of presented groups, given by a matrix on generators."""
+
+    def __init__(self, domain: PresentedAb, codomain: PresentedAb,
+                 matrix: IntMatrix):
+        if matrix.rows != codomain.ngens or matrix.cols != domain.ngens:
+            raise ValueError("hom matrix shape mismatch")
+        self.domain = domain
+        self.codomain = codomain
+        self.matrix = matrix
+        if not hom_is_well_defined(domain, codomain, matrix):
+            raise ValueError("map does not kill a domain relation")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AbHom):
+            return NotImplemented
+        if self.matrix.cols != other.matrix.cols or self.matrix.rows != other.matrix.rows:
+            return False
+        diff = self.matrix - other.matrix
+        return all(self.codomain.is_zero_element(c) for c in diff.columns())
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def is_isomorphism(self) -> bool:
+        img = SparseMatrix.from_cols(self.matrix.columns(), self.matrix.rows).data
+        rels = self.codomain.relations
+        # surjective: image + relations span the full ambient lattice
+        facs = invariant_factors(SparseMatrix(rels.rows, img + rels.data))
+        if len(facs) < self.codomain.ngens or any(d != 1 for d in facs):
+            return False
+        # injective: anything mapping into the codomain lattice lies in the
+        # domain lattice
+        rows = _condition_rows(len(img), [(SparseMatrix(rels.rows, img), rels)])
+        return all(self.domain.is_zero_column(col) for col in kernel_columns(
+            rows, len(img) + rels.cols, self.domain.ngens))
+
+
+# ---------------------------------------------------------------------------
+# group isomorphisms by backtracking, to check the group builders
+
+
+def element_order(g: FiniteGroup, a: int) -> int:
+    k, x = 1, a
+    while x != 0:
+        x = g.table[x][a]
+        k += 1
+    return k
+
+
+def isomorphisms_to(g: FiniteGroup, other: FiniteGroup,
+                    first_only: bool = True) -> list[tuple[int, ...]]:
+    """Isomorphisms g -> other as image tuples, by backtracking on a
+    generating sequence with element-order pruning."""
+    if g.order != other.order:
+        return []
+    my_orders = [element_order(g, a) for a in range(g.order)]
+    their_orders = [element_order(other, a) for a in range(other.order)]
+    if sorted(my_orders) != sorted(their_orders):
+        return []
+    gens = g.generating_sequence()
+    # words expressing every element as a product over gens, via BFS
+    word: dict[int, tuple[int, ...]] = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = g.table[x][s]
+                if y not in word:
+                    word[y] = word[x] + (s,)
+                    nxt.append(y)
+        frontier = nxt
+    results: list[tuple[int, ...]] = []
+
+    def evaluate(images: dict[int, int]) -> Optional[list[int]]:
+        out = [0] * g.order
+        for x, w in word.items():
+            acc = 0
+            for s in w:
+                acc = other.table[acc][images[s]]
+            out[x] = acc
+        if len(set(out)) != g.order:
+            return None
+        for a in range(g.order):
+            for b in range(g.order):
+                if out[g.table[a][b]] != other.table[out[a]][out[b]]:
+                    return None
+        return out
+
+    def extend(k: int, images: dict[int, int]):
+        if results and first_only:
+            return
+        if k == len(gens):
+            out = evaluate(images)
+            if out is not None:
+                results.append(tuple(out))
+            return
+        s = gens[k]
+        for cand in range(other.order):
+            if their_orders[cand] == my_orders[s]:
+                images[s] = cand
+                extend(k + 1, images)
+                del images[s]
+
+    extend(0, {})
+    return results
+
+
+def is_isomorphic_to(g: FiniteGroup, other: FiniteGroup) -> bool:
+    return bool(isomorphisms_to(g, other))
+
+
+# ---------------------------------------------------------------------------
+# coordinate rings with a permutation action
+
+
+def coordinate_ring(n: int) -> PresentedRing:
+    """Z^n with coordinatewise multiplication; unit is all-ones."""
+    mult = [[[1 if (k == i and i == j) else 0 for k in range(n)]
+             for j in range(n)] for i in range(n)]
+    return PresentedRing(n, None, mult, [1] * n, label=f"Z^{n}")
+
+
+def permutation_matrix(p, n: int) -> IntMatrix:
+    """Coordinate permutation e_j -> e_{p[j]} as a matrix."""
+    m = [[0] * n for _ in range(n)]
+    for j in range(n):
+        m[p[j]][j] = 1
+    return IntMatrix.from_rows(m)
+
+
+def coordinate_permutation_action(group: FiniteGroup, perms) -> RingWithAction:
+    """A group acting on a coordinate ring by the given one-line tuples."""
+    n = len(perms[0])
+    ring = coordinate_ring(n)
+    return RingWithAction(group, ring,
+                          [(ring.twists.intern(permutation_matrix(p, n)), False) for p in perms])
+
+
+# ---------------------------------------------------------------------------
+# structured maps: the direct multiply-down map, and dense equality
+
+
+def project_power_to_norm(norm: NormRing, u: int = 0) -> StructuredHom:
+    """The multiply-down map from the full group power onto a norm.
+
+    Slot g lands in the coset of g*u, twisted by the subgroup action of
+    h = c(guH)^-1 g u; the factors arriving in one coset multiply in the
+    order of their h values.  This is the map the one-point projection of
+    orbits induces on coefficients, built directly, so that it checks
+    ``gring.norm_projection`` out of the free norm.
+    """
+    g = norm.group
+    src = group_power_ring(g, norm.rwa.ring)
+    entries: list[list[tuple[int, int, int, bool]]] = [[] for _ in norm.cosets]
+    for x in range(g.order):
+        xu = g.mul(x, u)
+        c = norm.coset_of[xu]
+        h = g.mul(g.inv(norm.transversal[c]), xu)
+        m, a = norm.act_of(h)
+        entries[c].append((h, x, m, a))
+    targets = []
+    for lst in entries:
+        lst.sort(key=lambda e: e[0])
+        targets.append([(x, m, a) for (_, x, m, a) in lst])
+    return StructuredHom(src, norm.tensor, targets, check=False)
+
+
+def hom_equal_dense(f: StructuredHom, g: StructuredHom,
+                    budget: int = DENSE_BUDGET) -> bool:
+    """Numeric equality of two maps on the expanded presentation.
+
+    Entry-wise difference must die in the expanded target group.  Used as an
+    independent cross-check of structural equality on small instances.
+    """
+    if f.src != g.src or f.dst != g.dst:
+        return False
+    target = f.dst.dense_group(budget)
+    diff = f.dense(budget) - g.dense(budget)
+    return all(target.is_zero_element(c) for c in diff.columns())
+
+
+# ---------------------------------------------------------------------------
+# degree-zero fixed-point homology as a bare coequalizer
+
+
+def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGroup:
+    """Degree-zero homology as a bare coequalizer: coker(d0 - d1) on fixed points.
+
+    Deliberately avoids the normalized complex so the two can check each other.
+    """
+    g: FiniteGroup = s.group
+    subt = tuple(sorted(set(sub) | {0}))
+    if not g.is_subgroup(subt):
+        raise ValueError(f"{subt} is not a subgroup")
+    gens = _generating_subset(g, subt)
+    sq = [_fixed_level(s, n, gens, budget) for n in (0, 1)]
+    diff = s.expanded_face(1, 0, budget) - s.expanded_face(1, 1, budget)
+    rels = sq[0].pres.relations
+    rels = SparseMatrix(rels.rows, rels.data + _restricted(sq[0], diff @ sq[1].lift).data)
+    return PresentedAb(rels.rows, rels).canonical()

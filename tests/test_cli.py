@@ -329,7 +329,7 @@ def test_verify_internal_error_exits_three(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command,patched", [
-    ("loday", "homology_table"),
+    ("loday", "LevelComplex"),
     ("bench", "LevelComplex"),
 ])
 def test_internal_error_outside_verify_exits_three(capsys, monkeypatch,

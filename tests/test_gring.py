@@ -5,8 +5,6 @@ import itertools
 import pytest
 
 from equiloday.coeffs import (
-    coordinate_permutation_action,
-    coordinate_ring,
     gaussian,
     integers,
     load_bundled,
@@ -36,19 +34,17 @@ from equiloday.gring import (
     flip_power,
     flip_to_diagonal,
     group_power_ring,
-    hom_equal_dense,
     is_equivariant,
     multiply_out_diagonal,
     multiply_out_flip,
     norm_projection,
-    power_translation,
-    project_power_to_norm,
     reset_commutativity_uses,
     single_slot_ring,
     tensor_induce,
     tensor_of_actions,
 )
-from oracles import _spread_relations
+from oracles import (_spread_relations, coordinate_permutation_action,
+                     coordinate_ring, hom_equal_dense, project_power_to_norm)
 
 
 @pytest.fixture(scope="module")
@@ -511,25 +507,6 @@ def test_conjugate_switch_nonconjugate_in_d8(gauss_rwa):
 
 # ---------------------------------------------------------------------------
 # translations
-
-
-def test_power_translation_flip_composes():
-    z3 = coordinate_ring(3)
-    s3 = make_symmetric(3)
-    for u in range(6):
-        for v in range(6):
-            tu = power_translation(s3, z3, u)
-            tv = power_translation(s3, z3, v)
-            assert tv.compose(tu) == power_translation(s3, z3, s3.mul(u, v))
-
-
-def test_power_translation_diagonal_is_psi_transport(z3_s3):
-    s3 = z3_s3.group
-    psi = flip_to_diagonal(z3_s3)
-    for u in range(6):
-        tf = power_translation(s3, z3_s3.ring, u)
-        td = power_translation(s3, z3_s3.ring, u, rwa=z3_s3)
-        assert psi.compose(tf) == td.compose(psi)
 
 
 def test_tensor_of_actions(gauss_rwa):

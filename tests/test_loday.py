@@ -308,8 +308,7 @@ def test_real_hochschild_polygon_slots():
     # level 1 of the 4-gon: two vertex blocks of 2 cosets, one edge block
     # of 4, each slot rank 2
     assert rh.loday_side.level_rank(1) == 2 ** 8
-    tags = rh.loday_side.provenance(1)
-    assert [t["orbit"] for t in tags] == ["x", "y", "x'"]
+    assert [label for label, _, _ in rh.loday_side.tags[1]] == ["x", "y", "x'"]
 
 
 def test_real_hochschild_rejects_involutionless():

@@ -12,8 +12,7 @@ check exactly when the every-pair check rejects it.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equiloday.coeffs import (coordinate_permutation_action, gaussian,
-                              load_bundled, quaternions)
+from equiloday.coeffs import gaussian, load_bundled, quaternions
 from equiloday.exactalg import IntMatrix
 from equiloday.fingroup import (GroupHom, make_cyclic, make_dihedral,
                                 make_klein_four, make_symmetric,
@@ -22,7 +21,9 @@ from equiloday.gring import (IDENTITY_TWIST, GTensorRing, NormRing,
                              PresentedRing, RingWithAction, StructuredHom,
                              TensorRing, commutativity_uses, diagonal_power,
                              flip_power, reset_commutativity_uses)
-from oracles import (full_grouphom_check, full_gtensor_check,
+from equiloday.verify import run_suite
+from oracles import (coordinate_permutation_action, full_grouphom_check,
+                     full_gtensor_check,
                      full_ring_action_check, matrix_targets,
                      reference_compose, reference_eq, reference_sparse,
                      reference_twist_inverse)
@@ -306,3 +307,28 @@ def test_generator_pairs_cover_a_generating_set():
         assert g.subgroup_generated(gens) == tuple(range(g.order))
         assert g.generating_sequence() is gens  # computed once
         assert len(g.generator_pairs()) == g.order * len(gens)
+
+
+@pytest.mark.parametrize("suite,params", [
+    ("conjugate-switch", {"group": "s3"}),
+    ("conjugate-switch", {"group": "d6"}),
+    ("weyl", {}),
+], ids=["conjugate-switch-s3", "conjugate-switch-d6", "weyl"])
+def test_every_norm_the_suites_build_passes_the_full_check(monkeypatch, suite, params):
+    # NormRing builds its action unvalidated, since it is multiplicative by
+    # construction: the every-pair check must accept each norm these suites
+    # build (once per distinct action; the norm is kept, so ids stay unique)
+    built = {}
+    init = NormRing.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        key = (tuple(map(tuple, self.group.table)), id(self.tensor.base),
+               self.tensor.slots, tuple(f.targets for f in self.gt.action))
+        built.setdefault(key, self)
+
+    monkeypatch.setattr(NormRing, "__init__", recording_init)
+    assert run_suite(suite, dict(params))["passed"]
+    assert built
+    for norm in built.values():
+        full_gtensor_check(norm.group, norm.tensor, norm.gt.action)
