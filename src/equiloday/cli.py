@@ -413,24 +413,29 @@ def _structured_faces(s: SimplicialGRing, level: int) -> list[list[list]]:
 
 
 def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
-                   budget: int) -> tuple[list[dict], list]:
-    """The table rows of every subgroup, and the boundaries of the
-    normalized complex each was read from (None when even degree zero is
-    over budget): one ``LevelComplex`` per subgroup serves both."""
+                   budget: int, with_boundaries: bool) -> tuple[list[dict], dict]:
+    """The table rows of every subgroup and, when asked for, the dense
+    boundaries of the normalized complex each was read from, keyed by
+    subgroup ("over budget" when even degree zero is): one
+    ``LevelComplex`` per subgroup serves both, and only one is held."""
     kmax = feasible_degree(s, max_degree, budget)
     rows: list[dict] = []
-    boundaries = []
+    boundaries = {}
     for sub in subgroups:
         if kmax < 0:
-            boundaries.append(None)
+            if with_boundaries:
+                boundaries[_elements_str(sub)] = "over budget"
         else:
             lc = LevelComplex(s, sub, max_level=kmax + 1, budget=budget)
-            boundaries.append(lc.normalized.boundaries)
+            if with_boundaries:
+                boundaries[_elements_str(sub)] = [
+                    b.to_dense().data for b in lc.normalized.boundaries]
             for k in range(kmax + 1):
                 h = lc.homology(k)
                 rows.append({"subgroup": list(sub), "degree": k,
                              "status": "ok", "free_rank": h.free_rank,
                              "torsion": list(h.torsion)})
+            del lc  # freed before the next subgroup's is built
         for k in range(kmax + 1, max_degree + 1):
             rows.append({"subgroup": list(sub), "degree": k,
                          "status": "skipped",
@@ -466,7 +471,9 @@ def cmd_loday(args, out) -> int:
     errors = s.validate() if args.check else []
     max_degree = _max_degree(args, s, 2)
     subgroups = _pick_subgroups(x.group, args.subgroups)
-    rows, boundaries = _homology_rows(s, subgroups, max_degree, args.budget)
+    rows, boundaries = _homology_rows(
+        s, subgroups, max_degree, args.budget,
+        with_boundaries=args.format == "json" and args.emit_complex)
     if args.format == "json":
         obj = {
             "space": _space_obj(x, args.kind),
@@ -483,10 +490,7 @@ def cmd_loday(args, out) -> int:
         if args.emit_complex:
             obj["faces"] = {str(n): _structured_faces(s, n)
                             for n in range(1, s.top() + 1)}
-            obj["moore_boundaries"] = {
-                _elements_str(sub): "over budget" if bs is None
-                else [b.to_dense().data for b in bs]
-                for sub, bs in zip(subgroups, boundaries)}
+            obj["moore_boundaries"] = boundaries
         _emit_json(obj, out)
     else:
         header = ["space", "coefficient", "subgroup", "degree", "free_rank",

@@ -744,7 +744,7 @@ class NormRing:
     """
 
     def __init__(self, group: FiniteGroup, sub_elems: Sequence[int],
-                 rwa: RingWithAction, emb: Optional[Sequence[int]] = None):
+                 rwa: RingWithAction):
         self.group = group
         self.sub = tuple(sorted(set(sub_elems)))
         if not group.is_subgroup(self.sub):
@@ -767,15 +767,23 @@ class NormRing:
                 m, a = self.rwa.acts[self._pos[h]]
                 targets.append([(s, m, a)])
             action.append(StructuredHom(self.tensor, self.tensor, targets, check=False))
-        # Valid by construction whenever the coefficient action is, so not
-        # re-validated.  Write c_t for transversal[t] and act(h) for the
-        # coefficient action.  Element g fills target slot t from slot
-        # s = [g^-1 c_t], twisted by act(c_t^-1 g c_s).  Composing g after g'
-        # fills slot t from s' = [g'^-1 c_s] = [(g g')^-1 c_t], twisted by
+        # Valid by construction when the coefficient action is multiplicative
+        # on the subgroup itself, so then not re-validated.  RingWithAction
+        # checked it on rwa.group's table, which is the subgroup's when the
+        # two agree in ascending ambient order (the numbering _pos reads).
+        # Write c_t for transversal[t] and act(h) for the coefficient action.
+        # Element g fills target slot t from slot s = [g^-1 c_t], twisted by
+        # act(c_t^-1 g c_s).  Composing g after g' fills slot t from
+        # s' = [g'^-1 c_s] = [(g g')^-1 c_t], twisted by
         # act(c_t^-1 g c_s) act(c_s^-1 g' c_s') = act(c_t^-1 (g g') c_s')
         # (anti flags multiply with the action): exactly what g g' does.
-        # At g = e, s = t and the twist is act(e), the identity.
-        self.gt = GTensorRing(group, self.tensor, action, check=False)
+        # At g = e, s = t and the twist is act(e), the identity.  A table
+        # that differs (an order-4 cyclic action on a Klein four isotropy,
+        # say) proves nothing, and the induced action is checked in full.
+        table = tuple(tuple(self._pos[group.mul(a, b)] for b in self.sub)
+                      for a in self.sub)
+        self.gt = GTensorRing(group, self.tensor, action,
+                              check=rwa.group.table != table)
 
     def act_of(self, h: int) -> tuple[int, bool]:
         """Coefficient action (twist id, anti) at a subgroup element given by

@@ -3,8 +3,9 @@
 A function, method or class in ``src/equiloday`` that no code in
 ``src/equiloday`` names outside its own body has no production caller.
 Delete it, or move it into ``tests/`` when a test needs it, unless
-something outside the package reads it by name: then it goes on
-``ALLOWED`` with that reader.  Names are matched as the source spells them:
+something outside the package reads it by name: the callables
+perfbench/tracer.py's ``LAYERS`` wraps are read from that list, and any
+other goes on ``ALLOWED`` with its reader.  Names are matched as the source spells them:
 a caller is any read of ``x`` or of ``obj.x``, except a read of a variable
 of the enclosing functions.  Dunder methods, which the language calls, are
 exempt.
@@ -13,44 +14,38 @@ exempt.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "equiloday"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "equiloday"
 
-# module.qualname -> the reader outside the package that needs it
+# module.qualname -> the reader outside the package that needs it, for the
+# readers not listed in perfbench/tracer.py's LAYERS (see _layer_names)
 ALLOWED = {
-    "gring.StructuredHom.dense": "perfbench/tracer.py LAYERS wraps it (gring.dense)",
-    "gring.TensorRing.dense_group": "perfbench/tracer.py LAYERS wraps it (gring.dense_group)",
-    "gring.StructuredHom.compose": "perfbench/tracer.py LAYERS wraps it (gring.compose)",
-    "gring._bump_commutativity": "perfbench/tracer.py LAYERS counts it (gring.eq.commutativity_uses)",
-    "homology.LevelComplex": "perfbench/tracer.py LAYERS and perfbench/capture.py build it",
-    "homology.LevelComplex.unnormalized_homology": "perfbench/capture.py cross-checks the reference tables with it",
-    "homology.homology_table": "perfbench/tracer.py LAYERS wraps it (homology.table)",
-    "exactalg.kernel_basis": "perfbench/tracer.py LAYERS wraps it (exactalg.kernel_basis)",
-    "exactalg.SubQuotient": "perfbench/tracer.py LAYERS wraps its __init__ (exactalg.subquotient)",
-    "exactalg.column_space_basis": "perfbench/tracer.py LAYERS wraps it (exactalg.column_space_basis)",
-    "exactalg.ChainComplex": "perfbench/tracer.py LAYERS wraps its __init__ (exactalg.chain_check)",
-    "exactalg.ChainComplex.homology": "perfbench/tracer.py LAYERS wraps it (exactalg.homology)",
-    "exactalg.ChainComplex.homology_data": "perfbench/tracer.py LAYERS wraps it (exactalg.homology)",
-    "exactalg.IntMatrix.apply": "perfbench/tracer.py LAYERS counts it (exactalg.apply.calls)",
-    "loday.loday": "perfbench/tracer.py LAYERS wraps it (loday.build)",
-    "loday.loday_free": "perfbench/tracer.py LAYERS wraps it (loday.build)",
-    "loday.loday_one_isotropy": "perfbench/tracer.py LAYERS wraps it (loday.build)",
-    "loday.loday_two_isotropy": "perfbench/tracer.py LAYERS wraps it (loday.build)",
-    "loday.loday_normal_sub": "perfbench/tracer.py LAYERS wraps it (loday.build)",
-    "loday.bar": "perfbench/tracer.py LAYERS wraps it (loday.build)",
-    "loday.real_hochschild": "perfbench/tracer.py LAYERS and perfbench/capture.py build with it",
-    "loday.SimplicialGRing.validate": "perfbench/tracer.py LAYERS wraps it (loday.validate)",
-    "loday.RealHochschild.iso_commutes": "perfbench/tracer.py LAYERS wraps it (loday.iso_commutes)",
-    "fingroup.FiniteGroup.all_subgroups": "perfbench/tracer.py LAYERS wraps it (fingroup.subgroups)",
-    "fingroup.FiniteGroup.are_conjugate_subgroups": "perfbench/tracer.py LAYERS wraps it (fingroup.subgroups)",
-    "verify.run_suite": "perfbench/tracer.py LAYERS wraps it (verify.run_suite)",
+    "cli.main": "the equiloday console script (pyproject.toml) and perfbench/traced_cli.py",
     "cli.make_parser": "perfbench/capture.py parses the roster's argv with it",
     "cli.resolve_coefficient": "perfbench/capture.py resolves --coeff with it",
-    "cli.main": "the equiloday console script (pyproject.toml) and perfbench/traced_cli.py",
+    "homology.LevelComplex.unnormalized_homology": "perfbench/capture.py cross-checks the reference tables with it",
+    "loday.real_hochschild": "perfbench/capture.py builds with it",
     "homology.MackeyH": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
     "homology.mackey_homology": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
     "homology.MackeyH.double_coset_defects": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
     "coeffs.integers": "a public coefficient constructor, next to gaussian and quaternions",
 }
+
+
+def _layer_names() -> set[str]:
+    """``module.qualname`` of each callable ``LAYERS`` in
+    perfbench/tracer.py wraps, and of the classes it is looked up on: the
+    tracer finds every one by name, so a missing one breaks tracing."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    names = set()
+    for _, module, path, _ in layers:
+        parts = path.split(".")
+        names.update(f"{module}." + ".".join(parts[:i + 1])
+                     for i in range(len(parts)))
+    return names
 
 
 def _definitions(tree: ast.Module):
@@ -133,7 +128,8 @@ def uncalled_definitions(src: pathlib.Path = SRC) -> list[str]:
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    orphans = [d for d in uncalled_definitions() if d not in ALLOWED]
+    allowed = set(ALLOWED) | _layer_names()
+    orphans = [d for d in uncalled_definitions() if d not in allowed]
     assert not orphans, ("no caller in src/equiloday; delete, move into "
                          "tests/, or allow with a reason: " + ", ".join(orphans))
 
@@ -142,8 +138,8 @@ def test_allowlist_names_live_definitions():
     defined = {f"{p.stem}.{qual}"
                for p in SRC.glob("*.py")
                for qual, _ in _definitions(ast.parse(p.read_text(encoding="utf-8")))}
-    stale = sorted(set(ALLOWED) - defined)
-    assert not stale, "ALLOWED names no definition: " + ", ".join(stale)
+    stale = sorted((set(ALLOWED) | _layer_names()) - defined)
+    assert not stale, "allowed names no definition: " + ", ".join(stale)
 
 
 def test_guard_sees_a_definition_named_only_in_its_own_body(tmp_path):

@@ -96,6 +96,31 @@ def test_relation_column_of_the_wrong_length(tmp_path, capsys, relations, comman
     assert "bad coefficient file" in err and "relation column" in err
 
 
+def test_loday_run_rejects_an_action_that_does_not_multiply_on_the_isotropy(
+        tmp_path, capsys):
+    # an order-4 cyclic action (Z^4, shifting its factors) placed on d8's
+    # Klein four isotropy {e, r2, s, r2 s}: r2 squares to e, the shift's
+    # square is not the identity, so the norm is no G-ring
+    n = 4
+    path = tmp_path / "z4_shift.json"
+    path.write_text(json.dumps({
+        "name": "z4_shift", "generators": [f"e{i}" for i in range(n)],
+        "relations": [],
+        "mult": [[[int(i == j == k) for k in range(n)] for j in range(n)]
+                 for i in range(n)],
+        "unit": [1] * n, "commutative": True,
+        "cyclic_action": {"order": n, "matrix": [[int(i == (j + 1) % n)
+                                                  for j in range(n)]
+                                                 for i in range(n)]}}))
+    code, out, err = run(capsys, "loday", "run", "--kind", "coset-cayley",
+                         "--group", "d8", "--sub", "0,2,4,6", "--gens", "1",
+                         "--truncation", "2", "--max-degree", "0",
+                         "--coeff", str(path), "--action", "cyclic")
+    assert code == 2
+    assert out == ""
+    assert "not multiplicative" in err
+
+
 # ---------------------------------------------------------------------------
 # space
 

@@ -301,6 +301,23 @@ def test_every_uncorrupted_action_passes_both_checks():
         full_grouphom_check(src, dst, images)
 
 
+def test_a_norm_over_a_foreign_group_table_is_checked_in_full():
+    # the by-construction proof needs the action to be multiplicative on the
+    # subgroup itself; over C4's table on d8's Klein four {e, r2, s, r2 s}
+    # the shift is not (r2 squares to e, the shift's square is no identity)
+    d8, c4 = make_dihedral(8), make_cyclic(4)
+    shift = coordinate_permutation_action(
+        c4, [tuple((j + i) % 4 for j in range(4)) for i in range(4)])
+    klein = (0, 2, 4, 6)
+    with pytest.raises(ValueError, match="not multiplicative"):
+        NormRing(d8, klein, shift)
+    # a foreign table with an action that still multiplies is accepted
+    NormRing(d8, klein, RingWithAction.trivial(c4, shift.ring))
+    # and the rotations, whose table is C4's, take the shift unchecked
+    norm = NormRing(d8, (0, 1, 2, 3), shift)
+    full_gtensor_check(norm.group, norm.tensor, norm.gt.action)
+
+
 def test_generator_pairs_cover_a_generating_set():
     for g in (make_symmetric(3), make_dihedral(8), make_klein_four(), make_cyclic(1)):
         gens = g.generating_sequence()
@@ -315,9 +332,10 @@ def test_generator_pairs_cover_a_generating_set():
     ("weyl", {}),
 ], ids=["conjugate-switch-s3", "conjugate-switch-d6", "weyl"])
 def test_every_norm_the_suites_build_passes_the_full_check(monkeypatch, suite, params):
-    # NormRing builds its action unvalidated, since it is multiplicative by
-    # construction: the every-pair check must accept each norm these suites
-    # build (once per distinct action; the norm is kept, so ids stay unique)
+    # NormRing builds its action unvalidated when the coefficient group's
+    # table is the subgroup's, since it is multiplicative by construction:
+    # the every-pair check must accept each norm these suites build (once
+    # per distinct action; the norm is kept, so ids stay unique)
     built = {}
     init = NormRing.__init__
 
