@@ -666,7 +666,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="validate the simplicial ring before computing")
     p.add_argument("--emit-complex", action="store_true",
-                   help="include face maps and Moore boundaries (JSON only)")
+                   help="include face maps and the normalized complex's boundaries "
+                        "under 'moore_boundaries' (JSON only); on free levels these "
+                        "are the boundaries on the quotient basis of nondegenerate "
+                        "orbit sums")
     p.set_defaults(fn=cmd_loday)
 
     p = sub.add_parser("verify", help="run one named verification suite")

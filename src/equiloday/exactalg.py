@@ -848,7 +848,22 @@ class ChainComplex:
         return len(self.levels) - 1
 
     def homology(self, k: int) -> FgAbelianGroup:
-        return self.homology_data(k).pres.canonical()
+        """H_k in canonical form.
+
+        On free levels k and k - 1 no generator lifts are needed: Z_k, a
+        kernel, is saturated, so C_k / B_k is H_k plus a free summand, and
+        two Smith forms without transforms give H_k.  Its rank is
+        n_k - rank d_k - rank d_(k+1); its torsion is the invariant factors
+        of d_(k+1) above 1.
+        """
+        if not (0 <= k <= self.top()):
+            raise ValueError("degree out of range")
+        if any(lv.relations.cols for lv in self.levels[max(k - 1, 0):k + 1]):
+            return self.homology_data(k).pres.canonical()
+        rank_in = len(invariant_factors(self.boundaries[k - 1])) if k else 0
+        factors = invariant_factors(self.boundaries[k]) if k < self.top() else []
+        return FgAbelianGroup(self.levels[k].ngens - rank_in - len(factors),
+                              tuple(f for f in factors if f > 1))
 
     def homology_data(self, k: int) -> SubQuotient:
         """Homology at degree k with generator lifts, for induced maps."""

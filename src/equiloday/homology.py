@@ -5,8 +5,14 @@ points of a simplicial ring out of the expanded additive groups, restrict
 the face maps, and read homology off the resulting complex of finitely
 generated abelian groups.  Two complexes are kept side by side:
 
-* the normalized one, whose degree-n part is the intersection of the
-  kernels of every face but the zeroth (the boundary is face 0 restricted),
+* the normalized one, in one of two models (see ``LevelComplex``): on free
+  levels whose actions are signed permutations and whose unit is a basis
+  vector, the quotient by the degenerate elements, whose basis is the live
+  nondegenerate orbit sums and whose boundary is the alternating sum of all
+  faces, so no Smith form is spent on carving it; on any other level the
+  Moore complex, whose degree-n part is the intersection of the kernels of
+  every face but the zeroth (the boundary is face 0 restricted), carved by
+  Smith form, because relations keep fixed points from being orbit sums;
 * the unnormalized one, on the full fixed levels, with the alternating sum
   of all faces as boundary.
 
@@ -15,7 +21,9 @@ cross-check rather than a fact we silently rely on.  The unnormalized
 complex is built on first read (``LevelComplex.unnormalized``), so only the
 cross-check pays for it.  The test suite keeps a third, still more
 independent route at degree zero, the bare coequalizer of the two faces
-(``tests/oracles.py``, ``oracle_h0``).
+(``tests/oracles.py``, ``oracle_h0``), runs the Moore complex on free levels
+as the quotient's oracle, and checks the H = e rows against the closed
+form of HH_*(R[x]/(f)).
 
 On top of the per-subgroup tables, ``mackey_homology`` assembles the
 restriction, transfer, and conjugation maps between the fixed-point
@@ -31,13 +39,14 @@ simplicial ring, so every subgroup reuses them; across rings,
 ``homology_tables`` builds one complex per distinct
 ``SimplicialGRing.expansion_key``, so rings that are one simplicial module
 up to slot labels (the two sides of ``real_hochschild``) share a single
-expansion, carving and Smith form.  A carving is one of two
-kinds, each with a ``SparseMatrix`` lift: on free levels whose actions are
-signed permutations (and on whole levels) the fixed points are orbit sums
+expansion, carving and Smith form.  A fixed carving is one of two kinds,
+each with a ``SparseMatrix`` lift: on free levels whose actions are signed
+permutations (and on whole levels) the fixed points are orbit sums
 (``_OrbitFixed``); elsewhere they are carved by Smith form
 (``SubQuotient``).  The fixed carving happens once per level and the
 normalized part is carved inside the fixed coordinates rather than back at
-ambient size.  Sparse columns in, sparse columns out: the level relations
+ambient size (``_Nondegenerate`` for the quotient, ``SubQuotient`` for the
+Moore complex).  Sparse columns in, sparse columns out: the level relations
 (``TensorRing.dense_group``, built once per level) and every carved
 presentation are ``SparseMatrix``, the carving conditions reach the
 Smith-form engine as sparse rows (``kernel_columns``), and the restricted
@@ -132,7 +141,54 @@ class _OrbitFixed:
         return out if back.data[0] == list(col) else None
 
 
-Carved = Union[SubQuotient, _OrbitFixed]
+class _Nondegenerate:
+    """The live nondegenerate orbit sums of a free level, in its orbit-sum
+    coordinates: a basis of C^H / D^H, the fixed points modulo the
+    degenerate ones.
+
+    ``lift`` picks those orbit sums out of the fixed coordinates.
+    ``express`` reads fixed coordinates (coefficients at orbit heads) and
+    drops the degenerate orbits, so every fixed vector has a class.
+    """
+
+    def __init__(self, fixed: _OrbitFixed, degenerate: set[int]):
+        keep = [c for head, c in fixed._head.items() if head not in degenerate]
+        self._pos = {c: i for i, c in enumerate(keep)}
+        self.lift = SparseMatrix(fixed.pres.ngens, [[(c, 1)] for c in keep])
+        self.pres = PresentedAb(len(keep))
+
+    def express(self, col: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        return [(i, v) for c, v in col if (i := self._pos.get(c)) is not None]
+
+
+def _degenerate_tuples(s, top: int) -> Optional[list[set[int]]]:
+    """Per level n <= top, the basis tuples spanning the degenerate part.
+
+    When the unit is a basis vector e_u and every degeneracy routes each
+    source slot to a slot of its own, im s_j is spanned by the tuples with
+    u in every slot s_j fills with the unit: a twist is invertible, so the
+    other slots run over all tuples.  ``None`` when either premise fails.
+    """
+    base = s.levels[0].tensor.base
+    unit = list(base.unit)
+    if sorted(unit) != [0] * (len(unit) - 1) + [1]:
+        return None
+    u, r = unit.index(1), base.ngens
+    out: list[set[int]] = [set()]
+    for n in range(1, top + 1):
+        found: set[int] = set()
+        for d in s.degens[n - 1]:
+            if any(len(lst) > 1 for lst in d.targets):
+                return None
+            idx = [0]
+            for lst in d.targets:  # slot 0 is the most significant digit
+                idx = [i * r + k for i in idx for k in (range(r) if lst else (u,))]
+            found.update(idx)
+        out.append(found)
+    return out
+
+
+Carved = Union[SubQuotient, _OrbitFixed, _Nondegenerate]
 
 
 def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, SparseMatrix]]
@@ -210,16 +266,25 @@ class LevelComplex:
     """Fixed points of a simplicial ring under one subgroup, as complexes.
 
     ``fixed[n]`` carves the fixed part out of the expanded level;
-    ``reduced[n]``, for n below the top, carves the intersection of the
-    kernels of faces 1..n out of the *fixed coordinates* (so its lift
-    composes with ``fixed[n].lift`` to reach ambient vectors).  The top level
-    only ever contributes its boundary image, since homology there is out of
-    range, so ``top_span`` keeps just spanning columns of that intersection
-    (then the relation columns), with free generators on them in the
-    normalized complex: an image is insensitive to redundancy among its
-    spanning columns.  ``normalized`` and ``unnormalized`` are the
-    corresponding chain complexes; ``max_level`` trims how far up the
-    truncation is materialized.
+    ``reduced[n]`` is a carving inside the *fixed coordinates* (its lift
+    composes with ``fixed[n].lift`` to reach ambient vectors) that carries
+    ``normalized``, in one of two models of the normalized complex:
+
+    * Free levels whose actions are signed permutations, with the unit a
+      basis vector, take the quotient C^H / D^H by the degenerate part
+      (``_Nondegenerate``, every n <= top).  Each im s_j is then spanned by
+      basis tuples and H-stable, so D^H is spanned by degenerate orbit
+      sums, and (im s_j)^H = s_j(C^H) because s_j is injective and
+      equivariant: D^H is the degenerate part of C^H, and the quotient is
+      its normalized complex (Goerss-Jardine III.2, Loday 1.6).  The basis
+      is combinatorial and the boundary is the alternating sum of all
+      faces, so no Smith form is spent on carving.
+    * Any other level (relations, as in zmod4 or group_ring_c2_mod2, keep
+      the fixed points from being orbit sums and D from being spanned by
+      tuples) takes the Moore complex, carved by ``_moore_complex``.
+
+    ``unnormalized`` is the alternating-sum complex on the full fixed
+    levels; ``max_level`` trims how far up the truncation is materialized.
     """
 
     def __init__(self, s, sub: Sequence[int], max_level: Optional[int] = None,
@@ -237,54 +302,48 @@ class LevelComplex:
         self.budget = budget
 
         gens = _generating_subset(g, sub)
-        self._rels = [s.levels[n].tensor.dense_group(budget).relations
-                      for n in range(top)]  # where the faces land
         self.fixed: list[Carved] = [_fixed_level(s, n, gens, budget)
                                     for n in range(top + 1)]
-
-        # level 0 has no faces to kill, so its carving is the whole level
-        self.reduced: list[Carved] = [
-            _conditions_subquotient(f.pres.ngens, f.pres.relations,
-                                    self._face_conditions(n))
-            for n, f in enumerate(self.fixed[:top])]
-        rank = self.fixed[top].pres.ngens
-        span = _joint_solution_span(rank, self._face_conditions(top))
-        if span is None:
-            span = SparseMatrix.identity(rank).data
-        self.top_span = SparseMatrix(rank, span + self.fixed[top].pres.relations.data)
-
-        norm = []
-        inner = [r.lift for r in self.reduced] + [self.top_span]
-        for n in range(1, top + 1):
-            norm.append(_restricted(self.fixed[n - 1],
-                                    self.face(n, 0) @ self.fixed[n].lift @ inner[n],
-                                    self.reduced[n - 1]))
-        self.normalized = ChainComplex(
-            [r.pres for r in self.reduced] + [PresentedAb(self.top_span.cols)],
-            norm)
+        degenerate = all(isinstance(f, _OrbitFixed) and not f.pres.relations.cols
+                         for f in self.fixed) and _degenerate_tuples(s, top)
+        if degenerate:
+            self.reduced: list[Carved] = [_Nondegenerate(f, d)
+                                          for f, d in zip(self.fixed, degenerate)]
+            self.normalized = ChainComplex(
+                [r.pres for r in self.reduced],
+                [_restricted(self.fixed[n - 1],
+                             self._boundary(n, self.fixed[n].lift @ self.reduced[n].lift),
+                             self.reduced[n - 1])
+                 for n in range(1, top + 1)])
+        else:
+            self.reduced, self.normalized = _moore_complex(self)
 
     @cached_property
     def unnormalized(self) -> ChainComplex:
         """The alternating-sum complex on the full fixed levels, built (and
         checked, as ``normalized`` was) on first read: only the cross-check
         against the normalized complex reads it."""
-        unnorm = []
-        for n in range(1, self.top + 1):
-            total = self.face(n, 0)
-            for i in range(1, n + 1):
-                term = self.face(n, i)
-                total = total + term if i % 2 == 0 else total - term
-            unnorm.append(_restricted(self.fixed[n - 1], total @ self.fixed[n].lift))
-        return ChainComplex([f.pres for f in self.fixed], unnorm)
+        return ChainComplex(
+            [f.pres for f in self.fixed],
+            [_restricted(self.fixed[n - 1], self._boundary(n, self.fixed[n].lift))
+             for n in range(1, self.top + 1)])
 
     def face(self, n: int, i: int) -> SparseMatrix:
         return self.s.expanded_face(n, i, self.budget)
 
-    def _face_conditions(self, n: int) -> list[tuple[SparseMatrix, SparseMatrix]]:
-        """Faces 1..n on the fixed coordinates of level n, each to vanish
-        modulo the relations of level n - 1."""
-        return [(self.face(n, i) @ self.fixed[n].lift, self._rels[n - 1])
-                for i in range(1, n + 1)]
+    def _boundary(self, n: int, cols: SparseMatrix) -> SparseMatrix:
+        """The alternating sum of the faces of level n on ambient columns."""
+        faces = [self.face(n, i) for i in range(n + 1)]
+        out = []
+        for col in cols.data:
+            acc: dict[int, int] = {}
+            for i, face in enumerate(faces):
+                sign = -1 if i % 2 else 1
+                for k, w in col:
+                    for r, v in face.data[k]:
+                        acc[r] = acc.get(r, 0) + sign * v * w
+            out.append(sorted((r, v) for r, v in acc.items() if v))
+        return SparseMatrix(faces[0].rows, out)
 
     def homology(self, k: int) -> FgAbelianGroup:
         self._check_degree(k)
@@ -302,6 +361,43 @@ class LevelComplex:
         # degree ``top`` would be missing the boundary coming in from above
         if not 0 <= k <= self.top - 1:
             raise ValueError(f"degree {k} not below the materialized top {self.top}")
+
+
+def _moore_complex(lc: LevelComplex) -> tuple[list[Carved], ChainComplex]:
+    """The Moore complex of ``lc``'s fixed levels, and its carvings.
+
+    ``reduced[n]``, for n below the top, carves the intersection of the
+    kernels of faces 1..n out of the fixed coordinates; the boundary is
+    face 0 restricted.  The top level only ever contributes its boundary
+    image, since homology there is out of range, so it gets free generators
+    on spanning columns of that intersection (then the relation columns):
+    an image is insensitive to redundancy among its spanning columns.
+    Relation-bearing levels use this model; on free levels it stays the
+    oracle for the quotient.
+    """
+    fixed, top = lc.fixed, lc.top
+    rels = [lc.s.levels[n].tensor.dense_group(lc.budget).relations
+            for n in range(top)]  # where the faces land
+
+    def conditions(n: int) -> list[tuple[SparseMatrix, SparseMatrix]]:
+        # faces 1..n on the fixed coordinates, each to vanish modulo the
+        # relations of level n - 1
+        return [(lc.face(n, i) @ fixed[n].lift, rels[n - 1]) for i in range(1, n + 1)]
+
+    # level 0 has no faces to kill, so its carving is the whole level
+    reduced = [_conditions_subquotient(f.pres.ngens, f.pres.relations, conditions(n))
+               for n, f in enumerate(fixed[:top])]
+    rank = fixed[top].pres.ngens
+    span = _joint_solution_span(rank, conditions(top))
+    if span is None:
+        span = SparseMatrix.identity(rank).data
+    top_span = SparseMatrix(rank, span + fixed[top].pres.relations.data)
+    inner = [r.lift for r in reduced] + [top_span]
+    bounds = [_restricted(fixed[n - 1], lc.face(n, 0) @ fixed[n].lift @ inner[n],
+                          reduced[n - 1])
+              for n in range(1, top + 1)]
+    return reduced, ChainComplex([r.pres for r in reduced] + [PresentedAb(top_span.cols)],
+                                 bounds)
 
 
 def feasible_degree(s, want: int, budget: int) -> int:
@@ -495,6 +591,12 @@ def mackey_homology(s, k: int, subgroups: Optional[Sequence[Sequence[int]]] = No
                            for cls in g.subgroup_classes()) if c]
     classes.sort(key=lambda c: (len(c[0]), c[0]))
     lcs = {h: LevelComplex(s, h, max_level=k + 1, budget=budget) for h in subs}
+    quotient = [h for h, lc in lcs.items() if isinstance(lc.reduced[k], _Nondegenerate)]
+    if 0 < len(quotient) < len(lcs):
+        # a transfer or conjugation out of a quotient need not land in a
+        # Moore carving: one Moore subgroup puts every subgroup on Moore
+        for h in quotient:
+            lcs[h].reduced, lcs[h].normalized = _moore_complex(lcs[h])
     hds = {h: lc.homology_data(k) for h, lc in lcs.items()}
     values = {h: hd.pres.canonical() for h, hd in hds.items()}
     return MackeyH(degree=k, group=g, subgroups=list(subs), classes=classes,

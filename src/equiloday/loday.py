@@ -39,12 +39,11 @@ class SimplicialGRing:
     def __init__(self, group: FiniteGroup, levels: Sequence[GTensorRing],
                  faces: Sequence[Sequence[StructuredHom]],
                  degens: Sequence[Sequence[StructuredHom]],
-                 tags: Sequence[Sequence], label: str = ""):
+                 label: str = ""):
         self.group = group
         self.levels = list(levels)
         self.faces = [list(f) for f in faces]
         self.degens = [list(d) for d in degens]
-        self.tags = [list(t) for t in tags]
         self.label = label
         self._expanded: dict[tuple, SparseMatrix] = {}
 
@@ -85,19 +84,21 @@ class SimplicialGRing:
         level ``top``, as one hashable value.
 
         That is the group; per level the base ring, the slot count and the
-        targets of every action; and the targets of every face.  Slot
-        labels, ``tags``, ``label`` and degeneracies are left out on purpose.
-        Invariant: equal keys imply equal ``expanded_face``,
-        ``expanded_act`` and ``dense_group`` at every level up to ``top``.
-        Expansion reads only the base ring, the slot counts and the targets,
-        and equal ``PresentedRing`` values share one ``TwistTable``, so a
-        twist id names the same matrix in both rings.
+        targets of every action; and the targets of every face and every
+        degeneracy, whose empty targets (the unit slots) give the degenerate
+        tuples of the quotient model.  Slot labels and ``label`` are left out
+        on purpose.  Invariant: equal keys imply equal ``expanded_face``,
+        ``expanded_act``, ``dense_group`` and degenerate tuples at every
+        level up to ``top``.  Expansion reads only the base ring, the slot
+        counts and the targets, and equal ``PresentedRing`` values share one
+        ``TwistTable``, so a twist id names the same matrix in both rings.
         """
         levels = tuple((lv.tensor.base, lv.tensor.nslots,
                         tuple(f.targets for f in lv.action))
                        for lv in self.levels[:top + 1])
         faces = tuple(tuple(f.targets for f in fs) for fs in self.faces[:top])
-        return self.group, levels, faces
+        degens = tuple(tuple(d.targets for d in ds) for ds in self.degens[:top])
+        return self.group, levels, faces, degens
 
     def level_rank(self, n: int) -> int:
         base = self.levels[n].tensor.base
@@ -270,14 +271,11 @@ def loday(space: FinSimpGSet, norms: Sequence[NormRing],
     _check_assignment(space, norms)
     g = space.group
     levels = []
-    tags = []
     for n in range(space.truncation + 1):
         lv = space.levels[n]
         parts = [(o, norms[lv.orbits[o].cell].gt)
                  for o in range(len(lv.orbits))]
         levels.append(tensor_of_actions(g, parts))
-        tags.append([(lv.label(o), lv.isotropy(o), lv.transversal(o))
-                     for o in range(len(lv.orbits))])
     faces = []
     for n in range(1, space.truncation + 1):
         faces.append([_induced_hom(space, norms, levels[n], levels[n - 1],
@@ -288,7 +286,7 @@ def loday(space: FinSimpGSet, norms: Sequence[NormRing],
         degens.append([_induced_hom(space, norms, levels[n], levels[n + 1],
                                     space.degeneracy(n, j))
                        for j in range(n + 1)])
-    out = SimplicialGRing(g, levels, faces, degens, tags, label=label)
+    out = SimplicialGRing(g, levels, faces, degens, label=label)
     out.space = space
     out.norms = list(norms)
     return out
@@ -464,7 +462,7 @@ def transport_to_diagonal(s: SimplicialGRing, rwa: RingWithAction
     degens = [[psis[n + 1].compose(s.degeneracy(n, j)).compose(psis_inv[n])
                for j in range(n + 1)]
               for n in range(s.top())]
-    out = SimplicialGRing(s.group, new_levels, faces, degens, s.tags,
+    out = SimplicialGRing(s.group, new_levels, faces, degens,
                           label=s.label.replace("flip", "diagonal"))
     out.space = space
     out.norms = norms
@@ -501,13 +499,6 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
         return blocks
 
     levels = [tensor_of_actions(g, parts(n)) for n in range(truncation + 1)]
-    tags = []
-    for n in range(truncation + 1):
-        t = [("left", m_norm.sub, m_norm.transversal)]
-        t += [("mid%d" % k, a_norm.sub, a_norm.transversal)
-              for k in range(1, n + 1)]
-        t.append(("right", n_norm.sub, n_norm.transversal))
-        tags.append(t)
 
     def block_len(tag) -> int:
         """Coset count of the norm block carrying ``tag``."""
@@ -588,7 +579,7 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
              for n in range(1, truncation + 1)]
     degens = [[assemble_deg(n, j) for j in range(n + 1)]
               for n in range(truncation)]
-    return SimplicialGRing(g, levels, faces, degens, tags, label=label)
+    return SimplicialGRing(g, levels, faces, degens, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,52 @@ def cyclic_bar_homology(ring: PresentedRing, max_k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Hochschild homology of R[x]/(f) in closed form
+
+
+def _times_x(f: Sequence[int], v: list[int]) -> list[int]:
+    """x * v in R[x]/(f), on the basis 1, x, ..., x^(d-1); f monic, listed
+    from the constant term up."""
+    top = v[-1]
+    return [a - top * c for a, c in zip([0] + v[:-1], f[:-1])]
+
+
+def polynomial_mult(f: Sequence[int]) -> list[list[list[int]]]:
+    """The multiplication table of R[x]/(f): entry [i][j] is x^(i+j)."""
+    d = len(f) - 1
+    powers = [[1 if k == 0 else 0 for k in range(d)]]
+    for _ in range(2 * d - 2):
+        powers.append(_times_x(f, powers[-1]))
+    return [[powers[i + j] for j in range(d)] for i in range(d)]
+
+
+def polynomial_hh(f: Sequence[int], n: int, max_k: int) -> list[FgAbelianGroup]:
+    """HH_0..HH_max_k of A = R[x]/(f), with R = Z (n = 0) or Z/n and f monic.
+
+    The closed form (Loday, *Cyclic Homology*; Larsen-Lindenstrauss,
+    "Cyclic homology of Dedekind domains", 1992): HH_0 = A, HH_odd =
+    A/(f'), HH_even = Ann_A(f') from degree 2 on.  A is Z^d modulo n on the
+    basis 1, x, ..., x^(d-1), and f' acts on it by the matrix M; Ann_A(f')
+    is {a : M a in nZ^d} modulo nZ^d.
+    """
+    if f[-1] != 1:
+        raise ValueError("f must be monic")
+    d = len(f) - 1
+    cols = [[(i + 1) * f[i + 1] for i in range(d)]]  # f', then x^j f'
+    for _ in range(d - 1):
+        cols.append(_times_x(f, cols[-1]))
+    mod = [[(i, n)] for i in range(d)] if n else []
+    whole = PresentedAb(d, SparseMatrix(d, mod)).canonical()
+    odd = PresentedAb(d, SparseMatrix(d, SparseMatrix.from_cols(cols, d).data + mod)).canonical()
+    rows = [[cols[j][i] for j in range(d)] + [n if k == i else 0 for k in range(d)]
+            for i in range(d)]
+    kernel = kernel_basis(IntMatrix.from_rows(rows))
+    lattice = [[(i, v) for i, v in enumerate(c[:d]) if v] for c in kernel.columns()]
+    even = SubQuotient(d, lattice + mod, mod).pres.canonical()
+    return [whole if k == 0 else odd if k % 2 else even for k in range(max_k + 1)]
+
+
+# ---------------------------------------------------------------------------
 # edgewise subdivision of the cyclic bar complex
 
 

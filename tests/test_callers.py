@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller in the package.
+"""Every definition in the package has a caller in the package, and every
+import in the package and its tests is read.
 
 A function, method or class in ``src/equiloday`` that no code in
 ``src/equiloday`` names outside its own body has no production caller.
@@ -8,7 +9,8 @@ perfbench/tracer.py's ``LAYERS`` wraps are read from that list, and any
 other goes on ``ALLOWED`` with its reader.  Names are matched as the source spells them:
 a caller is any read of ``x`` or of ``obj.x``, except a read of a variable
 of the enclosing functions.  Dunder methods, which the language calls, are
-exempt.
+exempt.  An import binds a name; a module that never reads it keeps a
+dependency for nothing.
 """
 
 import ast
@@ -16,6 +18,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "equiloday"
+TESTS = ROOT / "tests"
 
 # module.qualname -> the reader outside the package that needs it, for the
 # readers not listed in perfbench/tracer.py's LAYERS (see _layer_names)
@@ -153,3 +156,38 @@ def test_guard_sees_a_definition_named_only_in_its_own_body(tmp_path):
     (tmp_path / "b.py").write_text("from a import Box, reader\n")
     assert uncalled_definitions(tmp_path) == ["a.recursive", "a.shadowed",
                                               "a.Box.unread"]
+
+
+def unused_imports(paths) -> list[str]:
+    """``file:line name`` of each name an import binds that its module
+    never reads (``import a.b`` binds ``a``; ``__future__`` is exempt)."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            out += [f"{path.name}:{node.lineno} {name}" for name in names
+                    if name not in reads]
+    return out
+
+
+def test_every_import_is_read():
+    unused = unused_imports(sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")))
+    assert not unused, "imported but never read: " + ", ".join(unused)
+
+
+def test_guard_sees_an_unused_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nfrom math import comb, floor\n"
+        "from itertools import product\n\n\n"
+        "def f():\n    from sys import argv\n    return os.path.sep, comb\n")
+    assert unused_imports([tmp_path / "a.py"]) == [
+        "a.py:3 js", "a.py:4 floor", "a.py:5 product", "a.py:9 argv"]

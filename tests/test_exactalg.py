@@ -537,6 +537,16 @@ def test_homology_data_matches_dense_oracle(case):
         assert got.pres.canonical() == want.pres.canonical()
 
 
+@settings(max_examples=100, deadline=None)
+@given(chain_complex())
+def test_homology_matches_the_canonical_homology_data(case):
+    # free levels skip the lifts: rank and invariant factors must agree
+    levels, bounds = case
+    cx = ChainComplex(levels, [sparse(d) for d in bounds])
+    for k in range(3):
+        assert cx.homology(k) == cx.homology_data(k).pres.canonical()
+
+
 def test_induced_map_rejects_a_non_chain_map():
     # the generator of H_1 of Z --0--> Z is no cycle of Z --1--> Z
     h_dom = ChainComplex([PresentedAb(1)] * 2, [sparse([[0]])]).homology_data(1)

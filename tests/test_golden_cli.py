@@ -91,9 +91,9 @@ def test_largest_carving_output_is_pinned():
                          "--subgroups", "classes", "--emit-complex"])
     assert code == 0
     data = out.encode("utf-8")
-    assert len(data) == 20_756_461
+    assert len(data) == 20_725_074
     assert hashlib.sha256(data).hexdigest() == (
-        "2f82020ad49160eead3864c01ec053d6e4a509226fbca6f32ec3b4d0a34a44db")
+        "5936ced06ae3ac157f0a0e91c1d8c038678f1f1c95cf02fb8a710924eb885167")
 
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")

@@ -18,7 +18,6 @@ from equiloday.fingroup import (
 )
 from equiloday.gring import (
     IDENTITY_TWIST,
-    GTensorRing,
     NormRing,
     PresentedRing,
     RingWithAction,

@@ -1,21 +1,26 @@
 """Fixed-point homology: complexes, tables, and the subgroup-level maps."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from equiloday.coeffs import gaussian, integers, load_bundled
-from equiloday.exactalg import FgAbelianGroup, IntMatrix, PresentedAb, SparseMatrix, SubQuotient
+from equiloday.coeffs import Coefficient, gaussian, integers, load_bundled
+from equiloday.exactalg import (FgAbelianGroup, IntMatrix, PresentedAb, SparseMatrix,
+                                SubQuotient, induced_map)
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing,
-                             SizeBudgetExceeded, StructuredHom, TensorRing,
-                             norm_projection, tensor_induce)
-from equiloday.homology import (LevelComplex, feasible_degree, homology_table,
+                             PresentedRing, RingWithAction, SizeBudgetExceeded,
+                             StructuredHom, TensorRing, norm_projection,
+                             tensor_induce)
+from equiloday.homology import (LevelComplex, _moore_complex, _Nondegenerate,
+                                _OrbitFixed, _restricted, feasible_degree, homology_table,
                                 homology_tables, mackey_homology)
 from equiloday.loday import (SimplicialGRing, bar, loday_free,
                              loday_two_isotropy, real_hochschild)
-from equiloday.simpgset import (build_cayley, build_polygon, build_rot_circle,
-                                build_sigma_circle)
+from equiloday.simpgset import build_cayley, build_rot_circle, build_sigma_circle
+from equiloday.verify import run_suite
 
-from oracles import AbHom, cyclic_bar_homology, oracle_h0
+from oracles import (AbHom, cyclic_bar_homology, oracle_h0, polynomial_hh,
+                     polynomial_mult)
 
 
 def shapes(table):
@@ -157,7 +162,6 @@ def test_constant_simplicial_ring_is_a_point(zmod4):
 def test_fixed_inclusion_commutes_with_boundaries():
     # the inclusion of the fixed subcomplex into the full complex is a chain
     # map: boundaries restricted then included equal included then bounded
-    from equiloday.homology import _restricted
     c2 = make_cyclic(2)
     s = loday_free(build_rot_circle(2, truncation=3),
                    gaussian().c2_action(), inner="flip")
@@ -286,7 +290,7 @@ def test_expansion_key_sees_one_face_twist():
     targets[0][0] = (slot, conj if twist == IDENTITY_TWIST else IDENTITY_TWIST, anti)
     faces = [list(fs) for fs in s.faces]
     faces[1][1] = StructuredHom(f.src, f.dst, targets, check=False)
-    t = SimplicialGRing(s.group, s.levels, faces, s.degens, s.tags)
+    t = SimplicialGRing(s.group, s.levels, faces, s.degens)
     assert t.expansion_key(2) != key
     assert t.expansion_key(1) == s.expansion_key(1)  # level 2 lies above top 1
 
@@ -300,7 +304,22 @@ def test_expansion_key_sees_one_level_base(c2mod2):
     action = [StructuredHom(tr, tr, f.targets, check=False) for f in lv.action]
     levels = list(s.levels)
     levels[1] = GTensorRing(s.group, tr, action, check=False)
-    t = SimplicialGRing(s.group, levels, s.faces, s.degens, s.tags)
+    t = SimplicialGRing(s.group, levels, s.faces, s.degens)
+    assert t.expansion_key(0) == s.expansion_key(0)
+    assert t.expansion_key(1) != s.expansion_key(1)
+
+
+def test_expansion_key_sees_one_degeneracy():
+    # moving which slot s_0 fills with the unit changes the degenerate tuples
+    s = real_hochschild(1, gaussian(), truncation=2).loday_side
+    d = s.degeneracy(0, 0)
+    targets = [list(lst) for lst in d.targets]
+    unit = next(q for q, lst in enumerate(targets) if not lst)
+    full = next(q for q, lst in enumerate(targets) if lst)
+    targets[unit], targets[full] = targets[full], targets[unit]
+    degens = [list(ds) for ds in s.degens]
+    degens[0][0] = StructuredHom(d.src, d.dst, targets, check=False)
+    t = SimplicialGRing(s.group, s.levels, s.faces, degens)
     assert t.expansion_key(0) == s.expansion_key(0)
     assert t.expansion_key(1) != s.expansion_key(1)
 
@@ -318,8 +337,6 @@ def test_distinct_keys_get_a_complex_each(c2mod2):
 def test_iso_induces_equality_on_homology(zmod4):
     # not only equal tables: the levelwise relabeling is a chain map, so it
     # should induce the identity-sized match degreewise
-    from equiloday.homology import _restricted
-    from equiloday.exactalg import induced_map
     rh = real_hochschild(1, zmod4, truncation=3)
     sub = (0, 1)
     ll = LevelComplex(rh.loday_side, sub, max_level=2)
@@ -338,8 +355,6 @@ def test_iso_induces_equality_on_homology(zmod4):
 def test_comparison_commutes_with_res(zmod4):
     # the induced comparison at the fixed level, followed by restriction on
     # the bar side, equals restriction on the loday side then the comparison
-    from equiloday.homology import _restricted
-    from equiloday.exactalg import induced_map
     rh = real_hochschild(1, zmod4, truncation=2)
     k = 0
     mk_l = mackey_homology(rh.loday_side, k)
@@ -357,11 +372,163 @@ def test_comparison_commutes_with_res(zmod4):
 
 
 # ---------------------------------------------------------------------------
+# free levels: the quotient by degenerate elements against the Moore complex
+
+
+def _moore_to_quotient_is_iso(lc):
+    """The Moore complex carries the same homology as ``lc``'s quotient,
+    and the map from Moore cycles to C^H / D^H induces an isomorphism on
+    every H_k below the top."""
+    reduced, moore = _moore_complex(lc)
+    for k in range(lc.top):
+        chain = _restricted(lc.fixed[k], lc.fixed[k].lift @ reduced[k].lift,
+                            lc.reduced[k])
+        src, dst = moore.homology_data(k), lc.homology_data(k)
+        assert src.pres.canonical() == dst.pres.canonical(), k
+        m = induced_map(src, dst, chain)
+        assert AbHom(src.pres, dst.pres, m).is_isomorphism(), k
+
+
+# the instances behind tests/golden/loday-polygon-*.json and the output
+# test_largest_carving_output_is_pinned pins by hash
+GOLDEN_INSTANCES = [("gaussian", 1, 3, 2), ("zmod4", 2, 3, 2),
+                    ("group_ring_c2_mod2", 1, 3, 1),
+                    pytest.param("gaussian", 2, 3, 1, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("name,m,truncation,max_degree", GOLDEN_INSTANCES)
+def test_quotient_moore_and_unnormalized_agree_on_golden_instances(
+        name, m, truncation, max_degree):
+    coeff = gaussian() if name == "gaussian" else load_bundled(name)
+    s = real_hochschild(m, coeff, truncation).loday_side
+    for sub in [cls[0] for cls in s.group.subgroup_classes()]:
+        lc = LevelComplex(s, sub, max_level=max_degree + 1)
+        free = name == "gaussian"  # the other two carry relations
+        assert isinstance(lc.reduced[0], _Nondegenerate) == free, sub
+        _, moore = _moore_complex(lc)
+        for k in range(max_degree + 1):
+            assert (lc.homology(k) == moore.homology(k)
+                    == lc.unnormalized_homology(k)), (sub, k)
+        if free and m == 1:  # with lifts, m = 2 would take 10 s more
+            _moore_to_quotient_is_iso(lc)
+
+
+def test_free_ranks_are_the_nondegenerate_counts():
+    # 4 * 3^n live nondegenerate tuples at H = e, 2 * 3^n orbit sums at C2
+    s = real_hochschild(1, gaussian(), truncation=3).loday_side
+    for sub, lead in (((0,), 4), ((0, 1), 2)):
+        lc = LevelComplex(s, sub)
+        assert [lv.ngens for lv in lc.normalized.levels] == [lead * 3 ** n for n in range(4)]
+
+
+@st.composite
+def _small_free_ring(draw):
+    """Z[x]/(x^2 + bx + c), and whether to take the sigma circle, whose
+    involution x -> -x needs b = 0."""
+    sigma = draw(st.booleans())
+    b = 0 if sigma else draw(st.integers(-2, 2))
+    return [draw(st.integers(-2, 2)), b, 1], sigma
+
+
+@settings(max_examples=12, deadline=None)
+@given(_small_free_ring())
+def test_quotient_matches_moore_on_small_free_rings(case):
+    f, sigma = case
+    ring = PresentedRing(2, None, polynomial_mult(f), [1, 0])
+    if sigma:
+        coeff = Coefficient("quadratic", "", ring,
+                            (IntMatrix.from_rows([[1, 0], [0, -1]]), True), None)
+        s = loday_two_isotropy(build_sigma_circle(truncation=3), coeff)
+    else:
+        s = loday_free(build_rot_circle(2, truncation=3),
+                       RingWithAction.trivial(make_cyclic(2), ring), inner="flip")
+    for sub in s.group.all_subgroups():
+        lc = LevelComplex(s, sub)
+        assert isinstance(lc.reduced[0], _Nondegenerate)
+        for k in range(3):
+            assert lc.homology(k) == lc.unnormalized_homology(k), (sub, k)
+        _moore_to_quotient_is_iso(lc)
+        if sub == (0,):  # both spaces are circles underneath
+            assert [lc.homology(k) for k in range(3)] == polynomial_hh(f, 0, 2)
+
+
+def test_mixed_models_fall_back_to_moore_for_mackey_maps():
+    # Z[w], w^2 = -1 - w, with conjugation w -> -1 - w: not a signed
+    # permutation, so the diagonal C2 action gets the Moore complex while
+    # H = e alone would get the quotient; a transfer out of the quotient
+    # would miss the Moore carving
+    ring = PresentedRing(2, None, polynomial_mult([1, 1, 1]), [1, 0])
+    conj = ring.twists.intern(IntMatrix.from_rows([[1, -1], [0, -1]]))
+    rwa = RingWithAction(make_cyclic(2), ring,
+                         [(IDENTITY_TWIST, False), (conj, False)])
+    s = loday_free(build_rot_circle(2, truncation=3), rwa, inner="diagonal")
+    assert isinstance(LevelComplex(s, (0,), max_level=2).reduced[1], _Nondegenerate)
+    e, full = (0,), (0, 1)
+    for k in (0, 1):
+        mk = mackey_homology(s, k)
+        assert not any(isinstance(lc.reduced[k], _Nondegenerate)
+                       for lc in mk._lc.values())
+        comp = mk.res(full, e) @ mk.transfer(e, full)
+        t, _ = mk.conj(1, e)
+        assert mk.maps_equal(e, comp, IntMatrix.identity(t.rows) + t), k
+
+
+# ---------------------------------------------------------------------------
+# independent rows: closed-form HH at H = e, and isotropy reduction
+
+
+@pytest.mark.parametrize("name,n,f,m,truncation", [
+    ("z", 0, [0, 1], 1, 4),
+    ("gaussian", 0, [1, 0, 1], 1, 4),
+    ("gaussian", 0, [1, 0, 1], 2, 2),
+    ("zmod4", 4, [0, 1], 1, 4),
+    ("zmod4", 4, [0, 1], 2, 3),
+    ("group_ring_c2_mod2", 2, [-1, 0, 1], 1, 3),
+])
+def test_underlying_row_is_closed_form_hh(name, n, f, m, truncation):
+    # A = R[x]/(f) on the basis 1, x, ...; the two sides share one complex,
+    # so this closed form is the check on the H = e row
+    coeff = gaussian() if name == "gaussian" else load_bundled(name)
+    assert [[list(c) for c in row] for row in coeff.ring.mult] == polynomial_mult(f)
+    assert coeff.ring.ab.canonical() == polynomial_hh(f, n, 0)[0]
+    rh = real_hochschild(m, coeff, truncation)
+    tl, tb = homology_tables([rh.loday_side, rh.bar_side], (0,), truncation - 1)
+    assert tl == tb == polynomial_hh(f, n, truncation - 1)
+
+
+def test_reflection_rows_at_m2_equal_the_m1_c2_row():
+    # restricted to a reflection fixing vertices, the 4-gon is S^sigma, so
+    # both reflection classes at m = 2 see the m = 1 C2 row
+    c2_row = homology_table(real_hochschild(1, gaussian(), truncation=2).loday_side,
+                            (0, 1), 1)
+    assert shapes(c2_row) == [(1, (2,)), (0, (2, 2, 2))]
+    s = real_hochschild(2, gaussian(), truncation=2).loday_side
+    classes = [cls[0] for cls in s.group.subgroup_classes()]
+    for sub in ((0, 2), (0, 3)):
+        assert sub in classes
+        assert homology_table(s, sub, 1) == c2_row, sub
+
+
+def test_realhh_builds_one_complex_per_subgroup_class(monkeypatch):
+    made = []
+    init = LevelComplex.__init__
+
+    def record(self, s, sub, *args, **kwargs):
+        made.append(tuple(sub))
+        init(self, s, sub, *args, **kwargs)
+
+    monkeypatch.setattr(LevelComplex, "__init__", record)
+    report = run_suite("realhh", {"m": 1, "coeff": "gaussian", "truncation": 2,
+                                  "max_degree": 1})
+    assert report["passed"]
+    assert made == [(0,), (0, 1)]
+
+
+# ---------------------------------------------------------------------------
 # guard rails
 
 
 def test_restricted_rejects_columns_off_an_orbit_carving():
-    from equiloday.homology import _OrbitFixed, _restricted
     # point 0 is negated (its orbit dies), points 1 and 2 are swapped: the
     # fixed vectors are the multiples of e1 + e2, with e1 the orbit's head
     fixed = _OrbitFixed(PresentedAb(3), [[(0, -1), (2, 1), (1, 1)]])
@@ -376,7 +543,6 @@ def test_restricted_rejects_columns_off_an_orbit_carving():
 
 
 def test_restricted_rejects_columns_off_a_smith_carving():
-    from equiloday.homology import _OrbitFixed, _restricted
     carved = SubQuotient(3, [[(0, 2)], [(1, 2)]], [])
     good = _restricted(carved, SparseMatrix(3, [[(0, 4), (1, -2)]]))
     assert (carved.lift @ good).data == [[(0, 4), (1, -2)]]

@@ -9,10 +9,9 @@ from equiloday.gring import (IDENTITY_TWIST, GTensorRing, NormRing,
                              PresentedRing, RingWithAction, StructuredHom,
                              commutativity_uses, norm_projection,
                              reset_commutativity_uses, tensor_induce)
-from equiloday.loday import (_ordered_fold, bar, esigma_check, loday,
-                             loday_free, loday_normal_sub,
-                             loday_one_isotropy, loday_two_isotropy,
-                             real_hochschild, transport_to_diagonal)
+from equiloday.loday import (_ordered_fold, bar, esigma_check, loday_free,
+                             loday_normal_sub, loday_one_isotropy,
+                             loday_two_isotropy, real_hochschild)
 from equiloday.simpgset import (Cell, FinSimpGSet, build_cayley,
                                 build_coset_cayley,
                                 build_permutohedron_skeleton, build_polygon,
@@ -308,7 +307,8 @@ def test_real_hochschild_polygon_slots():
     # level 1 of the 4-gon: two vertex blocks of 2 cosets, one edge block
     # of 4, each slot rank 2
     assert rh.loday_side.level_rank(1) == 2 ** 8
-    assert [label for label, _, _ in rh.loday_side.tags[1]] == ["x", "y", "x'"]
+    lv = rh.loday_side.space.levels[1]
+    assert [lv.label(o) for o in range(len(lv.orbits))] == ["x", "y", "x'"]
 
 
 def test_real_hochschild_rejects_involutionless():

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from equiloday.exactalg import ChainComplex, PresentedAb, SparseMatrix
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.simpgset import (Cell, EqMap, FinSimpGSet, build_cayley,
-                                build_coset_cayley,
                                 build_permutohedron_skeleton, build_polygon,
                                 build_rot_circle, build_sigma_circle,
                                 dihedral_vertex_subgroups, face_precompose,
