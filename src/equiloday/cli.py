@@ -667,9 +667,11 @@ def make_parser() -> argparse.ArgumentParser:
                    help="validate the simplicial ring before computing")
     p.add_argument("--emit-complex", action="store_true",
                    help="include face maps and the normalized complex's boundaries "
-                        "under 'moore_boundaries' (JSON only); on free levels these "
-                        "are the boundaries on the quotient basis of nondegenerate "
-                        "orbit sums")
+                        "under 'moore_boundaries' (JSON only): on every level these "
+                        "are the boundaries of C^H/D(C^H), the quotient by the "
+                        "degenerate part, on the basis of nondegenerate orbit sums "
+                        "where the levels allow it and on the fixed coordinates "
+                        "elsewhere")
     p.set_defaults(fn=cmd_loday)
 
     p = sub.add_parser("verify", help="run one named verification suite")

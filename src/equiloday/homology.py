@@ -5,14 +5,14 @@ points of a simplicial ring out of the expanded additive groups, restrict
 the face maps, and read homology off the resulting complex of finitely
 generated abelian groups.  Two complexes are kept side by side:
 
-* the normalized one, in one of two models (see ``LevelComplex``): on free
-  levels whose actions are signed permutations and whose unit is a basis
-  vector, the quotient by the degenerate elements, whose basis is the live
-  nondegenerate orbit sums and whose boundary is the alternating sum of all
-  faces, so no Smith form is spent on carving it; on any other level the
-  Moore complex, whose degree-n part is the intersection of the kernels of
-  every face but the zeroth (the boundary is face 0 restricted), carved by
-  Smith form, because relations keep fixed points from being orbit sums;
+* the normalized one, C^H / D(C^H), the quotient by the degenerate
+  elements, on every level (see ``LevelComplex``), with the alternating sum
+  of all faces as boundary: on free levels whose actions are signed
+  permutations and whose unit is a basis vector its basis is the live
+  nondegenerate orbit sums, so no Smith form is spent on carving it; on any
+  other level it keeps the fixed coordinates and takes the degenerate
+  images as extra relations, because relations keep fixed points from
+  being orbit sums;
 * the unnormalized one, on the full fixed levels, with the alternating sum
   of all faces as boundary.
 
@@ -21,8 +21,8 @@ cross-check rather than a fact we silently rely on.  The unnormalized
 complex is built on first read (``LevelComplex.unnormalized``), so only the
 cross-check pays for it.  The test suite keeps a third, still more
 independent route at degree zero, the bare coequalizer of the two faces
-(``tests/oracles.py``, ``oracle_h0``), runs the Moore complex on free levels
-as the quotient's oracle, and checks the H = e rows against the closed
+(``tests/oracles.py``, ``oracle_h0``), runs the Moore complex (there too) as
+the quotient's oracle, and checks the H = e rows against the closed
 form of HH_*(R[x]/(f)).
 
 On top of the per-subgroup tables, ``mackey_homology`` assembles the
@@ -33,9 +33,9 @@ invertibly) can be checked by exhaustion on small groups.
 
 Sizes are guarded the same way as everywhere else: any level whose expanded
 rank would exceed the dense budget raises ``SizeBudgetExceeded``, which
-callers are expected to report as a skip rather than swallow.  Expanded face
-and action maps are column-sparse (``SparseMatrix``) and cached per
-simplicial ring, so every subgroup reuses them; across rings,
+callers are expected to report as a skip rather than swallow.  Expanded
+face, degeneracy and action maps are column-sparse (``SparseMatrix``) and
+cached per simplicial ring, so every subgroup reuses them; across rings,
 ``homology_tables`` builds one complex per distinct
 ``SimplicialGRing.expansion_key``, so rings that are one simplicial module
 up to slot labels (the two sides of ``real_hochschild``) share a single
@@ -45,13 +45,13 @@ permutations (and on whole levels) the fixed points are orbit sums
 (``_OrbitFixed``); elsewhere they are carved by Smith form
 (``SubQuotient``).  The fixed carving happens once per level and the
 normalized part is carved inside the fixed coordinates rather than back at
-ambient size (``_Nondegenerate`` for the quotient, ``SubQuotient`` for the
-Moore complex).  Sparse columns in, sparse columns out: the level relations
-(``TensorRing.dense_group``, built once per level) and every carved
-presentation are ``SparseMatrix``, the carving conditions reach the
-Smith-form engine as sparse rows (``kernel_columns``), and the restricted
-boundaries and chain maps are ``SparseMatrix`` all the way to
-``ChainComplex`` and ``induced_map``.  Only maps between homology groups
+ambient size (``_Nondegenerate`` or ``_Quotient``).  Sparse columns in,
+sparse columns out: the level relations (``TensorRing.dense_group``, built
+once per level) and every carved presentation are ``SparseMatrix``, the
+carving conditions reach the Smith-form engine as sparse rows
+(``kernel_columns``), and the restricted boundaries and chain maps are
+``SparseMatrix`` all the way to ``ChainComplex`` and ``induced_map``.  Only
+maps between homology groups
 (``induced_map``, ``MackeyH``) are dense ``IntMatrix``.
 """
 
@@ -60,8 +60,8 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
-                       SparseMatrix, SubQuotient, _condition_rows, induced_map,
-                       kernel_columns)
+                       SparseMatrix, SubQuotient, _condition_rows, _dedup_cols,
+                       induced_map, kernel_columns)
 from .fingroup import FiniteGroup
 from .gring import DENSE_BUDGET
 
@@ -161,6 +161,23 @@ class _Nondegenerate:
         return [(i, v) for c, v in col if (i := self._pos.get(c)) is not None]
 
 
+class _Quotient:
+    """C^H / D(C^H) in the fixed coordinates themselves: ``lift`` and
+    ``express`` are the identity, and the relations are the fixed level's
+    own plus ``degenerate``, the images of the degeneracies in those
+    coordinates.
+    """
+
+    def __init__(self, fixed: PresentedAb, degenerate: list[list[tuple[int, int]]]):
+        n = fixed.ngens
+        self.lift = SparseMatrix.identity(n)
+        self.pres = PresentedAb(n, SparseMatrix(n, _dedup_cols(
+            fixed.relations.data + degenerate)))
+
+    def express(self, col: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        return list(col)
+
+
 def _degenerate_tuples(s, top: int) -> Optional[list[set[int]]]:
     """Per level n <= top, the basis tuples spanning the degenerate part.
 
@@ -188,32 +205,7 @@ def _degenerate_tuples(s, top: int) -> Optional[list[set[int]]]:
     return out
 
 
-Carved = Union[SubQuotient, _OrbitFixed, _Nondegenerate]
-
-
-def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, SparseMatrix]]
-                         ) -> Optional[list[list[tuple[int, int]]]]:
-    """Sparse columns spanning all x in Z^rank with A @ x in the lattice of B, per (A, B).
-
-    The solution set of each condition is the projection to the first
-    ``rank`` coordinates of the kernel of ``[A | -B]``; stacking the
-    conditions block-diagonally in the padding columns solves them jointly.
-    ``None`` means no conditions survived (everything solves them).
-    """
-    conds = [(a, b) for (a, b) in conds if a.rows and any(a.data)]
-    if not conds:
-        return None
-    width = rank + sum(b.cols for _, b in conds)
-    return kernel_columns(_condition_rows(rank, conds), width, rank)
-
-
-def _conditions_subquotient(rank: int, rels: SparseMatrix,
-                            conds: list[tuple[SparseMatrix, SparseMatrix]]) -> Carved:
-    """The joint solution set packaged as a subgroup of Z^rank / rels."""
-    span = _joint_solution_span(rank, conds)
-    if span is None:
-        return _OrbitFixed(PresentedAb(rank, rels), [])
-    return SubQuotient(rank, span + rels.data, rels.data)
+Carved = Union[SubQuotient, _OrbitFixed, _Nondegenerate, _Quotient]
 
 
 def _restricted(dst: Carved, cols: SparseMatrix,
@@ -249,13 +241,20 @@ def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
 
 def _fixed_level(s, n: int, gens: Sequence[int], budget: int) -> Carved:
     pres = s.levels[n].tensor.dense_group(budget)
+    rank, rels = pres.ngens, pres.relations
     mats = [s.expanded_act(n, k, budget) for k in gens]
-    if not pres.relations.cols and all(len(col) == 1 and col[0][1] in (1, -1)
-                                       for m in mats for col in m.data):
+    if not rels.cols and all(len(col) == 1 and col[0][1] in (1, -1)
+                             for m in mats for col in m.data):
         return _OrbitFixed(pres, [[col[0] for col in m.data] for m in mats])
-    ident = SparseMatrix.identity(pres.ngens)
-    conds = [(m - ident, pres.relations) for m in mats]
-    return _conditions_subquotient(pres.ngens, pres.relations, conds)
+    ident = SparseMatrix.identity(rank)
+    conds = [(a, rels) for m in mats if any((a := m - ident).data)]
+    if not conds:
+        return _OrbitFixed(pres, [])
+    # x is fixed modulo the relations iff every (g - 1) x lies in their
+    # lattice: the kernel of the stacked [g - 1 | -rels] rows, cut to Z^rank
+    span = kernel_columns(_condition_rows(rank, conds),
+                          rank + len(conds) * rels.cols, rank)
+    return SubQuotient(rank, span + rels.data, rels.data)
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +264,26 @@ def _fixed_level(s, n: int, gens: Sequence[int], budget: int) -> Carved:
 class LevelComplex:
     """Fixed points of a simplicial ring under one subgroup, as complexes.
 
-    ``fixed[n]`` carves the fixed part out of the expanded level;
-    ``reduced[n]`` is a carving inside the *fixed coordinates* (its lift
-    composes with ``fixed[n].lift`` to reach ambient vectors) that carries
-    ``normalized``, in one of two models of the normalized complex:
+    ``fixed[n]`` carves the fixed part C^H_n out of the expanded level.  The
+    faces and degeneracies are equivariant, so C^H is a simplicial abelian
+    group, and by Dold-Kan its normalized complex is the quotient
+    C^H / D(C^H) by the degenerate part D(C^H)_n = sum_j s_j(C^H_(n-1)),
+    with the alternating sum of all faces as boundary (Goerss-Jardine III.2,
+    Loday 1.6); relations do not change this.  ``normalized`` is that
+    complex on every level.  ``reduced[n]`` carves it inside the *fixed
+    coordinates* (its lift composes with ``fixed[n].lift`` to reach ambient
+    vectors), in one of two ways:
 
     * Free levels whose actions are signed permutations, with the unit a
-      basis vector, take the quotient C^H / D^H by the degenerate part
+      basis vector, take the live nondegenerate orbit sums as a basis
       (``_Nondegenerate``, every n <= top).  Each im s_j is then spanned by
-      basis tuples and H-stable, so D^H is spanned by degenerate orbit
-      sums, and (im s_j)^H = s_j(C^H) because s_j is injective and
-      equivariant: D^H is the degenerate part of C^H, and the quotient is
-      its normalized complex (Goerss-Jardine III.2, Loday 1.6).  The basis
-      is combinatorial and the boundary is the alternating sum of all
-      faces, so no Smith form is spent on carving.
+      basis tuples and H-stable, so the degenerate orbit sums span D^H, and
+      (im s_j)^H = s_j(C^H) because s_j is injective and equivariant: D^H
+      is D(C^H).  No Smith form is spent on carving.
     * Any other level (relations, as in zmod4 or group_ring_c2_mod2, keep
       the fixed points from being orbit sums and D from being spanned by
-      tuples) takes the Moore complex, carved by ``_moore_complex``.
+      tuples) keeps the fixed coordinates and divides out the images of the
+      degeneracies as relations (``_Quotient``).
 
     ``unnormalized`` is the alternating-sum complex on the full fixed
     levels; ``max_level`` trims how far up the truncation is materialized.
@@ -304,19 +306,22 @@ class LevelComplex:
         gens = _generating_subset(g, sub)
         self.fixed: list[Carved] = [_fixed_level(s, n, gens, budget)
                                     for n in range(top + 1)]
-        degenerate = all(isinstance(f, _OrbitFixed) and not f.pres.relations.cols
-                         for f in self.fixed) and _degenerate_tuples(s, top)
-        if degenerate:
+        tuples = all(isinstance(f, _OrbitFixed) and not f.pres.relations.cols
+                     for f in self.fixed) and _degenerate_tuples(s, top)
+        if tuples:
             self.reduced: list[Carved] = [_Nondegenerate(f, d)
-                                          for f, d in zip(self.fixed, degenerate)]
-            self.normalized = ChainComplex(
-                [r.pres for r in self.reduced],
-                [_restricted(self.fixed[n - 1],
-                             self._boundary(n, self.fixed[n].lift @ self.reduced[n].lift),
-                             self.reduced[n - 1])
-                 for n in range(1, top + 1)])
+                                          for f, d in zip(self.fixed, tuples)]
         else:
-            self.reduced, self.normalized = _moore_complex(self)
+            self.reduced = [
+                _Quotient(f.pres, [col for j in range(n) for col in _restricted(
+                    f, s.expanded_degen(n - 1, j, budget) @ self.fixed[n - 1].lift).data])
+                for n, f in enumerate(self.fixed)]
+        self.normalized = ChainComplex(
+            [r.pres for r in self.reduced],
+            [_restricted(self.fixed[n - 1],
+                         self._boundary(n, self.fixed[n].lift @ self.reduced[n].lift),
+                         self.reduced[n - 1])
+             for n in range(1, top + 1)])
 
     @cached_property
     def unnormalized(self) -> ChainComplex:
@@ -361,43 +366,6 @@ class LevelComplex:
         # degree ``top`` would be missing the boundary coming in from above
         if not 0 <= k <= self.top - 1:
             raise ValueError(f"degree {k} not below the materialized top {self.top}")
-
-
-def _moore_complex(lc: LevelComplex) -> tuple[list[Carved], ChainComplex]:
-    """The Moore complex of ``lc``'s fixed levels, and its carvings.
-
-    ``reduced[n]``, for n below the top, carves the intersection of the
-    kernels of faces 1..n out of the fixed coordinates; the boundary is
-    face 0 restricted.  The top level only ever contributes its boundary
-    image, since homology there is out of range, so it gets free generators
-    on spanning columns of that intersection (then the relation columns):
-    an image is insensitive to redundancy among its spanning columns.
-    Relation-bearing levels use this model; on free levels it stays the
-    oracle for the quotient.
-    """
-    fixed, top = lc.fixed, lc.top
-    rels = [lc.s.levels[n].tensor.dense_group(lc.budget).relations
-            for n in range(top)]  # where the faces land
-
-    def conditions(n: int) -> list[tuple[SparseMatrix, SparseMatrix]]:
-        # faces 1..n on the fixed coordinates, each to vanish modulo the
-        # relations of level n - 1
-        return [(lc.face(n, i) @ fixed[n].lift, rels[n - 1]) for i in range(1, n + 1)]
-
-    # level 0 has no faces to kill, so its carving is the whole level
-    reduced = [_conditions_subquotient(f.pres.ngens, f.pres.relations, conditions(n))
-               for n, f in enumerate(fixed[:top])]
-    rank = fixed[top].pres.ngens
-    span = _joint_solution_span(rank, conditions(top))
-    if span is None:
-        span = SparseMatrix.identity(rank).data
-    top_span = SparseMatrix(rank, span + fixed[top].pres.relations.data)
-    inner = [r.lift for r in reduced] + [top_span]
-    bounds = [_restricted(fixed[n - 1], lc.face(n, 0) @ fixed[n].lift @ inner[n],
-                          reduced[n - 1])
-              for n in range(1, top + 1)]
-    return reduced, ChainComplex([r.pres for r in reduced] + [PresentedAb(top_span.cols)],
-                                 bounds)
 
 
 def feasible_degree(s, want: int, budget: int) -> int:
@@ -591,12 +559,6 @@ def mackey_homology(s, k: int, subgroups: Optional[Sequence[Sequence[int]]] = No
                            for cls in g.subgroup_classes()) if c]
     classes.sort(key=lambda c: (len(c[0]), c[0]))
     lcs = {h: LevelComplex(s, h, max_level=k + 1, budget=budget) for h in subs}
-    quotient = [h for h, lc in lcs.items() if isinstance(lc.reduced[k], _Nondegenerate)]
-    if 0 < len(quotient) < len(lcs):
-        # a transfer or conjugation out of a quotient need not land in a
-        # Moore carving: one Moore subgroup puts every subgroup on Moore
-        for h in quotient:
-            lcs[h].reduced, lcs[h].normalized = _moore_complex(lcs[h])
     hds = {h: lc.homology_data(k) for h, lc in lcs.items()}
     values = {h: hd.pres.canonical() for h, hd in hds.items()}
     return MackeyH(degree=k, group=g, subgroups=list(subs), classes=classes,

@@ -5,8 +5,9 @@ plain integer matrices, bypassing the structured-homomorphism machinery,
 so that agreement between the two is evidence rather than tautology.  The
 rest are the dense front doors and second routes that only tests read
 (``smith_normal_form``, ``solve``, ``AbHom``, ``isomorphisms_to``,
-``project_power_to_norm``, ``hom_equal_dense``, ``oracle_h0``): the
-package itself keeps only what its pipeline calls.
+``project_power_to_norm``, ``hom_equal_dense``, ``oracle_h0``,
+``_moore_complex``): the package itself keeps only what its pipeline
+calls.
 """
 
 from itertools import product
@@ -21,7 +22,8 @@ from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix,
 from equiloday.fingroup import FiniteGroup
 from equiloday.gring import (DENSE_BUDGET, NormRing, PresentedRing,
                              RingWithAction, StructuredHom, group_power_ring)
-from equiloday.homology import _fixed_level, _generating_subset, _restricted
+from equiloday.homology import (Carved, LevelComplex, _OrbitFixed, _fixed_level,
+                                _generating_subset, _restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -995,3 +997,69 @@ def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGro
     rels = sq[0].pres.relations
     rels = SparseMatrix(rels.rows, rels.data + _restricted(sq[0], diff @ sq[1].lift).data)
     return PresentedAb(rels.rows, rels).canonical()
+
+
+# ---------------------------------------------------------------------------
+# the Moore complex: kernels of faces 1..n, carved by Smith form
+
+
+def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, SparseMatrix]]
+                         ) -> Optional[list[list[tuple[int, int]]]]:
+    """Sparse columns spanning all x in Z^rank with A @ x in the lattice of B, per (A, B).
+
+    The solution set of each condition is the projection to the first
+    ``rank`` coordinates of the kernel of ``[A | -B]``; stacking the
+    conditions block-diagonally in the padding columns solves them jointly.
+    ``None`` means no conditions survived (everything solves them).
+    """
+    conds = [(a, b) for (a, b) in conds if a.rows and any(a.data)]
+    if not conds:
+        return None
+    width = rank + sum(b.cols for _, b in conds)
+    return kernel_columns(_condition_rows(rank, conds), width, rank)
+
+
+def _conditions_subquotient(rank: int, rels: SparseMatrix,
+                            conds: list[tuple[SparseMatrix, SparseMatrix]]) -> Carved:
+    """The joint solution set packaged as a subgroup of Z^rank / rels."""
+    span = _joint_solution_span(rank, conds)
+    if span is None:
+        return _OrbitFixed(PresentedAb(rank, rels), [])
+    return SubQuotient(rank, span + rels.data, rels.data)
+
+
+def _moore_complex(lc: LevelComplex) -> tuple[list[Carved], ChainComplex]:
+    """The Moore complex of ``lc``'s fixed levels, and its carvings.
+
+    ``reduced[n]``, for n below the top, carves the intersection of the
+    kernels of faces 1..n out of the fixed coordinates; the boundary is
+    face 0 restricted.  The top level only ever contributes its boundary
+    image, since homology there is out of range, so it gets free generators
+    on spanning columns of that intersection (then the relation columns):
+    an image is insensitive to redundancy among its spanning columns.
+    It is the oracle for ``LevelComplex.normalized``, the quotient by the
+    degenerate part, which is isomorphic to it on homology (Dold-Kan).
+    """
+    fixed, top = lc.fixed, lc.top
+    rels = [lc.s.levels[n].tensor.dense_group(lc.budget).relations
+            for n in range(top)]  # where the faces land
+
+    def conditions(n: int) -> list[tuple[SparseMatrix, SparseMatrix]]:
+        # faces 1..n on the fixed coordinates, each to vanish modulo the
+        # relations of level n - 1
+        return [(lc.face(n, i) @ fixed[n].lift, rels[n - 1]) for i in range(1, n + 1)]
+
+    # level 0 has no faces to kill, so its carving is the whole level
+    reduced = [_conditions_subquotient(f.pres.ngens, f.pres.relations, conditions(n))
+               for n, f in enumerate(fixed[:top])]
+    rank = fixed[top].pres.ngens
+    span = _joint_solution_span(rank, conditions(top))
+    if span is None:
+        span = SparseMatrix.identity(rank).data
+    top_span = SparseMatrix(rank, span + fixed[top].pres.relations.data)
+    inner = [r.lift for r in reduced] + [top_span]
+    bounds = [_restricted(fixed[n - 1], lc.face(n, 0) @ fixed[n].lift @ inner[n],
+                          reduced[n - 1])
+              for n in range(1, top + 1)]
+    return reduced, ChainComplex([r.pres for r in reduced] + [PresentedAb(top_span.cols)],
+                                 bounds)

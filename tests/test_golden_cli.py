@@ -40,6 +40,33 @@ CASES["loday-polygon-m1-c2mod2-classes.json"] = [
     "--subgroups", "classes", "--emit-complex"]
 
 
+def _assert_same_text(got: str, want: str, what: str) -> None:
+    """Exact equality.  A mismatch fails at once, naming the first
+    differing line and showing both versions of it around the first
+    differing column, instead of diffing the whole texts (which takes
+    minutes on a large golden)."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    x, y = (lines[i] if i < len(lines) else "" for lines in (a, b))
+    c = next((c for c, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+    lo = max(0, c - 80)
+    pytest.fail(f"{what}: first difference at line {i + 1}, column {c + 1} "
+                f"(got {len(a)} lines, want {len(b)})\n"
+                f"  got:  {x[lo:c + 80]!r}\n  want: {y[lo:c + 80]!r}", pytrace=False)
+
+
+def test_mismatch_names_the_first_differing_line():
+    want = "head\n" + "x" * 200_000 + "\n" + "row 3\n" * 50_000
+    got = want.replace("row 3\nrow 3\n", "row 3\nrow 4\n", 1)
+    _assert_same_text(want, want, "same")
+    with pytest.raises(pytest.fail.Exception, match=r"line 4, column 5 .*\n.*'row 4\\n'"):
+        _assert_same_text(got, want, "golden")
+    with pytest.raises(pytest.fail.Exception, match="line 2, column 1"):
+        _assert_same_text("head\n", want, "golden")
+
+
 def _stdout(argv) -> tuple[int, str]:
     buf = io.StringIO()
     old, sys.stdout = sys.stdout, buf
@@ -56,7 +83,7 @@ def test_cli_stdout_matches_golden(name):
     assert code == 0
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
         want = fh.read()
-    assert out == want
+    _assert_same_text(out, want, name)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("loday-")))
@@ -116,7 +143,7 @@ def test_roster_stdout_matches_benchmark_reference(op_id, argv):
     code, out = _stdout(argv)
     assert code == 0
     with open(ref, encoding="utf-8", newline="") as fh:
-        assert out == fh.read()
+        _assert_same_text(out, fh.read(), ref)
 
 
 def test_group_list_is_covered():

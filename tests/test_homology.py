@@ -11,16 +11,16 @@ from equiloday.gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing,
                              PresentedRing, RingWithAction, SizeBudgetExceeded,
                              StructuredHom, TensorRing, norm_projection,
                              tensor_induce)
-from equiloday.homology import (LevelComplex, _moore_complex, _Nondegenerate,
-                                _OrbitFixed, _restricted, feasible_degree, homology_table,
+from equiloday.homology import (LevelComplex, _Nondegenerate, _OrbitFixed, _Quotient,
+                                _restricted, feasible_degree, homology_table,
                                 homology_tables, mackey_homology)
 from equiloday.loday import (SimplicialGRing, bar, loday_free,
                              loday_two_isotropy, real_hochschild)
 from equiloday.simpgset import build_cayley, build_rot_circle, build_sigma_circle
 from equiloday.verify import run_suite
 
-from oracles import (AbHom, cyclic_bar_homology, oracle_h0, polynomial_hh,
-                     polynomial_mult)
+from oracles import (AbHom, _moore_complex, cyclic_bar_homology, oracle_h0,
+                     polynomial_hh, polynomial_mult)
 
 
 def shapes(table):
@@ -127,8 +127,10 @@ def test_moore_returns_both_complexes(zmod4):
                    zmod4.trivial_action(c2), inner="flip")
     lc = LevelComplex(s, (0, 1), max_level=2)
     assert lc.normalized.top() == 2 and lc.unnormalized.top() == 2
-    # normalized levels are genuinely smaller once faces get killed
-    assert lc.normalized.levels[1].ngens <= lc.unnormalized.levels[1].ngens
+    # normalized levels are genuinely smaller once the degenerate part is
+    # divided out: here the fixed level 1, Z/4, is all degenerate
+    assert lc.unnormalized.levels[1].canonical() == FgAbelianGroup(0, (4,))
+    assert lc.normalized.levels[1].canonical() == FgAbelianGroup(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +374,12 @@ def test_comparison_commutes_with_res(zmod4):
 
 
 # ---------------------------------------------------------------------------
-# free levels: the quotient by degenerate elements against the Moore complex
+# the quotient by degenerate elements against the Moore complex
 
 
 def _moore_to_quotient_is_iso(lc):
     """The Moore complex carries the same homology as ``lc``'s quotient,
-    and the map from Moore cycles to C^H / D^H induces an isomorphism on
+    and the map from Moore cycles to C^H / D(C^H) induces an isomorphism on
     every H_k below the top."""
     reduced, moore = _moore_complex(lc)
     for k in range(lc.top):
@@ -404,12 +406,12 @@ def test_quotient_moore_and_unnormalized_agree_on_golden_instances(
     for sub in [cls[0] for cls in s.group.subgroup_classes()]:
         lc = LevelComplex(s, sub, max_level=max_degree + 1)
         free = name == "gaussian"  # the other two carry relations
-        assert isinstance(lc.reduced[0], _Nondegenerate) == free, sub
+        assert {type(r) for r in lc.reduced} == {_Nondegenerate if free else _Quotient}, sub
         _, moore = _moore_complex(lc)
         for k in range(max_degree + 1):
             assert (lc.homology(k) == moore.homology(k)
                     == lc.unnormalized_homology(k)), (sub, k)
-        if free and m == 1:  # with lifts, m = 2 would take 10 s more
+        if not free or m == 1:  # with lifts, Gaussian m = 2 would take 10 s more
             _moore_to_quotient_is_iso(lc)
 
 
@@ -452,25 +454,36 @@ def test_quotient_matches_moore_on_small_free_rings(case):
             assert [lc.homology(k) for k in range(3)] == polynomial_hh(f, 0, 2)
 
 
-def test_mixed_models_fall_back_to_moore_for_mackey_maps():
+def test_mixed_carvings_share_mackey_maps():
     # Z[w], w^2 = -1 - w, with conjugation w -> -1 - w: not a signed
-    # permutation, so the diagonal C2 action gets the Moore complex while
-    # H = e alone would get the quotient; a transfer out of the quotient
-    # would miss the Moore carving
+    # permutation, so the diagonal C2 action gets the fixed-coordinate
+    # quotient while H = e gets the nondegenerate tuples; both are
+    # C^H / D(C^H), so transfer and restriction pass between them
     ring = PresentedRing(2, None, polynomial_mult([1, 1, 1]), [1, 0])
     conj = ring.twists.intern(IntMatrix.from_rows([[1, -1], [0, -1]]))
     rwa = RingWithAction(make_cyclic(2), ring,
                          [(IDENTITY_TWIST, False), (conj, False)])
     s = loday_free(build_rot_circle(2, truncation=3), rwa, inner="diagonal")
-    assert isinstance(LevelComplex(s, (0,), max_level=2).reduced[1], _Nondegenerate)
     e, full = (0,), (0, 1)
     for k in (0, 1):
         mk = mackey_homology(s, k)
-        assert not any(isinstance(lc.reduced[k], _Nondegenerate)
-                       for lc in mk._lc.values())
+        assert isinstance(mk._lc[e].reduced[k], _Nondegenerate), k
+        assert isinstance(mk._lc[full].reduced[k], _Quotient), k
         comp = mk.res(full, e) @ mk.transfer(e, full)
         t, _ = mk.conj(1, e)
         assert mk.maps_equal(e, comp, IntMatrix.identity(t.rows) + t), k
+
+
+@pytest.mark.parametrize("name,m", [
+    ("gaussian", 1), ("zmod4", 1), ("group_ring_c2_mod2", 1), ("zmod4", 2),
+    pytest.param("gaussian", 2, marks=pytest.mark.slow)])
+def test_double_coset_identities_on_real_hochschild(name, m):
+    # transfers, restrictions and conjugations between quotients of every
+    # carving, relation-bearing levels included, on the Loday side
+    coeff = gaussian() if name == "gaussian" else load_bundled(name)
+    s = real_hochschild(m, coeff, truncation=2).loday_side
+    for k in (0, 1):
+        assert mackey_homology(s, k).double_coset_defects() == [], k
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from equiloday.coeffs import gaussian, load_bundled, quaternions
 from equiloday.exactalg import (IntMatrix, SparseMatrix, _SparseWork, _condition_rows,
                                 _snf_engine)
 from equiloday.gring import StructuredHom
-from equiloday.homology import (_conditions_subquotient, _fixed_level,
-                                _generating_subset, _OrbitFixed, homology_table)
+from equiloday.homology import (_fixed_level, _generating_subset, _OrbitFixed,
+                                homology_table)
 from equiloday.loday import real_hochschild
-from oracles import engine_layout, reference_snf_engine
+from oracles import _conditions_subquotient, engine_layout, reference_snf_engine
 
 # ---------------------------------------------------------------------------
 # the matrix type against IntMatrix
