@@ -171,17 +171,6 @@ class SparseMatrix:
                 rows[i][j] = v
         return rows
 
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [0] * self.rows
-        data = self.data
-        for j, x in enumerate(vec):
-            if x:
-                for i, v in data[j]:
-                    out[i] += v * x
-        return out
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
@@ -879,7 +868,7 @@ class ChainComplex:
         sub = self.levels[k].relations.data
         if k < self.top():
             sub = sub + self.boundaries[k].data
-        return SubQuotient(nk, cycles + sub, sub)
+        return SubQuotient(nk, cycles, sub)
 
 
 def induced_map(h_dom: SubQuotient, h_cod: SubQuotient, chain_map: SparseMatrix) -> IntMatrix:

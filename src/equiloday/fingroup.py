@@ -339,27 +339,6 @@ class GroupHom:
     def __call__(self, a: int) -> int:
         return self.images[a]
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self after inner."""
-        return GroupHom(inner.src, self.dst,
-                        [self.images[x] for x in inner.images], check=False)
-
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.src.order == self.dst.order
-
-    def inverse(self) -> "GroupHom":
-        if not self.is_bijective():
-            raise ValueError("not invertible")
-        inv = [0] * self.src.order
-        for a, b in enumerate(self.images):
-            inv[b] = a
-        return GroupHom(self.dst, self.src, inv, check=False)
-
-    @staticmethod
-    def identity(g: FiniteGroup) -> "GroupHom":
-        return GroupHom(g, g, list(range(g.order)), check=False)
-
-
 
 # ---------------------------------------------------------------------------
 # stock groups

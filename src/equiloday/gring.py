@@ -667,14 +667,9 @@ def group_power_ring(group: FiniteGroup, base: PresentedRing) -> TensorRing:
 
 
 def flip_power(group: FiniteGroup, base: PresentedRing) -> GTensorRing:
-    """Group permuting its own tensor coordinates by left translation."""
-    tr = group_power_ring(group, base)
-    action = []
-    for g in range(group.order):
-        ginv = group.inv(g)
-        targets = [[(group.mul(ginv, t), IDENTITY_TWIST, False)] for t in range(group.order)]
-        action.append(StructuredHom(tr, tr, targets, check=False))
-    return GTensorRing(group, tr, action)
+    """Group permuting its own tensor coordinates by left translation: the
+    diagonal power of the trivial action."""
+    return diagonal_power(RingWithAction.trivial(group, base))
 
 
 def diagonal_power(rwa: RingWithAction) -> GTensorRing:
@@ -706,17 +701,13 @@ def single_slot_ring(rwa: RingWithAction) -> GTensorRing:
 
 
 def multiply_out_diagonal(rwa: RingWithAction) -> StructuredHom:
-    """Multiply all coordinates of the group power, in element-index order.
+    """Multiply all coordinates of the group power, in element-index order:
+    the twisted multiplication out of the flip power at the trivial action.
 
     Descends to an equivariant map out of the diagonal power.  Demands a
     commutative base: the product forgets the coordinate order.
     """
-    if not rwa.ring.commutative:
-        raise ValueError("total multiplication needs a commutative base ring")
-    tr = group_power_ring(rwa.group, rwa.ring)
-    one = TensorRing(rwa.ring, ("*",))
-    targets = [[(g, IDENTITY_TWIST, False) for g in range(rwa.group.order)]]
-    return StructuredHom(tr, one, targets, check=False)
+    return multiply_out_flip(RingWithAction.trivial(rwa.group, rwa.ring))
 
 
 def multiply_out_flip(rwa: RingWithAction) -> StructuredHom:
@@ -834,21 +825,9 @@ def coset_blocking(group: FiniteGroup, sub_elems: Sequence[int],
 def blocked_flip(group: FiniteGroup, sub_elems: Sequence[int],
                  base: PresentedRing) -> GTensorRing:
     """Induced action on the blocked power when the inner blocks carry the
-    flip action: (C, h) -> (gC, kh) with k the transversal defect, untwisted."""
-    sub = tuple(sorted(set(sub_elems)))
-    tr = blocked_ring(group, sub, base)
-    transversal = group.transversal(sub)
-    coset_of = group.coset_index(sub)
-    action = []
-    for g in range(group.order):
-        routes = []
-        for c in range(len(transversal)):
-            t = coset_of[group.mul(g, transversal[c])]
-            k = group.mul(group.mul(group.inv(transversal[t]), g), transversal[c])
-            for h in sub:
-                routes.append(((c, h), (t, group.mul(k, h)), IDENTITY_TWIST, False))
-        action.append(StructuredHom.from_routes(tr, tr, routes, check=False))
-    return GTensorRing(group, tr, action)
+    flip action, (C, h) -> (gC, kh) with k the transversal defect: the
+    blocked diagonal of the trivial action."""
+    return blocked_diagonal(group, sub_elems, RingWithAction.trivial(group, base))
 
 
 def blocked_diagonal(group: FiniteGroup, sub_elems: Sequence[int],

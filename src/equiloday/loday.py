@@ -15,6 +15,18 @@ blocks of a polygon act as a left and a right module through the
 involution (a(x)b patterns), and together with the order reversal that
 composition applies under an anti twist it makes every simplicial
 identity hold literally, with no commutations.
+
+Every pipeline assigns norms by one rule (``_norms_by_isotropy``): a cell
+with isotropy K gets N_K^G of the coefficient's K-action, and the trivial
+group gets the trivial action.  The isotropy mode only decides where the
+K-actions come from:
+
+    free            every cell is free, so no K-action is needed;
+    one-isotropy    K conjugate to H pulls H's action back along the
+                    conjugation;
+    normal          K inside the normal subgroup H restricts H's action;
+    two-isotropy    K is H or H2, of order two, and its non-identity
+                    element acts by the coefficient involution.
 """
 
 from dataclasses import dataclass
@@ -26,7 +38,7 @@ from .fingroup import FiniteGroup, make_cyclic
 from .gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing, NormRing,
                     PresentedRing, RingWithAction, StructuredHom,
                     equivariance_defect, tensor_induce, tensor_of_actions)
-from .simpgset import EqMap, FinSimpGSet
+from .simpgset import EqMap, FinSimpGSet, simplicial_identity_failures
 
 
 # ---------------------------------------------------------------------------
@@ -115,48 +127,11 @@ class SimplicialGRing:
     # -- validation ----------------------------------------------------------
 
     def validate(self, equivariance: bool = True) -> list[str]:
-        out: list[str] = []
         top = self.top()
-        ident = {n: StructuredHom.identity(self.levels[n].tensor)
-                 for n in range(top + 1)}
-        for n in range(2, top + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = self.face(n - 1, i).compose(self.face(n, j))
-                    rhs = self.face(n - 1, j - 1).compose(self.face(n, i))
-                    if lhs != rhs:
-                        out.append("%s: d_%d d_%d != d_%d d_%d at level %d"
-                                   % (self.label, i, j, j - 1, i, n))
-        for n in range(0, top - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    lhs = self.degeneracy(n + 1, j + 1).compose(
-                        self.degeneracy(n, i))
-                    rhs = self.degeneracy(n + 1, i).compose(
-                        self.degeneracy(n, j))
-                    if lhs != rhs:
-                        out.append("%s: s_%d s_%d != s_%d s_%d at level %d"
-                                   % (self.label, j + 1, i, i, j, n))
-        for n in range(0, top):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = self.face(n + 1, i).compose(self.degeneracy(n, j))
-                    if i in (j, j + 1):
-                        if lhs != ident[n]:
-                            out.append("%s: d_%d s_%d != id at level %d"
-                                       % (self.label, i, j, n))
-                    elif i < j:
-                        rhs = self.degeneracy(n - 1, j - 1).compose(
-                            self.face(n, i))
-                        if lhs != rhs:
-                            out.append("%s: d_%d s_%d != s_%d d_%d at level "
-                                       "%d" % (self.label, i, j, j - 1, i, n))
-                    else:
-                        rhs = self.degeneracy(n - 1, j).compose(
-                            self.face(n, i - 1))
-                        if lhs != rhs:
-                            out.append("%s: d_%d s_%d != s_%d d_%d at level "
-                                       "%d" % (self.label, i, j, j, i - 1, n))
+        ident = [StructuredHom.identity(lv.tensor) for lv in self.levels]
+        out = ["%s: %s" % (self.label, msg) for msg in
+               simplicial_identity_failures(top, self.face, self.degeneracy,
+                                            ident)]
         if equivariance:
             for n in range(1, top + 1):
                 for i in range(n + 1):
@@ -232,10 +207,28 @@ def _induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
 # norm assignments per isotropy mode
 
 
-def _trivial_norm(group: FiniteGroup, ring: PresentedRing) -> NormRing:
-    one = make_cyclic(1)
-    rwa = RingWithAction(one, ring, [(IDENTITY_TWIST, False)])
-    return tensor_induce(group, (0,), rwa)
+def _norms_by_isotropy(space: FinSimpGSet, ring: PresentedRing,
+                       action_on: Optional[Callable[[tuple[int, ...]],
+                                                    RingWithAction]] = None
+                       ) -> list[NormRing]:
+    """One norm per cell: a cell with isotropy K gets N_K^G of the
+    coefficient's K-action ``action_on(K)``, built once per distinct K.
+
+    The trivial group always takes the trivial action.  Free mode passes no
+    ``action_on``: every cell then gets N_e^G, which ``_check_assignment``
+    rejects on a cell that is not free.
+    """
+    built: dict[tuple[int, ...], NormRing] = {}
+    norms = []
+    for cell in space.cells:
+        k = cell.isotropy if action_on else (0,)
+        if k not in built:
+            built[k] = tensor_induce(
+                space.group, k,
+                RingWithAction.trivial(make_cyclic(1), ring) if k == (0,)
+                else action_on(k))
+        norms.append(built[k])
+    return norms
 
 
 def _subgroup_rwa(group: FiniteGroup, sub: Sequence[int],
@@ -309,9 +302,8 @@ def loday_free(space: FinSimpGSet, rwa: RingWithAction,
         raise ValueError("coefficient action is over the wrong group")
     if inner not in ("flip", "diagonal"):
         raise ValueError("inner action must be flip or diagonal")
-    norm = _trivial_norm(space.group, rwa.ring)
-    norms = [norm] * len(space.cells)
-    s = loday(space, norms, label="loday-free-flip")
+    s = loday(space, _norms_by_isotropy(space, rwa.ring),
+              label="loday-free-flip")
     if inner == "flip":
         return s
     return transport_to_diagonal(s, rwa)
@@ -328,28 +320,19 @@ def loday_one_isotropy(space: FinSimpGSet, rwa: RingWithAction
     if rwa.group.order != len(h):
         raise ValueError("coefficient group does not match the isotropy")
     hpos = {x: i for i, x in enumerate(h)}
-    cache: dict[tuple[int, ...], NormRing] = {}
 
-    def norm_for(iso: tuple[int, ...]) -> NormRing:
-        if iso not in cache:
-            if iso == (0,):
-                cache[iso] = _trivial_norm(g, rwa.ring)
-            elif iso == h:
-                cache[iso] = tensor_induce(g, h, rwa)
-            else:
-                gamma = g.are_conjugate_subgroups(iso, h)
-                if gamma is None:
-                    raise ValueError("isotropy %r not conjugate to %r"
-                                     % (iso, h))
-                sub = _subgroup_rwa(
-                    g, iso,
-                    lambda k: rwa.acts[hpos[g.conj(gamma, k)]],
-                    rwa.ring)
-                cache[iso] = tensor_induce(g, iso, sub)
-        return cache[iso]
+    def pulled_back(iso: tuple[int, ...]) -> RingWithAction:
+        if iso == h:
+            return rwa
+        gamma = g.are_conjugate_subgroups(iso, h)
+        if gamma is None:
+            raise ValueError("isotropy %r not conjugate to %r" % (iso, h))
+        return _subgroup_rwa(g, iso,
+                             lambda k: rwa.acts[hpos[g.conj(gamma, k)]],
+                             rwa.ring)
 
-    norms = [norm_for(c.isotropy) for c in space.cells]
-    return loday(space, norms, label="loday-one-isotropy")
+    return loday(space, _norms_by_isotropy(space, rwa.ring, pulled_back),
+                 label="loday-one-isotropy")
 
 
 def loday_two_isotropy(space: FinSimpGSet, coeff: Coefficient
@@ -370,26 +353,15 @@ def loday_two_isotropy(space: FinSimpGSet, coeff: Coefficient
     mtx, anti = coeff.involution
     invol = (ring.twists.intern(mtx), anti)
 
-    def order_two_rwa(sub: tuple[int, ...]) -> RingWithAction:
+    def involution_on(iso: tuple[int, ...]) -> RingWithAction:
+        if iso not in (h, h2):
+            raise ValueError("isotropy %r outside the two subgroups" % (iso,))
         return _subgroup_rwa(
-            g, sub,
+            g, iso,
             lambda k: (IDENTITY_TWIST, False) if k == 0 else invol,
             ring)
 
-    cache: dict[tuple[int, ...], NormRing] = {}
-
-    def norm_for(iso: tuple[int, ...]) -> NormRing:
-        if iso not in cache:
-            if iso == (0,):
-                cache[iso] = _trivial_norm(g, ring)
-            elif iso in (h, h2):
-                cache[iso] = tensor_induce(g, iso, order_two_rwa(iso))
-            else:
-                raise ValueError("isotropy %r outside the two subgroups"
-                                 % (iso,))
-        return cache[iso]
-
-    norms = [norm_for(c.isotropy) for c in space.cells]
+    norms = _norms_by_isotropy(space, ring, involution_on)
     # the matching map must respect the involution placement
     for a in h:
         if a and phi[a] == 0:
@@ -408,22 +380,14 @@ def loday_normal_sub(space: FinSimpGSet, rwa: RingWithAction
     if rwa.group.order != len(h):
         raise ValueError("coefficient group does not match the subgroup")
     hpos = {x: i for i, x in enumerate(h)}
-    cache: dict[tuple[int, ...], NormRing] = {}
 
-    def norm_for(iso: tuple[int, ...]) -> NormRing:
-        if iso not in cache:
-            if iso == h:
-                cache[iso] = tensor_induce(g, h, rwa)
-            elif iso == (0,):
-                cache[iso] = _trivial_norm(g, rwa.ring)
-            else:
-                sub = _subgroup_rwa(g, iso, lambda k: rwa.acts[hpos[k]],
-                                    rwa.ring)
-                cache[iso] = tensor_induce(g, iso, sub)
-        return cache[iso]
+    def restricted(iso: tuple[int, ...]) -> RingWithAction:
+        if iso == h:
+            return rwa
+        return _subgroup_rwa(g, iso, lambda k: rwa.acts[hpos[k]], rwa.ring)
 
-    norms = [norm_for(c.isotropy) for c in space.cells]
-    return loday(space, norms, label="loday-normal")
+    return loday(space, _norms_by_isotropy(space, rwa.ring, restricted),
+                 label="loday-normal")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ identity that fits under the truncation.
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .fingroup import (FiniteGroup, make_cyclic, make_dihedral,
                        make_symmetric, symmetric_one_line)
@@ -184,6 +184,48 @@ class EqMap:
         return hash((id(self.src), id(self.dst), tuple(t for t, _ in self.entries)))
 
 
+def simplicial_identity_failures(top: int, face: Callable, degeneracy: Callable,
+                                 identity: Sequence) -> list[str]:
+    """One message per simplicial identity that fails up to level ``top``.
+
+    ``face(n, i)`` is d_i out of level n, ``degeneracy(n, j)`` is s_j out of
+    level n and ``identity[n]`` the identity of level n; the maps need only
+    ``compose`` (outer after inner) and ``!=``.
+    """
+    out = []
+    for n in range(2, top + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                lhs = face(n - 1, i).compose(face(n, j))
+                rhs = face(n - 1, j - 1).compose(face(n, i))
+                if lhs != rhs:
+                    out.append("d_%d d_%d != d_%d d_%d at level %d"
+                               % (i, j, j - 1, i, n))
+    for n in range(0, top - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                lhs = degeneracy(n + 1, j + 1).compose(degeneracy(n, i))
+                rhs = degeneracy(n + 1, i).compose(degeneracy(n, j))
+                if lhs != rhs:
+                    out.append("s_%d s_%d != s_%d s_%d at level %d"
+                               % (j + 1, i, i, j, n))
+    for n in range(0, top):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                lhs = face(n + 1, i).compose(degeneracy(n, j))
+                if i in (j, j + 1):
+                    if lhs != identity[n]:
+                        out.append("d_%d s_%d != id at level %d" % (i, j, n))
+                elif i < j:
+                    if lhs != degeneracy(n - 1, j - 1).compose(face(n, i)):
+                        out.append("d_%d s_%d != s_%d d_%d at level %d"
+                                   % (i, j, j - 1, i, n))
+                elif lhs != degeneracy(n - 1, j).compose(face(n, i - 1)):
+                    out.append("d_%d s_%d != s_%d d_%d at level %d"
+                               % (i, j, j, i - 1, n))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the space
 
@@ -263,57 +305,14 @@ class FinSimpGSet:
     def validate(self) -> list[str]:
         out: list[str] = []
         try:
-            out.extend(self._check_identities())
+            ident = [EqMap(lv, lv, [(o, 0) for o in range(len(lv.orbits))])
+                     for lv in self.levels]
+            out.extend(simplicial_identity_failures(
+                self.truncation, self.face, self.degeneracy, ident))
             out.extend(self._check_elements())
         except ValueError as exc:
             out.append("structure map construction failed: %s" % exc)
         out.extend(self._check_mode())
-        return out
-
-    def _check_identities(self) -> list[str]:
-        out = []
-        n_max = self.truncation
-        for n in range(2, n_max + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = self.face(n - 1, i).compose(self.face(n, j))
-                    rhs = self.face(n - 1, j - 1).compose(self.face(n, i))
-                    if lhs != rhs:
-                        out.append("d_%d d_%d != d_%d d_%d at level %d"
-                                   % (i, j, j - 1, i, n))
-        for n in range(0, n_max - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    lhs = self.degeneracy(n + 1, j + 1).compose(
-                        self.degeneracy(n, i))
-                    rhs = self.degeneracy(n + 1, i).compose(
-                        self.degeneracy(n, j))
-                    if lhs != rhs:
-                        out.append("s_%d s_%d != s_%d s_%d at level %d"
-                                   % (j + 1, i, i, j, n))
-        for n in range(0, n_max):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = self.face(n + 1, i).compose(self.degeneracy(n, j))
-                    if i == j or i == j + 1:
-                        ident = EqMap(self.levels[n], self.levels[n],
-                                      [(o, 0) for o in
-                                       range(len(self.levels[n].orbits))])
-                        if lhs != ident:
-                            out.append("d_%d s_%d != id at level %d"
-                                       % (i, j, n))
-                    elif i < j:
-                        rhs = self.degeneracy(n - 1, j - 1).compose(
-                            self.face(n, i)) if n >= 1 else None
-                        if rhs is None or lhs != rhs:
-                            out.append("d_%d s_%d != s_%d d_%d at level %d"
-                                       % (i, j, j - 1, i, n))
-                    else:
-                        rhs = self.degeneracy(n - 1, j).compose(
-                            self.face(n, i - 1)) if n >= 1 else None
-                        if rhs is None or lhs != rhs:
-                            out.append("d_%d s_%d != s_%d d_%d at level %d"
-                                       % (i, j, j, i - 1, n))
         return out
 
     def _check_elements(self) -> list[str]:
@@ -400,37 +399,6 @@ class FinSimpGSet:
         else:
             out.append("unknown isotropy mode %r" % (kind,))
         return out
-
-    # -- counting and serialization ------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "group": self.group.to_json_obj(),
-            "truncation": self.truncation,
-            "mode": [list(x) if isinstance(x, tuple) else x
-                     for x in self.mode],
-            "cells": [{
-                "label": c.label,
-                "dim": c.dim,
-                "isotropy": list(c.isotropy),
-                "faces": [[c2, list(sig), u] for (c2, sig, u) in c.faces],
-            } for c in self.cells],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "FinSimpGSet":
-        g = FiniteGroup.from_json_obj(obj["group"])
-        cells = [Cell(c["label"], c["dim"], tuple(c["isotropy"]),
-                      tuple((c2, tuple(sig), u)
-                            for (c2, sig, u) in c["faces"]))
-                 for c in obj["cells"]]
-        raw = obj["mode"]
-        mode = tuple(tuple(tuple(y) if isinstance(y, list) else y for y in x)
-                     if isinstance(x, list) else x for x in raw)
-        if mode[0] == "two_isotropy":
-            mode = (mode[0], mode[1], mode[2],
-                    tuple(tuple(p) for p in mode[3]))
-        return FinSimpGSet(g, cells, obj["truncation"], mode)
 
 
 # ---------------------------------------------------------------------------

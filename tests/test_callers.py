@@ -8,8 +8,9 @@ something outside the package reads it by name: the callables
 perfbench/tracer.py's ``LAYERS`` wraps are read from that list, and any
 other goes on ``ALLOWED`` with its reader.  Names are matched as the source spells them:
 a caller is any read of ``x`` or of ``obj.x``, except a read of a variable
-of the enclosing functions.  Dunder methods, which the language calls, are
-exempt.  An import binds a name; a module that never reads it keeps a
+of the enclosing functions, so a method name several classes define is
+pinned in ``SHARED_METHODS``: one read keeps all of them alive.  Dunder
+methods, which the language calls, are exempt.  An import binds a name; a module that never reads it keeps a
 dependency for nothing.
 """
 
@@ -32,6 +33,39 @@ ALLOWED = {
     "homology.mackey_homology": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
     "homology.MackeyH.double_coset_defects": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
     "coeffs.integers": "a public coefficient constructor, next to gaussian and quaternions",
+}
+
+
+# Method name -> the classes in src/equiloday that define it, for every
+# non-dunder name two or more classes define.  Reads are matched by bare
+# name, so a read of one definition (``f.compose`` on a ``StructuredHom``)
+# counts for every other definition of that name (``EqMap.compose``).  Each
+# definition listed here was checked to have a production reader of its
+# own; a new shared name, or a new class defining one, fails
+# test_shared_method_names_are_pinned until it is checked the same way.
+SHARED_METHODS = {
+    "_validate": {"fingroup.FiniteGroup", "gring.PresentedRing", "gring.RingWithAction"},
+    "add_row": {"exactalg._SparseWork", "exactalg._Rows"},
+    "compose": {"gring.StructuredHom", "simpgset.EqMap"},
+    "conj": {"fingroup.FiniteGroup", "homology.MackeyH"},
+    "degeneracy": {"loday.SimplicialGRing", "simpgset.FinSimpGSet"},
+    "elements": {"fingroup.FiniteGroup", "simpgset.OrbitLevel"},
+    "express": {"homology._OrbitFixed", "homology._Nondegenerate", "homology._Quotient"},
+    "face": {"homology.LevelComplex", "loday.SimplicialGRing", "simpgset.FinSimpGSet"},
+    "from_cols": {"exactalg.IntMatrix", "exactalg.SparseMatrix"},
+    "from_rows": {"exactalg.IntMatrix", "exactalg._SparseWork"},
+    "homology": {"exactalg.ChainComplex", "homology.LevelComplex"},
+    "homology_data": {"exactalg.ChainComplex", "homology.LevelComplex"},
+    "identity": {"exactalg.IntMatrix", "exactalg.SparseMatrix", "gring.StructuredHom"},
+    "inverse": {"gring.TwistTable", "gring.StructuredHom"},
+    "negate_row": {"exactalg._SparseWork", "exactalg._Rows"},
+    "reduce": {"exactalg.Lattice", "exactalg.PresentedAb"},
+    "sparse_rows": {"exactalg.IntMatrix", "exactalg.SparseMatrix"},
+    "swap_rows": {"exactalg._SparseWork", "exactalg._Rows"},
+    "to_json_obj": {"coeffs.Coefficient", "fingroup.FiniteGroup"},
+    "top": {"exactalg.ChainComplex", "loday.SimplicialGRing"},
+    "transversal": {"fingroup.FiniteGroup", "simpgset.OrbitLevel"},
+    "validate": {"loday.SimplicialGRing", "simpgset.FinSimpGSet"},
 }
 
 
@@ -156,6 +190,37 @@ def test_guard_sees_a_definition_named_only_in_its_own_body(tmp_path):
     (tmp_path / "b.py").write_text("from a import Box, reader\n")
     assert uncalled_definitions(tmp_path) == ["a.recursive", "a.shadowed",
                                               "a.Box.unread"]
+
+
+def shared_methods(src: pathlib.Path = SRC) -> dict[str, set[str]]:
+    """Non-dunder method name -> ``module.Class`` of each class defining
+    it, for the names two or more classes define."""
+    owners: dict[str, set[str]] = {}
+    for p in sorted(src.glob("*.py")):
+        for qual, node in _definitions(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        owners.setdefault(child.name, set()).add(f"{p.stem}.{qual}")
+    return {name: classes for name, classes in owners.items()
+            if len(classes) > 1 and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_shared_method_names_are_pinned():
+    assert shared_methods() == SHARED_METHODS, (
+        "a method name shared by several classes keeps each definition alive "
+        "through the others' reads: check every definition has its own "
+        "reader, then update SHARED_METHODS")
+
+
+def test_guard_sees_a_shared_method_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n    def run(self):\n        pass\n\n"
+        "    def __eq__(self, other):\n        return True\n\n\n"
+        "class B:\n    def run(self):\n        pass\n\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "    def only(self):\n        pass\n")
+    assert shared_methods(tmp_path) == {"run": {"a.A", "a.B"}}
 
 
 def unused_imports(paths) -> list[str]:

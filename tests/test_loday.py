@@ -16,7 +16,78 @@ from equiloday.simpgset import (Cell, FinSimpGSet, build_cayley,
                                 build_coset_cayley,
                                 build_permutohedron_skeleton, build_polygon,
                                 build_rot_circle, build_sigma_circle)
-from oracles import _tuple_index, sd_face_column
+from oracles import (_tuple_index, reference_loday_free,
+                     reference_loday_normal_sub, reference_loday_one_isotropy,
+                     reference_loday_two_isotropy, reference_ring_validate,
+                     reference_space_identities, sd_face_column)
+
+
+# ---------------------------------------------------------------------------
+# the shared norm rule and identity check against the code they replaced
+
+
+def _normal_d8():
+    gz = gaussian()
+    inv = (gz.ring.twists.intern(gz.involution[0]), gz.involution[1])
+    rwa = RingWithAction(make_cyclic(4), gz.ring,
+                         [(IDENTITY_TWIST, False), inv, (IDENTITY_TWIST, False), inv])
+    space = build_coset_cayley(make_dihedral(8), (0, 2), (1,), 3,
+                               mode=("normal_with_subgroups", (0, 1, 2, 3),
+                                     ((0, 2), (0,))))
+    return loday_normal_sub, reference_loday_normal_sub, space, rwa, {}
+
+
+PIPELINES = {
+    "sigma": lambda: (loday_two_isotropy, reference_loday_two_isotropy,
+                      build_sigma_circle(3), gaussian(), {}),
+    **{f"rot2-{inner}": (lambda inner=inner: (
+        loday_free, reference_loday_free, build_rot_circle(2, 3),
+        gaussian().c2_action(), {"inner": inner}))
+       for inner in ("flip", "diagonal")},
+    **{f"polygon{m}-{name}": (lambda m=m, name=name: (
+        loday_two_isotropy, reference_loday_two_isotropy, build_polygon(m, 3),
+        load_bundled(name), {}))
+       for m in (1, 2) for name in ("gaussian", "zmod4")},
+    "cayley-s3": lambda: (loday_free, reference_loday_free,
+                          build_cayley(make_symmetric(3), (1, 3), 3),
+                          RingWithAction.trivial(make_symmetric(3), gaussian().ring),
+                          {}),
+    "coset-cayley-s3": lambda: (loday_one_isotropy, reference_loday_one_isotropy,
+                                build_coset_cayley(make_symmetric(3), (0, 2), (3,), 3),
+                                gaussian().c2_action(), {}),
+    "normal-d8": _normal_d8,
+    "permutohedron3": lambda: (loday_one_isotropy, reference_loday_one_isotropy,
+                               build_permutohedron_skeleton(3, 3),
+                               gaussian().c2_action(), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_builders_match_the_replaced_builders(name):
+    build, reference, space, coeff, kwargs = PIPELINES[name]()
+    new, old = build(space, coeff, **kwargs), reference(space, coeff, **kwargs)
+    assert new.label == old.label
+    assert new.expansion_key(new.top()) == old.expansion_key(old.top())
+    assert new.validate() == reference_ring_validate(old) == []
+    assert space.validate() == reference_space_identities(space) == []
+
+
+class _SwappedFaces(FinSimpGSet):
+    """A space whose d_0 and d_1 out of level 2 trade places."""
+
+    def face(self, n, i):
+        return super().face(n, 1 - i if n == 2 and i < 2 else i)
+
+
+def test_identity_failures_match_the_replaced_checks():
+    p = build_polygon(1, 3)
+    space = _SwappedFaces(p.group, p.cells, 3, p.mode)
+    assert space.validate() == reference_space_identities(space) != []
+    s = loday_two_isotropy(build_polygon(1, 3), gaussian())
+    s.faces[1][0], s.faces[1][1] = s.faces[1][1], s.faces[1][0]
+    msgs = s.validate()
+    assert msgs == reference_ring_validate(s) != []
+    assert all(m.startswith("loday-two-isotropy: ") for m in msgs)
 
 
 # ---------------------------------------------------------------------------
