@@ -294,7 +294,9 @@ def build_space(args) -> FinSimpGSet:
             sub = _csv_ints(args.sub, "--sub")
             mode = None
             if args.isotropy == "normal":
-                mode = ("normal_with_subgroups", tuple(sorted(set(sub) | {0})))
+                # the vertex has isotropy H and every edge is free
+                h = tuple(sorted(set(sub) | {0}))
+                mode = ("normal_with_subgroups", h, ((0,),) if h != (0,) else ())
             return build_coset_cayley(g, sub, _csv_ints(args.gens, "--gens"),
                                       trunc, mode=mode)
     except ValueError as e:

@@ -562,37 +562,39 @@ class StructuredHom:
         """Matrix on expanded tensor bases (slot 0 most significant).
 
         Column ``idx`` is the Kronecker product, over target slots, of the
-        reduced product of the twisted factors routed there.  Each slot
-        vector is computed once per combination of the source indices it
-        reads, and kept sparse.
+        reduced product of the twisted factors routed there.  It is built
+        one target slot at a time, for every column at once.  For each
+        combination of the source indices routed to a slot, the product is
+        computed once; its nonzeros become terms ``(column offset, row
+        digit, value)``, the offset being that combination's share of the
+        column index.  Every partial entry ``(column, row, value)`` is
+        extended by every term of the slot, in that loop order, so each
+        column's entries stay in increasing row order.  After the last slot
+        the intermediate list holds one 3-tuple per final nonzero, and the
+        entries are dealt into their columns.
         """
         base = self.src.base
         matrices = base.twists.matrices
         r = base.ngens
         nrows = self.dst.dense_rank(budget)
-        self.src.dense_rank(budget)
-        twist_cols = [[[matrices[t].column(j) for j in range(r)] for _, t, _ in lst]
-                      for lst in self.targets]
-        slots = [tuple(s for s, _, _ in lst) for lst in self.targets]
-        memo: list[dict] = [{} for _ in self.targets]
-        cols = []
-        for idx in product(range(r), repeat=self.src.nslots):
-            col = [(0, 1)]
-            for t, srcs in enumerate(slots):
-                key = tuple(idx[s] for s in srcs)
-                vec = memo[t].get(key)
-                if vec is None:
-                    if not srcs:
-                        dense = base.unit_vec()
-                    else:
-                        dense = None
-                        for tw, j in zip(twist_cols[t], key):
-                            w = tw[j]
-                            dense = w if dense is None else base.vec_mul(dense, w)
-                        dense = base.reduce_vec(dense)
-                    vec = memo[t][key] = [(k, v) for k, v in enumerate(dense) if v]
-                col = [(row * r + k, c * v) for row, c in col for k, v in vec]
-            cols.append(col)
+        ncols = self.src.dense_rank(budget)
+        entries = [(0, 0, 1)]
+        for lst in self.targets:
+            twist_cols = [[matrices[t].column(j) for j in range(r)] for _, t, _ in lst]
+            places = [r ** (self.src.nslots - 1 - s) for s, _, _ in lst]
+            terms = []
+            for key in product(range(r), repeat=len(lst)):
+                dense = None
+                for tw, j in zip(twist_cols, key):
+                    dense = tw[j] if dense is None else base.vec_mul(dense, tw[j])
+                dense = base.unit_vec() if dense is None else base.reduce_vec(dense)
+                offset = sum(j * p for j, p in zip(key, places))
+                terms += [(offset, k, v) for k, v in enumerate(dense) if v]
+            entries = [(col + p, row * r + k, c * v)
+                       for col, row, c in entries for p, k, v in terms]
+        cols = [[] for _ in range(ncols)]
+        for col, row, v in entries:
+            cols[col].append((row, v))
         return SparseMatrix(nrows, cols)
 
     def dense(self, budget: int = DENSE_BUDGET) -> IntMatrix:

@@ -214,6 +214,28 @@ def test_loday_normal_mode(capsys):
     assert out.splitlines()[1].endswith(",ok")
 
 
+def _normal_space(capsys, sub: str):
+    code, out, _ = run(capsys, "space", "build", "--kind", "coset-cayley",
+                       "--group", "d8", "--sub", sub, "--gens", "1",
+                       "--isotropy", "normal", "--check", "--format", "json")
+    return code, json.loads(out)
+
+
+def test_space_normal_mode_lists_the_smaller_isotropies(capsys):
+    # the centre {0, 2} of D8 is normal; the vertex has it as isotropy and
+    # every edge is free
+    code, obj = _normal_space(capsys, "0,2")
+    assert code == 0
+    assert obj["mode"] == ["normal_with_subgroups", [0, 2], [[0]]]
+    assert obj["validation_errors"] == []
+
+
+def test_space_normal_mode_reports_a_non_normal_subgroup(capsys):
+    code, obj = _normal_space(capsys, "0,4")
+    assert code == 1
+    assert obj["validation_errors"] == ["distinguished subgroup is not normal"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -209,6 +209,52 @@ def test_dense_budget_guard():
         StructuredHom.identity(tr).dense(budget=500)
 
 
+def _counting_vec_mul(monkeypatch, ring: PresentedRing) -> list:
+    calls = []
+    vec_mul = ring.vec_mul
+
+    def counted(u, v):
+        calls.append(1)
+        return vec_mul(u, v)
+
+    monkeypatch.setattr(ring, "vec_mul", counted)
+    return calls
+
+
+def test_sparse_multiplies_each_slot_once_per_key(monkeypatch):
+    # slots reading 3, 0, 1 and 2 sources, with anti flags and a
+    # non-identity twist: each slot product is formed once per combination
+    # of its sources' indices, r^k of them with k - 1 products each, never
+    # once per column
+    ring = quaternions().ring
+    r = ring.ngens
+    conj = ring.twists.intern(IntMatrix.from_rows(
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]))
+    lists = [[(0, IDENTITY_TWIST, False), (4, conj, True), (2, IDENTITY_TWIST, False)],
+             [],
+             [(5, conj, True)],
+             [(3, IDENTITY_TWIST, False), (1, conj, False)]]
+    f = StructuredHom(TensorRing(ring, range(6)), TensorRing(ring, range(4)), lists)
+    calls = _counting_vec_mul(monkeypatch, ring)
+    sp = f.sparse()
+    assert len(calls) == sum(r ** len(lst) * (len(lst) - 1) for lst in lists if lst)
+    assert (sp.rows, sp.cols) == (r ** 4, r ** 6)
+
+
+def test_sparse_checks_the_source_budget_before_any_product(monkeypatch):
+    # a multiply-out from r^10 to r: the target fits, the source does not
+    ring = gaussian().ring
+    src = TensorRing(ring, range(10))
+    f = StructuredHom(src, TensorRing(ring, range(1)),
+                      [[(s, IDENTITY_TWIST, False) for s in range(10)]])
+    calls = _counting_vec_mul(monkeypatch, ring)
+    with pytest.raises(SizeBudgetExceeded):
+        f.sparse(budget=1000)
+    assert calls == []
+    assert f.sparse(budget=1024).cols == 1024
+    assert len(calls) == 2 ** 10 * 9
+
+
 def test_dense_group_is_built_once_and_still_budgeted():
     ring = load_bundled("group_ring_c2_mod2").ring
     tr = TensorRing(ring, range(3))

@@ -1,7 +1,8 @@
 """Sparse expansion of structured maps against the paths it replaced.
 
 ``StructuredHom.sparse`` is checked column by column against
-``apply_basis``, the independent per-tuple oracle; the signed-orbit carving
+``apply_basis``, the independent per-tuple oracle, and entry for entry
+against the column-by-column build it replaced; the signed-orbit carving
 of fixed points against the general Smith-form carving; the sparse
 conditions handed to the Smith-form engine against the dense matrix they
 replaced; and the homology layer is run with the dense expansion switched
@@ -19,9 +20,10 @@ from equiloday.exactalg import (IntMatrix, SparseMatrix, _SparseWork, _condition
 from equiloday.gring import StructuredHom
 from equiloday.homology import (_fixed_level, _generating_subset, _OrbitFixed,
                                 homology_table)
-from equiloday.loday import real_hochschild
-from oracles import (_conditions_subquotient, engine_layout, reference_snf_engine,
-                     sparse_apply)
+from equiloday.loday import loday_free, real_hochschild
+from equiloday.simpgset import build_rot_circle
+from oracles import (_conditions_subquotient, engine_layout, matrix_targets,
+                     reference_snf_engine, reference_sparse, sparse_apply)
 
 # ---------------------------------------------------------------------------
 # the matrix type against IntMatrix
@@ -104,6 +106,43 @@ def test_sparse_columns_equal_apply_basis(build):
                 for i, v in sp.data[j]:
                     col[i] = v
                 assert col == f.apply_basis(idx), (side.label, name, idx)
+
+
+def _both_sides(rh):
+    return [rh.loday_side, rh.bar_side]
+
+
+# realhh-free's own levels (through level 4), relations on two ring
+# shapes, anti twists, and the cyclic Loday construction of rotation_z3.
+# Every product of two basis vectors in the first four rings is a signed
+# basis vector, so their columns have one nonzero each; rotation_z3's unit
+# is (1, 1, 1), and its degeneracy inserts it in three slots, so only that
+# case orders several entries within a column.
+PIPELINE_CASES = [
+    pytest.param(lambda: _both_sides(real_hochschild(1, gaussian(), 4)), 4,
+                 id="gaussian-m1-t4"),
+    pytest.param(lambda: _both_sides(real_hochschild(2, load_bundled("zmod4"), 3)), 3,
+                 id="zmod4-m2"),
+    pytest.param(lambda: _both_sides(
+        real_hochschild(1, load_bundled("group_ring_c2_mod2"), 3)), 3, id="c2mod2-m1"),
+    pytest.param(lambda: _both_sides(real_hochschild(1, quaternions(), 2)), 2,
+                 id="quaternion-m1-t2"),
+    pytest.param(lambda: [loday_free(build_rot_circle(3, 1),
+                                     load_bundled("rotation_z3").cyclic_group_action())],
+                 1, id="rotation-z3-cyclic"),
+]
+
+
+@pytest.mark.parametrize("build,top", PIPELINE_CASES)
+def test_slot_major_expansion_equals_column_by_column(build, top):
+    # the same columns in the same order, each column's entries in the same
+    # (increasing row) order: caches, carvings and pivots read this order
+    for side in build():
+        for name, f in _all_maps(side, top):
+            got = f.sparse()
+            want = reference_sparse(f.src.base, matrix_targets(f), f.src.nslots,
+                                    f.dst.nslots)
+            assert (got.rows, got.data) == (want.rows, want.data), (side.label, name)
 
 
 def test_expansions_are_cached_per_ring():

@@ -90,9 +90,11 @@ def _variant(data, lists, npool: int):
 
 
 def _ring_and_sizes(data, count: int):
+    # up to five slots, so expansions see several target slots, unit slots
+    # and slots that multiply several sources
     name = data.draw(st.sampled_from(sorted(COEFFS)))
     ring = COEFFS[name].ring
-    sizes = [data.draw(st.integers(1, 3)) for _ in range(count)]
+    sizes = [data.draw(st.integers(1, 5)) for _ in range(count)]
     return ring, POOLS[name], [TensorRing(ring, range(n)) for n in sizes]
 
 
