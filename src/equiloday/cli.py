@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .coeffs import Coefficient, bundled_names, load_bundled, load_file
 from .exactalg import SizeBudgetExceeded
@@ -35,24 +35,12 @@ from .fingroup import (
     subgroup_as_group,
 )
 from .gring import DENSE_BUDGET
-from .homology import LevelComplex, feasible_degree
-from .loday import (
-    SimplicialGRing,
-    loday_free,
-    loday_normal_sub,
-    loday_one_isotropy,
-    loday_two_isotropy,
-)
-from .simpgset import (
-    FinSimpGSet,
-    build_cayley,
-    build_coset_cayley,
-    build_permutohedron_skeleton,
-    build_polygon,
-    build_rot_circle,
-    build_sigma_circle,
-)
 from .verify import SUITES, SuiteParameterError, run_suite
+
+# the Loday and homology layers are imported by the commands that run them
+if TYPE_CHECKING:
+    from .loday import SimplicialGRing
+    from .simpgset import FinSimpGSet
 
 OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -264,6 +252,9 @@ def cmd_ring(args, out) -> int:
 
 
 def build_space(args) -> FinSimpGSet:
+    from .simpgset import (build_cayley, build_coset_cayley, build_polygon,
+                           build_permutohedron_skeleton, build_rot_circle,
+                           build_sigma_circle)
     kind = args.kind
     trunc = args.truncation
     try:
@@ -346,6 +337,8 @@ def build_pipeline(x: FinSimpGSet, coeff: Coefficient, inner: str,
                    action: str) -> SimplicialGRing:
     """Pick the pipeline the space's mode calls for and dress the coefficient
     in the matching group action."""
+    from .loday import (loday_free, loday_normal_sub, loday_one_isotropy,
+                        loday_two_isotropy)
     mode = x.mode[0]
     try:
         if mode == "free":
@@ -420,6 +413,7 @@ def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
     boundaries of the normalized complex each was read from, keyed by
     subgroup ("over budget" when even degree zero is): one
     ``LevelComplex`` per subgroup serves both, and only one is held."""
+    from .homology import LevelComplex, feasible_degree
     kmax = feasible_degree(s, max_degree, budget)
     rows: list[dict] = []
     boundaries = {}
@@ -470,7 +464,7 @@ def cmd_loday(args, out) -> int:
     x = build_space(args)
     coeff = resolve_coefficient(args.coeff)
     s = build_pipeline(x, coeff, args.inner, args.action)
-    errors = s.validate() if args.check else []
+    errors = x.check_mode() + s.validate() if args.check else []
     max_degree = _max_degree(args, s, 2)
     subgroups = _pick_subgroups(x.group, args.subgroups)
     rows, boundaries = _homology_rows(
@@ -550,6 +544,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_bench(args, out) -> int:
+    from .homology import LevelComplex
     _check_budget(args)
     t0 = time.perf_counter()
     x = build_space(args)
@@ -666,7 +661,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     _add_pipeline_flags(p)
     p.add_argument("--check", action="store_true",
-                   help="validate the simplicial ring before computing")
+                   help="check the space's isotropy mode and validate the "
+                        "simplicial ring before computing")
     p.add_argument("--emit-complex", action="store_true",
                    help="include face maps and the normalized complex's boundaries "
                         "under 'moore_boundaries' (JSON only): on every level these "

@@ -22,17 +22,17 @@ Schema, JSON object with keys:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactalg import IntMatrix, SparseMatrix
 from .fingroup import FiniteGroup, make_cyclic
 from .gring import IDENTITY_TWIST, PresentedRing, RingWithAction
 
 
-@dataclass
-class Coefficient:
+class Coefficient(NamedTuple):
+    """A ring with the involution and cyclic action its file declares."""
+
     name: str
     description: str
     ring: PresentedRing

@@ -38,8 +38,7 @@ True
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from typing import Iterable, Optional, Sequence
 
 
@@ -690,19 +689,22 @@ class Lattice:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
-    """Canonical form: free rank plus a divisibility chain of torsion."""
+class FgAbelianGroup(namedtuple("FgAbelianGroup", "free_rank torsion")):
+    """Canonical form: free rank plus a divisibility chain of torsion.
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    A named tuple: an immutable value, compared and hashed by its fields,
+    that keeps ``dataclasses`` (and the ``inspect`` it loads) out of the
+    start-up of commands that never build a simplicial ring."""
 
-    def __post_init__(self):
-        if any(t < 2 for t in self.torsion):
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion must form a divisibility chain")
+        return super().__new__(cls, free_rank, torsion)
 
     def __str__(self):
         parts = []
@@ -825,6 +827,7 @@ class ChainComplex:
             raise ValueError("need exactly len(levels) - 1 boundaries")
         self.levels = levels
         self.boundaries = boundaries
+        self._factors: dict[int, list[int]] = {}
         for k in range(1, len(boundaries)):
             square = boundaries[k - 1] @ boundaries[k]
             if not all(map(levels[k - 1].is_zero_column, square.data)):
@@ -849,10 +852,17 @@ class ChainComplex:
             raise ValueError("degree out of range")
         if any(lv.relations.cols for lv in self.levels[max(k - 1, 0):k + 1]):
             return self.homology_data(k).pres.canonical()
-        rank_in = len(invariant_factors(self.boundaries[k - 1])) if k else 0
-        factors = invariant_factors(self.boundaries[k]) if k < self.top() else []
+        rank_in = len(self._invariant_factors(k - 1)) if k else 0
+        factors = self._invariant_factors(k) if k < self.top() else []
         return FgAbelianGroup(self.levels[k].ngens - rank_in - len(factors),
                               tuple(f for f in factors if f > 1))
+
+    def _invariant_factors(self, k: int) -> list[int]:
+        """Invariant factors of ``boundaries[k]``, computed once: H_k and
+        H_(k+1) both read them."""
+        if k not in self._factors:
+            self._factors[k] = invariant_factors(self.boundaries[k])
+        return self._factors[k]
 
     def homology_data(self, k: int) -> SubQuotient:
         """Homology at degree k with generator lifts, for induced maps."""

@@ -26,7 +26,13 @@ MAX_ORDER = 48
 
 
 class FiniteGroup:
-    """Immutable multiplication table plus printable element names."""
+    """Immutable multiplication table plus printable element names.
+
+    Since the table never changes, derived data is computed once per group:
+    the generating sequence, and per subgroup its left cosets, transversal
+    and coset index (``_coset_data``) and its ``subgroup_as_group`` table.
+    Callers get fresh lists or immutable tuples, never the cached lists.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]],
                  names: Optional[Sequence[str]] = None,
@@ -49,6 +55,8 @@ class FiniteGroup:
             self._validate()
         self._inv = tuple(self._find_inverse(a) for a in range(n))
         self._gens: Optional[tuple[int, ...]] = None
+        self._cosets: dict[tuple[int, ...], tuple] = {}
+        self._as_group: dict[tuple[int, ...], FiniteGroup] = {}
 
     def _validate(self):
         n = self.order
@@ -198,30 +206,38 @@ class FiniteGroup:
 
     # -- cosets -------------------------------------------------------------
 
+    def _coset_data(self, sub: Sequence[int]) -> tuple:
+        """(left cosets, transversal, coset index) of ``sub``, all tuples,
+        computed on first request."""
+        h = tuple(sorted(sub))
+        data = self._cosets.get(h)
+        if data is None:
+            seen: set[int] = set()
+            cosets = []
+            index = [-1] * self.order
+            for g in range(self.order):
+                if g in seen:
+                    continue
+                coset = tuple(sorted(self.table[g][x] for x in h))
+                seen.update(coset)
+                for x in coset:
+                    index[x] = len(cosets)
+                cosets.append(coset)
+            data = self._cosets[h] = (tuple(cosets), tuple(c[0] for c in cosets),
+                                      tuple(index))
+        return data
+
     def left_cosets(self, sub: Sequence[int]) -> list[tuple[int, ...]]:
         """Left cosets gH, ordered by their minimal element."""
-        h = sorted(sub)
-        seen = set()
-        cosets = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            coset = tuple(sorted(self.table[g][x] for x in h))
-            seen.update(coset)
-            cosets.append(coset)
-        return cosets
+        return list(self._coset_data(sub)[0])
 
     def transversal(self, sub: Sequence[int]) -> tuple[int, ...]:
         """Minimal-element representative per left coset; identity first."""
-        return tuple(c[0] for c in self.left_cosets(sub))
+        return self._coset_data(sub)[1]
 
     def coset_index(self, sub: Sequence[int]) -> list[int]:
         """For each g, the index of its left coset gH in left_cosets order."""
-        out = [-1] * self.order
-        for i, c in enumerate(self.left_cosets(sub)):
-            for x in c:
-                out[x] = i
-        return out
+        return list(self._coset_data(sub)[2])
 
     # -- quotients ----------------------------------------------------------
 
@@ -428,21 +444,25 @@ def subgroup_as_group(g: FiniteGroup, elems: Sequence[int]) -> tuple[FiniteGroup
 
     Returns (H, emb) where emb[i] is the ambient index of H's element i.
     Elements are taken in ascending ambient order, so the identity stays
-    at index 0 and two calls with the same subgroup agree.
+    at index 0 and two calls with the same subgroup agree; they return the
+    same immutable H, built once per subgroup.
     """
     emb = tuple(sorted(set(elems)))
-    if not g.is_subgroup(emb):
-        raise ValueError("not a subgroup")
-    pos = {x: i for i, x in enumerate(emb)}
-    table = [[pos[g.table[a][b]] for b in emb] for a in emb]
-    names = [g.names[x] for x in emb]
-    # no re-validation needed: is_subgroup gives the identity and closure,
-    # and a finite closed set containing the identity has inverses (the
-    # powers of any element repeat, so some power is its inverse);
-    # associativity and cancellation are inherited from g; and the sorted
-    # emb keeps the identity, ambient index 0, at index 0
-    return FiniteGroup(table, names, label=f"{g.label}|sub{len(emb)}",
-                       check=False), emb
+    sub = g._as_group.get(emb)
+    if sub is None:
+        if not g.is_subgroup(emb):
+            raise ValueError("not a subgroup")
+        pos = {x: i for i, x in enumerate(emb)}
+        table = [[pos[g.table[a][b]] for b in emb] for a in emb]
+        names = [g.names[x] for x in emb]
+        # no re-validation needed: is_subgroup gives the identity and
+        # closure, and a finite closed set containing the identity has
+        # inverses (the powers of any element repeat, so some power is its
+        # inverse); associativity and cancellation are inherited from g; and
+        # the sorted emb keeps the identity, ambient index 0, at index 0
+        sub = g._as_group[emb] = FiniteGroup(
+            table, names, label=f"{g.label}|sub{len(emb)}", check=False)
+    return sub, emb
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

@@ -73,6 +73,11 @@ def _bump_commutativity():
 # presented rings
 
 
+def _basis(n: int) -> list[list[int]]:
+    """The standard basis vectors of Z^n."""
+    return [[int(k == i) for k in range(n)] for i in range(n)]
+
+
 class PresentedRing:
     """Ring on finitely many additive generators over Z.
 
@@ -98,62 +103,50 @@ class PresentedRing:
             raise ValueError("mult entries must be generator vectors")
         if len(self.unit) != ngens:
             raise ValueError("unit has wrong length")
+        # the nonzero structure constants: _terms[i][j] lists (k, mult[i][j][k])
+        self._terms = tuple(tuple(tuple((k, v) for k, v in enumerate(cell) if v)
+                                  for cell in row) for row in self.mult)
         if check:
             self._validate()
-        self.commutative = all(
-            self.ab.is_zero_element([a - b for a, b in zip(self.mult[i][j], self.mult[j][i])])
-            for i in range(ngens) for j in range(i))
+        self.commutative = all(self._same(self.mult[i][j], self.mult[j][i])
+                               for i in range(ngens) for j in range(i))
         table = _TWIST_TABLES.get(self)
         if table is None:
             table = _TWIST_TABLES[self] = TwistTable(self.ab)
         self.twists = table
 
+    def _same(self, x: Sequence[int], y: Sequence[int]) -> bool:
+        """Do two generator vectors agree modulo the relations?"""
+        return self.ab.is_zero_element([a - b for a, b in zip(x, y)])
+
     def _validate(self):
-        n = self.ngens
-        red = self.ab.is_zero_element
+        mul, zero = self.vec_mul, self.ab.is_zero_element
+        basis, unit = _basis(self.ngens), list(self.unit)
         # multiplication must descend to the quotient
         for rel in map(dict, self.ab.relations.data):
-            col = [rel.get(i, 0) for i in range(n)]
-            for j in range(n):
-                ej = [0] * n
-                ej[j] = 1
-                if not red(self.vec_mul(col, ej)) or not red(self.vec_mul(ej, col)):
-                    raise ValueError("multiplication does not respect relations")
-        for i in range(n):
-            ei = [0] * n
-            ei[i] = 1
-            u_left = self.vec_mul(list(self.unit), ei)
-            u_right = self.vec_mul(ei, list(self.unit))
-            if not red([a - b for a, b in zip(u_left, ei)]):
+            col = [rel.get(i, 0) for i in range(self.ngens)]
+            if not all(zero(mul(col, e)) and zero(mul(e, col)) for e in basis):
+                raise ValueError("multiplication does not respect relations")
+        for e in basis:
+            if not self._same(mul(unit, e), e):
                 raise ValueError("unit fails on the left")
-            if not red([a - b for a, b in zip(u_right, ei)]):
+            if not self._same(mul(e, unit), e):
                 raise ValueError("unit fails on the right")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    ei = [0] * n; ei[i] = 1
-                    ej = [0] * n; ej[j] = 1
-                    ek = [0] * n; ek[k] = 1
-                    left = self.vec_mul(self.vec_mul(ei, ej), ek)
-                    right = self.vec_mul(ei, self.vec_mul(ej, ek))
-                    if not red([a - b for a, b in zip(left, right)]):
-                        raise ValueError("multiplication is not associative")
+        for ei, ej, ek in product(basis, repeat=3):
+            if not self._same(mul(mul(ei, ej), ek), mul(ei, mul(ej, ek))):
+                raise ValueError("multiplication is not associative")
 
     def vec_mul(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
-        n = self.ngens
-        out = [0] * n
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                cell = self.mult[i][j]
-                c = ui * vj
-                for k in range(n):
-                    if cell[k]:
-                        out[k] += c * cell[k]
-        return list(self.ab.reduce(out))
+        """The reduced product; without relations reducing is the identity."""
+        out = [0] * self.ngens
+        v_nz = [(j, vj) for j, vj in enumerate(v) if vj]
+        for ui, row in zip(u, self._terms):
+            if ui:
+                for j, vj in v_nz:
+                    c = ui * vj
+                    for k, w in row[j]:
+                        out[k] += c * w
+        return list(self.ab.reduce(out)) if self.ab.relations.data else out
 
     def reduce_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         return self.ab.reduce(v)
@@ -167,19 +160,13 @@ class PresentedRing:
             return False
         if not hom_is_well_defined(self.ab, self.ab, m):
             return False
-        if not self.ab.is_zero_element(
-                [a - b for a, b in zip(m.apply(list(self.unit)), self.unit)]):
+        if not self._same(m.apply(list(self.unit)), self.unit):
             return False
-        n = self.ngens
-        for i in range(n):
-            for j in range(n):
-                ei = [0] * n; ei[i] = 1
-                ej = [0] * n; ej[j] = 1
-                lhs = m.apply(self.vec_mul(ei, ej))
-                a, b = (ej, ei) if anti else (ei, ej)
-                rhs = self.vec_mul(m.apply(a), m.apply(b))
-                if not self.ab.is_zero_element([x - y for x, y in zip(lhs, rhs)]):
-                    return False
+        for ei, ej in product(_basis(self.ngens), repeat=2):
+            a, b = (ej, ei) if anti else (ei, ej)
+            if not self._same(m.apply(self.vec_mul(ei, ej)),
+                              self.vec_mul(m.apply(a), m.apply(b))):
+                return False
         return True
 
     def __eq__(self, other):
@@ -413,6 +400,12 @@ class StructuredHom:
     target slot t.  Twist ids index ``src.base.twists``.  Every source slot
     appears exactly once across all target lists; an empty list inserts the
     unit.
+
+    ``check=True`` normalizes every entry to ``(int, int, bool)`` and
+    validates the routing.  ``check=False`` is for builders that already
+    meet that contract: one list per target slot, each source slot used
+    once, every entry a ``(slot, twist id, anti)`` tuple of an int, a twist
+    id of the base ring and a bool.  The entries are then stored as given.
     """
 
     __slots__ = ("src", "dst", "targets", "_reduced")
@@ -420,22 +413,24 @@ class StructuredHom:
     def __init__(self, src: TensorRing, dst: TensorRing,
                  targets: Sequence[Sequence[tuple[int, int, bool]]],
                  check: bool = True):
-        if src.base != dst.base:
+        if src.base is not dst.base and src.base != dst.base:
             raise ValueError("source and target must share a base ring")
         self.src = src
         self.dst = dst
+        self._reduced = None
+        if not check:
+            self.targets = tuple(map(tuple, targets))
+            return
         self.targets = tuple(tuple((int(s), t, bool(a)) for s, t, a in lst)
                              for lst in targets)
-        self._reduced = None
-        if check:
-            if len(self.targets) != dst.nslots:
-                raise ValueError("one target list per target slot required")
-            used = [s for lst in self.targets for (s, _, _) in lst]
-            if sorted(used) != list(range(src.nslots)):
-                raise ValueError("each source slot must be used exactly once")
-            for lst in self.targets:
-                for _, t, _ in lst:
-                    src.base.twists.check(t)
+        if len(self.targets) != dst.nslots:
+            raise ValueError("one target list per target slot required")
+        used = [s for lst in self.targets for (s, _, _) in lst]
+        if sorted(used) != list(range(src.nslots)):
+            raise ValueError("each source slot must be used exactly once")
+        for lst in self.targets:
+            for _, t, _ in lst:
+                src.base.twists.check(t)
 
     @staticmethod
     def identity(tr: TensorRing) -> "StructuredHom":
@@ -751,13 +746,12 @@ class NormRing:
         self.coset_of = group.coset_index(self.sub)
         self.tensor = TensorRing(rwa.ring, tuple(range(len(self.cosets))))
         action = []
+        mul, inv, tr = group.mul, group.inv, self.transversal
         for g in range(group.order):
             targets = []
-            for t in range(len(self.cosets)):
-                s = self.coset_of[group.mul(group.inv(g), self.transversal[t])]
-                h = group.mul(group.mul(group.inv(self.transversal[t]), g),
-                              self.transversal[s])
-                m, a = self.rwa.acts[self._pos[h]]
+            for c in tr:
+                s = self.coset_of[mul(inv(g), c)]
+                m, a = rwa.acts[self._pos[mul(mul(inv(c), g), tr[s])]]
                 targets.append([(s, m, a)])
             action.append(StructuredHom(self.tensor, self.tensor, targets, check=False))
         # Valid by construction when the coefficient action is multiplicative

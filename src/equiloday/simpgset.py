@@ -312,7 +312,7 @@ class FinSimpGSet:
             out.extend(self._check_elements())
         except ValueError as exc:
             out.append("structure map construction failed: %s" % exc)
-        out.extend(self._check_mode())
+        out.extend(self.check_mode())
         return out
 
     def _check_elements(self) -> list[str]:
@@ -339,7 +339,9 @@ class FinSimpGSet:
                         break
         return out
 
-    def _check_mode(self) -> list[str]:
+    def check_mode(self) -> list[str]:
+        """What breaks the isotropy mode: mode data that does not fit the
+        group, or cells whose isotropy the mode does not allow."""
         out = []
         g = self.group
         kind = self.mode[0]

@@ -62,23 +62,6 @@ from .gring import (
     tensor_induce,
     weyl_relabeling,
 )
-from .homology import feasible_degree, homology_tables
-from .loday import (
-    esigma_check,
-    loday_free,
-    loday_normal_sub,
-    loday_one_isotropy,
-    loday_two_isotropy,
-    real_hochschild,
-)
-from .simpgset import (
-    Cell,
-    FinSimpGSet,
-    build_cayley,
-    build_coset_cayley,
-    build_permutohedron_skeleton,
-    build_sigma_circle,
-)
 
 
 class SuiteParameterError(ValueError):
@@ -210,16 +193,20 @@ def suite_counit(params: Optional[dict] = None) -> dict:
 
         # generator-level formulas: the plain product for the diagonal-side
         # counit, the g-twisted product for the flip side, checked on every
-        # basis tuple of the expanded power
+        # basis tuple of the expanded power.  Both are folded left to right
+        # over the elements, and each prefix of a tuple is folded once.
         bad_d = bad_f = None
+        folds = {(): (None, None)}
         for idx in flip.tensor.basis_tuples():
-            want_d = None
-            want_f = None
             for g in group.elements():
-                e = [1 if k == idx[g] else 0 for k in range(ring.ngens)]
-                want_d = e if want_d is None else ring.vec_mul(want_d, e)
-                te = rwa.act_matrix(g).column(idx[g])
-                want_f = te if want_f is None else ring.vec_mul(want_f, te)
+                if idx[:g + 1] not in folds:
+                    want_d, want_f = folds[idx[:g]]
+                    e = [1 if k == idx[g] else 0 for k in range(ring.ngens)]
+                    te = rwa.act_matrix(g).column(idx[g])
+                    folds[idx[:g + 1]] = (
+                        e if want_d is None else ring.vec_mul(want_d, e),
+                        te if want_f is None else ring.vec_mul(want_f, te))
+            want_d, want_f = folds[idx]
             got_d = eps_d.apply_basis(idx)
             got_f = eps_f.apply_basis(idx)
             if bad_d is None and ring.reduce_vec(got_d) != ring.reduce_vec(want_d):
@@ -536,6 +523,9 @@ def suite_conjugate_switch(params: Optional[dict] = None) -> dict:
 
 
 def suite_one_isotropy(params: Optional[dict] = None) -> dict:
+    from .loday import loday_free, loday_one_isotropy
+    from .simpgset import (FinSimpGSet, build_cayley, build_coset_cayley,
+                           build_permutohedron_skeleton)
     report = _new_report("one-isotropy")
     gz = gaussian()
     rwa2 = gz.c2_action()
@@ -567,6 +557,8 @@ def suite_one_isotropy(params: Optional[dict] = None) -> dict:
 
 
 def suite_normal_subgroups(params: Optional[dict] = None) -> dict:
+    from .loday import loday_normal_sub
+    from .simpgset import build_coset_cayley
     report = _new_report("normal-subgroups")
     gz = gaussian()
     d8 = make_dihedral(8)
@@ -603,6 +595,8 @@ def suite_normal_subgroups(params: Optional[dict] = None) -> dict:
 
 
 def suite_two_isotropy(params: Optional[dict] = None) -> dict:
+    from .loday import loday_one_isotropy, loday_two_isotropy
+    from .simpgset import Cell, FinSimpGSet, build_sigma_circle
     report = _new_report("two-isotropy")
     gz = gaussian()
 
@@ -657,6 +651,8 @@ def _at_least(params: dict, key: str, default: int, least: int) -> int:
 def _realhh_instance(report: dict, m: int, coeff: Coefficient,
                      truncation: int, max_degree: int, budget: int,
                      subgroups: str):
+    from .homology import feasible_degree, homology_tables
+    from .loday import real_hochschild
     tag = f"m={m}/{coeff.name}"
     try:
         rh = real_hochschild(m, coeff, truncation)
@@ -757,6 +753,8 @@ def _upper_triangular_mod2() -> tuple[PresentedRing, tuple[IntMatrix, bool]]:
 
 
 def suite_esigma(params: Optional[dict] = None) -> dict:
+    from .homology import feasible_degree, homology_tables
+    from .loday import esigma_check, real_hochschild
     params = params or {}
     m = _at_least(params, "m", 1, 1)
     report = _new_report("esigma")

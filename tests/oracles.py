@@ -853,6 +853,59 @@ class AbHom:
 
 
 # ---------------------------------------------------------------------------
+# the dense product and the uncached coset data the package replaced
+
+
+def reference_vec_mul(ring: PresentedRing, u: Sequence[int],
+                      v: Sequence[int]) -> list[int]:
+    """``PresentedRing.vec_mul`` as it was before its sparse structure
+    constants: every entry of every ``mult`` cell read, then reduced."""
+    n = ring.ngens
+    out = [0] * n
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            cell = ring.mult[i][j]
+            c = ui * vj
+            for k in range(n):
+                if cell[k]:
+                    out[k] += c * cell[k]
+    return list(ring.ab.reduce(out))
+
+
+def reference_left_cosets(g: FiniteGroup, sub: Sequence[int]) -> list[tuple[int, ...]]:
+    """Left cosets gH by their minimal element, recomputed on every call."""
+    h = sorted(sub)
+    seen: set[int] = set()
+    cosets = []
+    for x in range(g.order):
+        if x not in seen:
+            coset = tuple(sorted(g.table[x][y] for y in h))
+            seen.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
+def reference_coset_index(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
+    out = [-1] * g.order
+    for i, c in enumerate(reference_left_cosets(g, sub)):
+        for x in c:
+            out[x] = i
+    return out
+
+
+def reference_subgroup_table(g: FiniteGroup, sub: Sequence[int]):
+    """(table, names) of a subgroup on its ascending elements, rebuilt."""
+    emb = sorted(set(sub))
+    pos = {x: i for i, x in enumerate(emb)}
+    return (tuple(tuple(pos[g.table[a][b]] for b in emb) for a in emb),
+            tuple(g.names[x] for x in emb))
+
+
+# ---------------------------------------------------------------------------
 # group isomorphisms by backtracking, to check the group builders
 
 

@@ -1,11 +1,17 @@
 """Command-line driver: exit codes, output formats, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from equiloday import cli
 from equiloday.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -205,13 +211,26 @@ def test_loday_two_isotropy_needs_involution(capsys):
     assert "involution" in err
 
 
+def _loday_normal(capsys, sub: str):
+    return run(capsys, "loday", "run", "--kind", "coset-cayley",
+               "--group", "d8", "--sub", sub, "--gens", "1",
+               "--isotropy", "normal", "--coeff", "zmod4",
+               "--max-degree", "0", "--check", "--format", "csv")
+
+
 def test_loday_normal_mode(capsys):
-    code, out, _ = run(capsys, "loday", "run", "--kind", "coset-cayley",
-                       "--group", "d8", "--sub", "0,4", "--gens", "1",
-                       "--isotropy", "normal", "--coeff", "zmod4",
-                       "--max-degree", "0", "--check", "--format", "csv")
+    # the centre {0, 2} of D8 is normal
+    code, out, _ = _loday_normal(capsys, "0,2")
     assert code == 0
     assert out.splitlines()[1].endswith(",ok")
+
+
+def test_loday_check_reports_a_non_normal_subgroup(capsys):
+    # {0, 4} is a reflection subgroup of D8: the pipeline builds, but
+    # --check runs the space's mode check, as ``space build --check`` does
+    code, _, err = _loday_normal(capsys, "0,4")
+    assert code == 1
+    assert "validation: distinguished subgroup is not normal" in err
 
 
 def _normal_space(capsys, sub: str):
@@ -381,11 +400,15 @@ def test_verify_internal_error_exits_three(capsys, monkeypatch):
 ])
 def test_internal_error_outside_verify_exits_three(capsys, monkeypatch,
                                                    command, patched):
-    # exit 1 means a verification failure; a crash in any command is exit 3
+    # exit 1 means a verification failure; a crash in any command is exit 3.
+    # The commands import the homology layer when they run, so the broken
+    # class is planted where they read it.
+    import equiloday.homology as homology
+
     def broken(*args, **kwargs):
         raise ValueError("carving went wrong")
 
-    monkeypatch.setattr(cli, patched, broken)
+    monkeypatch.setattr(homology, patched, broken)
     argv = ["loday", "run"] if command == "loday" else ["bench"]
     code, out, err = run(capsys, *argv, "--kind", "polygon", "--m", "1",
                          "--coeff", "zmod4")
@@ -441,3 +464,37 @@ def test_usage_error_no_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# import layering
+
+
+# runs one command in a fresh interpreter and prints its exit status and the
+# equiloday modules it loaded
+_LOADED = r"""
+import contextlib, io, sys
+from equiloday import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("equiloday.")))
+"""
+
+
+@pytest.mark.parametrize("argv,absent,present", [
+    (["verify", "--suite", "xi"], {"homology", "loday", "simpgset"}, set()),
+    (["verify", "--suite", "counit"], {"homology", "loday", "simpgset"}, set()),
+    (["verify", "--suite", "conjugate-switch", "--group", "s3"],
+     {"homology", "loday", "simpgset"}, set()),
+    (["verify", "--suite", "one-isotropy"], {"homology"}, {"loday", "simpgset"}),
+])
+def test_commands_load_only_the_layers_they_run(argv, absent, present):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    code, *modules = proc.stdout.split()
+    loaded = {m.split(".")[1] for m in modules}
+    assert code == "0"
+    assert {"cli", "verify", "gring"} <= loaded
+    assert not absent & loaded
+    assert present <= loaded

@@ -14,9 +14,12 @@ from equiloday.fingroup import (
     make_klein_four,
     make_quaternion8,
     make_symmetric,
+    subgroup_as_group,
     symmetric_one_line,
 )
-from oracles import element_order, is_isomorphic_to, isomorphisms_to
+from oracles import (element_order, is_isomorphic_to, isomorphisms_to,
+                     reference_coset_index, reference_left_cosets,
+                     reference_subgroup_table)
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +246,36 @@ def test_subgroup_tables_pass_full_validation(capsys):
             h, emb = subgroup_as_group(g, sub)
             assert emb[0] == 0
             FiniteGroup(h.table, h.names, check=True)
+
+
+@pytest.mark.parametrize("g", _stock_groups(), ids=lambda g: g.label)
+def test_memoized_coset_data_matches_the_uncached_oracle(g):
+    # twice per subgroup: the first call fills the memo, the second reads
+    # it; a list in another order names the same subgroup
+    for sub in g.all_subgroups() * 2:
+        ask = list(reversed(sub))
+        cosets = reference_left_cosets(g, sub)
+        assert g.left_cosets(ask) == cosets
+        assert g.transversal(ask) == tuple(c[0] for c in cosets)
+        assert g.coset_index(ask) == reference_coset_index(g, sub)
+        h, emb = subgroup_as_group(g, ask)
+        assert emb == tuple(sub)
+        assert (h.table, h.names) == reference_subgroup_table(g, sub)
+        assert subgroup_as_group(g, sub)[0] is h  # built once
+
+
+def test_callers_cannot_corrupt_the_coset_memo(d8):
+    sub = (0, 4)
+    cosets, index = d8.left_cosets(sub), d8.coset_index(sub)
+    cosets.reverse()
+    cosets.append((99,))
+    index[:] = [7] * len(index)
+    assert d8.left_cosets(sub) == reference_left_cosets(d8, sub)
+    assert d8.coset_index(sub) == reference_coset_index(d8, sub)
+    assert d8.left_cosets(sub) is not d8.left_cosets(sub)
+    with pytest.raises(TypeError):
+        d8.transversal(sub)[0] = 5  # a tuple: nothing to corrupt
+    with pytest.raises(ValueError):
+        subgroup_as_group(d8, (0, 1))  # {e, r} is not closed; never cached
+    with pytest.raises(ValueError):
+        subgroup_as_group(d8, (0, 1))

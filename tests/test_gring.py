@@ -3,14 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equiloday.coeffs import (
+    bundled_names,
     gaussian,
     integers,
     load_bundled,
     quaternions,
 )
-from equiloday.exactalg import FgAbelianGroup, IntMatrix, SizeBudgetExceeded
+from equiloday.exactalg import (FgAbelianGroup, IntMatrix, SizeBudgetExceeded,
+                                SparseMatrix)
 from equiloday.fingroup import (
     make_cyclic,
     make_dihedral,
@@ -43,7 +46,8 @@ from equiloday.gring import (
     tensor_of_actions,
 )
 from oracles import (_spread_relations, coordinate_permutation_action,
-                     coordinate_ring, hom_equal_dense, project_power_to_norm)
+                     coordinate_ring, hom_equal_dense, project_power_to_norm,
+                     reference_vec_mul)
 
 
 @pytest.fixture(scope="module")
@@ -564,3 +568,48 @@ def test_tensor_of_actions(gauss_rwa):
         for h in range(4):
             assert combo.act(g).compose(combo.act(h)) == combo.act(d4.mul(g, h))
     assert combo.act(0) == StructuredHom.identity(combo.tensor)
+
+
+# ---------------------------------------------------------------------------
+# the product on generator vectors
+
+
+BUNDLED_RINGS = {name: load_bundled(name).ring for name in bundled_names()}
+
+
+def test_bundled_rings_cover_both_product_paths():
+    # the relation-free path skips reducing; zmod4 and the group ring mod 2
+    # keep it
+    with_relations = {n for n, r in BUNDLED_RINGS.items() if r.ab.relations.data}
+    assert {"zmod4", "group_ring_c2_mod2"} <= with_relations
+    assert {"z", "gaussian", "quaternion"} <= set(BUNDLED_RINGS) - with_relations
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED_RINGS)), st.data())
+def test_vec_mul_matches_the_dense_loop(name, data):
+    ring = BUNDLED_RINGS[name]
+    vec = st.lists(st.integers(-9, 9), min_size=ring.ngens, max_size=ring.ngens)
+    u, v = data.draw(vec), data.draw(vec)
+    assert ring.vec_mul(u, v) == reference_vec_mul(ring, u, v)
+
+
+@pytest.mark.parametrize("ngens,relations,mult,unit,message", [
+    # e1 e1 = e0 but 2 e1 = 0 and 2 e0 != 0
+    (2, [[0, 2]], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0],
+     "does not respect relations"),
+    (1, [], [[[1]]], [2], "unit fails on the left"),
+    # e1 e0 = 0: e0 is only a left unit
+    (2, [], [[[1, 0], [0, 1]], [[0, 0], [0, 0]]], [1, 0],
+     "unit fails on the right"),
+    # (e1 e1) e2 = e2 e2 = 0, but e1 (e1 e2) = e1 e1 = e2
+    (3, [], [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+             [[0, 0, 1], [0, 0, 0], [0, 0, 0]]], [1, 0, 0],
+     "not associative"),
+])
+def test_presented_ring_validation_rejects(ngens, relations, mult, unit,
+                                           message):
+    with pytest.raises(ValueError, match=message):
+        PresentedRing(ngens, SparseMatrix.from_cols(relations, ngens), mult,
+                      unit)

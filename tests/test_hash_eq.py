@@ -1,11 +1,12 @@
-"""``a == b`` implies ``hash(a) == hash(b)`` for every hashable value type."""
+"""``a == b`` implies ``hash(a) == hash(b)`` for every hashable value type,
+and the unhashable value types refuse hashing."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from equiloday.coeffs import gaussian, load_bundled
 from equiloday.exactalg import IntMatrix, SparseMatrix
-from equiloday.gring import TensorRing
+from equiloday.gring import StructuredHom, TensorRing
 from equiloday.simpgset import EqMap, build_polygon
 
 RINGS = ["gaussian", "zmod4", "z", "group_ring_c2_mod2"]
@@ -62,3 +63,27 @@ def test_intmatrix_is_unhashable():
     assert SparseMatrix.identity(2) != SparseMatrix(2, [[(0, 1)], [(1, -1)]])
     assert SparseMatrix(2, []) != SparseMatrix(3, [])
 
+
+@given(st.sampled_from(RINGS), st.data())
+def test_unchecked_structured_hom_equals_the_checked_one(name, data):
+    # builders pass normalized (int, int, bool) entries with check=False;
+    # the checked constructor normalizes flags given as ints to the same map
+    ring = _ring(name)
+    nsrc, ndst = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3))
+    twist = st.integers(0, len(ring.twists.matrices) - 1)
+    lists = [[] for _ in range(ndst)]
+    for s in data.draw(st.permutations(range(nsrc))):
+        lists[data.draw(st.integers(0, ndst - 1))].append(
+            (s, data.draw(twist), data.draw(st.booleans())))
+    src, dst = TensorRing(ring, range(nsrc)), TensorRing(_ring(name), range(ndst))
+    fast = StructuredHom(src, dst, lists, check=False)
+    checked = StructuredHom(src, dst, [[(s, t, int(a)) for s, t, a in lst]
+                                       for lst in lists])
+    assert fast == checked and checked == fast
+    assert fast.targets == checked.targets
+    assert [type(a) for lst in checked.targets for _, _, a in lst] == \
+        [bool] * nsrc
+    assert fast.reduced_form() == checked.reduced_form()
+    for f in (fast, checked):  # StructuredHom defines no hash: both refuse it
+        with pytest.raises(TypeError):
+            hash(f)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equiloday import exactalg
 from equiloday.coeffs import Coefficient, gaussian, integers, load_bundled
 from equiloday.exactalg import (FgAbelianGroup, IntMatrix, PresentedAb, SparseMatrix,
                                 SubQuotient, induced_map)
@@ -598,3 +599,26 @@ def test_budget_propagates():
         homology_table(s, (0,), 1)
     # degree zero stays inside the budget
     assert homology_table(s, (0,), 0)[0] == cyclic_bar_homology(rz3.ring, 0)[0]
+
+
+def test_each_boundary_is_smith_formed_once(monkeypatch):
+    # on free levels H_k reads the invariant factors of d_k and d_(k+1), so
+    # H_k and H_(k+1) share those of d_(k+1): one Smith form per boundary
+    s = real_hochschild(1, gaussian(), truncation=4).loday_side
+    calls = []
+    factors = exactalg.invariant_factors
+
+    def counted(m):
+        calls.append(m)
+        return factors(m)
+
+    monkeypatch.setattr(exactalg, "invariant_factors", counted)
+    for sub in s.group.all_subgroups():
+        lc = LevelComplex(s, sub, max_level=4)
+        complex_ = lc.normalized
+        assert not any(lv.relations.cols for lv in complex_.levels)
+        calls.clear()
+        table = [lc.homology(k) for k in range(complex_.top())]
+        assert [id(m) for m in calls] == [id(b) for b in complex_.boundaries]
+        assert [lc.homology(k) for k in range(complex_.top())] == table
+        assert len(calls) == len(complex_.boundaries)  # the second pass reads the memo
