@@ -187,7 +187,8 @@ class TwistTable:
     """The twists of one presented ring, as small integer ids.
 
     ``matrices[t]`` is twist t's matrix exactly as it was first given, so
-    anything printed from it (``--emit-complex``) keeps its bytes.
+    anything printed from it (``--emit-complex``) keeps its bytes, and
+    ``columns[t]`` holds its columns as tuples, built once for expansion.
     ``classes[t]`` is the id of its column-reduced form: two twists are
     the same additive map of the ring iff their classes agree (``same``).
     ``product`` memoizes per ordered pair of ids and interns the exact
@@ -199,6 +200,7 @@ class TwistTable:
     def __init__(self, ab: PresentedAb):
         self._ab = ab
         self.matrices: list[IntMatrix] = []
+        self.columns: list[tuple] = []
         self.classes: list[int] = []
         self._ids: dict[tuple, int] = {}
         self._class_ids: dict[tuple, int] = {}
@@ -217,6 +219,7 @@ class TwistTable:
             reduced = tuple(self._ab.reduce(m.column(j)) for j in range(r))
             t = self._ids[key] = len(self.matrices)
             self.matrices.append(m)
+            self.columns.append(tuple(zip(*m.data)))
             self.classes.append(self._class_ids.setdefault(reduced, len(self._class_ids)))
         return t
 
@@ -539,7 +542,7 @@ class StructuredHom:
     def apply_basis(self, idx: Sequence[int]) -> list[int]:
         """Dense image of one source basis tuple, without building the matrix."""
         base = self.src.base
-        matrices = base.twists.matrices
+        columns = base.twists.columns
         col = [1]
         for lst in self.targets:
             if not lst:
@@ -547,7 +550,7 @@ class StructuredHom:
             else:
                 vec = None
                 for s, t, _ in lst:
-                    w = matrices[t].column(idx[s])
+                    w = columns[t][idx[s]]
                     vec = w if vec is None else base.vec_mul(vec, w)
                 vec = list(base.reduce_vec(vec))
             col = [c * vj for c in col for vj in vec]
@@ -569,13 +572,13 @@ class StructuredHom:
         entries are dealt into their columns.
         """
         base = self.src.base
-        matrices = base.twists.matrices
+        columns = base.twists.columns
         r = base.ngens
         nrows = self.dst.dense_rank(budget)
         ncols = self.src.dense_rank(budget)
         entries = [(0, 0, 1)]
         for lst in self.targets:
-            twist_cols = [[matrices[t].column(j) for j in range(r)] for _, t, _ in lst]
+            twist_cols = [columns[t] for _, t, _ in lst]
             places = [r ** (self.src.nslots - 1 - s) for s, _, _ in lst]
             terms = []
             for key in product(range(r), repeat=len(lst)):

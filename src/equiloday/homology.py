@@ -55,7 +55,6 @@ maps between homology groups
 (``induced_map``, ``MackeyH``) are dense ``IntMatrix``.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -443,7 +442,6 @@ def _double_coset_reps(g: FiniteGroup, left: Sequence[int], amb: Sequence[int],
     return reps
 
 
-@dataclass
 class MackeyH:
     """Fixed-point homology of every requested subgroup in one degree.
 
@@ -451,15 +449,23 @@ class MackeyH:
     homology; ``classes`` groups the subgroups by conjugacy.  The three
     structure maps are returned as integer matrices between the homology
     presentations; use ``maps_equal`` to compare them modulo relations.
+    Compared by value and unhashable, like a mutable record.
     """
 
-    degree: int
-    group: FiniteGroup
-    subgroups: list[tuple[int, ...]]
-    classes: list[list[tuple[int, ...]]]
-    values: dict[tuple[int, ...], FgAbelianGroup]
-    _lc: dict[tuple[int, ...], "LevelComplex"] = field(repr=False, default_factory=dict)
-    _hd: dict[tuple[int, ...], SubQuotient] = field(repr=False, default_factory=dict)
+    def __init__(self, degree: int, group: FiniteGroup, subgroups: list,
+                 classes: list, values: dict[tuple[int, ...], FgAbelianGroup],
+                 _lc: Optional[dict[tuple[int, ...], LevelComplex]] = None,
+                 _hd: Optional[dict[tuple[int, ...], SubQuotient]] = None):
+        self.degree, self.group, self.subgroups = degree, group, subgroups
+        self.classes, self.values = classes, values
+        self._lc, self._hd = _lc or {}, _hd or {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
 
     def _key(self, sub: Sequence[int]) -> tuple[int, ...]:
         key = tuple(sorted(set(sub) | {0}))

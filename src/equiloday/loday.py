@@ -29,8 +29,7 @@ K-actions come from:
                     element acts by the coefficient involution.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coeffs import Coefficient
 from .exactalg import IntMatrix, SparseMatrix
@@ -558,8 +557,7 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
 # the polygon pipeline
 
 
-@dataclass
-class RealHochschild:
+class RealHochschild(NamedTuple):
     loday_side: SimplicialGRing
     bar_side: SimplicialGRing
     isos: list[StructuredHom]

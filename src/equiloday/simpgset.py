@@ -18,9 +18,8 @@ every element to catch bookkeeping mistakes, and checks every simplicial
 identity that fits under the truncation.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .fingroup import (FiniteGroup, make_cyclic, make_dihedral,
                        make_symmetric, symmetric_one_line)
@@ -72,16 +71,15 @@ def degeneracy_precompose(sigma: tuple[int, ...], j: int) -> tuple[int, ...]:
 # cells and levels
 
 
-@dataclass(frozen=True)
-class Cell:
+# named tuples: immutable values, compared and hashed by their fields
+class Cell(NamedTuple):
     label: str
     dim: int
     isotropy: tuple[int, ...]
     faces: tuple = ()  # per face index: (cell, sigma, u)
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(NamedTuple):
     cell: int
     sigma: tuple[int, ...]
 

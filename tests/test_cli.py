@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-from equiloday import cli
 from equiloday.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -420,16 +419,20 @@ def test_internal_error_outside_verify_exits_three(capsys, monkeypatch,
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    def broken(params=None):
-        return {"suite": "broken", "failures": 1, "skipped": 0,
+    # the suite runner is replaced by one whose report fails, where
+    # ``cmd_verify`` reads it
+    from equiloday import verify
+
+    def broken(name, params=None):
+        return {"suite": name, "failures": 1, "skipped": 0,
                 "passed": False,
                 "checks": [{"name": "x", "status": "fail",
                             "witness": {"lhs": [1], "rhs": [2]}}]}
-    monkeypatch.setitem(cli.SUITES, "broken", broken)
-    code, out, _ = run(capsys, "verify", "--suite", "broken")
+    monkeypatch.setattr(verify, "run_suite", broken)
+    code, out, _ = run(capsys, "verify", "--suite", "counit")
     assert code == 1
     assert json.loads(out)["checks"][0]["witness"] == {"lhs": [1], "rhs": [2]}
-    code, out, _ = run(capsys, "verify", "--suite", "broken",
+    code, out, _ = run(capsys, "verify", "--suite", "counit",
                        "--format", "csv")
     assert code == 1
     assert '"lhs"' in out  # the witness rides along in the CSV, too
@@ -470,31 +473,59 @@ def test_usage_error_no_subcommand():
 # import layering
 
 
-# runs one command in a fresh interpreter and prints its exit status and the
-# equiloday modules it loaded
+# runs one command in a fresh interpreter and prints its exit status, the
+# equiloday modules it loaded and ``dataclasses`` if it loaded that module,
+# each counted only when the bare interpreter had not loaded it already
 _LOADED = r"""
-import contextlib, io, sys
+import sys
+bare = set(sys.modules)
+import contextlib, io
 from equiloday import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("equiloday.")))
+print(code, *sorted(m for m in set(sys.modules) - bare
+                    if m.startswith("equiloday.") or m == "dataclasses"))
 """
+
+_FAMILIES = {"suites_structured", "suites_isotropy", "suites_realhh"}
+_LAYERS = {"homology", "loday", "simpgset"}
 
 
 @pytest.mark.parametrize("argv,absent,present", [
-    (["verify", "--suite", "xi"], {"homology", "loday", "simpgset"}, set()),
-    (["verify", "--suite", "counit"], {"homology", "loday", "simpgset"}, set()),
+    (["verify", "--suite", "xi"], _LAYERS | (_FAMILIES - {"suites_structured"}),
+     {"verify", "suites_structured"}),
+    (["verify", "--suite", "counit"], _LAYERS | (_FAMILIES - {"suites_structured"}),
+     {"verify", "suites_structured"}),
     (["verify", "--suite", "conjugate-switch", "--group", "s3"],
-     {"homology", "loday", "simpgset"}, set()),
-    (["verify", "--suite", "one-isotropy"], {"homology"}, {"loday", "simpgset"}),
+     _LAYERS | (_FAMILIES - {"suites_structured"}), {"verify", "suites_structured"}),
+    (["verify", "--suite", "one-isotropy"],
+     {"homology"} | (_FAMILIES - {"suites_isotropy"}),
+     {"verify", "loday", "simpgset", "suites_isotropy"}),
+    (["verify", "--suite", "realhh", "--m", "1", "--coeff", "z"],
+     _FAMILIES - {"suites_realhh"}, {"verify", "suites_realhh"} | _LAYERS),
+    (["group", "info", "s3"], _LAYERS | _FAMILIES | {"verify"}, {"commands"}),
 ])
 def test_commands_load_only_the_layers_they_run(argv, absent, present):
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     code, *modules = proc.stdout.split()
-    loaded = {m.split(".")[1] for m in modules}
+    loaded = {m.split(".")[-1] for m in modules}
     assert code == "0"
-    assert {"cli", "verify", "gring"} <= loaded
+    assert {"cli", "gring"} <= loaded
+    assert ("commands" in loaded) == (argv[0] != "verify")
+    assert "dataclasses" not in loaded
     assert not absent & loaded
     assert present <= loaded
+
+
+def test_run_as_a_module_the_commands_raise_the_usage_error_main_catches():
+    # ``python -m equiloday.cli`` runs cli.py as ``__main__``; ``commands``
+    # imports ``equiloday.cli`` by name, and must get that same module (one
+    # UsageError class, and no second compile of cli.py): exit 2, not 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "equiloday.cli", "group", "info", "zz"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: unknown group 'zz'")

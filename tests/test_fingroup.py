@@ -236,7 +236,8 @@ def test_subgroup_classes_match_pairwise_conjugacy(g):
 def test_subgroup_tables_pass_full_validation(capsys):
     # subgroup_as_group skips validation; its tables must still pass it
     import json
-    from equiloday.cli import main, resolve_group
+    from equiloday.cli import main
+    from equiloday.commands import resolve_group
     from equiloday.fingroup import subgroup_as_group
     assert main(["group", "list"]) == 0
     names = [row["name"] for row in json.loads(capsys.readouterr().out)]

@@ -6,8 +6,11 @@ from hypothesis import given, strategies as st
 
 from equiloday.coeffs import gaussian, load_bundled
 from equiloday.exactalg import IntMatrix, SparseMatrix
+from equiloday.fingroup import make_cyclic
 from equiloday.gring import StructuredHom, TensorRing
-from equiloday.simpgset import EqMap, build_polygon
+from equiloday.homology import MackeyH, mackey_homology
+from equiloday.loday import RealHochschild, loday_free, real_hochschild
+from equiloday.simpgset import Cell, EqMap, Simplex, build_polygon, build_rot_circle
 
 RINGS = ["gaussian", "zmod4", "z", "group_ring_c2_mod2"]
 
@@ -87,3 +90,55 @@ def test_unchecked_structured_hom_equals_the_checked_one(name, data):
     for f in (fast, checked):  # StructuredHom defines no hash: both refuse it
         with pytest.raises(TypeError):
             hash(f)
+
+
+_labels = st.text("xyz'", min_size=1, max_size=2)
+_elements = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@given(_labels, st.integers(0, 2), _elements, _labels, st.integers(0, 2), _elements)
+def test_cell_and_simplex_hash_follows_eq(la, da, ia, lb, db, ib):
+    # a copy rebuilt from copies of the fields is equal and hashes equal
+    for make in (lambda l, d, i: Cell(l, d, i, ((0, i, d),)),
+                 lambda l, d, i: Simplex(d, i)):
+        a, b = make(la, da, ia), make(lb, db, ib)
+        copy = make("".join(la), int(da), tuple(list(ia)))
+        assert a == copy and hash(a) == hash(copy)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+def test_cells_and_simplices_are_frozen():
+    cell, simplex = Cell("v", 0, (0, 1)), Simplex(0, (0, 0))
+    assert cell.faces == () and cell == Cell(label="v", dim=0, isotropy=(0, 1))
+    for value, field in ((cell, "dim"), (cell, "faces"), (simplex, "sigma")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+    assert cell.dim == 0 and simplex.sigma == (0, 0)
+
+
+def test_real_hochschild_builds_from_its_field_names():
+    rh = real_hochschild(1, gaussian(), truncation=1)
+    again = RealHochschild(loday_side=rh.loday_side, bar_side=rh.bar_side,
+                           isos=list(rh.isos))
+    assert again == rh and again.isos is not rh.isos
+    assert RealHochschild(rh.bar_side, rh.loday_side, rh.isos) != rh
+    with pytest.raises(TypeError):  # a list field: unhashable, as before
+        hash(rh)
+
+
+def test_mackey_h_builds_from_the_keywords_mackey_homology_passes():
+    c2 = make_cyclic(2)
+    s = loday_free(build_rot_circle(2, truncation=2),
+                   gaussian().trivial_action(c2), inner="flip")
+    mk = mackey_homology(s, 0)
+    again = MackeyH(degree=mk.degree, group=mk.group, subgroups=mk.subgroups,
+                    classes=mk.classes, values=mk.values, _lc=mk._lc,
+                    _hd=mk._hd)
+    assert again == mk and not again != mk
+    assert MackeyH(**{**vars(mk), "degree": 1}) != mk
+    bare = MackeyH(0, c2, mk.subgroups, mk.classes, mk.values)
+    assert bare._lc == {} and bare._hd == {} and bare != mk
+    assert mk != (mk.degree, mk.group)
+    with pytest.raises(TypeError):  # mutable: compared by value, unhashable
+        hash(mk)

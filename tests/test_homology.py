@@ -510,6 +510,18 @@ def test_underlying_row_is_closed_form_hh(name, n, f, m, truncation):
     assert tl == tb == polynomial_hh(f, n, truncation - 1)
 
 
+@pytest.mark.slow
+def test_gaussian_m2_underlying_row_through_degree_2_is_closed_form_hh():
+    # Z[i] = Z[x]/(x^2 + 1) on the 4-gon: Z^2, (Z/2)^2, 0; degree 2 needs
+    # level 3 (rank 65,536), past the default budget, so the complex is
+    # built with a larger one (about 4 s)
+    s = real_hochschild(2, gaussian(), truncation=3).loday_side
+    lc = LevelComplex(s, (0,), max_level=3, budget=70000)
+    row = [lc.homology(k) for k in range(3)]
+    assert row == polynomial_hh([1, 0, 1], 0, 2)
+    assert shapes(row) == [(2, ()), (0, (2, 2)), (0, ())]
+
+
 def test_reflection_rows_at_m2_equal_the_m1_c2_row():
     # restricted to a reflection fixing vertices, the 4-gon is S^sigma, so
     # both reflection classes at m = 2 see the m = 1 C2 row

@@ -2,6 +2,7 @@
 
 import pytest
 
+from equiloday import suites_isotropy, suites_realhh, suites_structured
 from equiloday.verify import SUITES, run_suite
 
 SMOKE = [
@@ -24,6 +25,14 @@ SMOKE = [
 
 def test_smoke_roster_covers_every_suite():
     assert {name for name, _ in SMOKE} == set(SUITES)
+
+
+def test_each_suite_body_sits_in_the_family_its_registry_entry_names():
+    families = {"structured": suites_structured, "isotropy": suites_isotropy,
+                "realhh": suites_realhh}
+    for family, module in families.items():
+        assert set(module.BODIES) == {name for name, (f, _) in SUITES.items()
+                                      if f == family}, family
 
 
 @pytest.mark.parametrize("name,params", SMOKE,
