@@ -30,6 +30,9 @@ from .gring import DENSE_BUDGET
 
 OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
+_BUDGET_HELP = ("largest rank of each expanded level a fixed-point complex "
+               "builds; degrees that need a bigger level print as skips")
+
 
 class UsageError(Exception):
     """Bad input that is the caller's fault: exit 2, message on stderr."""
@@ -132,7 +135,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subgroups", choices=["free", "all", "classes"],
                    default="free")
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DENSE_BUDGET)
+    p.add_argument("--budget", type=int, default=DENSE_BUDGET,
+                   help=_BUDGET_HELP + " (default %(default)s)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -185,7 +189,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", help="coefficient for realhh")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"realhh: {_BUDGET_HELP} (default {DENSE_BUDGET})")
     p.add_argument("--subgroups", choices=["all", "classes"], default=None)
 
     p = sub.add_parser("bench", help="timing and matrix-size statistics")

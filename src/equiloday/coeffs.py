@@ -22,7 +22,7 @@ Schema, JSON object with keys:
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from typing import NamedTuple, Optional
 
 from .exactalg import IntMatrix, SparseMatrix
@@ -124,16 +124,19 @@ def coefficient_from_obj(obj: dict) -> Coefficient:
                        involution, cyclic_action)
 
 
+# read with ``os`` and ``open``: ``importlib.resources`` would add its
+# imports to the start-up of every command
+_BUNDLED = os.path.join(os.path.dirname(__file__), "data", "coefficients")
+
+
 def bundled_names() -> list[str]:
-    files = resources.files("equiloday.data.coefficients")
-    return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
+    return sorted(p[:-5] for p in os.listdir(_BUNDLED) if p.endswith(".json"))
 
 
 def load_bundled(name: str) -> Coefficient:
-    files = resources.files("equiloday.data.coefficients")
-    path = files / f"{name}.json"
     try:
-        text = path.read_text()
+        with open(os.path.join(_BUNDLED, f"{name}.json"), encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ValueError(f"no bundled coefficient named {name!r}; "
                          f"available: {', '.join(bundled_names())}") from None

@@ -326,7 +326,7 @@ def build_pipeline(x: FinSimpGSet, coeff: Coefficient, inner: str,
                     f"coefficient {coeff.name!r} carries no involution; "
                     "the two-isotropy pipeline needs one")
             return loday_two_isotropy(x, coeff)
-    except (ValueError, SizeBudgetExceeded) as e:
+    except ValueError as e:
         raise UsageError(f"cannot build the pipeline: {e}")
     raise UsageError(f"space mode {mode!r} has no pipeline")
 
@@ -357,7 +357,7 @@ def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
     boundaries of the normalized complex each was read from, keyed by
     subgroup ("over budget" when even degree zero is): one
     ``LevelComplex`` per subgroup serves both, and only one is held."""
-    from .homology import LevelComplex, feasible_degree
+    from .homology import LevelComplex, budget_skip, feasible_degree
     kmax = feasible_degree(s, max_degree, budget)
     rows: list[dict] = []
     boundaries = {}
@@ -379,8 +379,7 @@ def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
         for k in range(kmax + 1, max_degree + 1):
             rows.append({"subgroup": list(sub), "degree": k,
                          "status": "skipped",
-                         "reason": f"level rank {s.level_rank(k + 1)} "
-                                   f"exceeds the dense budget {budget}"})
+                         "reason": budget_skip(s, k, budget)})
     return rows, boundaries
 
 

@@ -9,7 +9,8 @@ maps - sends each source tensor factor through a twist (an additive map of R)
 into one target slot, where factors are multiplied in a recorded order.  A
 ``StructuredHom`` stores that routing verbatim, so maps compose and compare
 exactly, with no dependence on the size of the expanded tensor power.  Maps
-are expanded only on demand, under a budget, into column-sparse matrices
+are expanded only on demand, with no size check of their own (the caller,
+``homology.LevelComplex``, checks ranks first), into column-sparse matrices
 (``StructuredHom.sparse``); the dense form (``StructuredHom.dense``) is a
 conversion for the per-layer tracer and the test oracles.
 
@@ -41,14 +42,13 @@ from typing import Optional, Sequence
 from .exactalg import (
     IntMatrix,
     PresentedAb,
-    SizeBudgetExceeded,
     SmithSolver,
     SparseMatrix,
     hom_is_well_defined,
 )
 from .fingroup import FiniteGroup, GroupHom, subgroup_as_group
 
-DENSE_BUDGET = 5000
+DENSE_BUDGET = 5000  # the default rank bound of homology.LevelComplex
 
 IDENTITY_TWIST = 0  # the id of the identity matrix in every twist table
 
@@ -90,7 +90,7 @@ class PresentedRing:
                  mult: Sequence[Sequence[Sequence[int]]],
                  unit: Sequence[int],
                  gen_names: Optional[Sequence[str]] = None,
-                 label: str = "R", check: bool = True):
+                 label: str = "R"):
         self.ab = PresentedAb(ngens, relations)
         self.ngens = ngens
         self.mult = tuple(tuple(tuple(int(v) for v in cell) for cell in row) for row in mult)
@@ -106,8 +106,7 @@ class PresentedRing:
         # the nonzero structure constants: _terms[i][j] lists (k, mult[i][j][k])
         self._terms = tuple(tuple(tuple((k, v) for k, v in enumerate(cell) if v)
                                   for cell in row) for row in self.mult)
-        if check:
-            self._validate()
+        self._validate()
         self.commutative = all(self._same(self.mult[i][j], self.mult[j][i])
                                for i in range(ngens) for j in range(i))
         table = _TWIST_TABLES.get(self)
@@ -332,10 +331,10 @@ class RingWithAction:
 class TensorRing:
     """Tensor power of a base ring, slots labeled by hashable tags.
 
-    Maps are expanded per map in StructuredHom.sparse under a budget.  The
-    expanded additive group (``dense_group``) is built on first request and
-    cached: every later call gets the same ``PresentedAb``, with its lattice
-    and canonical form, as long as the rank fits that call's budget.
+    Maps are expanded per map in StructuredHom.sparse.  The expanded
+    additive group (``dense_group``) is built on first request and cached:
+    every later call gets the same ``PresentedAb``, with its lattice and
+    canonical form.
     """
 
     def __init__(self, base: PresentedRing, slots: Sequence):
@@ -353,19 +352,12 @@ class TensorRing:
     def slot_index(self, label) -> int:
         return self._index[label]
 
-    def dense_rank(self, budget: int = DENSE_BUDGET) -> int:
-        r = self.base.ngens ** self.nslots
-        if r > budget:
-            raise SizeBudgetExceeded(
-                f"expanded rank {self.base.ngens}^{self.nslots} exceeds budget {budget}")
-        return r
-
-    def dense_group(self, budget: int = DENSE_BUDGET) -> PresentedAb:
+    def dense_group(self) -> PresentedAb:
         """The expanded additive group, relations included: each base
         relation in each slot, against every basis tuple of the others."""
-        rank = self.dense_rank(budget)
         if self._group is None:
             n = self.base.ngens
+            rank = n ** self.nslots
             cols = []
             for pos in range(self.nslots):
                 outer = n ** pos
@@ -376,8 +368,7 @@ class TensorRing:
             self._group = PresentedAb(rank, SparseMatrix(rank, cols))
         return self._group
 
-    def basis_tuples(self, budget: int = DENSE_BUDGET):
-        self.dense_rank(budget)
+    def basis_tuples(self):
         return product(range(self.base.ngens), repeat=self.nslots)
 
     def __eq__(self, other):
@@ -556,7 +547,7 @@ class StructuredHom:
             col = [c * vj for c in col for vj in vec]
         return col
 
-    def sparse(self, budget: int = DENSE_BUDGET) -> SparseMatrix:
+    def sparse(self) -> SparseMatrix:
         """Matrix on expanded tensor bases (slot 0 most significant).
 
         Column ``idx`` is the Kronecker product, over target slots, of the
@@ -574,8 +565,8 @@ class StructuredHom:
         base = self.src.base
         columns = base.twists.columns
         r = base.ngens
-        nrows = self.dst.dense_rank(budget)
-        ncols = self.src.dense_rank(budget)
+        nrows = r ** self.dst.nslots
+        ncols = r ** self.src.nslots
         entries = [(0, 0, 1)]
         for lst in self.targets:
             twist_cols = [columns[t] for _, t, _ in lst]
@@ -595,14 +586,14 @@ class StructuredHom:
             cols[col].append((row, v))
         return SparseMatrix(nrows, cols)
 
-    def dense(self, budget: int = DENSE_BUDGET) -> IntMatrix:
+    def dense(self) -> IntMatrix:
         """``sparse`` converted to a dense matrix.
 
         The homology code works on the sparse form.  This conversion is the
         dense expansion the per-layer tracer (``perfbench/tracer.py``) wraps,
         and the test oracles compare maps through it.
         """
-        return self.sparse(budget).to_dense()
+        return self.sparse().to_dense()
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ homologies of all subgroups at once, so identities among them (transfer
 followed by restriction, double-coset decompositions, conjugation acting
 invertibly) can be checked by exhaustion on small groups.
 
-Sizes are guarded the same way as everywhere else: any level whose expanded
-rank would exceed the dense budget raises ``SizeBudgetExceeded``, which
-callers are expected to report as a skip rather than swallow.  Expanded
+Sizes are guarded here alone: ``LevelComplex`` raises ``SizeBudgetExceeded``
+before expanding anything when a level's rank exceeds its budget, and
+callers ask ``feasible_degree`` the same question first, reporting the
+degrees past it as skips (``budget_skip``).  Expanded
 face, degeneracy and action maps are column-sparse (``SparseMatrix``) and
 cached per simplicial ring, so every subgroup reuses them; across rings,
 ``homology_tables`` builds one complex per distinct
@@ -59,8 +60,9 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
-                       SparseMatrix, SubQuotient, _condition_rows, _dedup_cols,
-                       induced_map, kernel_columns)
+                       SizeBudgetExceeded, SparseMatrix, SubQuotient,
+                       _condition_rows, _dedup_cols, induced_map,
+                       kernel_columns)
 from .fingroup import FiniteGroup
 from .gring import DENSE_BUDGET
 
@@ -238,10 +240,10 @@ def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
     return gens
 
 
-def _fixed_level(s, n: int, gens: Sequence[int], budget: int) -> Carved:
-    pres = s.levels[n].tensor.dense_group(budget)
+def _fixed_level(s, n: int, gens: Sequence[int]) -> Carved:
+    pres = s.levels[n].tensor.dense_group()
     rank, rels = pres.ngens, pres.relations
-    mats = [s.expanded_act(n, k, budget) for k in gens]
+    mats = [s.expanded_act(n, k) for k in gens]
     if not rels.cols and all(len(col) == 1 and col[0][1] in (1, -1)
                              for m in mats for col in m.data):
         return _OrbitFixed(pres, [[col[0] for col in m.data] for m in mats])
@@ -285,7 +287,8 @@ class LevelComplex:
       degeneracies as relations (``_Quotient``).
 
     ``unnormalized`` is the alternating-sum complex on the full fixed
-    levels; ``max_level`` trims how far up the truncation is materialized.
+    levels; ``max_level`` trims how far up the truncation is materialized,
+    and every level up to there must have rank at most ``budget``.
     """
 
     def __init__(self, s, sub: Sequence[int], max_level: Optional[int] = None,
@@ -297,13 +300,17 @@ class LevelComplex:
         top = s.top() if max_level is None else max_level
         if not 0 <= top <= s.top():
             raise ValueError("max_level outside the truncation")
+        over = _over_budget(s, top, budget)
+        if over is not None:
+            t = s.levels[over].tensor
+            raise SizeBudgetExceeded(
+                f"expanded rank {t.base.ngens}^{t.nslots} exceeds budget {budget}")
         self.s = s
         self.sub = sub
         self.top = top
-        self.budget = budget
 
         gens = _generating_subset(g, sub)
-        self.fixed: list[Carved] = [_fixed_level(s, n, gens, budget)
+        self.fixed: list[Carved] = [_fixed_level(s, n, gens)
                                     for n in range(top + 1)]
         tuples = all(isinstance(f, _OrbitFixed) and not f.pres.relations.cols
                      for f in self.fixed) and _degenerate_tuples(s, top)
@@ -313,7 +320,7 @@ class LevelComplex:
         else:
             self.reduced = [
                 _Quotient(f.pres, [col for j in range(n) for col in _restricted(
-                    f, s.expanded_degen(n - 1, j, budget) @ self.fixed[n - 1].lift).data])
+                    f, s.expanded_degen(n - 1, j) @ self.fixed[n - 1].lift).data])
                 for n, f in enumerate(self.fixed)]
         self.normalized = ChainComplex(
             [r.pres for r in self.reduced],
@@ -333,7 +340,7 @@ class LevelComplex:
              for n in range(1, self.top + 1)])
 
     def face(self, n: int, i: int) -> SparseMatrix:
-        return self.s.expanded_face(n, i, self.budget)
+        return self.s.expanded_face(n, i)
 
     def _boundary(self, n: int, cols: SparseMatrix) -> SparseMatrix:
         """The alternating sum of the faces of level n on ambient columns."""
@@ -367,18 +374,23 @@ class LevelComplex:
             raise ValueError(f"degree {k} not below the materialized top {self.top}")
 
 
+def _over_budget(s, top: int, budget: int) -> Optional[int]:
+    """The lowest level <= top whose expanded rank exceeds the budget, or
+    None when every one fits."""
+    return next((n for n in range(top + 1) if s.level_rank(n) > budget), None)
+
+
 def feasible_degree(s, want: int, budget: int) -> int:
-    """Largest degree <= want whose homology fits the dense budget; -1 when
-    even degree zero does not fit."""
-    k = -1
-    for d in range(want + 1):
-        if d + 1 > s.top():
-            break
-        if all(s.level_rank(l) <= budget for l in range(d + 2)):
-            k = d
-        else:
-            break
-    return k
+    """Largest degree <= want whose complex, levels up to degree + 1, lies
+    in the truncation and fits the budget; -1 when degree zero does not."""
+    top = min(want + 1, s.top())
+    over = _over_budget(s, top, budget)
+    return (top if over is None else max(over - 1, 0)) - 1
+
+
+def budget_skip(s, k: int, budget: int) -> str:
+    """Why degree k, past ``feasible_degree``, is skipped."""
+    return f"level rank {s.level_rank(k + 1)} exceeds the dense budget {budget}"
 
 
 def homology_tables(rings: Sequence, sub: Sequence[int], max_k: int,
@@ -483,8 +495,7 @@ class MackeyH:
         return _restricted(b.fixed[k], cols, b.reduced[k])
 
     def _act(self, sub: tuple[int, ...], elem: int) -> SparseMatrix:
-        lc = self._lc[sub]
-        return lc.s.expanded_act(self.degree, elem, lc.budget)
+        return self._lc[sub].s.expanded_act(self.degree, elem)
 
     def res(self, big: Sequence[int], small: Sequence[int]) -> IntMatrix:
         """Induced by the inclusion of fixed points, bigger subgroup to smaller."""

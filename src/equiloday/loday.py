@@ -34,9 +34,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .coeffs import Coefficient
 from .exactalg import IntMatrix, SparseMatrix
 from .fingroup import FiniteGroup, make_cyclic
-from .gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing, NormRing,
-                    PresentedRing, RingWithAction, StructuredHom,
-                    equivariance_defect, tensor_induce, tensor_of_actions)
+from .gring import (IDENTITY_TWIST, GTensorRing, NormRing, PresentedRing,
+                    RingWithAction, StructuredHom, equivariance_defect,
+                    tensor_induce, tensor_of_actions)
 from .simpgset import EqMap, FinSimpGSet, simplicial_identity_failures
 
 
@@ -72,27 +72,21 @@ class SimplicialGRing:
                              % (j, n))
         return self.degens[n][j]
 
-    def expanded_face(self, n: int, i: int,
-                      budget: int = DENSE_BUDGET) -> SparseMatrix:
+    def expanded_face(self, n: int, i: int) -> SparseMatrix:
         """``face(n, i).sparse()``, expanded once and kept."""
-        return self._expand(("face", n, i), self.face(n, i), budget)
+        return self._expand(("face", n, i), self.face(n, i))
 
-    def expanded_act(self, n: int, g: int,
-                     budget: int = DENSE_BUDGET) -> SparseMatrix:
+    def expanded_act(self, n: int, g: int) -> SparseMatrix:
         """``levels[n].act(g).sparse()``, expanded once and kept."""
-        return self._expand(("act", n, g), self.levels[n].act(g), budget)
+        return self._expand(("act", n, g), self.levels[n].act(g))
 
-    def expanded_degen(self, n: int, j: int,
-                       budget: int = DENSE_BUDGET) -> SparseMatrix:
+    def expanded_degen(self, n: int, j: int) -> SparseMatrix:
         """``degeneracy(n, j).sparse()``, expanded once and kept."""
-        return self._expand(("degen", n, j), self.degeneracy(n, j), budget)
+        return self._expand(("degen", n, j), self.degeneracy(n, j))
 
-    def _expand(self, key: tuple, hom: StructuredHom,
-                budget: int) -> SparseMatrix:
-        hom.src.dense_rank(budget)
-        hom.dst.dense_rank(budget)
+    def _expand(self, key: tuple, hom: StructuredHom) -> SparseMatrix:
         if key not in self._expanded:
-            self._expanded[key] = hom.sparse(budget)
+            self._expanded[key] = hom.sparse()
         return self._expanded[key]
 
     def expansion_key(self, top: int) -> tuple:
@@ -125,31 +119,30 @@ class SimplicialGRing:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, equivariance: bool = True) -> list[str]:
+    def validate(self) -> list[str]:
         top = self.top()
         ident = [StructuredHom.identity(lv.tensor) for lv in self.levels]
         out = ["%s: %s" % (self.label, msg) for msg in
                simplicial_identity_failures(top, self.face, self.degeneracy,
                                             ident)]
-        if equivariance:
-            for n in range(1, top + 1):
-                for i in range(n + 1):
-                    bad = equivariance_defect(self.face(n, i),
-                                              self.levels[n],
-                                              self.levels[n - 1])
-                    if bad:
-                        out.append("%s: face d_%d at level %d not "
-                                   "equivariant at %r" % (self.label, i, n,
-                                                          bad[:3]))
-            for n in range(0, top):
-                for j in range(n + 1):
-                    bad = equivariance_defect(self.degeneracy(n, j),
-                                              self.levels[n],
-                                              self.levels[n + 1])
-                    if bad:
-                        out.append("%s: degeneracy s_%d at level %d not "
-                                   "equivariant at %r" % (self.label, j, n,
-                                                          bad[:3]))
+        for n in range(1, top + 1):
+            for i in range(n + 1):
+                bad = equivariance_defect(self.face(n, i),
+                                          self.levels[n],
+                                          self.levels[n - 1])
+                if bad:
+                    out.append("%s: face d_%d at level %d not "
+                               "equivariant at %r" % (self.label, i, n,
+                                                      bad[:3]))
+        for n in range(0, top):
+            for j in range(n + 1):
+                bad = equivariance_defect(self.degeneracy(n, j),
+                                          self.levels[n],
+                                          self.levels[n + 1])
+                if bad:
+                    out.append("%s: degeneracy s_%d at level %d not "
+                               "equivariant at %r" % (self.label, j, n,
+                                                      bad[:3]))
         return out
 
 

@@ -405,11 +405,6 @@ class FinSimpGSet:
 # builders
 
 
-def _two_mode(g: FiniteGroup, h: tuple[int, ...], h2: tuple[int, ...],
-              pairs: tuple[tuple[int, int], ...]) -> tuple:
-    return ("two_isotropy", h, h2, pairs)
-
-
 def dihedral_vertex_subgroups(m: int) -> tuple[tuple[int, ...],
                                                tuple[int, ...]]:
     """The two reflection subgroups fixing the polygon's two vertex types."""
@@ -440,7 +435,7 @@ def build_polygon(m: int, truncation: int = 4) -> FinSimpGSet:
         Cell("x'", 0, h2),
     ]
     return FinSimpGSet(g, cells, truncation,
-                       _two_mode(g, h, h2, dihedral_phi(m)))
+                       ("two_isotropy", h, h2, dihedral_phi(m)))
 
 
 def build_sigma_circle(truncation: int = 4) -> FinSimpGSet:
@@ -457,7 +452,7 @@ def build_sigma_circle(truncation: int = 4) -> FinSimpGSet:
         Cell("x'", 0, full),
     ]
     return FinSimpGSet(g, cells, truncation,
-                       _two_mode(g, full, full, ((0, 0), (1, 1))))
+                       ("two_isotropy", full, full, ((0, 0), (1, 1))))
 
 
 def build_cayley(group: FiniteGroup, gens: Sequence[int],

@@ -9,10 +9,10 @@ import os
 from typing import Optional
 
 from .coeffs import Coefficient, gaussian, load_bundled, load_file, quaternions
-from .exactalg import IntMatrix, SizeBudgetExceeded, SparseMatrix
+from .exactalg import IntMatrix, SparseMatrix
 from .gring import (DENSE_BUDGET, PresentedRing, commutativity_uses,
                     reset_commutativity_uses)
-from .homology import feasible_degree, homology_tables
+from .homology import budget_skip, feasible_degree, homology_tables
 from .loday import esigma_check, real_hochschild
 from .verify import SuiteParameterError, _check, _new_report, _skip
 
@@ -48,11 +48,7 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
                      truncation: int, max_degree: int, budget: int,
                      subgroups: str):
     tag = f"m={m}/{coeff.name}"
-    try:
-        rh = real_hochschild(m, coeff, truncation)
-    except SizeBudgetExceeded as exc:
-        _skip(report, f"{tag}/build", str(exc))
-        return
+    rh = real_hochschild(m, coeff, truncation)
     msgs = rh.loday_side.validate()
     _check(report, f"{tag}/polygon-side-validates", msgs == [], msgs or None)
     msgs = rh.bar_side.validate()
@@ -85,8 +81,7 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
         if d + 1 > truncation:
             reason = f"degree {d} needs level {d + 1}, beyond truncation {truncation}"
         else:
-            reason = (f"level rank {rh.loday_side.level_rank(d + 1)} exceeds "
-                      f"the dense budget {budget}")
+            reason = budget_skip(rh.loday_side, d, budget)
         _skip(report, f"{tag}/degree-{d}", reason)
 
 

@@ -22,10 +22,9 @@ from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix,
                                 hom_is_well_defined, invariant_factors,
                                 kernel_basis, kernel_columns)
 from equiloday.fingroup import FiniteGroup, make_cyclic
-from equiloday.gring import (DENSE_BUDGET, IDENTITY_TWIST, NormRing,
-                             PresentedRing, RingWithAction, StructuredHom,
-                             equivariance_defect, group_power_ring,
-                             tensor_induce)
+from equiloday.gring import (IDENTITY_TWIST, NormRing, PresentedRing,
+                             RingWithAction, StructuredHom, equivariance_defect,
+                             group_power_ring, tensor_induce)
 from equiloday.homology import (Carved, LevelComplex, _OrbitFixed, _fixed_level,
                                 _generating_subset, _restricted)
 from equiloday.loday import (SimplicialGRing, _subgroup_rwa, loday,
@@ -1036,8 +1035,7 @@ def project_power_to_norm(norm: NormRing, u: int = 0) -> StructuredHom:
     return StructuredHom(src, norm.tensor, targets, check=False)
 
 
-def hom_equal_dense(f: StructuredHom, g: StructuredHom,
-                    budget: int = DENSE_BUDGET) -> bool:
+def hom_equal_dense(f: StructuredHom, g: StructuredHom) -> bool:
     """Numeric equality of two maps on the expanded presentation.
 
     Entry-wise difference must die in the expanded target group.  Used as an
@@ -1045,8 +1043,8 @@ def hom_equal_dense(f: StructuredHom, g: StructuredHom,
     """
     if f.src != g.src or f.dst != g.dst:
         return False
-    target = f.dst.dense_group(budget)
-    diff = f.dense(budget) - g.dense(budget)
+    target = f.dst.dense_group()
+    diff = f.dense() - g.dense()
     return all(target.is_zero_element(c) for c in diff.columns())
 
 
@@ -1054,7 +1052,7 @@ def hom_equal_dense(f: StructuredHom, g: StructuredHom,
 # degree-zero fixed-point homology as a bare coequalizer
 
 
-def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGroup:
+def oracle_h0(s, sub: Sequence[int]) -> FgAbelianGroup:
     """Degree-zero homology as a bare coequalizer: coker(d0 - d1) on fixed points.
 
     Deliberately avoids the normalized complex so the two can check each other.
@@ -1064,8 +1062,8 @@ def oracle_h0(s, sub: Sequence[int], budget: int = DENSE_BUDGET) -> FgAbelianGro
     if not g.is_subgroup(subt):
         raise ValueError(f"{subt} is not a subgroup")
     gens = _generating_subset(g, subt)
-    sq = [_fixed_level(s, n, gens, budget) for n in (0, 1)]
-    diff = s.expanded_face(1, 0, budget) - s.expanded_face(1, 1, budget)
+    sq = [_fixed_level(s, n, gens) for n in (0, 1)]
+    diff = s.expanded_face(1, 0) - s.expanded_face(1, 1)
     rels = sq[0].pres.relations
     rels = SparseMatrix(rels.rows, rels.data + _restricted(sq[0], diff @ sq[1].lift).data)
     return PresentedAb(rels.rows, rels).canonical()
@@ -1113,7 +1111,7 @@ def _moore_complex(lc: LevelComplex) -> tuple[list[Carved], ChainComplex]:
     degenerate part, which is isomorphic to it on homology (Dold-Kan).
     """
     fixed, top = lc.fixed, lc.top
-    rels = [lc.s.levels[n].tensor.dense_group(lc.budget).relations
+    rels = [lc.s.levels[n].tensor.dense_group().relations
             for n in range(top)]  # where the faces land
 
     def conditions(n: int) -> list[tuple[SparseMatrix, SparseMatrix]]:

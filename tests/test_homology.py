@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from equiloday import exactalg
 from equiloday.coeffs import Coefficient, gaussian, integers, load_bundled
-from equiloday.exactalg import (FgAbelianGroup, IntMatrix, PresentedAb, SparseMatrix,
-                                SubQuotient, induced_map)
+from equiloday.exactalg import (FgAbelianGroup, IntMatrix, PresentedAb,
+                                SizeBudgetExceeded, SparseMatrix, SubQuotient,
+                                induced_map)
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing,
-                             PresentedRing, RingWithAction, SizeBudgetExceeded,
-                             StructuredHom, TensorRing, norm_projection,
-                             tensor_induce)
+                             PresentedRing, RingWithAction, StructuredHom,
+                             TensorRing, norm_projection, tensor_induce)
 from equiloday.homology import (LevelComplex, _Nondegenerate, _OrbitFixed, _Quotient,
                                 _restricted, feasible_degree, homology_table,
                                 homology_tables, mackey_homology)
@@ -611,6 +611,29 @@ def test_budget_propagates():
         homology_table(s, (0,), 1)
     # degree zero stays inside the budget
     assert homology_table(s, (0,), 0)[0] == cyclic_bar_homology(rz3.ring, 0)[0]
+
+
+def test_over_budget_top_level_raises_before_any_expansion(monkeypatch):
+    # levels 0 and 1 fit the default budget, level 2 (3^9) does not: the
+    # complex refuses before expanding the levels below it
+    c3 = make_cyclic(3)
+    s = loday_free(build_rot_circle(3, truncation=3),
+                   load_bundled("rotation_z3").trivial_action(c3), inner="flip")
+    calls = []
+
+    def counted(original):
+        def wrapper(self, *args):
+            calls.append(original.__name__)
+            return original(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(StructuredHom, "sparse", counted(StructuredHom.sparse))
+    monkeypatch.setattr(TensorRing, "dense_group", counted(TensorRing.dense_group))
+    with pytest.raises(SizeBudgetExceeded, match=r"^expanded rank 3\^9 exceeds budget 5000$"):
+        LevelComplex(s, (0,), max_level=2)
+    assert calls == []
+    LevelComplex(s, (0,), max_level=1)
+    assert {"sparse", "dense_group"} <= set(calls)
 
 
 def test_each_boundary_is_smith_formed_once(monkeypatch):
