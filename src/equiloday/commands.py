@@ -482,9 +482,10 @@ def cmd_bench(args, out) -> int:
                 hom_dims.append({"subgroup": _elements_str(sub),
                                  "boundary": k, "rows": b.rows,
                                  "cols": b.cols})
-        except SizeBudgetExceeded:
+        except SizeBudgetExceeded as e:
             hom_dims.append({"subgroup": _elements_str(sub),
                              "boundary": 0, "rows": -1, "cols": -1})
+            print(f"subgroup {_elements_str(sub)}: {e}", file=sys.stderr)
     t4 = time.perf_counter()
     if args.format == "json":
         _emit_json({"levels": dims, "boundaries": hom_dims}, out)

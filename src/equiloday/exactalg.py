@@ -757,16 +757,6 @@ class PresentedAb:
         return f"PresentedAb(ngens={self.ngens}, nrels={self.relations.cols})"
 
 
-def tensor(a: PresentedAb, b: PresentedAb) -> PresentedAb:
-    """Tensor product; generators are pairs (i, j) ordered lexicographically."""
-    n, m = a.ngens * b.ngens, b.ngens
-    cols = [[(i * m + j, v) for i, v in rc]
-            for rc in a.relations.data for j in range(m)]
-    cols += [[(i * m + j, v) for j, v in rc]
-             for rc in b.relations.data for i in range(a.ngens)]
-    return PresentedAb(n, SparseMatrix(n, cols))
-
-
 def hom_is_well_defined(domain: PresentedAb, codomain: PresentedAb,
                         matrix: "IntMatrix | SparseMatrix") -> bool:
     """Does ``matrix`` (dense or sparse) send every relation of ``domain``

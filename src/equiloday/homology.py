@@ -7,12 +7,11 @@ generated abelian groups.  Two complexes are kept side by side:
 
 * the normalized one, C^H / D(C^H), the quotient by the degenerate
   elements, on every level (see ``LevelComplex``), with the alternating sum
-  of all faces as boundary: on free levels whose actions are signed
-  permutations and whose unit is a basis vector its basis is the live
-  nondegenerate orbit sums, so no Smith form is spent on carving it; on any
-  other level it keeps the fixed coordinates and takes the degenerate
-  images as extra relations, because relations keep fixed points from
-  being orbit sums;
+  of all faces as boundary: a free level with orbit-sum fixed points, whose
+  expanded degeneracies are signed injections of basis vectors, drops the
+  degenerate orbit sums, so no Smith form is spent on carving it; any other
+  level keeps the fixed coordinates and takes the degenerate images as
+  extra relations;
 * the unnormalized one, on the full fixed levels, with the alternating sum
   of all faces as boundary.
 
@@ -35,8 +34,10 @@ Sizes are guarded here alone: ``LevelComplex`` raises ``SizeBudgetExceeded``
 before expanding anything when a level's rank exceeds its budget, and
 callers ask ``feasible_degree`` the same question first, reporting the
 degrees past it as skips (``budget_skip``).  Expanded
-face, degeneracy and action maps are column-sparse (``SparseMatrix``) and
-cached per simplicial ring, so every subgroup reuses them; across rings,
+face, degeneracy and action maps are column-sparse (``SparseMatrix``).
+Faces and actions are cached per simplicial ring, so every subgroup reuses
+them; a level's degeneracies are read once per complex and expanded there,
+so they are not held while higher levels are built.  Across rings,
 ``homology_tables`` builds one complex per distinct
 ``SimplicialGRing.expansion_key``, so rings that are one simplicial module
 up to slot labels (the two sides of ``real_hochschild``) share a single
@@ -44,9 +45,9 @@ expansion, carving and Smith form.  A fixed carving is one of two kinds,
 each with a ``SparseMatrix`` lift: on free levels whose actions are signed
 permutations (and on whole levels) the fixed points are orbit sums
 (``_OrbitFixed``); elsewhere they are carved by Smith form
-(``SubQuotient``).  The fixed carving happens once per level and the
-normalized part is carved inside the fixed coordinates rather than back at
-ambient size (``_Nondegenerate`` or ``_Quotient``).  Sparse columns in,
+(``SubQuotient``).  The fixed carving happens once per level, and the
+normalized level (``_Normalized``) reuses its lift columns and its
+``express`` rather than carving again at ambient size.  Sparse columns in,
 sparse columns out: the level relations (``TensorRing.dense_group``, built
 once per level) and every carved presentation are ``SparseMatrix``, the
 carving conditions reach the Smith-form engine as sparse rows
@@ -142,91 +143,56 @@ class _OrbitFixed:
         return out if back.data[0] == list(col) else None
 
 
-class _Nondegenerate:
-    """The live nondegenerate orbit sums of a free level, in its orbit-sum
-    coordinates: a basis of C^H / D^H, the fixed points modulo the
-    degenerate ones.
+Fixed = Union[SubQuotient, _OrbitFixed]
 
-    ``lift`` picks those orbit sums out of the fixed coordinates.
-    ``express`` reads fixed coordinates (coefficients at orbit heads) and
-    drops the degenerate orbits, so every fixed vector has a class.
+
+def _one_sign_per_column(mats: Sequence[SparseMatrix]) -> bool:
+    """Does every column of every matrix hold exactly one entry, +-1?"""
+    return all(len(col) == 1 and col[0][1] in (1, -1) for m in mats for col in m.data)
+
+
+class _Normalized:
+    """C^H_n / D(C^H)_n, the normalized level n, carved on ambient columns.
+
+    ``lift`` holds the ambient columns of the fixed generators it keeps;
+    ``express`` runs the fixed carving's ``express`` and drops the other
+    coordinates.  Either ``dropped``, fixed coordinates spanning D(C^H)_n on
+    a free level, leaves ``pres`` free on the rest, or ``degenerate``, the
+    degenerate images in the fixed coordinates, joins the fixed relations.
     """
 
-    def __init__(self, fixed: _OrbitFixed, degenerate: set[int]):
-        keep = [c for head, c in fixed._head.items() if head not in degenerate]
-        self._pos = {c: i for i, c in enumerate(keep)}
-        self.lift = SparseMatrix(fixed.pres.ngens, [[(c, 1)] for c in keep])
-        self.pres = PresentedAb(len(keep))
+    def __init__(self, fixed: Fixed, dropped: set[int] = frozenset(),
+                 degenerate: Sequence[list[tuple[int, int]]] = ()):
+        self._fixed = fixed
+        keep = [c for c in range(fixed.pres.ngens) if c not in dropped]
+        self._pos = {c: i for i, c in enumerate(keep)} if dropped else None
+        self.lift = SparseMatrix(fixed.lift.rows, [fixed.lift.data[c] for c in keep])
+        self.pres = PresentedAb(len(keep), SparseMatrix(len(keep), _dedup_cols(
+            fixed.pres.relations.data + list(degenerate))))
 
-    def express(self, col: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        return [(i, v) for c, v in col if (i := self._pos.get(c)) is not None]
-
-
-class _Quotient:
-    """C^H / D(C^H) in the fixed coordinates themselves: ``lift`` and
-    ``express`` are the identity, and the relations are the fixed level's
-    own plus ``degenerate``, the images of the degeneracies in those
-    coordinates.
-    """
-
-    def __init__(self, fixed: PresentedAb, degenerate: list[list[tuple[int, int]]]):
-        n = fixed.ngens
-        self.lift = SparseMatrix.identity(n)
-        self.pres = PresentedAb(n, SparseMatrix(n, _dedup_cols(
-            fixed.relations.data + degenerate)))
-
-    def express(self, col: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        return list(col)
+    def express(self, col: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
+        coords = self._fixed.express(col)
+        if coords is None or self._pos is None:
+            return coords
+        return [(i, v) for c, v in coords if (i := self._pos.get(c)) is not None]
 
 
-def _degenerate_tuples(s, top: int) -> Optional[list[set[int]]]:
-    """Per level n <= top, the basis tuples spanning the degenerate part.
-
-    When the unit is a basis vector e_u and every degeneracy routes each
-    source slot to a slot of its own, im s_j is spanned by the tuples with
-    u in every slot s_j fills with the unit: a twist is invertible, so the
-    other slots run over all tuples.  ``None`` when either premise fails.
-    """
-    base = s.levels[0].tensor.base
-    unit = list(base.unit)
-    if sorted(unit) != [0] * (len(unit) - 1) + [1]:
-        return None
-    u, r = unit.index(1), base.ngens
-    out: list[set[int]] = [set()]
-    for n in range(1, top + 1):
-        found: set[int] = set()
-        for d in s.degens[n - 1]:
-            if any(len(lst) > 1 for lst in d.targets):
-                return None
-            idx = [0]
-            for lst in d.targets:  # slot 0 is the most significant digit
-                idx = [i * r + k for i in idx for k in (range(r) if lst else (u,))]
-            found.update(idx)
-        out.append(found)
-    return out
+Carved = Union[Fixed, _Normalized]
 
 
-Carved = Union[SubQuotient, _OrbitFixed, _Nondegenerate, _Quotient]
-
-
-def _restricted(dst: Carved, cols: SparseMatrix,
-                dst_inner: Optional[Carved] = None) -> SparseMatrix:
+def _restricted(dst: Carved, cols: SparseMatrix) -> SparseMatrix:
     """The ambient columns ``cols`` written in the basis of a carved subgroup.
 
-    Callers compose the map with the source lifts first, e.g.
-    ``face @ fixed.lift @ reduced.lift``.  Given ``dst_inner``, a carving
-    inside the fixed coordinates of ``dst``, the columns are written in its
-    basis instead.
+    Callers compose the map with the source lift first, e.g.
+    ``face @ reduced.lift``.
     """
     out = []
     for col in cols.data:
         coords = dst.express(col)
-        if coords is not None and dst_inner is not None:
-            coords = dst_inner.express(coords)
         if coords is None:
             raise ValueError("map does not carry the source subgroup into the target")
         out.append(coords)
-    return SparseMatrix((dst if dst_inner is None else dst_inner).pres.ngens, out)
+    return SparseMatrix(dst.pres.ngens, out)
 
 
 def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
@@ -240,12 +206,11 @@ def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
     return gens
 
 
-def _fixed_level(s, n: int, gens: Sequence[int]) -> Carved:
+def _fixed_level(s, n: int, gens: Sequence[int]) -> Fixed:
     pres = s.levels[n].tensor.dense_group()
     rank, rels = pres.ngens, pres.relations
     mats = [s.expanded_act(n, k) for k in gens]
-    if not rels.cols and all(len(col) == 1 and col[0][1] in (1, -1)
-                             for m in mats for col in m.data):
+    if not rels.cols and _one_sign_per_column(mats):
         return _OrbitFixed(pres, [[col[0] for col in m.data] for m in mats])
     ident = SparseMatrix.identity(rank)
     conds = [(a, rels) for m in mats if any((a := m - ident).data)]
@@ -271,20 +236,22 @@ class LevelComplex:
     C^H / D(C^H) by the degenerate part D(C^H)_n = sum_j s_j(C^H_(n-1)),
     with the alternating sum of all faces as boundary (Goerss-Jardine III.2,
     Loday 1.6); relations do not change this.  ``normalized`` is that
-    complex on every level.  ``reduced[n]`` carves it inside the *fixed
-    coordinates* (its lift composes with ``fixed[n].lift`` to reach ambient
-    vectors), in one of two ways:
+    complex on every level, and ``reduced[n]`` (a ``_Normalized``) carves
+    its level n on ambient columns, choosing per level from the expanded
+    degeneracies s_j into it:
 
-    * Free levels whose actions are signed permutations, with the unit a
-      basis vector, take the live nondegenerate orbit sums as a basis
-      (``_Nondegenerate``, every n <= top).  Each im s_j is then spanned by
-      basis tuples and H-stable, so the degenerate orbit sums span D^H, and
-      (im s_j)^H = s_j(C^H) because s_j is injective and equivariant: D^H
-      is D(C^H).  No Smith form is spent on carving.
+    * A free level with orbit-sum fixed points (``_OrbitFixed``), where
+      every s_j has exactly one entry, +-1, per column, drops the orbits
+      whose heads the s_j hit.  Each im s_j is then spanned by basis
+      vectors and H-stable (s_j is equivariant), so the live orbit sums
+      inside it span (im s_j)^H, which is s_j(C^H) because s_j is
+      injective; the dropped orbit sums span D(C^H)_n, and the kept ones
+      are a basis of the quotient.  No Smith form is spent on carving.
     * Any other level (relations, as in zmod4 or group_ring_c2_mod2, keep
-      the fixed points from being orbit sums and D from being spanned by
-      tuples) keeps the fixed coordinates and divides out the images of the
-      degeneracies as relations (``_Quotient``).
+      the fixed points from being orbit sums; a unit that is not a basis
+      vector, as in rotation_z3, keeps im s_j from being spanned by basis
+      vectors) keeps the fixed coordinates and divides out the images of
+      the s_j as relations.
 
     ``unnormalized`` is the alternating-sum complex on the full fixed
     levels; ``max_level`` trims how far up the truncation is materialized,
@@ -310,24 +277,25 @@ class LevelComplex:
         self.top = top
 
         gens = _generating_subset(g, sub)
-        self.fixed: list[Carved] = [_fixed_level(s, n, gens)
-                                    for n in range(top + 1)]
-        tuples = all(isinstance(f, _OrbitFixed) and not f.pres.relations.cols
-                     for f in self.fixed) and _degenerate_tuples(s, top)
-        if tuples:
-            self.reduced: list[Carved] = [_Nondegenerate(f, d)
-                                          for f, d in zip(self.fixed, tuples)]
-        else:
-            self.reduced = [
-                _Quotient(f.pres, [col for j in range(n) for col in _restricted(
-                    f, s.expanded_degen(n - 1, j) @ self.fixed[n - 1].lift).data])
-                for n, f in enumerate(self.fixed)]
+        self.fixed: list[Fixed] = [_fixed_level(s, n, gens)
+                                   for n in range(top + 1)]
+        self.reduced = [self._normalized_level(n) for n in range(top + 1)]
         self.normalized = ChainComplex(
             [r.pres for r in self.reduced],
-            [_restricted(self.fixed[n - 1],
-                         self._boundary(n, self.fixed[n].lift @ self.reduced[n].lift),
-                         self.reduced[n - 1])
+            [_restricted(self.reduced[n - 1], self._boundary(n, self.reduced[n].lift))
              for n in range(1, top + 1)])
+
+    def _normalized_level(self, n: int) -> _Normalized:
+        fixed = self.fixed[n]
+        degens = [self.s.degeneracy(n - 1, j).sparse() for j in range(n)]
+        if (isinstance(fixed, _OrbitFixed) and not fixed.pres.relations.cols
+                and _one_sign_per_column(degens)):
+            hit = {col[0][0] for d in degens for col in d.data}
+            return _Normalized(fixed, dropped={c for head, c in fixed._head.items()
+                                               if head in hit})
+        return _Normalized(fixed, degenerate=[
+            col for d in degens
+            for col in _restricted(fixed, d @ self.fixed[n - 1].lift).data])
 
     @cached_property
     def unnormalized(self) -> ChainComplex:
@@ -489,10 +457,10 @@ class MackeyH:
                       level_map: Optional[SparseMatrix]) -> SparseMatrix:
         k = self.degree
         a, b = self._lc[src], self._lc[dst]
-        cols = a.fixed[k].lift @ a.reduced[k].lift
+        cols = a.reduced[k].lift
         if level_map is not None:
             cols = level_map @ cols
-        return _restricted(b.fixed[k], cols, b.reduced[k])
+        return _restricted(b.reduced[k], cols)
 
     def _act(self, sub: tuple[int, ...], elem: int) -> SparseMatrix:
         return self._lc[sub].s.expanded_act(self.degree, elem)

@@ -80,10 +80,6 @@ class SimplicialGRing:
         """``levels[n].act(g).sparse()``, expanded once and kept."""
         return self._expand(("act", n, g), self.levels[n].act(g))
 
-    def expanded_degen(self, n: int, j: int) -> SparseMatrix:
-        """``degeneracy(n, j).sparse()``, expanded once and kept."""
-        return self._expand(("degen", n, j), self.degeneracy(n, j))
-
     def _expand(self, key: tuple, hom: StructuredHom) -> SparseMatrix:
         if key not in self._expanded:
             self._expanded[key] = hom.sparse()
@@ -96,12 +92,11 @@ class SimplicialGRing:
         That is the group; per level the base ring, the slot count and the
         targets of every action; and the targets of every face and every
         degeneracy.  The degeneracies give the degenerate part the normalized
-        complex divides out: their empty targets (the unit slots) give the
-        degenerate tuples, and their expansions the degenerate images.  Slot
-        labels and ``label`` are left out on purpose.  Invariant: equal keys
-        imply equal ``expanded_face``, ``expanded_act``, ``dense_group`` and
-        degenerate tuples at every level up to ``top``, and equal
-        ``expanded_degen`` from every level below it.  Expansion reads only
+        complex divides out, through their expansions.  Slot labels and
+        ``label`` are left out on purpose.  Invariant: equal keys imply equal
+        ``expanded_face``, ``expanded_act`` and ``dense_group`` at every level
+        up to ``top``, and equal ``degeneracy(n, j).sparse()`` from every
+        level below it.  Expansion reads only
         the base ring, the slot counts and the targets, and equal
         ``PresentedRing`` values share one ``TwistTable``, so a twist id
         names the same matrix in both rings.

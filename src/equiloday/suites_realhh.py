@@ -64,6 +64,16 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
         subs = group.all_subgroups()
     else:
         subs = [cls[0] for cls in group.subgroup_classes()]
+    _tables_agree(report, tag, rh, subs, max_degree, budget,
+                  "tables-agree-through-degree-{kmax}")
+
+
+def _tables_agree(report: dict, tag: str, rh, subs, max_degree: int,
+                  budget: int, check: str):
+    """Check the two sides' tables agree at every subgroup through the
+    largest degree that fits the budget, named ``check`` formatted with
+    that degree; every degree past it up to ``max_degree`` is a skip that
+    says why."""
     kmax = feasible_degree(rh.loday_side, max_degree, budget)
     if kmax < 0:
         _skip(report, f"{tag}/homology-tables",
@@ -74,9 +84,9 @@ def _realhh_instance(report: dict, m: int, coeff: Coefficient,
                                  budget=budget)
         got = [_shape(h) for h in tl]
         want = [_shape(h) for h in tb]
-        _check(report,
-               f"{tag}/H={list(sub)}/tables-agree-through-degree-{kmax}",
+        _check(report, f"{tag}/H={list(sub)}/{check.format(kmax=kmax)}",
                got == want, {"polygon": got, "bar": want})
+    truncation = rh.loday_side.top()
     for d in range(kmax + 1, max_degree + 1):
         if d + 1 > truncation:
             reason = f"degree {d} needs level {d + 1}, beyond truncation {truncation}"
@@ -170,15 +180,9 @@ def suite_esigma(params: Optional[dict] = None) -> dict:
     msgs = rh.loday_side.validate() + rh.bar_side.validate() + rh.iso_commutes()
     _check(report, f"quaternion-pipeline-m{m}/validates-and-commutes",
            msgs == [], msgs or None)
-    group = rh.loday_side.group
-    kmax = feasible_degree(rh.loday_side, 1, DENSE_BUDGET)
-    for sub in [cls[0] for cls in group.subgroup_classes()]:
-        tl, tb = homology_tables([rh.loday_side, rh.bar_side], sub, kmax)
-        _check(report,
-               f"quaternion-pipeline-m{m}/H={list(sub)}/tables-agree",
-               [_shape(h) for h in tl] == [_shape(h) for h in tb],
-               {"polygon": [_shape(h) for h in tl],
-                "bar": [_shape(h) for h in tb]})
+    subs = [cls[0] for cls in rh.loday_side.group.subgroup_classes()]
+    _tables_agree(report, f"quaternion-pipeline-m{m}", rh, subs, 1, DENSE_BUDGET,
+                  "tables-agree")
     _check(report, f"quaternion-pipeline-m{m}/commutativity-never-used",
            commutativity_uses() == 0, {"uses": commutativity_uses()})
     return report

@@ -4,11 +4,11 @@ Most of this is deliberately built from raw multiplication tables and
 plain integer matrices, bypassing the structured-homomorphism machinery,
 so that agreement between the two is evidence rather than tautology.  The
 rest are the dense front doors and second routes that only tests read
-(``smith_normal_form``, ``solve``, ``sparse_apply``, ``AbHom``,
-``isomorphisms_to``, ``project_power_to_norm``, ``hom_equal_dense``,
-``oracle_h0``, ``_moore_complex``) and the code a rewrite replaced, kept
-as the reference it is compared against: the package itself keeps only
-what its pipeline calls.
+(``smith_normal_form``, ``solve``, ``sparse_apply``, ``tensor``,
+``AbHom``, ``isomorphisms_to``, ``project_power_to_norm``,
+``hom_equal_dense``, ``oracle_h0``, ``_moore_complex``) and the code a
+rewrite replaced, kept as the reference it is compared against: the package
+itself keeps only what its pipeline calls.
 """
 
 from itertools import product
@@ -25,7 +25,7 @@ from equiloday.fingroup import FiniteGroup, make_cyclic
 from equiloday.gring import (IDENTITY_TWIST, NormRing, PresentedRing,
                              RingWithAction, StructuredHom, equivariance_defect,
                              group_power_ring, tensor_induce)
-from equiloday.homology import (Carved, LevelComplex, _OrbitFixed, _fixed_level,
+from equiloday.homology import (Fixed, LevelComplex, _OrbitFixed, _fixed_level,
                                 _generating_subset, _restricted)
 from equiloday.loday import (SimplicialGRing, _subgroup_rwa, loday,
                              transport_to_diagonal)
@@ -752,6 +752,16 @@ def sparse_apply(M: SparseMatrix, vec: Sequence[int]) -> list[int]:
     return out
 
 
+def tensor(a: PresentedAb, b: PresentedAb) -> PresentedAb:
+    """Tensor product; generators are pairs (i, j) ordered lexicographically."""
+    n, m = a.ngens * b.ngens, b.ngens
+    cols = [[(i * m + j, v) for i, v in rc]
+            for rc in a.relations.data for j in range(m)]
+    cols += [[(i * m + j, v) for j, v in rc]
+             for rc in b.relations.data for i in range(a.ngens)]
+    return PresentedAb(n, SparseMatrix(n, cols))
+
+
 def transpose(M: IntMatrix) -> IntMatrix:
     return IntMatrix(M.cols, M.rows,
                      [[M.data[i][j] for i in range(M.rows)] for j in range(M.cols)])
@@ -1090,7 +1100,7 @@ def _joint_solution_span(rank: int, conds: list[tuple[SparseMatrix, SparseMatrix
 
 
 def _conditions_subquotient(rank: int, rels: SparseMatrix,
-                            conds: list[tuple[SparseMatrix, SparseMatrix]]) -> Carved:
+                            conds: list[tuple[SparseMatrix, SparseMatrix]]) -> Fixed:
     """The joint solution set packaged as a subgroup of Z^rank / rels."""
     span = _joint_solution_span(rank, conds)
     if span is None:
@@ -1098,7 +1108,7 @@ def _conditions_subquotient(rank: int, rels: SparseMatrix,
     return SubQuotient(rank, span + rels.data, rels.data)
 
 
-def _moore_complex(lc: LevelComplex) -> tuple[list[Carved], ChainComplex]:
+def _moore_complex(lc: LevelComplex) -> tuple[list[Fixed], ChainComplex]:
     """The Moore complex of ``lc``'s fixed levels, and its carvings.
 
     ``reduced[n]``, for n below the top, carves the intersection of the
@@ -1128,11 +1138,45 @@ def _moore_complex(lc: LevelComplex) -> tuple[list[Carved], ChainComplex]:
         span = SparseMatrix.identity(rank).data
     top_span = SparseMatrix(rank, span + fixed[top].pres.relations.data)
     inner = [r.lift for r in reduced] + [top_span]
-    bounds = [_restricted(fixed[n - 1], lc.face(n, 0) @ fixed[n].lift @ inner[n],
-                          reduced[n - 1])
+    # two stages: fixed coordinates first, then the carving inside them
+    bounds = [_restricted(reduced[n - 1], _restricted(
+                  fixed[n - 1], lc.face(n, 0) @ fixed[n].lift @ inner[n]))
               for n in range(1, top + 1)]
     return reduced, ChainComplex([r.pres for r in reduced] + [PresentedAb(top_span.cols)],
                                  bounds)
+
+
+# ---------------------------------------------------------------------------
+# the degenerate tuples the normalized carving once read off the tensor
+# layout, verbatim but for its name: the orbits the per-level rule drops are
+# compared against these
+
+
+def reference_degenerate_tuples(s, top: int) -> Optional[list[set[int]]]:
+    """Per level n <= top, the basis tuples spanning the degenerate part.
+
+    When the unit is a basis vector e_u and every degeneracy routes each
+    source slot to a slot of its own, im s_j is spanned by the tuples with
+    u in every slot s_j fills with the unit: a twist is invertible, so the
+    other slots run over all tuples.  ``None`` when either premise fails.
+    """
+    base = s.levels[0].tensor.base
+    unit = list(base.unit)
+    if sorted(unit) != [0] * (len(unit) - 1) + [1]:
+        return None
+    u, r = unit.index(1), base.ngens
+    out: list[set[int]] = [set()]
+    for n in range(1, top + 1):
+        found: set[int] = set()
+        for d in s.degens[n - 1]:
+            if any(len(lst) > 1 for lst in d.targets):
+                return None
+            idx = [0]
+            for lst in d.targets:  # slot 0 is the most significant digit
+                idx = [i * r + k for i in idx for k in (range(r) if lst else (u,))]
+            found.update(idx)
+        out.append(found)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ A function, method or class in ``src/equiloday`` that no code in
 Delete it, or move it into ``tests/`` when a test needs it, unless
 something outside the package reads it by name: the callables
 perfbench/tracer.py's ``LAYERS`` wraps are read from that list, and any
-other goes on ``ALLOWED`` with its reader.  Names are matched as the source spells them:
-a caller is any read of ``x`` or of ``obj.x``, except a read of a variable
-of the enclosing functions, so a method name several classes define is
-pinned in ``SHARED_METHODS``: one read keeps all of them alive.  Dunder
-methods, which the language calls, are exempt.  An import binds a name; a module that never reads it keeps a
-dependency for nothing.
+other goes on ``ALLOWED`` with its reader.  Names are matched as the
+source spells them, except a read of a variable of the enclosing functions.
+A module-level function or class is called by a read of ``x``, an import of
+it, or a read of ``module.x`` off a package module; a method (or any nested
+definition) by any read of ``x`` or of ``obj.x``, so a method name several
+classes define is pinned in ``SHARED_METHODS``: one read keeps all of them
+alive.  Dunder methods, which the language calls, are exempt.  An import
+binds a name; a module that never reads it keeps a dependency for nothing.
 """
 
 import ast
@@ -50,7 +52,7 @@ SHARED_METHODS = {
     "conj": {"fingroup.FiniteGroup", "homology.MackeyH"},
     "degeneracy": {"loday.SimplicialGRing", "simpgset.FinSimpGSet"},
     "elements": {"fingroup.FiniteGroup", "simpgset.OrbitLevel"},
-    "express": {"homology._OrbitFixed", "homology._Nondegenerate", "homology._Quotient"},
+    "express": {"homology._OrbitFixed", "homology._Normalized"},
     "face": {"homology.LevelComplex", "loday.SimplicialGRing", "simpgset.FinSimpGSet"},
     "from_cols": {"exactalg.IntMatrix", "exactalg.SparseMatrix"},
     "from_rows": {"exactalg.IntMatrix", "exactalg._SparseWork"},
@@ -119,10 +121,13 @@ def _locals(fn) -> set[str]:
     return names
 
 
-def _reads(tree: ast.Module):
-    """(name, line) of every read of a name or attribute, and of every
-    name an import brings in.  A read of a variable of the enclosing
-    functions (``moore = {}``, then ``moore[k]``) names no definition."""
+def _reads(tree: ast.Module, modules=frozenset()):
+    """(name, line, module_level) of every read of a name or attribute, and
+    of every name an import brings in.  ``module_level`` is False for an
+    attribute read off anything but one of ``modules`` (``obj.x``): that can
+    name a method, never a module-level definition.  A read of a variable
+    of the enclosing functions (``moore = {}``, then ``moore[k]``) names no
+    definition."""
     out = []
 
     def visit(node, variables):
@@ -130,11 +135,13 @@ def _reads(tree: ast.Module):
             variables = variables | _locals(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id not in variables:
-                out.append((node.id, node.lineno))
+                out.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, node.lineno))
+            owner = node.value
+            out.append((node.attr, node.lineno,
+                        isinstance(owner, ast.Name) and owner.id in modules))
         elif isinstance(node, ast.ImportFrom):
-            out.extend((alias.name, node.lineno) for alias in node.names)
+            out.extend((alias.name, node.lineno, True) for alias in node.names)
         for child in ast.iter_child_nodes(node):
             visit(child, variables)
 
@@ -147,10 +154,10 @@ def uncalled_definitions(src: pathlib.Path = SRC) -> list[str]:
     from outside the definition's own lines."""
     modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
                for p in sorted(src.glob("*.py"))}
-    reads: dict[str, list[tuple[str, int]]] = {}
+    reads: dict[str, list[tuple[str, int, bool]]] = {}
     for mod, tree in modules.items():
-        for name, line in _reads(tree):
-            reads.setdefault(name, []).append((mod, line))
+        for name, line, module_level in _reads(tree, set(modules)):
+            reads.setdefault(name, []).append((mod, line, module_level))
     out = []
     for mod, tree in modules.items():
         for qual, node in _definitions(tree):
@@ -158,8 +165,9 @@ def uncalled_definitions(src: pathlib.Path = SRC) -> list[str]:
             if name.startswith("__") and name.endswith("__"):
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
-            if not any(m != mod or line not in inside
-                       for m, line in reads.get(name, ())):
+            nested = "." in qual
+            if not any((m != mod or line not in inside) and (nested or module_level)
+                       for m, line, module_level in reads.get(name, ())):
                 out.append(f"{mod}.{qual}")
     return out
 
@@ -190,6 +198,19 @@ def test_guard_sees_a_definition_named_only_in_its_own_body(tmp_path):
     (tmp_path / "b.py").write_text("from a import Box, reader\n")
     assert uncalled_definitions(tmp_path) == ["a.recursive", "a.shadowed",
                                               "a.Box.unread"]
+
+
+def test_guard_counts_only_module_reads_for_module_level_definitions(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def imported():\n    return 1\n\n\n"
+        "def qualified():\n    return 2\n\n\n"
+        "def tensor():\n    return 3\n\n\n"
+        "class Level:\n    def tensor(self):\n        return 4\n")
+    (tmp_path / "b.py").write_text(
+        "import a\nfrom a import Level, imported\n\n"
+        "READS = a.qualified, lambda lv: lv.tensor, Level\n")
+    # lv.tensor reads the method, not the module-level function
+    assert uncalled_definitions(tmp_path) == ["a.tensor"]
 
 
 def shared_methods(src: pathlib.Path = SRC) -> dict[str, set[str]]:

@@ -463,6 +463,22 @@ def test_bench_dims_deterministic_and_predicted(capsys):
     assert all(b["rows"] >= 0 for b in obj["boundaries"])
 
 
+def test_bench_names_the_budget_each_subgroup_hit(capsys):
+    # the over-budget rows on stdout are bare; stderr says what size hit
+    # which budget, before the timings
+    code, out, err = run(capsys, "bench", "--kind", "polygon", "--m", "2",
+                         "--coeff", "gaussian", "--truncation", "3",
+                         "--subgroups", "classes", "--budget", "300")
+    assert code == 0
+    rows = json.loads(out)["boundaries"]
+    assert [(b["boundary"], b["rows"], b["cols"]) for b in rows] == [(0, -1, -1)] * 5
+    lines = err.splitlines()
+    assert lines[:5] == [f"subgroup {b['subgroup']}: expanded rank 2^12 exceeds budget 300"
+                         for b in rows]
+    assert [line.split(":")[0] for line in lines[5:]] == [
+        "build space+coefficient", "build pipeline", "fixed-point complexes"]
+
+
 def test_usage_error_no_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

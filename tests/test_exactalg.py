@@ -21,12 +21,11 @@ from equiloday.exactalg import (
     induced_map,
     invariant_factors,
     kernel_basis,
-    tensor,
 )
 from equiloday.exactalg import _SparseWork, _snf_engine
 from oracles import (AbHom, bareiss_det, dense_homology_data, engine_layout,
                      reference_smith_solve, reference_snf_engine,
-                     smith_normal_form, solve, sparse_apply, transpose)
+                     smith_normal_form, solve, sparse_apply, tensor, transpose)
 
 
 def rand_matrix(rng, m, n, lo=-9, hi=9):

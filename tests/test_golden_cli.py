@@ -123,6 +123,31 @@ def test_largest_carving_output_is_pinned():
         "5936ced06ae3ac157f0a0e91c1d8c038678f1f1c95cf02fb8a710924eb885167")
 
 
+# carved complexes no golden covers, pinned by length and hash: the S3
+# coset-Cayley space drops degenerate orbits under non-abelian stabilizers;
+# rotation_z3's unit is not a basis vector, so its free levels divide out
+# the degenerate images instead
+PINNED = {
+    "coset-cayley-s3-gaussian": (
+        ["--kind", "coset-cayley", "--group", "s3", "--sub", "0,2", "--gens", "3",
+         "--coeff", "gaussian", "--action", "involution", "--truncation", "2"],
+        122_606, "1646d0e16dd23005bcfb7b4b229a517f0be517dc8fc11e8265ff53f2ce41f524"),
+    "rot3-rotation_z3-diagonal": (
+        ["--kind", "rot", "--n", "3", "--coeff", "rotation_z3", "--action", "cyclic",
+         "--inner", "diagonal", "--truncation", "3"],
+        326_624, "98144c412ec99385470c00e65cf2f9b5d5cd353788c7b919797368afab92416e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_carved_complex_output_is_pinned(name):
+    argv, size, digest = PINNED[name]
+    code, out = _stdout(["loday", "run", *argv, "--subgroups", "all", "--emit-complex"])
+    assert code == 0
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiloday import exactalg
+from equiloday.cli import make_parser, resolve_coefficient
 from equiloday.coeffs import Coefficient, gaussian, integers, load_bundled
+from equiloday.commands import build_pipeline, build_space
 from equiloday.exactalg import (FgAbelianGroup, IntMatrix, PresentedAb,
                                 SizeBudgetExceeded, SparseMatrix, SubQuotient,
                                 induced_map)
@@ -12,16 +14,16 @@ from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing,
                              PresentedRing, RingWithAction, StructuredHom,
                              TensorRing, norm_projection, tensor_induce)
-from equiloday.homology import (LevelComplex, _Nondegenerate, _OrbitFixed, _Quotient,
-                                _restricted, feasible_degree, homology_table,
-                                homology_tables, mackey_homology)
+from equiloday.homology import (LevelComplex, _Normalized, _OrbitFixed, _restricted,
+                                feasible_degree, homology_table, homology_tables,
+                                mackey_homology)
 from equiloday.loday import (SimplicialGRing, bar, loday_free,
                              loday_two_isotropy, real_hochschild)
 from equiloday.simpgset import build_cayley, build_rot_circle, build_sigma_circle
 from equiloday.verify import run_suite
 
 from oracles import (AbHom, _moore_complex, cyclic_bar_homology, oracle_h0,
-                     polynomial_hh, polynomial_mult)
+                     polynomial_hh, polynomial_mult, reference_degenerate_tuples)
 
 
 def shapes(table):
@@ -346,8 +348,7 @@ def test_iso_induces_equality_on_homology(zmod4):
     bb = LevelComplex(rh.bar_side, sub, max_level=2)
     k = 1
     iso = rh.isos[k].sparse()
-    chain = _restricted(bb.fixed[k], iso @ ll.fixed[k].lift @ ll.reduced[k].lift,
-                        bb.reduced[k])
+    chain = _restricted(bb.reduced[k], iso @ ll.reduced[k].lift)
     m = induced_map(ll.homology_data(k), bb.homology_data(k), chain)
     assert ll.homology(k) == bb.homology(k)
     # induced matrix is a bijection on the presented groups
@@ -366,8 +367,7 @@ def test_comparison_commutes_with_res(zmod4):
     comp = {}
     for sub in ((0,), (0, 1)):
         ll, bb = mk_l._lc[sub], mk_b._lc[sub]
-        chain = _restricted(bb.fixed[k], iso @ ll.fixed[k].lift @ ll.reduced[k].lift,
-                            bb.reduced[k])
+        chain = _restricted(bb.reduced[k], iso @ ll.reduced[k].lift)
         comp[sub] = induced_map(mk_l._hd[sub], mk_b._hd[sub], chain)
     lhs = mk_b.res((0, 1), (0,)) @ comp[(0, 1)]
     rhs = comp[(0,)] @ mk_l.res((0, 1), (0,))
@@ -378,14 +378,26 @@ def test_comparison_commutes_with_res(zmod4):
 # the quotient by degenerate elements against the Moore complex
 
 
+def _drop_levels(lc):
+    """Per level 1..top of ``lc``'s normalized complex, whether it drops
+    degenerate fixed generators (the free path) rather than keeping them
+    all and dividing out the degenerate images as relations."""
+    out = []
+    for r, f in zip(lc.reduced[1:], lc.fixed[1:]):
+        assert isinstance(r, _Normalized)
+        drops = r.lift.cols < f.lift.cols
+        assert drops != bool(r.pres.relations.cols)
+        out.append(drops)
+    return out
+
+
 def _moore_to_quotient_is_iso(lc):
     """The Moore complex carries the same homology as ``lc``'s quotient,
     and the map from Moore cycles to C^H / D(C^H) induces an isomorphism on
     every H_k below the top."""
     reduced, moore = _moore_complex(lc)
     for k in range(lc.top):
-        chain = _restricted(lc.fixed[k], lc.fixed[k].lift @ reduced[k].lift,
-                            lc.reduced[k])
+        chain = _restricted(lc.reduced[k], lc.fixed[k].lift @ reduced[k].lift)
         src, dst = moore.homology_data(k), lc.homology_data(k)
         assert src.pres.canonical() == dst.pres.canonical(), k
         m = induced_map(src, dst, chain)
@@ -407,13 +419,80 @@ def test_quotient_moore_and_unnormalized_agree_on_golden_instances(
     for sub in [cls[0] for cls in s.group.subgroup_classes()]:
         lc = LevelComplex(s, sub, max_level=max_degree + 1)
         free = name == "gaussian"  # the other two carry relations
-        assert {type(r) for r in lc.reduced} == {_Nondegenerate if free else _Quotient}, sub
+        assert {type(r) for r in lc.reduced} == {_Normalized}, sub
+        assert _drop_levels(lc) == [free] * lc.top, sub
         _, moore = _moore_complex(lc)
         for k in range(max_degree + 1):
             assert (lc.homology(k) == moore.homology(k)
                     == lc.unnormalized_homology(k)), (sub, k)
         if not free or m == 1:  # with lifts, Gaussian m = 2 would take 10 s more
             _moore_to_quotient_is_iso(lc)
+
+
+def _cli_pipeline(*argv):
+    """The simplicial ring ``loday run`` builds from these options."""
+    args = make_parser().parse_args(["loday", "run", *argv])
+    return build_pipeline(build_space(args), resolve_coefficient(args.coeff),
+                          args.inner, args.action)
+
+
+def _top_within_budget(s) -> int:
+    """The highest level the default budget lets a complex reach."""
+    return max(n for n in range(s.top() + 1) if s.level_rank(n) <= DENSE_BUDGET)
+
+
+# instances the per-level rule carves by dropping orbits: polygons through
+# real_hochschild, S3 spaces as ``loday run`` makes them
+DROP_INSTANCES = {
+    "polygon-m1-gaussian": lambda: real_hochschild(1, gaussian(), 3).loday_side,
+    "polygon-m1-z": lambda: real_hochschild(1, load_bundled("z"), 3).loday_side,
+    "polygon-m1-sign_square_zero":
+        lambda: real_hochschild(1, load_bundled("sign_square_zero"), 3).loday_side,
+    "polygon-m1-quaternion":
+        lambda: real_hochschild(1, load_bundled("quaternion"), 2).loday_side,
+    "polygon-m2-gaussian": lambda: real_hochschild(2, gaussian(), 2).loday_side,
+    "polygon-m2-z": lambda: real_hochschild(2, load_bundled("z"), 3).loday_side,
+    # with Gaussian coefficients its level 1 has rank 2^18, past the budget
+    "cayley-s3-z": lambda: _cli_pipeline(
+        "--kind", "cayley", "--group", "s3", "--gens", "1,2", "--coeff", "z",
+        "--truncation", "2"),
+    "coset-cayley-s3-gaussian": lambda: _cli_pipeline(
+        "--kind", "coset-cayley", "--group", "s3", "--sub", "0,2", "--gens", "3",
+        "--coeff", "gaussian", "--action", "involution", "--truncation", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DROP_INSTANCES))
+def test_dropped_orbits_are_the_reference_degenerate_tuples(name):
+    # the rule reads the expanded degeneracies; the reference reads the
+    # tensor layout (slot 0 most significant) and the unit
+    s = DROP_INSTANCES[name]()
+    top = _top_within_budget(s)
+    tuples = reference_degenerate_tuples(s, top)
+    assert top >= 1 and tuples is not None
+    for sub in s.group.all_subgroups():
+        lc = LevelComplex(s, sub, max_level=top)
+        assert _drop_levels(lc) == [True] * lc.top, sub
+        for n, (f, r) in enumerate(zip(lc.fixed, lc.reduced)):
+            want = {tuple(f.lift.data[c]) for head, c in f._head.items()
+                    if head in tuples[n]}
+            kept = {tuple(col) for col in r.lift.data}
+            assert {tuple(col) for col in f.lift.data} - kept == want, (sub, n)
+            assert r.lift.cols == f.lift.cols - len(want), (sub, n)
+
+
+def test_unit_off_the_basis_divides_out_degenerate_images():
+    # rotation_z3's unit is not a basis vector, so no im s_j is spanned by
+    # basis tuples: every free level takes the degenerate images as relations
+    s = _cli_pipeline("--kind", "rot", "--n", "3", "--coeff", "rotation_z3",
+                      "--action", "cyclic", "--inner", "diagonal", "--truncation", "3")
+    top = _top_within_budget(s)
+    assert reference_degenerate_tuples(s, top) is None
+    for sub in s.group.all_subgroups():
+        lc = LevelComplex(s, sub, max_level=top)
+        assert _drop_levels(lc) == [False] * lc.top, sub
+        for k in range(lc.top):
+            assert lc.homology(k) == lc.unnormalized_homology(k), (sub, k)
 
 
 def test_free_ranks_are_the_nondegenerate_counts():
@@ -447,7 +526,8 @@ def test_quotient_matches_moore_on_small_free_rings(case):
                        RingWithAction.trivial(make_cyclic(2), ring), inner="flip")
     for sub in s.group.all_subgroups():
         lc = LevelComplex(s, sub)
-        assert isinstance(lc.reduced[0], _Nondegenerate)
+        assert isinstance(lc.reduced[0], _Normalized)
+        assert _drop_levels(lc) == [True] * lc.top, sub
         for k in range(3):
             assert lc.homology(k) == lc.unnormalized_homology(k), (sub, k)
         _moore_to_quotient_is_iso(lc)
@@ -468,8 +548,8 @@ def test_mixed_carvings_share_mackey_maps():
     e, full = (0,), (0, 1)
     for k in (0, 1):
         mk = mackey_homology(s, k)
-        assert isinstance(mk._lc[e].reduced[k], _Nondegenerate), k
-        assert isinstance(mk._lc[full].reduced[k], _Quotient), k
+        assert _drop_levels(mk._lc[e]) == [True] * (k + 1), k
+        assert _drop_levels(mk._lc[full]) == [False] * (k + 1), k
         comp = mk.res(full, e) @ mk.transfer(e, full)
         t, _ = mk.conj(1, e)
         assert mk.maps_equal(e, comp, IntMatrix.identity(t.rows) + t), k
@@ -575,13 +655,25 @@ def test_restricted_rejects_columns_off_a_smith_carving():
     for col in ([(0, 1)], [(2, 2)]):
         with pytest.raises(ValueError, match="does not carry the source subgroup"):
             _restricted(carved, SparseMatrix(3, [col]))
-    # and inside the fixed coordinates of a carving, as the normalized
-    # complex restricts: e1 is fixed, but misses the inner carving
-    whole = _OrbitFixed(PresentedAb(2), [])
-    inner = SubQuotient(2, [[(0, 1)]], [])
-    assert _restricted(whole, SparseMatrix(2, [[(0, 5)]]), inner).data == [[(0, 5)]]
+    # a normalized level over it expresses the same way, and rejects the same
+    normal = _Normalized(carved, degenerate=[[(0, 1)]])
+    assert _restricted(normal, SparseMatrix(3, [[(0, 4), (1, -2)]])).data == good.data
+    for col in ([(0, 1)], [(2, 2)]):
+        with pytest.raises(ValueError, match="does not carry the source subgroup"):
+            _restricted(normal, SparseMatrix(3, [col]))
+
+
+def test_normalized_level_drops_coordinates_and_rejects_off_the_fixed_part():
+    # 0 <-> 1 and 2 <-> 3: the orbit sums e0 + e1 and e2 + e3 are the fixed
+    # coordinates 0 and 1; dropping coordinate 1 keeps e0 + e1 alone
+    fixed = _OrbitFixed(PresentedAb(4), [[(1, 1), (0, 1), (3, 1), (2, 1)]])
+    normal = _Normalized(fixed, dropped={1})
+    assert normal.lift.data == [[(0, 1), (1, 1)]] and normal.pres.ngens == 1
+    got = _restricted(normal, SparseMatrix(4, [[(0, 3), (1, 3), (2, -1), (3, -1)],
+                                               [(2, 2), (3, 2)]]))
+    assert (got.rows, got.data) == (1, [[(0, 3)], []])
     with pytest.raises(ValueError, match="does not carry the source subgroup"):
-        _restricted(whole, SparseMatrix(2, [[(1, 1)]]), inner)
+        _restricted(normal, SparseMatrix(4, [[(0, 1)]]))
 
 
 def test_degree_past_truncation_raises(zmod4):

@@ -43,3 +43,13 @@ def test_suite_passes_at_smallest_params(name, params):
     assert report["checks"]
     assert report["passed"], [c for c in report["checks"]
                               if c["status"] != "pass"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_esigma_past_the_budget_skips_instead_of_crashing(m):
+    # level 1 of the quaternion 2m-gon has rank 4^(4m) > the default budget,
+    # so the tables are one skip, not an internal error
+    report = run_suite("esigma", {"m": m})
+    assert report["passed"] and report["skipped"] == 1
+    skips = [c for c in report["checks"] if c["status"] == "skip"]
+    assert [c["name"] for c in skips] == [f"quaternion-pipeline-m{m}/homology-tables"]
