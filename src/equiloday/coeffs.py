@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 from .exactalg import IntMatrix, SparseMatrix
 from .fingroup import FiniteGroup, make_cyclic
-from .gring import IDENTITY_TWIST, PresentedRing, RingWithAction
+from .rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 
 
 class Coefficient(NamedTuple):

@@ -196,9 +196,10 @@ def cmd_ring(args, out) -> int:
 
 
 def build_space(args) -> FinSimpGSet:
-    from .simpgset import (build_cayley, build_coset_cayley, build_polygon,
-                           build_permutohedron_skeleton, build_rot_circle,
-                           build_sigma_circle)
+    from .simpgset import build_polygon
+    from .spaces import (build_cayley, build_coset_cayley,
+                         build_permutohedron_skeleton, build_rot_circle,
+                         build_sigma_circle)
     kind = args.kind
     trunc = args.truncation
     try:

@@ -51,7 +51,7 @@ normalized level (``_Normalized``) reuses its lift columns and its
 sparse columns out: the level relations (``TensorRing.dense_group``, built
 once per level) and every carved presentation are ``SparseMatrix``, the
 carving conditions reach the Smith-form engine as sparse rows
-(``kernel_columns``), and the restricted boundaries and chain maps are
+(``smith.kernel_columns``), and the restricted boundaries and chain maps are
 ``SparseMatrix`` all the way to ``ChainComplex`` and ``induced_map``.  Only
 maps between homology groups
 (``induced_map``, ``MackeyH``) are dense ``IntMatrix``.
@@ -62,10 +62,10 @@ from typing import Optional, Sequence, Union
 
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
                        SizeBudgetExceeded, SparseMatrix, SubQuotient,
-                       _condition_rows, _dedup_cols, induced_map,
-                       kernel_columns)
+                       _dedup_cols, induced_map)
 from .fingroup import FiniteGroup
 from .gring import DENSE_BUDGET
+from .smith import _condition_rows, kernel_columns
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each level is a tensor product of norms, one block per orbit of the level,
 slots tagged (orbit position, coset).  A structure map of the underlying
-G-set induces, orbit by orbit, the coset-collapse routes of the norms; the
-routes landing in one target slot are multiplied in a canonical order:
+G-set induces, orbit by orbit, the coset-collapse routes of the norms
+(``norms._induced_hom``); the routes landing in one target slot are
+multiplied in a canonical order (``norms._ordered_fold``):
 
     plain routes keep their source-slot order; a route twisted by an
     anti-automorphism is placed mirror-image, reflected through the
@@ -16,7 +17,7 @@ involution (a(x)b patterns), and together with the order reversal that
 composition applies under an anti twist it makes every simplicial
 identity hold literally, with no commutations.
 
-Every pipeline assigns norms by one rule (``_norms_by_isotropy``): a cell
+Every pipeline assigns norms by one rule (``norms._norms_by_isotropy``): a cell
 with isotropy K gets N_K^G of the coefficient's K-action, and the trivial
 group gets the trivial action.  The isotropy mode only decides where the
 K-actions come from:
@@ -29,15 +30,17 @@ K-actions come from:
                     element acts by the coefficient involution.
 """
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coeffs import Coefficient
-from .exactalg import IntMatrix, SparseMatrix
-from .fingroup import FiniteGroup, make_cyclic
-from .gring import (IDENTITY_TWIST, GTensorRing, NormRing, PresentedRing,
-                    RingWithAction, StructuredHom, equivariance_defect,
-                    tensor_induce, tensor_of_actions)
-from .simpgset import EqMap, FinSimpGSet, simplicial_identity_failures
+from .exactalg import SparseMatrix
+from .fingroup import FiniteGroup
+from .gring import GTensorRing, StructuredHom, equivariance_defect
+from .norms import (NormRing, _check_assignment, _induced_hom, _norms_by_isotropy,
+                    _ordered_fold, _subgroup_rwa, norm_projection, psi_level,
+                    tensor_of_actions)
+from .rings import IDENTITY_TWIST, RingWithAction
+from .simpgset import FinSimpGSet, build_polygon, simplicial_identity_failures
 
 
 # ---------------------------------------------------------------------------
@@ -141,116 +144,8 @@ class SimplicialGRing:
         return out
 
 
-
 # ---------------------------------------------------------------------------
-# fold ordering
-
-
-def _ordered_fold(contribs: list[tuple[int, int, bool]],
-                  pass_pos: Optional[int]) -> list[tuple[int, int, bool]]:
-    """Order one target slot's contributions by the reflection rule."""
-    if any(a for (_, _, a) in contribs) and pass_pos is None:
-        raise ValueError("twisted fold without a pass-through factor")
-
-    def key(entry):
-        p, _, a = entry
-        return (2 * pass_pos - p if a else p, a, p)
-
-    return sorted(contribs, key=key)
-
-
-def _induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
-                 src_ring: GTensorRing, dst_ring: GTensorRing,
-                 eq: EqMap) -> StructuredHom:
-    """Level map induced by an equivariant map of the underlying levels."""
-    g = space.group
-    src_tr, dst_tr = src_ring.tensor, dst_ring.tensor
-    contribs: list[list[tuple[int, int, bool]]] = \
-        [[] for _ in range(dst_tr.nslots)]
-    pass_pos: list[Optional[int]] = [None] * dst_tr.nslots
-    hit = [False] * dst_tr.nslots
-    for o in range(len(eq.src.orbits)):
-        t, u = eq.entries[o]
-        s_norm = norms[eq.src.orbits[o].cell]
-        t_norm = norms[eq.dst.orbits[t].cell]
-        same_cell = eq.src.orbits[o].cell == eq.dst.orbits[t].cell
-        for c in range(len(s_norm.cosets)):
-            rep = s_norm.transversal[c]
-            tc = t_norm.coset_of[g.mul(rep, u)]
-            d = g.mul(g.inv(t_norm.transversal[tc]), g.mul(rep, u))
-            m, a = t_norm.act_of(d)
-            p = src_tr.slot_index((o, c))
-            q = dst_tr.slot_index((t, tc))
-            contribs[q].append((p, m, a))
-            hit[q] = True
-            if same_cell:
-                pass_pos[q] = p
-    targets = [_ordered_fold(lst, pass_pos[q])
-               for q, lst in enumerate(contribs)]
-    return StructuredHom(src_tr, dst_tr, targets, check=False)
-
-
-# ---------------------------------------------------------------------------
-# norm assignments per isotropy mode
-
-
-def _norms_by_isotropy(space: FinSimpGSet, ring: PresentedRing,
-                       action_on: Optional[Callable[[tuple[int, ...]],
-                                                    RingWithAction]] = None
-                       ) -> list[NormRing]:
-    """One norm per cell: a cell with isotropy K gets N_K^G of the
-    coefficient's K-action ``action_on(K)``, built once per distinct K.
-
-    The trivial group always takes the trivial action.  Free mode passes no
-    ``action_on``: every cell then gets N_e^G, which ``_check_assignment``
-    rejects on a cell that is not free.
-    """
-    built: dict[tuple[int, ...], NormRing] = {}
-    norms = []
-    for cell in space.cells:
-        k = cell.isotropy if action_on else (0,)
-        if k not in built:
-            built[k] = tensor_induce(
-                space.group, k,
-                RingWithAction.trivial(make_cyclic(1), ring) if k == (0,)
-                else action_on(k))
-        norms.append(built[k])
-    return norms
-
-
-def _subgroup_rwa(group: FiniteGroup, sub: Sequence[int],
-                  act_of: Callable[[int], tuple[int, bool]],
-                  ring: PresentedRing) -> RingWithAction:
-    """Coefficient action over a subgroup given elementwise, local order."""
-    from .fingroup import subgroup_as_group
-    local, emb = subgroup_as_group(group, sub)
-    return RingWithAction(local, ring, [act_of(x) for x in emb])
-
-
-def _check_assignment(space: FinSimpGSet, norms: Sequence[NormRing]):
-    g = space.group
-    if len(norms) != len(space.cells):
-        raise ValueError("one norm per cell required")
-    base = norms[0].rwa.ring
-    for cell, norm in zip(space.cells, norms):
-        if norm.sub != cell.isotropy:
-            raise ValueError("norm for cell %s has the wrong isotropy"
-                             % cell.label)
-        if norm.rwa.ring != base:
-            raise ValueError("all norms must share one base ring")
-    for ci, cell in enumerate(space.cells):
-        for (c2, _, u) in cell.faces:
-            s_norm = norms[ci]
-            t_norm = norms[c2]
-            uinv = g.inv(u)
-            for k in cell.isotropy:
-                k2 = g.conj(uinv, k)
-                m1, a1 = s_norm.act_of(k)
-                m2, a2 = t_norm.act_of(k2)
-                if a1 != a2 or not base.twists.same(m1, m2):
-                    raise ValueError(
-                        "coefficient actions of cells %s -> %s do not match "
-                        "along the face" % (cell.label, space.cells[c2].label))
+# the Loday construction, one norm assignment per isotropy mode
 
 
 def loday(space: FinSimpGSet, norms: Sequence[NormRing],
@@ -379,20 +274,6 @@ def loday_normal_sub(space: FinSimpGSet, rwa: RingWithAction
 
 # ---------------------------------------------------------------------------
 # flip <-> diagonal transport
-
-
-def psi_level(level: GTensorRing, norms: Sequence[NormRing],
-              rwa: RingWithAction, invert: bool = False) -> StructuredHom:
-    """Slotwise twist by the ambient action of each slot's coset
-    representative: the interleaving between flip and diagonal models."""
-    tr = level.tensor
-    targets = []
-    for (o, c) in tr.slots:
-        rep = norms[o].transversal[c]
-        g = rwa.group.inv(rep) if invert else rep
-        m, a = rwa.acts[g]
-        targets.append([(tr.slot_index((o, c)), m, a)])
-    return StructuredHom(tr, tr, targets, check=False)
 
 
 def transport_to_diagonal(s: SimplicialGRing, rwa: RingWithAction
@@ -574,8 +455,6 @@ def real_hochschild(m: int, coeff: Coefficient,
                     truncation: int = 4) -> RealHochschild:
     """Loday construction over the 2m-gon against the two-sided bar of the
     three induced norms, with the levelwise matching isomorphism."""
-    from .simpgset import build_polygon
-    from .gring import norm_projection
     if coeff.involution is None:
         raise ValueError("coefficient carries no involution")
     space = build_polygon(m, truncation)
@@ -602,60 +481,3 @@ def real_hochschild(m: int, coeff: Coefficient,
             targets[q] = [(p, IDENTITY_TWIST, False)]
         isos.append(StructuredHom(src_tr, dst_tr, targets, check=False))
     return RealHochschild(L, B, isos)
-
-
-# ---------------------------------------------------------------------------
-# ring-with-anti-involution certification
-
-
-def esigma_check(ring: PresentedRing, involution: tuple[IntMatrix, bool],
-                 fixed_unit: Optional[Sequence[int]] = None) -> dict:
-    """Certify the data needed to run the polygon pipeline without
-    commutativity: associativity is already enforced by the ring, the
-    involution must reverse multiplication and square to the identity, and
-    the designated fixed element must be the unit."""
-    mtx, anti = involution
-    report = {"associative": True, "passes": True, "items": []}
-
-    def item(name, ok, witness=None):
-        report["items"].append({"check": name, "ok": ok, "witness": witness})
-        if not ok:
-            report["passes"] = False
-
-    if not anti:
-        # an unflagged involution is fine only when reversing products is
-        # invisible, i.e. the ring is commutative
-        item("involution-reverses-products", ring.commutative,
-             None if ring.commutative else _reversal_witness(ring, mtx))
-    else:
-        item("involution-reverses-products",
-             ring.matrix_is_morphism(mtx, True),
-             None if ring.matrix_is_morphism(mtx, True)
-             else _reversal_witness(ring, mtx))
-    item("involution-squares-to-identity",
-         ring.twists.same(ring.twists.intern(mtx @ mtx), IDENTITY_TWIST))
-    unit = list(fixed_unit) if fixed_unit is not None else ring.unit_vec()
-    item("fixed-element-is-unit",
-         ring.reduce_vec(unit) == ring.reduce_vec(ring.unit_vec()))
-    item("fixed-element-is-fixed",
-         ring.reduce_vec(mtx.apply(unit)) == ring.reduce_vec(unit))
-    report["commutative"] = ring.commutative
-    report["noncommutative_allowed"] = True
-    report["bimodule"] = {
-        "left": "block pair (a, b) sends v to a * v * invol(b)",
-        "right": "block pair (a, b) sends x to invol(b) * x * a",
-    }
-    return report
-
-
-def _reversal_witness(ring: PresentedRing, mtx: IntMatrix):
-    for i in range(ring.ngens):
-        for j in range(ring.ngens):
-            ei = [1 if k == i else 0 for k in range(ring.ngens)]
-            ej = [1 if k == j else 0 for k in range(ring.ngens)]
-            lhs = ring.reduce_vec(mtx.apply(ring.vec_mul(ei, ej)))
-            rhs = ring.reduce_vec(ring.vec_mul(mtx.apply(ej), mtx.apply(ei)))
-            if lhs != rhs:
-                return {"pair": [i, j], "image_of_product": list(lhs),
-                        "product_of_images": list(rhs)}
-    return None

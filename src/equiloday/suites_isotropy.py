@@ -8,11 +8,13 @@ from typing import Optional
 
 from .coeffs import gaussian
 from .fingroup import make_cyclic, make_dihedral, make_symmetric
-from .gring import IDENTITY_TWIST, RingWithAction, norm_projection, tensor_induce
 from .loday import (loday_free, loday_normal_sub, loday_one_isotropy,
                     loday_two_isotropy)
-from .simpgset import (Cell, FinSimpGSet, build_cayley, build_coset_cayley,
-                       build_permutohedron_skeleton, build_sigma_circle)
+from .norms import norm_projection, tensor_induce
+from .rings import IDENTITY_TWIST, RingWithAction
+from .simpgset import Cell, FinSimpGSet
+from .spaces import (build_cayley, build_coset_cayley,
+                     build_permutohedron_skeleton, build_sigma_circle)
 from .verify import _check, _new_report
 
 

@@ -1,19 +1,19 @@
 """Suites on Real Hochschild homology: realhh (the Loday construction on the
 2m-gon against the two-sided bar construction) and esigma (rings with
-anti-involution).  ``verify.run_suite`` imports this module when it runs
-one of them."""
+anti-involution, certified by ``esigma_check``).  ``verify.run_suite``
+imports this module when it runs one of them."""
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Sequence
 
 from .coeffs import Coefficient, gaussian, load_bundled, load_file, quaternions
 from .exactalg import IntMatrix, SparseMatrix
-from .gring import (DENSE_BUDGET, PresentedRing, commutativity_uses,
-                    reset_commutativity_uses)
+from .gring import DENSE_BUDGET, commutativity_uses, reset_commutativity_uses
 from .homology import budget_skip, feasible_degree, homology_tables
-from .loday import esigma_check, real_hochschild
+from .loday import real_hochschild
+from .rings import IDENTITY_TWIST, PresentedRing
 from .verify import SuiteParameterError, _check, _new_report, _skip
 
 
@@ -76,8 +76,7 @@ def _tables_agree(report: dict, tag: str, rh, subs, max_degree: int,
     says why."""
     kmax = feasible_degree(rh.loday_side, max_degree, budget)
     if kmax < 0:
-        _skip(report, f"{tag}/homology-tables",
-              "level ranks exceed the dense budget at degree 0")
+        _skip(report, f"{tag}/homology-tables", budget_skip(rh.loday_side, 0, budget))
         return
     for sub in subs:
         tl, tb = homology_tables([rh.loday_side, rh.bar_side], sub, kmax,
@@ -129,6 +128,63 @@ def suite_realhh(params: Optional[dict] = None) -> dict:
             _realhh_instance(report, m, coeff, truncation, max_degree,
                              budget, params.get("subgroups", subgroups))
     return report
+
+
+# ---------------------------------------------------------------------------
+# ring-with-anti-involution certification
+
+
+def esigma_check(ring: PresentedRing, involution: tuple[IntMatrix, bool],
+                 fixed_unit: Optional[Sequence[int]] = None) -> dict:
+    """Certify the data needed to run the polygon pipeline without
+    commutativity: associativity is already enforced by the ring, the
+    involution must reverse multiplication and square to the identity, and
+    the designated fixed element must be the unit."""
+    mtx, anti = involution
+    report = {"associative": True, "passes": True, "items": []}
+
+    def item(name, ok, witness=None):
+        report["items"].append({"check": name, "ok": ok, "witness": witness})
+        if not ok:
+            report["passes"] = False
+
+    if not anti:
+        # an unflagged involution is fine only when reversing products is
+        # invisible, i.e. the ring is commutative
+        item("involution-reverses-products", ring.commutative,
+             None if ring.commutative else _reversal_witness(ring, mtx))
+    else:
+        item("involution-reverses-products",
+             ring.matrix_is_morphism(mtx, True),
+             None if ring.matrix_is_morphism(mtx, True)
+             else _reversal_witness(ring, mtx))
+    item("involution-squares-to-identity",
+         ring.twists.same(ring.twists.intern(mtx @ mtx), IDENTITY_TWIST))
+    unit = list(fixed_unit) if fixed_unit is not None else ring.unit_vec()
+    item("fixed-element-is-unit",
+         ring.reduce_vec(unit) == ring.reduce_vec(ring.unit_vec()))
+    item("fixed-element-is-fixed",
+         ring.reduce_vec(mtx.apply(unit)) == ring.reduce_vec(unit))
+    report["commutative"] = ring.commutative
+    report["noncommutative_allowed"] = True
+    report["bimodule"] = {
+        "left": "block pair (a, b) sends v to a * v * invol(b)",
+        "right": "block pair (a, b) sends x to invol(b) * x * a",
+    }
+    return report
+
+
+def _reversal_witness(ring: PresentedRing, mtx: IntMatrix):
+    for i in range(ring.ngens):
+        for j in range(ring.ngens):
+            ei = [1 if k == i else 0 for k in range(ring.ngens)]
+            ej = [1 if k == j else 0 for k in range(ring.ngens)]
+            lhs = ring.reduce_vec(mtx.apply(ring.vec_mul(ei, ej)))
+            rhs = ring.reduce_vec(ring.vec_mul(mtx.apply(ej), mtx.apply(ei)))
+            if lhs != rhs:
+                return {"pair": [i, j], "image_of_product": list(lhs),
+                        "product_of_images": list(rhs)}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from .fingroup import (FiniteGroup, direct_product, make_alternating4,
                        make_cyclic, make_dicyclic, make_dihedral,
                        make_klein_four, make_quaternion8, make_symmetric,
                        subgroup_as_group)
-from .gring import (IDENTITY_TWIST, NormRing, PresentedRing, RingWithAction,
-                    StructuredHom, blocked_diagonal, blocked_flip,
+from .gring import StructuredHom, is_equivariant
+from .norms import (NormRing, blocked_diagonal, blocked_flip,
                     blocking_diagonal_certificate, conjugate_switch,
                     coset_blocking, diagonal_power, flip_power,
-                    flip_to_diagonal, is_equivariant, multiply_out_diagonal,
-                    multiply_out_flip, single_slot_ring, tensor_induce,
-                    weyl_relabeling)
+                    flip_to_diagonal, multiply_out_diagonal, multiply_out_flip,
+                    single_slot_ring, tensor_induce, weyl_relabeling)
+from .rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from .verify import SuiteParameterError, _check, _new_report
 
 

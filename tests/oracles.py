@@ -14,22 +14,21 @@ itself keeps only what its pipeline calls.
 from itertools import product
 from typing import Optional, Sequence
 
-from equiloday import exactalg, gring
+from equiloday import gring, smith
 from equiloday.coeffs import Coefficient
-from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix,
-                                PresentedAb, SmithSolver, SparseMatrix,
-                                SubQuotient, _condition_rows,
-                                hom_is_well_defined, invariant_factors,
-                                kernel_basis, kernel_columns)
+from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
+                                SparseMatrix, SubQuotient, hom_is_well_defined,
+                                kernel_basis)
 from equiloday.fingroup import FiniteGroup, make_cyclic
-from equiloday.gring import (IDENTITY_TWIST, NormRing, PresentedRing,
-                             RingWithAction, StructuredHom, equivariance_defect,
-                             group_power_ring, tensor_induce)
+from equiloday.gring import StructuredHom, equivariance_defect
 from equiloday.homology import (Fixed, LevelComplex, _OrbitFixed, _fixed_level,
                                 _generating_subset, _restricted)
-from equiloday.loday import (SimplicialGRing, _subgroup_rwa, loday,
-                             transport_to_diagonal)
+from equiloday.loday import SimplicialGRing, loday, transport_to_diagonal
+from equiloday.norms import NormRing, _subgroup_rwa, group_power_ring, tensor_induce
+from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from equiloday.simpgset import EqMap, FinSimpGSet
+from equiloday.smith import (SmithSolver, _condition_rows, invariant_factors,
+                             kernel_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +403,9 @@ class _SparseWork:
 def reference_snf_engine(A, want_u: bool, want_v: bool):
     """Smith reduction with a full sorted scan per pivot and per sweep.
 
-    Kept verbatim as the reference: ``exactalg._snf_engine`` must pick the
+    Kept verbatim as the reference: ``smith._snf_engine`` must pick the
     same pivots and so return the same ``A``, ``U``, ``VT`` and rank.  The
-    input, a work matrix fresh from ``exactalg._SparseWork.from_rows``, is
+    input, a work matrix fresh from ``smith._SparseWork.from_rows``, is
     rebuilt row by row as the ``_SparseWork`` above, in the same order, so
     the two engines share no row or column operation.
     """
@@ -515,7 +514,7 @@ def reference_snf_engine(A, want_u: bool, want_v: bool):
 def engine_layout(A, U, VT, rank):
     """What a Smith-form engine returns, in iteration order: A's rows and
     column index, U's and VT's rows (None when not wanted) and the rank.
-    Only A carries a column index in ``exactalg._snf_engine``."""
+    Only A carries a column index in ``smith._snf_engine``."""
     def rows(w):
         return None if w is None else [(i, list(r.items())) for i, r in w.row.items()]
     return rows(A), [(j, list(s)) for j, s in A.colidx.items()], rows(U), rows(VT), rank
@@ -528,7 +527,7 @@ def engine_layout(A, U, VT, rank):
 def reference_smith_solve(solver, b):
     """``SmithSolver.__call__`` with a walk over every row of ``U``.
 
-    Kept verbatim as the reference: ``exactalg.SmithSolver`` reads ``U b``
+    Kept verbatim as the reference: ``smith.SmithSolver`` reads ``U b``
     through the nonzeros of ``b`` and must return the same solution or None.
     """
     self = solver
@@ -779,8 +778,8 @@ def _dense_rows(row: dict, m: int, n: int) -> IntMatrix:
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular ``(U, D, V)`` with ``U @ M @ V == D`` diagonal and
     each diagonal entry dividing the next."""
-    A, U, VT, _ = exactalg._snf_engine(
-        exactalg._SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
+    A, U, VT, _ = smith._snf_engine(
+        smith._SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
     return (_dense_rows(U.row, M.rows, M.rows), _dense_rows(A.row, M.rows, M.cols),
             transpose(_dense_rows(VT.row, M.cols, M.cols)))
 
@@ -1027,7 +1026,7 @@ def project_power_to_norm(norm: NormRing, u: int = 0) -> StructuredHom:
     h = c(guH)^-1 g u; the factors arriving in one coset multiply in the
     order of their h values.  This is the map the one-point projection of
     orbits induces on coefficients, built directly, so that it checks
-    ``gring.norm_projection`` out of the free norm.
+    ``norms.norm_projection`` out of the free norm.
     """
     g = norm.group
     src = group_power_ring(g, norm.rwa.ring)

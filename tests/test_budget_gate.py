@@ -2,9 +2,11 @@
 
 ``homology.LevelComplex`` compares the rank of every level it would expand
 with its budget before expanding any, and ``feasible_degree`` asks the same
-question; the expansion layers below (``gring``, ``loday``) take no budget.
-A second module raising ``SizeBudgetExceeded``, or a ``budget`` parameter
-in ``gring`` or ``loday``, would split that policy again.
+question; the expansion layers below take no budget: ``rings`` and
+``gring`` (presented rings, structured maps and their expansion), ``norms``
+(the norm and level-map builders) and ``loday``.  A second module raising
+``SizeBudgetExceeded``, or a ``budget`` parameter in one of those four,
+would split that policy again.
 """
 
 import ast
@@ -40,7 +42,7 @@ def test_only_homology_raises_size_budget_exceeded():
 
 
 def test_expansion_layers_take_no_budget():
-    for name in ("gring.py", "loday.py"):
+    for name in ("rings.py", "gring.py", "norms.py", "loday.py"):
         assert budget_parameters(_tree(SRC / name)) == [], name
 
 

@@ -46,8 +46,8 @@ ALLOWED = {
 # own; a new shared name, or a new class defining one, fails
 # test_shared_method_names_are_pinned until it is checked the same way.
 SHARED_METHODS = {
-    "_validate": {"fingroup.FiniteGroup", "gring.PresentedRing", "gring.RingWithAction"},
-    "add_row": {"exactalg._SparseWork", "exactalg._Rows"},
+    "_validate": {"fingroup.FiniteGroup", "rings.PresentedRing", "rings.RingWithAction"},
+    "add_row": {"smith._SparseWork", "smith._Rows"},
     "compose": {"gring.StructuredHom", "simpgset.EqMap"},
     "conj": {"fingroup.FiniteGroup", "homology.MackeyH"},
     "degeneracy": {"loday.SimplicialGRing", "simpgset.FinSimpGSet"},
@@ -55,15 +55,15 @@ SHARED_METHODS = {
     "express": {"homology._OrbitFixed", "homology._Normalized"},
     "face": {"homology.LevelComplex", "loday.SimplicialGRing", "simpgset.FinSimpGSet"},
     "from_cols": {"exactalg.IntMatrix", "exactalg.SparseMatrix"},
-    "from_rows": {"exactalg.IntMatrix", "exactalg._SparseWork"},
+    "from_rows": {"exactalg.IntMatrix", "smith._SparseWork"},
     "homology": {"exactalg.ChainComplex", "homology.LevelComplex"},
     "homology_data": {"exactalg.ChainComplex", "homology.LevelComplex"},
     "identity": {"exactalg.IntMatrix", "exactalg.SparseMatrix", "gring.StructuredHom"},
-    "inverse": {"gring.TwistTable", "gring.StructuredHom"},
-    "negate_row": {"exactalg._SparseWork", "exactalg._Rows"},
+    "inverse": {"rings.TwistTable", "gring.StructuredHom"},
+    "negate_row": {"smith._SparseWork", "smith._Rows"},
     "reduce": {"exactalg.Lattice", "exactalg.PresentedAb"},
     "sparse_rows": {"exactalg.IntMatrix", "exactalg.SparseMatrix"},
-    "swap_rows": {"exactalg._SparseWork", "exactalg._Rows"},
+    "swap_rows": {"smith._SparseWork", "smith._Rows"},
     "to_json_obj": {"coeffs.Coefficient", "fingroup.FiniteGroup"},
     "top": {"exactalg.ChainComplex", "loday.SimplicialGRing"},
     "transversal": {"fingroup.FiniteGroup", "simpgset.OrbitLevel"},

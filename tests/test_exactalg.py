@@ -7,22 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equiloday.exactalg import (
-    ChainComplex,
-    FgAbelianGroup,
-    IntMatrix,
-    Lattice,
-    PresentedAb,
-    SmithSolver,
-    SparseMatrix,
-    SubQuotient,
-    column_space_basis,
-    hom_is_well_defined,
-    induced_map,
-    invariant_factors,
-    kernel_basis,
-)
-from equiloday.exactalg import _SparseWork, _snf_engine
+from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, Lattice,
+                                PresentedAb, SparseMatrix, SubQuotient,
+                                column_space_basis, hom_is_well_defined, induced_map,
+                                kernel_basis)
+from equiloday.smith import SmithSolver, _SparseWork, _snf_engine, invariant_factors
 from oracles import (AbHom, bareiss_det, dense_homology_data, engine_layout,
                      reference_smith_solve, reference_snf_engine,
                      smith_normal_form, solve, sparse_apply, tensor, transpose)

@@ -18,32 +18,15 @@ from equiloday.fingroup import (
     make_dihedral,
     make_symmetric,
 )
-from equiloday.gring import (
-    IDENTITY_TWIST,
-    NormRing,
-    PresentedRing,
-    RingWithAction,
-    StructuredHom,
-    TensorRing,
-    blocked_flip,
-    blocking_diagonal_certificate,
-    commutativity_uses,
-    conjugate_switch,
-    coset_blocking,
-    diagonal_power,
-    equivariance_defect,
-    flip_power,
-    flip_to_diagonal,
-    group_power_ring,
-    is_equivariant,
-    multiply_out_diagonal,
-    multiply_out_flip,
-    norm_projection,
-    reset_commutativity_uses,
-    single_slot_ring,
-    tensor_induce,
-    tensor_of_actions,
-)
+from equiloday.gring import (StructuredHom, TensorRing, commutativity_uses,
+                             equivariance_defect, is_equivariant,
+                             reset_commutativity_uses)
+from equiloday.norms import (NormRing, blocked_flip, blocking_diagonal_certificate,
+                             conjugate_switch, coset_blocking, diagonal_power,
+                             flip_power, flip_to_diagonal, group_power_ring,
+                             multiply_out_diagonal, multiply_out_flip, norm_projection,
+                             single_slot_ring, tensor_induce, tensor_of_actions)
+from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from oracles import (_spread_relations, coordinate_permutation_action,
                      hom_equal_dense, project_power_to_norm, reference_vec_mul)
 
@@ -431,7 +414,7 @@ def test_projection_rejects_mismatched_coefficients(gauss_rwa):
 
 
 def test_weyl_relabeling(gauss_rwa):
-    from equiloday.gring import weyl_relabeling
+    from equiloday.norms import weyl_relabeling
     d8 = make_dihedral(8)
     n = tensor_induce(d8, (0, 4), gauss_rwa)
     w, reps, _ = d8.weyl((0, 4))
@@ -458,7 +441,7 @@ def test_weyl_relabeling_needs_defect_twists():
     # index-2 subgroup of the rotation four-group, conjugation coefficients:
     # the bare coset translation swaps the slots but only the defect-twisted
     # version commutes with the ambient action
-    from equiloday.gring import weyl_relabeling
+    from equiloday.norms import weyl_relabeling
     c4 = make_cyclic(4)
     g = gaussian()
     rwa = g.c2_action()
@@ -479,7 +462,7 @@ def test_weyl_relabeling_needs_defect_twists():
 
 
 def test_weyl_precondition_rejects_moved_action():
-    from equiloday.gring import weyl_relabeling
+    from equiloday.norms import weyl_relabeling
     s3 = make_symmetric(3)
     perms = sorted(itertools.permutations(range(3)))
     z3rwa = coordinate_permutation_action(s3, perms)

@@ -10,7 +10,8 @@ from equiloday.fingroup import make_cyclic
 from equiloday.gring import StructuredHom, TensorRing
 from equiloday.homology import MackeyH, mackey_homology
 from equiloday.loday import RealHochschild, loday_free, real_hochschild
-from equiloday.simpgset import Cell, EqMap, Simplex, build_polygon, build_rot_circle
+from equiloday.simpgset import Cell, EqMap, Simplex, build_polygon
+from equiloday.spaces import build_rot_circle
 
 RINGS = ["gaussian", "zmod4", "z", "group_ring_c2_mod2"]
 

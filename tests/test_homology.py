@@ -11,15 +11,15 @@ from equiloday.exactalg import (FgAbelianGroup, IntMatrix, PresentedAb,
                                 SizeBudgetExceeded, SparseMatrix, SubQuotient,
                                 induced_map)
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
-from equiloday.gring import (DENSE_BUDGET, IDENTITY_TWIST, GTensorRing,
-                             PresentedRing, RingWithAction, StructuredHom,
-                             TensorRing, norm_projection, tensor_induce)
+from equiloday.gring import DENSE_BUDGET, GTensorRing, StructuredHom, TensorRing
 from equiloday.homology import (LevelComplex, _Normalized, _OrbitFixed, _restricted,
                                 feasible_degree, homology_table, homology_tables,
                                 mackey_homology)
 from equiloday.loday import (SimplicialGRing, bar, loday_free,
                              loday_two_isotropy, real_hochschild)
-from equiloday.simpgset import build_cayley, build_rot_circle, build_sigma_circle
+from equiloday.norms import norm_projection, tensor_induce
+from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
+from equiloday.spaces import build_cayley, build_rot_circle, build_sigma_circle
 from equiloday.verify import run_suite
 
 from oracles import (AbHom, _moore_complex, cyclic_bar_homology, oracle_h0,

@@ -5,17 +5,17 @@ import pytest
 from equiloday.coeffs import gaussian, integers, load_bundled, quaternions
 from equiloday.exactalg import IntMatrix, SparseMatrix
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
-from equiloday.gring import (IDENTITY_TWIST, GTensorRing, NormRing,
-                             PresentedRing, RingWithAction, StructuredHom,
-                             commutativity_uses, norm_projection,
-                             reset_commutativity_uses, tensor_induce)
-from equiloday.loday import (_ordered_fold, bar, esigma_check, loday_free,
-                             loday_normal_sub, loday_one_isotropy,
+from equiloday.gring import (GTensorRing, StructuredHom, commutativity_uses,
+                             reset_commutativity_uses)
+from equiloday.loday import (bar, loday_free, loday_normal_sub, loday_one_isotropy,
                              loday_two_isotropy, real_hochschild)
-from equiloday.simpgset import (Cell, FinSimpGSet, build_cayley,
-                                build_coset_cayley,
-                                build_permutohedron_skeleton, build_polygon,
-                                build_rot_circle, build_sigma_circle)
+from equiloday.norms import NormRing, _ordered_fold, norm_projection, tensor_induce
+from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
+from equiloday.simpgset import Cell, FinSimpGSet, build_polygon
+from equiloday.spaces import (build_cayley, build_coset_cayley,
+                              build_permutohedron_skeleton, build_rot_circle,
+                              build_sigma_circle)
+from equiloday.suites_realhh import esigma_check
 from oracles import (_tuple_index, reference_loday_free,
                      reference_loday_normal_sub, reference_loday_one_isotropy,
                      reference_loday_two_isotropy, reference_ring_validate,

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from equiloday.exactalg import ChainComplex, PresentedAb, SparseMatrix
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
-from equiloday.simpgset import (Cell, EqMap, FinSimpGSet, build_cayley,
-                                build_permutohedron_skeleton, build_polygon,
-                                build_rot_circle, build_sigma_circle,
+from equiloday.simpgset import (Cell, EqMap, FinSimpGSet, build_polygon,
                                 dihedral_vertex_subgroups, face_precompose,
                                 surjections)
+from equiloday.spaces import (build_cayley, build_permutohedron_skeleton,
+                              build_rot_circle, build_sigma_circle)
 from oracles import space_graph_betti
 
 

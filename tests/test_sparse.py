@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiloday.coeffs import gaussian, load_bundled, quaternions
-from equiloday.exactalg import (IntMatrix, SparseMatrix, _SparseWork, _condition_rows,
-                                _snf_engine)
+from equiloday.exactalg import IntMatrix, SparseMatrix
 from equiloday.gring import StructuredHom
 from equiloday.homology import (_fixed_level, _generating_subset, _OrbitFixed,
                                 homology_table)
 from equiloday.loday import loday_free, real_hochschild
-from equiloday.simpgset import build_rot_circle
+from equiloday.smith import _SparseWork, _condition_rows, _snf_engine
+from equiloday.spaces import build_rot_circle
 from oracles import (_conditions_subquotient, engine_layout, matrix_targets,
                      reference_snf_engine, reference_sparse, sparse_apply)
 

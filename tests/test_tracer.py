@@ -66,3 +66,21 @@ def test_traced_verify_records_layers_and_unwraps(monkeypatch, capsys):
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
     assert not [k for k, obj in after.items() if hasattr(obj, "__wrapped__")]
+
+
+def test_traced_one_isotropy_records_the_loday_and_gring_layers(monkeypatch, capsys):
+    # the structured layers sit in gring, norms and loday: a traced isotropy
+    # suite still reaches each wrapped builder and validator through the
+    # bindings Tracer.install rebinds
+    tracer = _load_tracer(monkeypatch)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["verify", "--suite", "one-isotropy"])
+    finally:
+        t.uninstall()
+    assert code == 0, capsys.readouterr().err
+    seen = {t.names[span[0]] for span in t.spans}
+    assert {"loday.build", "loday.validate", "gring.gtensor_validate"} <= seen
+    assert t.counts["loday.build.calls"] > 0
+    assert t.counts["gring.gtensor_validate.calls"] > 0

@@ -17,10 +17,10 @@ from equiloday.exactalg import IntMatrix
 from equiloday.fingroup import (GroupHom, make_cyclic, make_dihedral,
                                 make_klein_four, make_symmetric,
                                 symmetric_one_line)
-from equiloday.gring import (IDENTITY_TWIST, GTensorRing, NormRing,
-                             PresentedRing, RingWithAction, StructuredHom,
-                             TensorRing, commutativity_uses, diagonal_power,
-                             flip_power, reset_commutativity_uses)
+from equiloday.gring import (GTensorRing, StructuredHom, TensorRing,
+                             commutativity_uses, reset_commutativity_uses)
+from equiloday.norms import NormRing, diagonal_power, flip_power
+from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from equiloday.verify import run_suite
 from oracles import (coordinate_permutation_action, full_grouphom_check,
                      full_gtensor_check,

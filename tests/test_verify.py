@@ -3,6 +3,7 @@
 import pytest
 
 from equiloday import suites_isotropy, suites_realhh, suites_structured
+from equiloday.gring import DENSE_BUDGET
 from equiloday.verify import SUITES, run_suite
 
 SMOKE = [
@@ -48,8 +49,11 @@ def test_suite_passes_at_smallest_params(name, params):
 @pytest.mark.parametrize("m", [2, 3])
 def test_esigma_past_the_budget_skips_instead_of_crashing(m):
     # level 1 of the quaternion 2m-gon has rank 4^(4m) > the default budget,
-    # so the tables are one skip, not an internal error
+    # so the tables are one skip, not an internal error, and the skip names
+    # that rank and the budget as homology.budget_skip words it
     report = run_suite("esigma", {"m": m})
     assert report["passed"] and report["skipped"] == 1
     skips = [c for c in report["checks"] if c["status"] == "skip"]
     assert [c["name"] for c in skips] == [f"quaternion-pipeline-m{m}/homology-tables"]
+    assert skips[0]["witness"] == {
+        "reason": f"level rank {4 ** (4 * m)} exceeds the dense budget {DENSE_BUDGET}"}
