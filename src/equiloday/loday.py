@@ -1,9 +1,11 @@
 """Simplicial equivariant rings built over a finite simplicial G-set.
 
 Each level is a tensor product of norms, one block per orbit of the level,
-slots tagged (orbit position, coset).  A structure map of the underlying
-G-set induces, orbit by orbit, the coset-collapse routes of the norms
-(``norms._induced_hom``); the routes landing in one target slot are
+slots tagged (orbit position, coset).  Every structure map here - faces and
+degeneracies of the Loday and bar constructions, and the level isomorphisms
+between the two - is routed block by block by ``norms._block_map``.  A map
+of the underlying G-set induces, orbit by orbit, the coset collapse of the
+norms (``norms._collapse``); the routes landing in one target slot are
 multiplied in a canonical order (``norms._ordered_fold``):
 
     plain routes keep their source-slot order; a route twisted by an
@@ -30,14 +32,14 @@ K-actions come from:
                     element acts by the coefficient involution.
 """
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .coeffs import Coefficient
 from .exactalg import SparseMatrix
 from .fingroup import FiniteGroup
 from .gring import GTensorRing, StructuredHom, equivariance_defect
-from .norms import (NormRing, _check_assignment, _induced_hom, _norms_by_isotropy,
-                    _ordered_fold, _subgroup_rwa, norm_projection, psi_level,
+from .norms import (NormRing, _block_map, _check_assignment, _induced_hom,
+                    _norms_by_isotropy, _subgroup_rwa, norm_projection, psi_level,
                     tensor_of_actions)
 from .rings import IDENTITY_TWIST, RingWithAction
 from .simpgset import FinSimpGSet, build_polygon, simplicial_identity_failures
@@ -161,12 +163,12 @@ def loday(space: FinSimpGSet, norms: Sequence[NormRing],
         levels.append(tensor_of_actions(g, parts))
     faces = []
     for n in range(1, space.truncation + 1):
-        faces.append([_induced_hom(space, norms, levels[n], levels[n - 1],
+        faces.append([_induced_hom(norms, levels[n].tensor, levels[n - 1].tensor,
                                    space.face(n, i))
                       for i in range(n + 1)])
     degens = []
     for n in range(space.truncation):
-        degens.append([_induced_hom(space, norms, levels[n], levels[n + 1],
+        degens.append([_induced_hom(norms, levels[n].tensor, levels[n + 1].tensor,
                                     space.degeneracy(n, j))
                        for j in range(n + 1)])
     out = SimplicialGRing(g, levels, faces, degens, label=label)
@@ -332,92 +334,41 @@ def bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
             raise ValueError("structure map is not equivariant at %r"
                              % (bad[:3],))
 
-    def parts(n):
-        blocks = [("left", m_norm.gt)]
-        blocks += [(("mid", k), a_norm.gt) for k in range(1, n + 1)]
-        blocks.append(("right", n_norm.gt))
-        return blocks
+    def parts(n: int) -> list[tuple[object, NormRing]]:
+        """(tag, norm) of the blocks at positions 0..n+1 of level n: left,
+        mid 1..n, right."""
+        return ([("left", m_norm)] + [(("mid", k), a_norm) for k in range(1, n + 1)]
+                + [("right", n_norm)])
 
-    levels = [tensor_of_actions(g, parts(n)) for n in range(truncation + 1)]
+    levels = [tensor_of_actions(g, [(tag, nm.gt) for tag, nm in parts(n)])
+              for n in range(truncation + 1)]
 
-    def block_len(tag) -> int:
-        """Coset count of the norm block carrying ``tag``."""
-        if tag == "left":
-            return len(m_norm.cosets)
-        if tag == "right":
-            return len(n_norm.cosets)
-        return len(a_norm.cosets)
+    def face(n: int, i: int) -> StructuredHom:
+        """d_i multiplies the blocks at positions j = n - i and j + 1.  A
+        middle block folds into left through ``left_map`` or into right
+        through ``right_map``, and the outer block passes through; two
+        middle blocks multiply as they are."""
+        j = n - i
+        folds = {1: left_map} if j == 0 else {n: right_map} if j == n else {}
+        outer = 0 if j == 0 else n + 1 if j == n else None
+        dst = parts(n - 1)
+        return _block_map(levels[n].tensor, levels[n - 1].tensor, [
+            (tag, dst[k if k <= j else k - 1][0],
+             (folds.get(k) or StructuredHom.identity(nm.tensor)).targets, k == outer)
+            for k, (tag, nm) in enumerate(parts(n))])
 
-    def assemble(n: int, i: int) -> StructuredHom:
-        src_tr = levels[n].tensor
-        dst_tr = levels[n - 1].tensor
-        contribs: list[list[tuple[int, int, bool]]] = \
-            [[] for _ in range(dst_tr.nslots)]
-        pass_pos: list[Optional[int]] = [None] * dst_tr.nslots
+    def degeneracy(n: int, j: int) -> StructuredHom:
+        """s_j inserts a unit block at position n + 1 - j, shifting every
+        block from there on up by one."""
+        dst = parts(n + 1)
+        return _block_map(levels[n].tensor, levels[n + 1].tensor, [
+            (tag, dst[k if k < n + 1 - j else k + 1][0],
+             StructuredHom.identity(nm.tensor).targets, False)
+            for k, (tag, nm) in enumerate(parts(n))])
 
-        def route(src_tag, dst_tag, hom: Optional[StructuredHom],
-                  passthrough: bool = False):
-            if hom is None:
-                for c in range(block_len(src_tag)):
-                    p = src_tr.slot_index((src_tag, c))
-                    q = dst_tr.slot_index((dst_tag, c))
-                    contribs[q].append((p, IDENTITY_TWIST, False))
-                    if passthrough:
-                        pass_pos[q] = p
-            else:
-                for q_local, lst in enumerate(hom.targets):
-                    q = dst_tr.slot_index((dst_tag, q_local))
-                    for (c, mtx, anti) in lst:
-                        contribs[q].append(
-                            (src_tr.slot_index((src_tag, c)), mtx, anti))
-
-        if i == 0:
-            route("left", "left", None)
-            for k in range(1, n):
-                route(("mid", k), ("mid", k), None)
-            route("right", "right", None, passthrough=True)
-            route(("mid", n), "right", right_map)
-        elif i == n:
-            route("left", "left", None, passthrough=True)
-            route(("mid", 1), "left", left_map)
-            for k in range(2, n + 1):
-                route(("mid", k), ("mid", k - 1), None)
-            route("right", "right", None)
-        else:
-            route("left", "left", None)
-            for k in range(1, n - i):
-                route(("mid", k), ("mid", k), None)
-            route(("mid", n - i), ("mid", n - i), None)
-            route(("mid", n - i + 1), ("mid", n - i), None)
-            for k in range(n - i + 2, n + 1):
-                route(("mid", k), ("mid", k - 1), None)
-            route("right", "right", None)
-        targets = [_ordered_fold(lst, pass_pos[q])
-                   for q, lst in enumerate(contribs)]
-        return StructuredHom(src_tr, dst_tr, targets, check=False)
-
-    def assemble_deg(n: int, j: int) -> StructuredHom:
-        src_tr = levels[n].tensor
-        dst_tr = levels[n + 1].tensor
-        targets: list[list[tuple[int, int, bool]]] = \
-            [[] for _ in range(dst_tr.nslots)]
-
-        def wire(src_tag, dst_tag):
-            for c in range(block_len(src_tag)):
-                p = src_tr.slot_index((src_tag, c))
-                q = dst_tr.slot_index((dst_tag, c))
-                targets[q].append((p, IDENTITY_TWIST, False))
-
-        wire("left", "left")
-        new_block = n + 1 - j
-        for k in range(1, n + 1):
-            wire(("mid", k), ("mid", k if k < new_block else k + 1))
-        wire("right", "right")
-        return StructuredHom(src_tr, dst_tr, targets, check=False)
-
-    faces = [[assemble(n, i) for i in range(n + 1)]
+    faces = [[face(n, i) for i in range(n + 1)]
              for n in range(1, truncation + 1)]
-    degens = [[assemble_deg(n, j) for j in range(n + 1)]
+    degens = [[degeneracy(n, j) for j in range(n + 1)]
               for n in range(truncation)]
     return SimplicialGRing(g, levels, faces, degens, label=label)
 
@@ -461,23 +412,16 @@ def real_hochschild(m: int, coeff: Coefficient,
     L = loday_two_isotropy(space, coeff)
     norms = L.norms
     m_norm, a_norm, n_norm = norms[0], norms[1], norms[2]
-    left = norm_projection(a_norm, m_norm, 0)
-    right = norm_projection(a_norm, n_norm, 0)
+    left = norm_projection(a_norm, m_norm)
+    right = norm_projection(a_norm, n_norm)
     B = bar(m_norm, a_norm, n_norm, left, right, truncation,
             label="bar-2m-gon")
+    # the polygon's level n has n + 2 orbits, in the order of the bar's blocks
     isos = []
     for n in range(truncation + 1):
-        src_tr = L.levels[n].tensor
-        dst_tr = B.levels[n].tensor
-        targets = [None] * dst_tr.nslots
-        for p, (o, c) in enumerate(src_tr.slots):
-            if o == 0:
-                tag = "left"
-            elif o == len(space.levels[n].orbits) - 1:
-                tag = "right"
-            else:
-                tag = ("mid", o)
-            q = dst_tr.slot_index((tag, c))
-            targets[q] = [(p, IDENTITY_TWIST, False)]
-        isos.append(StructuredHom(src_tr, dst_tr, targets, check=False))
+        orbits = space.levels[n].orbits
+        tags = ["left"] + [("mid", o) for o in range(1, len(orbits) - 1)] + ["right"]
+        isos.append(_block_map(L.levels[n].tensor, B.levels[n].tensor, [
+            (o, tags[o], StructuredHom.identity(norms[orbit.cell].tensor).targets, False)
+            for o, orbit in enumerate(orbits)]))
     return RealHochschild(L, B, isos)

@@ -12,10 +12,12 @@ relabelings, conjugation switches and norm projections - are all
 
 The last three sections hold what ``loday`` builds its levels from: the one
 rule assigning a norm to each cell of a simplicial G-set
-(``_norms_by_isotropy``), the level maps a map of the G-set induces on those
-norms (``_induced_hom``), with the reflection order of the factors landing
-in one slot (``_ordered_fold``), and the slotwise twist between the flip and
-diagonal models (``psi_level``).
+(``_norms_by_isotropy``), the one router every structure map of the Loday
+layer is assembled with (``_block_map``), with the reflection order of the
+factors landing in one slot (``_ordered_fold``), and the slotwise twist
+between the flip and diagonal models (``psi_level``).  Norm projections and
+induced level maps share one coset collapse (``_collapse``) and one check
+that the coefficient actions agree along it (``_actions_agree``).
 """
 
 from __future__ import annotations
@@ -290,15 +292,10 @@ def weyl_relabeling(norm: NormRing, gamma: int) -> StructuredHom:
     sub = norm.sub
     if g.conjugate_subgroup(gamma, sub) != sub:
         raise ValueError("element does not normalize the subgroup")
-    twists = norm.rwa.ring.twists
-    for h in sub:
-        hh = g.conj(gamma, h)
-        m1, a1 = norm.act_of(hh)
-        m2, a2 = norm.act_of(h)
-        if a1 != a2 or not twists.same(m1, m2):
-            raise ValueError(
-                "conjugation by the element moves the coefficient action; "
-                "the relabeling would land on a different norm")
+    if not _actions_agree(norm, norm, gamma):
+        raise ValueError(
+            "conjugation by the element moves the coefficient action; "
+            "the relabeling would land on a different norm")
     ginv = g.inv(gamma)
     routes = []
     for c in range(len(norm.cosets)):
@@ -345,42 +342,57 @@ def conjugate_switch(norm: NormRing, gamma: int) -> tuple[NormRing, StructuredHo
 # builders: projections
 
 
-def norm_projection(src: NormRing, dst: NormRing, u: int = 0) -> StructuredHom:
-    """Induced map of norms along the coset collapse gK -> guL, for K inside
-    the u-conjugate of L.
-
-    The fiber over a target coset T consists of the source cosets C with
-    c(C) u in T; each contributes its factor twisted by the target action of
-    d = c(T)^-1 c(C) u, and the fiber multiplies in increasing d order.
-    Demands matching coefficients: the source action at k must equal the
-    target action at u^-1 k u.
-    """
+def _actions_agree(src: NormRing, dst: NormRing, u: int) -> bool:
+    """Whether the source coefficient action at each k of the source
+    isotropy equals the target action at u^-1 k u."""
     g = src.group
-    if g.table != dst.group.table:
-        raise ValueError("norms live over different groups")
+    same = src.rwa.ring.twists.same
     uinv = g.inv(u)
-    for k in src.sub:
-        if g.conj(uinv, k) not in dst.sub:
-            raise ValueError("source isotropy does not land in the target isotropy")
-    ring = src.rwa.ring
-    if ring != dst.rwa.ring:
-        raise ValueError("norms have different base rings")
     for k in src.sub:
         m1, a1 = src.act_of(k)
         m2, a2 = dst.act_of(g.conj(uinv, k))
-        if a1 != a2 or not ring.twists.same(m1, m2):
-            raise ValueError("coefficient actions do not match along the collapse")
-    entries: list[list[tuple[int, int, int, bool]]] = [[] for _ in dst.cosets]
-    for c in range(len(src.cosets)):
-        rep = src.transversal[c]
-        t = dst.coset_of[g.mul(rep, u)]
-        d = g.mul(g.inv(dst.transversal[t]), g.mul(rep, u))
-        m, a = dst.act_of(d)
-        entries[t].append((d, c, m, a))
-    targets = []
-    for lst in entries:
-        lst.sort(key=lambda e: e[0])
-        targets.append([(c, m, a) for (_, c, m, a) in lst])
+        if a1 != a2 or not same(m1, m2):
+            return False
+    return True
+
+
+def _collapse(src: NormRing, dst: NormRing, u: int
+              ) -> list[list[tuple[int, int, int, bool]]]:
+    """The coset collapse gK -> guL, for K inside the u-conjugate of L.
+
+    Per target coset T: the (d, C, twist, anti) of each source coset C with
+    c(C) u in T, where d = c(T)^-1 c(C) u lies in L and the factor of C is
+    twisted by the target action at d.
+    """
+    g = src.group
+    fibers: list[list[tuple[int, int, int, bool]]] = [[] for _ in dst.cosets]
+    for c, rep in enumerate(src.transversal):
+        cu = g.mul(rep, u)
+        t = dst.coset_of[cu]
+        d = g.mul(g.inv(dst.transversal[t]), cu)
+        fibers[t].append((d, c, *dst.act_of(d)))
+    return fibers
+
+
+def norm_projection(src: NormRing, dst: NormRing) -> StructuredHom:
+    """Induced map of norms along the coset collapse gK -> gL, for K
+    inside L.
+
+    The fiber over a target coset T consists of the source cosets inside T
+    (``_collapse``), and multiplies in increasing d order.  Demands matching
+    coefficients: the source action at each k of K must equal the target
+    action at k.
+    """
+    if src.group.table != dst.group.table:
+        raise ValueError("norms live over different groups")
+    if not set(src.sub) <= set(dst.sub):
+        raise ValueError("source isotropy does not land in the target isotropy")
+    if src.rwa.ring != dst.rwa.ring:
+        raise ValueError("norms have different base rings")
+    if not _actions_agree(src, dst, 0):
+        raise ValueError("coefficient actions do not match along the collapse")
+    targets = [[(c, m, a) for _, c, m, a in sorted(fiber)]
+               for fiber in _collapse(src, dst, 0)]
     return StructuredHom(src.tensor, dst.tensor, targets, check=False)
 
 
@@ -420,7 +432,7 @@ def tensor_of_actions(group: FiniteGroup,
 
 
 # ---------------------------------------------------------------------------
-# norms over a simplicial G-set: fold ordering and induced level maps
+# norm blocks: fold ordering, the block router and induced level maps
 
 
 def _ordered_fold(contribs: list[tuple[int, int, bool]],
@@ -436,35 +448,45 @@ def _ordered_fold(contribs: list[tuple[int, int, bool]],
     return sorted(contribs, key=key)
 
 
-def _induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
-                 src_ring: GTensorRing, dst_ring: GTensorRing,
-                 eq: EqMap) -> StructuredHom:
-    """Level map induced by an equivariant map of the underlying levels."""
-    g = space.group
-    src_tr, dst_tr = src_ring.tensor, dst_ring.tensor
-    contribs: list[list[tuple[int, int, bool]]] = \
-        [[] for _ in range(dst_tr.nslots)]
+def _block_map(src_tr: TensorRing, dst_tr: TensorRing,
+               blocks: Sequence[tuple]) -> StructuredHom:
+    """A map of tensor products of norm blocks, assembled block by block.
+
+    Each block is (source tag, target tag, routes, pass-through).  The
+    routes are laid out as ``StructuredHom.targets`` between the two blocks:
+    ``routes[t]`` lists the (local source slot, twist id, anti) sent into
+    local target slot t, and a slot is found as ``(tag, local slot)``.  A
+    pass-through block's factor in a target slot is the one that slot's
+    anti-twisted factors are reflected through, and each target slot's
+    factors are ordered by ``_ordered_fold``.  A slot no route reaches gets
+    the unit.
+    """
+    contribs: list[list[tuple[int, int, bool]]] = [[] for _ in dst_tr.slots]
     pass_pos: list[Optional[int]] = [None] * dst_tr.nslots
-    hit = [False] * dst_tr.nslots
-    for o in range(len(eq.src.orbits)):
-        t, u = eq.entries[o]
-        s_norm = norms[eq.src.orbits[o].cell]
-        t_norm = norms[eq.dst.orbits[t].cell]
-        same_cell = eq.src.orbits[o].cell == eq.dst.orbits[t].cell
-        for c in range(len(s_norm.cosets)):
-            rep = s_norm.transversal[c]
-            tc = t_norm.coset_of[g.mul(rep, u)]
-            d = g.mul(g.inv(t_norm.transversal[tc]), g.mul(rep, u))
-            m, a = t_norm.act_of(d)
-            p = src_tr.slot_index((o, c))
-            q = dst_tr.slot_index((t, tc))
-            contribs[q].append((p, m, a))
-            hit[q] = True
-            if same_cell:
-                pass_pos[q] = p
-    targets = [_ordered_fold(lst, pass_pos[q])
-               for q, lst in enumerate(contribs)]
+    for src_tag, dst_tag, routes, passthrough in blocks:
+        for t, lst in enumerate(routes):
+            q = dst_tr.slot_index((dst_tag, t))
+            for c, m, a in lst:
+                p = src_tr.slot_index((src_tag, c))
+                contribs[q].append((p, m, a))
+                if passthrough:
+                    pass_pos[q] = p
+    targets = [_ordered_fold(lst, pos) for lst, pos in zip(contribs, pass_pos)]
     return StructuredHom(src_tr, dst_tr, targets, check=False)
+
+
+def _induced_hom(norms: Sequence[NormRing], src_tr: TensorRing,
+                 dst_tr: TensorRing, eq: EqMap) -> StructuredHom:
+    """Level map induced by an equivariant map of the underlying levels:
+    each orbit's norm collapses onto its image orbit's norm, and passes
+    through when the two orbits lie over one cell."""
+    blocks = []
+    for o, (t, u) in enumerate(eq.entries):
+        s_cell, t_cell = eq.src.orbits[o].cell, eq.dst.orbits[t].cell
+        routes = [[(c, m, a) for _, c, m, a in fiber]
+                  for fiber in _collapse(norms[s_cell], norms[t_cell], u)]
+        blocks.append((o, t, routes, s_cell == t_cell))
+    return _block_map(src_tr, dst_tr, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +526,6 @@ def _subgroup_rwa(group: FiniteGroup, sub: Sequence[int],
 
 
 def _check_assignment(space: FinSimpGSet, norms: Sequence[NormRing]):
-    g = space.group
     if len(norms) != len(space.cells):
         raise ValueError("one norm per cell required")
     base = norms[0].rwa.ring
@@ -514,19 +535,12 @@ def _check_assignment(space: FinSimpGSet, norms: Sequence[NormRing]):
                              % cell.label)
         if norm.rwa.ring != base:
             raise ValueError("all norms must share one base ring")
-    for ci, cell in enumerate(space.cells):
+    for cell, norm in zip(space.cells, norms):
         for (c2, _, u) in cell.faces:
-            s_norm = norms[ci]
-            t_norm = norms[c2]
-            uinv = g.inv(u)
-            for k in cell.isotropy:
-                k2 = g.conj(uinv, k)
-                m1, a1 = s_norm.act_of(k)
-                m2, a2 = t_norm.act_of(k2)
-                if a1 != a2 or not base.twists.same(m1, m2):
-                    raise ValueError(
-                        "coefficient actions of cells %s -> %s do not match "
-                        "along the face" % (cell.label, space.cells[c2].label))
+            if not _actions_agree(norm, norms[c2], u):
+                raise ValueError(
+                    "coefficient actions of cells %s -> %s do not match "
+                    "along the face" % (cell.label, space.cells[c2].label))
 
 
 # ---------------------------------------------------------------------------

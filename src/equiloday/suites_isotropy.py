@@ -78,10 +78,10 @@ def suite_normal_subgroups(params: Optional[dict] = None) -> dict:
     n_h = tensor_induce(d8, (0, 1, 2, 3),
                         RingWithAction(make_cyclic(4), gz.ring,
                                        [(ident, False)] * 4))
-    step1 = norm_projection(n_e, n_k, 0)
-    step2 = norm_projection(n_k, n_h, 0)
+    step1 = norm_projection(n_e, n_k)
+    step2 = norm_projection(n_k, n_h)
     _check(report, "projection-tower-composes",
-           step2.compose(step1) == norm_projection(n_e, n_h, 0))
+           step2.compose(step1) == norm_projection(n_e, n_h))
     return report
 
 

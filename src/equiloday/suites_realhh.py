@@ -101,8 +101,8 @@ def suite_realhh(params: Optional[dict] = None) -> dict:
 
     Every ``rh.isos[n]`` is the identity relabeling (slot q to slot q,
     twist 0), and the two sides are one simplicial module up to slot labels
-    (equal ``expansion_key``, seen for gaussian, zmod4, z,
-    group_ring_c2_mod2 and quaternion at m = 1, 2, 3).  ``homology_tables``
+    (equal ``expansion_key``, tested for every bundled coefficient with an
+    involution at m = 1, 2, 3).  ``homology_tables``
     then builds one fixed-point complex for both, so "tables agree" guards
     the construction of the two sides through that key equality, not the
     homology; sides whose keys differ still get a complex each and a real

@@ -8,7 +8,9 @@ rest are the dense front doors and second routes that only tests read
 ``AbHom``, ``isomorphisms_to``, ``project_power_to_norm``,
 ``hom_equal_dense``, ``oracle_h0``, ``_moore_complex``) and the code a
 rewrite replaced, kept as the reference it is compared against: the package
-itself keeps only what its pipeline calls.
+itself keeps only what its pipeline calls.  ``reference_induced_hom``,
+``reference_bar`` and ``reference_level_isos`` are the Loday-layer routings
+``norms._block_map`` replaced, each written out by hand.
 """
 
 from itertools import product
@@ -20,11 +22,12 @@ from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, Present
                                 SparseMatrix, SubQuotient, hom_is_well_defined,
                                 kernel_basis)
 from equiloday.fingroup import FiniteGroup, make_cyclic
-from equiloday.gring import StructuredHom, equivariance_defect
+from equiloday.gring import GTensorRing, StructuredHom, equivariance_defect
 from equiloday.homology import (Fixed, LevelComplex, _OrbitFixed, _fixed_level,
                                 _generating_subset, _restricted)
 from equiloday.loday import SimplicialGRing, loday, transport_to_diagonal
-from equiloday.norms import NormRing, _subgroup_rwa, group_power_ring, tensor_induce
+from equiloday.norms import (NormRing, _ordered_fold, _subgroup_rwa, group_power_ring,
+                             tensor_induce, tensor_of_actions)
 from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from equiloday.simpgset import EqMap, FinSimpGSet
 from equiloday.smith import (SmithSolver, _condition_rows, invariant_factors,
@@ -1314,6 +1317,170 @@ def reference_loday_normal_sub(space: FinSimpGSet, rwa: RingWithAction
 
     norms = [norm_for(c.isotropy) for c in space.cells]
     return loday(space, norms, label="loday-normal")
+
+
+def reference_induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
+                           src_ring: GTensorRing, dst_ring: GTensorRing,
+                           eq: EqMap) -> StructuredHom:
+    """Level map induced by an equivariant map of the underlying levels."""
+    g = space.group
+    src_tr, dst_tr = src_ring.tensor, dst_ring.tensor
+    contribs: list[list[tuple[int, int, bool]]] = \
+        [[] for _ in range(dst_tr.nslots)]
+    pass_pos: list[Optional[int]] = [None] * dst_tr.nslots
+    hit = [False] * dst_tr.nslots
+    for o in range(len(eq.src.orbits)):
+        t, u = eq.entries[o]
+        s_norm = norms[eq.src.orbits[o].cell]
+        t_norm = norms[eq.dst.orbits[t].cell]
+        same_cell = eq.src.orbits[o].cell == eq.dst.orbits[t].cell
+        for c in range(len(s_norm.cosets)):
+            rep = s_norm.transversal[c]
+            tc = t_norm.coset_of[g.mul(rep, u)]
+            d = g.mul(g.inv(t_norm.transversal[tc]), g.mul(rep, u))
+            m, a = t_norm.act_of(d)
+            p = src_tr.slot_index((o, c))
+            q = dst_tr.slot_index((t, tc))
+            contribs[q].append((p, m, a))
+            hit[q] = True
+            if same_cell:
+                pass_pos[q] = p
+    targets = [_ordered_fold(lst, pass_pos[q])
+               for q, lst in enumerate(contribs)]
+    return StructuredHom(src_tr, dst_tr, targets, check=False)
+
+
+def reference_bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
+                  left_map: StructuredHom, right_map: StructuredHom,
+                  truncation: int = 4, label: str = "bar") -> SimplicialGRing:
+    """Two-sided bar construction B(M, A, N) with A folding into M on the
+    left and into N on the right through the given structure maps."""
+    g = m_norm.group
+    ring = a_norm.rwa.ring
+    if m_norm.rwa.ring != ring or n_norm.rwa.ring != ring:
+        raise ValueError("blocks must share one base ring")
+    if left_map.src != a_norm.tensor or left_map.dst != m_norm.tensor:
+        raise ValueError("left structure map has the wrong shape")
+    if right_map.src != a_norm.tensor or right_map.dst != n_norm.tensor:
+        raise ValueError("right structure map has the wrong shape")
+    for f, dst in ((left_map, m_norm), (right_map, n_norm)):
+        bad = equivariance_defect(f, a_norm.gt, dst.gt)
+        if bad:
+            raise ValueError("structure map is not equivariant at %r"
+                             % (bad[:3],))
+
+    def parts(n):
+        blocks = [("left", m_norm.gt)]
+        blocks += [(("mid", k), a_norm.gt) for k in range(1, n + 1)]
+        blocks.append(("right", n_norm.gt))
+        return blocks
+
+    levels = [tensor_of_actions(g, parts(n)) for n in range(truncation + 1)]
+
+    def block_len(tag) -> int:
+        """Coset count of the norm block carrying ``tag``."""
+        if tag == "left":
+            return len(m_norm.cosets)
+        if tag == "right":
+            return len(n_norm.cosets)
+        return len(a_norm.cosets)
+
+    def assemble(n: int, i: int) -> StructuredHom:
+        src_tr = levels[n].tensor
+        dst_tr = levels[n - 1].tensor
+        contribs: list[list[tuple[int, int, bool]]] = \
+            [[] for _ in range(dst_tr.nslots)]
+        pass_pos: list[Optional[int]] = [None] * dst_tr.nslots
+
+        def route(src_tag, dst_tag, hom: Optional[StructuredHom],
+                  passthrough: bool = False):
+            if hom is None:
+                for c in range(block_len(src_tag)):
+                    p = src_tr.slot_index((src_tag, c))
+                    q = dst_tr.slot_index((dst_tag, c))
+                    contribs[q].append((p, IDENTITY_TWIST, False))
+                    if passthrough:
+                        pass_pos[q] = p
+            else:
+                for q_local, lst in enumerate(hom.targets):
+                    q = dst_tr.slot_index((dst_tag, q_local))
+                    for (c, mtx, anti) in lst:
+                        contribs[q].append(
+                            (src_tr.slot_index((src_tag, c)), mtx, anti))
+
+        if i == 0:
+            route("left", "left", None)
+            for k in range(1, n):
+                route(("mid", k), ("mid", k), None)
+            route("right", "right", None, passthrough=True)
+            route(("mid", n), "right", right_map)
+        elif i == n:
+            route("left", "left", None, passthrough=True)
+            route(("mid", 1), "left", left_map)
+            for k in range(2, n + 1):
+                route(("mid", k), ("mid", k - 1), None)
+            route("right", "right", None)
+        else:
+            route("left", "left", None)
+            for k in range(1, n - i):
+                route(("mid", k), ("mid", k), None)
+            route(("mid", n - i), ("mid", n - i), None)
+            route(("mid", n - i + 1), ("mid", n - i), None)
+            for k in range(n - i + 2, n + 1):
+                route(("mid", k), ("mid", k - 1), None)
+            route("right", "right", None)
+        targets = [_ordered_fold(lst, pass_pos[q])
+                   for q, lst in enumerate(contribs)]
+        return StructuredHom(src_tr, dst_tr, targets, check=False)
+
+    def assemble_deg(n: int, j: int) -> StructuredHom:
+        src_tr = levels[n].tensor
+        dst_tr = levels[n + 1].tensor
+        targets: list[list[tuple[int, int, bool]]] = \
+            [[] for _ in range(dst_tr.nslots)]
+
+        def wire(src_tag, dst_tag):
+            for c in range(block_len(src_tag)):
+                p = src_tr.slot_index((src_tag, c))
+                q = dst_tr.slot_index((dst_tag, c))
+                targets[q].append((p, IDENTITY_TWIST, False))
+
+        wire("left", "left")
+        new_block = n + 1 - j
+        for k in range(1, n + 1):
+            wire(("mid", k), ("mid", k if k < new_block else k + 1))
+        wire("right", "right")
+        return StructuredHom(src_tr, dst_tr, targets, check=False)
+
+    faces = [[assemble(n, i) for i in range(n + 1)]
+             for n in range(1, truncation + 1)]
+    degens = [[assemble_deg(n, j) for j in range(n + 1)]
+              for n in range(truncation)]
+    return SimplicialGRing(g, levels, faces, degens, label=label)
+
+
+def reference_level_isos(L: SimplicialGRing, B: SimplicialGRing
+                         ) -> list[StructuredHom]:
+    """The level isomorphisms ``loday.real_hochschild`` built before
+    ``norms._block_map``: each orbit block of the polygon level goes, slot
+    by slot, to the bar block at its position."""
+    space = L.space
+    isos = []
+    for n in range(L.top() + 1):
+        src_tr = L.levels[n].tensor
+        dst_tr = B.levels[n].tensor
+        targets = [None] * dst_tr.nslots
+        for p, (o, c) in enumerate(src_tr.slots):
+            if o == 0:
+                tag = "left"
+            elif o == len(space.levels[n].orbits) - 1:
+                tag = "right"
+            else:
+                tag = ("mid", o)
+            q = dst_tr.slot_index((tag, c))
+            targets[q] = [(p, IDENTITY_TWIST, False)]
+        isos.append(StructuredHom(src_tr, dst_tr, targets, check=False))
+    return isos
 
 
 def reference_ring_validate(s, equivariance: bool = True) -> list[str]:

@@ -13,7 +13,8 @@ it, or a read of ``module.x`` off a package module; a method (or any nested
 definition) by any read of ``x`` or of ``obj.x``, so a method name several
 classes define is pinned in ``SHARED_METHODS``: one read keeps all of them
 alive.  Dunder methods, which the language calls, are exempt.  An import
-binds a name; a module that never reads it keeps a dependency for nothing.
+binds a name; a module that never reads it keeps a dependency for nothing,
+and a local a function assigns and never reads is work for nothing.
 """
 
 import ast
@@ -31,9 +32,9 @@ ALLOWED = {
     "cli.resolve_coefficient": "perfbench/capture.py resolves --coeff with it",
     "homology.LevelComplex.unnormalized_homology": "perfbench/capture.py cross-checks the reference tables with it",
     "loday.real_hochschild": "perfbench/capture.py builds with it",
-    "homology.MackeyH": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
-    "homology.mackey_homology": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
-    "homology.MackeyH.double_coset_defects": "kept for the Mackey-identity checks on real instances (ROADMAP item 4)",
+    "homology.MackeyH": "kept for the Mackey-identity checks on real instances (ROADMAP item 6)",
+    "homology.mackey_homology": "kept for the Mackey-identity checks on real instances (ROADMAP item 6)",
+    "homology.MackeyH.double_coset_defects": "kept for the Mackey-identity checks on real instances (ROADMAP item 6)",
     "coeffs.integers": "a public coefficient constructor, next to gaussian and quaternions",
 }
 
@@ -277,3 +278,61 @@ def test_guard_sees_an_unused_import(tmp_path):
         "def f():\n    from sys import argv\n    return os.path.sep, comb\n")
     assert unused_imports([tmp_path / "a.py"]) == [
         "a.py:3 js", "a.py:4 floor", "a.py:5 product", "a.py:9 argv"]
+
+
+def dead_stores(src: pathlib.Path = SRC) -> list[str]:
+    """``module.qualname name`` of each local a function binds by plain
+    assignment (``x = ...``, ``x: T = ...``) and never reads, in its own
+    body or in a nested one.  A store into it (``x[k] = v``) is no read;
+    ``x += v`` is one.  Names the function declares ``global`` or
+    ``nonlocal`` are not its locals, and unpacking targets are not plain
+    assignments."""
+    out = []
+    for p in sorted(src.glob("*.py")):
+        for qual, fn in _definitions(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.ClassDef):
+                continue
+            stored, outer = [], set()
+            stack = list(fn.body)
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef, ast.Lambda)):
+                    continue
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    outer.update(node.names)
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, ast.AnnAssign)
+                           and node.value is not None else [])
+                stored += [t.id for t in targets if isinstance(t, ast.Name)]
+                stack.extend(ast.iter_child_nodes(node))
+            into = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    while isinstance(node, ast.Subscript):
+                        node = node.value
+                    into.add(id(node))
+            reads = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load) and id(node) not in into}
+            reads |= {node.target.id for node in ast.walk(fn)
+                      if isinstance(node, ast.AugAssign)
+                      and isinstance(node.target, ast.Name)}
+            out += sorted({f"{p.stem}.{qual} {name}" for name in stored
+                           if name not in reads and name not in outer})
+    return out
+
+
+def test_no_local_is_stored_and_never_read():
+    dead = dead_stores()
+    assert not dead, "assigned but never read: " + ", ".join(dead)
+
+
+def test_guard_sees_a_dead_store(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(n):\n    hit = [False] * n\n    hit[0] = True\n"
+        "    seen: list = []\n    total = 0\n    total += n\n"
+        "    first, _ = n, 0\n    return first\n\n\n"
+        "def g(n):\n    scale = 2\n    return lambda x: x * scale\n\n\n"
+        "def h():\n    count = 0\n\n    def bump():\n        nonlocal count\n"
+        "        count = count + 1\n    return bump\n")
+    assert dead_stores(tmp_path) == ["a.f hit", "a.f seen"]

@@ -47,7 +47,7 @@ def c2mod2():
 def test_bar_of_integers_is_a_point():
     c1 = make_cyclic(1)
     n = tensor_induce(c1, (0,), integers().trivial_action(c1))
-    eps = norm_projection(n, n, 0)
+    eps = norm_projection(n, n)
     s = bar(n, n, n, eps, eps, truncation=4)
     assert shapes(homology_table(s, (0,), 3)) == [(1, ()), (0, ()), (0, ()), (0, ())]
     assert oracle_h0(s, (0,)) == FgAbelianGroup(1, ())
@@ -158,7 +158,7 @@ def test_constant_simplicial_ring_is_a_point(zmod4):
     # faces, so only degree zero survives
     c1 = make_cyclic(1)
     n = tensor_induce(c1, (0,), zmod4.trivial_action(c1))
-    eps = norm_projection(n, n, 0)
+    eps = norm_projection(n, n)
     s = bar(n, n, n, eps, eps, truncation=3)
     assert shapes(homology_table(s, (0,), 2)) == [(0, (4,)), (0, ()), (0, ())]
     assert oracle_h0(s, (0,)) == FgAbelianGroup(0, (4,))

@@ -2,12 +2,12 @@ from itertools import product
 
 import pytest
 
-from equiloday.coeffs import gaussian, integers, load_bundled, quaternions
+from equiloday.coeffs import bundled_names, gaussian, integers, load_bundled, quaternions
 from equiloday.exactalg import IntMatrix, SparseMatrix
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.gring import (GTensorRing, StructuredHom, commutativity_uses,
                              reset_commutativity_uses)
-from equiloday.loday import (bar, loday_free, loday_normal_sub, loday_one_isotropy,
+from equiloday.loday import (bar, loday, loday_free, loday_normal_sub, loday_one_isotropy,
                              loday_two_isotropy, real_hochschild)
 from equiloday.norms import NormRing, _ordered_fold, norm_projection, tensor_induce
 from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
@@ -16,7 +16,8 @@ from equiloday.spaces import (build_cayley, build_coset_cayley,
                               build_permutohedron_skeleton, build_rot_circle,
                               build_sigma_circle)
 from equiloday.suites_realhh import esigma_check
-from oracles import (_tuple_index, reference_loday_free,
+from oracles import (_tuple_index, reference_bar, reference_induced_hom,
+                     reference_level_isos, reference_loday_free,
                      reference_loday_normal_sub, reference_loday_one_isotropy,
                      reference_loday_two_isotropy, reference_ring_validate,
                      reference_space_identities, sd_face_column)
@@ -88,6 +89,60 @@ def test_identity_failures_match_the_replaced_checks():
     msgs = s.validate()
     assert msgs == reference_ring_validate(s) != []
     assert all(m.startswith("loday-two-isotropy: ") for m in msgs)
+
+
+# ---------------------------------------------------------------------------
+# one block router against the routings it replaced
+
+
+def _map_targets(s):
+    """Targets of every face and of every degeneracy of a simplicial ring."""
+    return ([f.targets for fs in s.faces for f in fs],
+            [d.targets for ds in s.degens for d in ds])
+
+
+def _reference_induced_targets(s):
+    """``_map_targets`` of a Loday construction, routed by hand."""
+    space, norms, lv = s.space, s.norms, s.levels
+    return ([reference_induced_hom(space, norms, lv[n], lv[n - 1], space.face(n, i)).targets
+             for n in range(1, s.top() + 1) for i in range(n + 1)],
+            [reference_induced_hom(space, norms, lv[n], lv[n + 1],
+                                   space.degeneracy(n, j)).targets
+             for n in range(s.top()) for j in range(n + 1)])
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_induced_maps_match_the_replaced_routing(name):
+    build, _, space, coeff, kwargs = PIPELINES[name]()
+    # the flip model: transport_to_diagonal only conjugates its maps
+    s = loday(space, build(space, coeff, **kwargs).norms)
+    assert _map_targets(s) == _reference_induced_targets(s)
+
+
+INVOLUTIVE = [name for name in bundled_names()
+              if load_bundled(name).involution is not None]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", INVOLUTIVE)
+def test_real_hochschild_maps_match_the_replaced_routing(name, m):
+    rh = real_hochschild(m, load_bundled(name), truncation=3)
+    L = rh.loday_side
+    m_norm, a_norm, n_norm = L.norms[:3]
+    old_bar = reference_bar(m_norm, a_norm, n_norm, norm_projection(a_norm, m_norm),
+                            norm_projection(a_norm, n_norm), truncation=3)
+    assert _map_targets(L) == _reference_induced_targets(L)
+    assert _map_targets(rh.bar_side) == _map_targets(old_bar)
+    assert ([f.targets for f in rh.isos]
+            == [f.targets for f in reference_level_isos(L, old_bar)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", INVOLUTIVE)
+def test_real_hochschild_sides_share_one_expansion_key(name, m):
+    # the realhh suite builds one complex for both sides on this equality
+    rh = real_hochschild(m, load_bundled(name), truncation=3)
+    assert rh.loday_side.expansion_key(3) == rh.bar_side.expansion_key(3)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +239,9 @@ def test_nested_norm_projection_composite():
     n_h = tensor_induce(d8, (0, 1, 2, 3),
                         RingWithAction(make_cyclic(4), gz.ring,
                                        [(ident, False)] * 4))
-    step1 = norm_projection(n_e, n_k, 0)
-    step2 = norm_projection(n_k, n_h, 0)
-    direct = norm_projection(n_e, n_h, 0)
+    step1 = norm_projection(n_e, n_k)
+    step2 = norm_projection(n_k, n_h)
+    direct = norm_projection(n_e, n_h)
     assert step2.compose(step1) == direct
 
 
@@ -329,8 +384,9 @@ def test_bar_of_integers_levels():
     c1 = make_cyclic(1)
     rwa = RingWithAction(c1, z.ring, [(IDENTITY_TWIST, False)])
     nrm = tensor_induce(c1, (0,), rwa)
-    f = norm_projection(nrm, nrm, 0)
+    f = norm_projection(nrm, nrm)
     b = bar(nrm, nrm, nrm, f, f, truncation=4)
+    assert _map_targets(b) == _map_targets(reference_bar(nrm, nrm, nrm, f, f, truncation=4))
     assert b.validate() == []
     assert [b.level_rank(n) for n in range(5)] == [1] * 5
 
@@ -343,8 +399,9 @@ def test_bar_level_ranks_count_blocks():
     one = make_cyclic(1)
     a = tensor_induce(c2, (0,), RingWithAction(
         one, gz.ring, [(IDENTITY_TWIST, False)]))
-    f = norm_projection(a, m, 0)
+    f = norm_projection(a, m)
     b = bar(m, a, m, f, f, truncation=3)
+    assert _map_targets(b) == _map_targets(reference_bar(m, a, m, f, f, truncation=3))
     assert b.validate() == []
     # blocks: 1 + 2n + 1 slots of a rank-2 ring, one per coset
     assert [b.level_rank(n) for n in range(4)] == [4, 16, 64, 256]
