@@ -356,8 +356,8 @@ def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
                    budget: int, with_boundaries: bool) -> tuple[list[dict], dict]:
     """The table rows of every subgroup and, when asked for, the dense
     boundaries of the normalized complex each was read from, keyed by
-    subgroup ("over budget" when even degree zero is): one
-    ``LevelComplex`` per subgroup serves both, and only one is held."""
+    subgroup ("over budget" when even degree zero is): one normalized
+    complex per subgroup serves both, and its carved lifts are not held."""
     from .homology import LevelComplex, budget_skip, feasible_degree
     kmax = feasible_degree(s, max_degree, budget)
     rows: list[dict] = []
@@ -367,16 +367,15 @@ def _homology_rows(s: SimplicialGRing, subgroups, max_degree: int,
             if with_boundaries:
                 boundaries[_elements_str(sub)] = "over budget"
         else:
-            lc = LevelComplex(s, sub, max_level=kmax + 1, budget=budget)
+            chains = LevelComplex(s, sub, max_level=kmax + 1, budget=budget).normalized
             if with_boundaries:
                 boundaries[_elements_str(sub)] = [
-                    b.to_dense().data for b in lc.normalized.boundaries]
+                    b.to_dense().data for b in chains.boundaries]
             for k in range(kmax + 1):
-                h = lc.homology(k)
+                h = chains.homology(k)
                 rows.append({"subgroup": list(sub), "degree": k,
                              "status": "ok", "free_rank": h.free_rank,
                              "torsion": list(h.torsion)})
-            del lc  # freed before the next subgroup's is built
         for k in range(kmax + 1, max_degree + 1):
             rows.append({"subgroup": list(sub), "degree": k,
                          "status": "skipped",
@@ -477,9 +476,9 @@ def cmd_bench(args, out) -> int:
     t3 = time.perf_counter()
     for sub in subgroups:
         try:
-            lc = LevelComplex(s, sub, max_level=max_degree + 1,
-                              budget=args.budget)
-            for k, b in enumerate(lc.normalized.boundaries, start=1):
+            chains = LevelComplex(s, sub, max_level=max_degree + 1,
+                                  budget=args.budget).normalized
+            for k, b in enumerate(chains.boundaries, start=1):
                 hom_dims.append({"subgroup": _elements_str(sub),
                                  "boundary": k, "rows": b.rows,
                                  "cols": b.cols})

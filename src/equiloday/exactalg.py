@@ -13,11 +13,11 @@ Conventions
   ``MackeyH``) and the two dense front doors the per-layer tracer wraps
   (``kernel_basis``, ``StructuredHom.dense``); the dense oracles live in
   the test suite.
-* ``SparseMatrix`` holds every matrix of expanded or carved size: face and
-  action maps, carved lifts, boundaries, chain maps and every relation
-  matrix.  Its columns, lists of ``(row, value)`` over the nonzeros, are
-  what ``smith.SmithSolver``, ``express``, ``Lattice`` and ``ChainComplex`` take
-  and return.
+* ``SparseMatrix`` holds every matrix of expanded or carved size: the
+  expanded face sums, degeneracies and actions, carved lifts, restricted
+  boundaries, chain maps and every relation matrix.  Its columns, lists of
+  ``(row, value)`` over the nonzeros, are what ``smith.SmithSolver``,
+  ``express``, ``Lattice`` and ``ChainComplex`` take and return.
 * Homomorphisms act on column vectors: ``x -> M @ x``.
 * A ``PresentedAb`` is ``Z^ngens / (integer span of the columns of
   ``relations``)``, a ``SparseMatrix``.  Elements are integer coordinate

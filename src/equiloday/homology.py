@@ -33,11 +33,13 @@ invertibly) can be checked by exhaustion on small groups.
 Sizes are guarded here alone: ``LevelComplex`` raises ``SizeBudgetExceeded``
 before expanding anything when a level's rank exceeds its budget, and
 callers ask ``feasible_degree`` the same question first, reporting the
-degrees past it as skips (``budget_skip``).  Expanded
-face, degeneracy and action maps are column-sparse (``SparseMatrix``).
-Faces and actions are cached per simplicial ring, so every subgroup reuses
-them; a level's degeneracies are read once per complex and expanded there,
-so they are not held while higher levels are built.  Across rings,
+degrees past it as skips (``budget_skip``).  Expanded boundary, degeneracy
+and action maps are column-sparse (``SparseMatrix``).  Boundaries and
+actions are cached per simplicial ring, so every subgroup reuses them: one
+alternating face sum per level (``SimplicialGRing.expanded_boundary``),
+never its n + 1 faces, which are expanded and added in one at a time.  A
+level's degeneracies are read once per complex and expanded there, so they
+are not held while higher levels are built.  Across rings,
 ``homology_tables`` builds one complex per distinct
 ``SimplicialGRing.expansion_key``, so rings that are one simplicial module
 up to slot labels (the two sides of ``real_hochschild``) share a single
@@ -139,8 +141,9 @@ class _OrbitFixed:
     def express(self, col: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
         """Orbit-sum coordinates (each sum is 1 at its head), or None."""
         out = sorted((k, v) for i, v in col if (k := self._head.get(i)) is not None)
-        back = self.lift @ SparseMatrix(self.lift.cols, [out])
-        return out if back.data[0] == list(col) else None
+        # orbits are disjoint, so the named orbit columns rebuild col exactly
+        back = sorted((m, s * v) for k, v in out for m, s in self.lift.data[k])
+        return out if back == list(col) else None
 
 
 Fixed = Union[SubQuotient, _OrbitFixed]
@@ -184,7 +187,7 @@ def _restricted(dst: Carved, cols: SparseMatrix) -> SparseMatrix:
     """The ambient columns ``cols`` written in the basis of a carved subgroup.
 
     Callers compose the map with the source lift first, e.g.
-    ``face @ reduced.lift``.
+    ``s.expanded_boundary(n) @ reduced.lift``.
     """
     out = []
     for col in cols.data:
@@ -282,7 +285,7 @@ class LevelComplex:
         self.reduced = [self._normalized_level(n) for n in range(top + 1)]
         self.normalized = ChainComplex(
             [r.pres for r in self.reduced],
-            [_restricted(self.reduced[n - 1], self._boundary(n, self.reduced[n].lift))
+            [_restricted(self.reduced[n - 1], s.expanded_boundary(n) @ self.reduced[n].lift)
              for n in range(1, top + 1)])
 
     def _normalized_level(self, n: int) -> _Normalized:
@@ -304,25 +307,8 @@ class LevelComplex:
         against the normalized complex reads it."""
         return ChainComplex(
             [f.pres for f in self.fixed],
-            [_restricted(self.fixed[n - 1], self._boundary(n, self.fixed[n].lift))
+            [_restricted(self.fixed[n - 1], self.s.expanded_boundary(n) @ self.fixed[n].lift)
              for n in range(1, self.top + 1)])
-
-    def face(self, n: int, i: int) -> SparseMatrix:
-        return self.s.expanded_face(n, i)
-
-    def _boundary(self, n: int, cols: SparseMatrix) -> SparseMatrix:
-        """The alternating sum of the faces of level n on ambient columns."""
-        faces = [self.face(n, i) for i in range(n + 1)]
-        out = []
-        for col in cols.data:
-            acc: dict[int, int] = {}
-            for i, face in enumerate(faces):
-                sign = -1 if i % 2 else 1
-                for k, w in col:
-                    for r, v in face.data[k]:
-                        acc[r] = acc.get(r, 0) + sign * v * w
-            out.append(sorted((r, v) for r, v in acc.items() if v))
-        return SparseMatrix(faces[0].rows, out)
 
     def homology(self, k: int) -> FgAbelianGroup:
         self._check_degree(k)
@@ -366,7 +352,7 @@ def homology_tables(rings: Sequence, sub: Sequence[int], max_k: int,
     """``homology_table`` of each ring, one complex per distinct module.
 
     Rings with equal ``expansion_key`` up to level max_k + 1 expand to the
-    same faces, actions and levels, so they share one ``LevelComplex``;
+    same boundaries, actions and levels, so they share one ``LevelComplex``;
     only the first of them is ever expanded.
     """
     if max_k < 0:
@@ -380,8 +366,9 @@ def homology_tables(rings: Sequence, sub: Sequence[int], max_k: int,
     for s in rings:
         key = s.expansion_key(max_k + 1)
         if key not in tables:
-            lc = LevelComplex(s, sub, max_level=max_k + 1, budget=budget)
-            tables[key] = [lc.homology(k) for k in range(max_k + 1)]
+            # only the complex is kept: the carved lifts go before the Smith forms
+            chains = LevelComplex(s, sub, max_level=max_k + 1, budget=budget).normalized
+            tables[key] = [chains.homology(k) for k in range(max_k + 1)]
         out.append(list(tables[key]))
     return out
 

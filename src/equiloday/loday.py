@@ -77,17 +77,28 @@ class SimplicialGRing:
                              % (j, n))
         return self.degens[n][j]
 
-    def expanded_face(self, n: int, i: int) -> SparseMatrix:
-        """``face(n, i).sparse()``, expanded once and kept."""
-        return self._expand(("face", n, i), self.face(n, i))
+    def expanded_boundary(self, n: int) -> SparseMatrix:
+        """The alternating face sum sum_i (-1)^i d_i out of level n, expanded
+        once and kept.  The faces are expanded and added in one at a time,
+        so at most one face expansion is alive at once."""
+        key = ("boundary", n)
+        if key not in self._expanded:
+            cols = [{} for _ in range(self.level_rank(n))]
+            for i in range(n + 1):
+                sign = -1 if i % 2 else 1
+                for acc, col in zip(cols, self.face(n, i).sparse().data):
+                    for r, v in col:
+                        acc[r] = acc.get(r, 0) + sign * v
+            for j, acc in enumerate(cols):  # in place: each dict goes as its list comes
+                cols[j] = sorted((r, v) for r, v in acc.items() if v)
+            self._expanded[key] = SparseMatrix(self.level_rank(n - 1), cols)
+        return self._expanded[key]
 
     def expanded_act(self, n: int, g: int) -> SparseMatrix:
         """``levels[n].act(g).sparse()``, expanded once and kept."""
-        return self._expand(("act", n, g), self.levels[n].act(g))
-
-    def _expand(self, key: tuple, hom: StructuredHom) -> SparseMatrix:
+        key = ("act", n, g)
         if key not in self._expanded:
-            self._expanded[key] = hom.sparse()
+            self._expanded[key] = self.levels[n].act(g).sparse()
         return self._expanded[key]
 
     def expansion_key(self, top: int) -> tuple:
@@ -99,12 +110,11 @@ class SimplicialGRing:
         degeneracy.  The degeneracies give the degenerate part the normalized
         complex divides out, through their expansions.  Slot labels and
         ``label`` are left out on purpose.  Invariant: equal keys imply equal
-        ``expanded_face``, ``expanded_act`` and ``dense_group`` at every level
-        up to ``top``, and equal ``degeneracy(n, j).sparse()`` from every
-        level below it.  Expansion reads only
-        the base ring, the slot counts and the targets, and equal
-        ``PresentedRing`` values share one ``TwistTable``, so a twist id
-        names the same matrix in both rings.
+        ``expanded_boundary``, ``expanded_act`` and ``dense_group`` at every
+        level up to ``top``, and equal ``degeneracy(n, j).sparse()`` from
+        every level below it.  Expansion reads only the base ring, the slot
+        counts and the targets, and equal ``PresentedRing`` values share one
+        ``TwistTable``, so a twist id names the same matrix in both rings.
         """
         levels = tuple((lv.tensor.base, lv.tensor.nslots,
                         tuple(f.targets for f in lv.action))

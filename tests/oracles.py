@@ -8,7 +8,9 @@ rest are the dense front doors and second routes that only tests read
 ``AbHom``, ``isomorphisms_to``, ``project_power_to_norm``,
 ``hom_equal_dense``, ``oracle_h0``, ``_moore_complex``) and the code a
 rewrite replaced, kept as the reference it is compared against: the package
-itself keeps only what its pipeline calls.  ``reference_induced_hom``,
+itself keeps only what its pipeline calls.  The oracles that read single
+faces expand them here (``StructuredHom.sparse``), since the pipeline keeps
+only their alternating sum.  ``reference_induced_hom``,
 ``reference_bar`` and ``reference_level_isos`` are the Loday-layer routings
 ``norms._block_map`` replaced, each written out by hand.
 """
@@ -1075,7 +1077,7 @@ def oracle_h0(s, sub: Sequence[int]) -> FgAbelianGroup:
         raise ValueError(f"{subt} is not a subgroup")
     gens = _generating_subset(g, subt)
     sq = [_fixed_level(s, n, gens) for n in (0, 1)]
-    diff = s.expanded_face(1, 0) - s.expanded_face(1, 1)
+    diff = s.face(1, 0).sparse() - s.face(1, 1).sparse()
     rels = sq[0].pres.relations
     rels = SparseMatrix(rels.rows, rels.data + _restricted(sq[0], diff @ sq[1].lift).data)
     return PresentedAb(rels.rows, rels).canonical()
@@ -1129,7 +1131,8 @@ def _moore_complex(lc: LevelComplex) -> tuple[list[Fixed], ChainComplex]:
     def conditions(n: int) -> list[tuple[SparseMatrix, SparseMatrix]]:
         # faces 1..n on the fixed coordinates, each to vanish modulo the
         # relations of level n - 1
-        return [(lc.face(n, i) @ fixed[n].lift, rels[n - 1]) for i in range(1, n + 1)]
+        return [(lc.s.face(n, i).sparse() @ fixed[n].lift, rels[n - 1])
+                for i in range(1, n + 1)]
 
     # level 0 has no faces to kill, so its carving is the whole level
     reduced = [_conditions_subquotient(f.pres.ngens, f.pres.relations, conditions(n))
@@ -1142,10 +1145,40 @@ def _moore_complex(lc: LevelComplex) -> tuple[list[Fixed], ChainComplex]:
     inner = [r.lift for r in reduced] + [top_span]
     # two stages: fixed coordinates first, then the carving inside them
     bounds = [_restricted(reduced[n - 1], _restricted(
-                  fixed[n - 1], lc.face(n, 0) @ fixed[n].lift @ inner[n]))
+                  fixed[n - 1], lc.s.face(n, 0).sparse() @ fixed[n].lift @ inner[n]))
               for n in range(1, top + 1)]
     return reduced, ChainComplex([r.pres for r in reduced] + [PresentedAb(top_span.cols)],
                                  bounds)
+
+
+# ---------------------------------------------------------------------------
+# the boundary and the orbit check as the pipeline computed them before
+# ``SimplicialGRing.expanded_boundary`` kept one face sum per level
+
+
+def reference_boundary(s, n: int, cols: SparseMatrix) -> SparseMatrix:
+    """The alternating sum of the faces of level n on ambient columns,
+    every face expanded, then summed column by column."""
+    faces = [s.face(n, i).sparse() for i in range(n + 1)]
+    out = []
+    for col in cols.data:
+        acc: dict[int, int] = {}
+        for i, face in enumerate(faces):
+            sign = -1 if i % 2 else 1
+            for k, w in col:
+                for r, v in face.data[k]:
+                    acc[r] = acc.get(r, 0) + sign * v * w
+        out.append(sorted((r, v) for r, v in acc.items() if v))
+    return SparseMatrix(faces[0].rows, out)
+
+
+def reference_orbit_express(fixed: _OrbitFixed, col: list[tuple[int, int]]
+                            ) -> Optional[list[tuple[int, int]]]:
+    """``_OrbitFixed.express``, checking its answer by the generic product
+    of the lift with the orbit coordinates."""
+    out = sorted((k, v) for i, v in col if (k := fixed._head.get(i)) is not None)
+    back = fixed.lift @ SparseMatrix(fixed.lift.cols, [out])
+    return out if back.data[0] == list(col) else None
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ SHARED_METHODS = {
     "degeneracy": {"loday.SimplicialGRing", "simpgset.FinSimpGSet"},
     "elements": {"fingroup.FiniteGroup", "simpgset.OrbitLevel"},
     "express": {"homology._OrbitFixed", "homology._Normalized"},
-    "face": {"homology.LevelComplex", "loday.SimplicialGRing", "simpgset.FinSimpGSet"},
+    "face": {"loday.SimplicialGRing", "simpgset.FinSimpGSet"},
     "from_cols": {"exactalg.IntMatrix", "exactalg.SparseMatrix"},
     "from_rows": {"exactalg.IntMatrix", "smith._SparseWork"},
     "homology": {"exactalg.ChainComplex", "homology.LevelComplex"},

@@ -23,7 +23,8 @@ from equiloday.spaces import build_cayley, build_rot_circle, build_sigma_circle
 from equiloday.verify import run_suite
 
 from oracles import (AbHom, _moore_complex, cyclic_bar_homology, oracle_h0,
-                     polynomial_hh, polynomial_mult, reference_degenerate_tuples)
+                     polynomial_hh, polynomial_mult, reference_boundary,
+                     reference_degenerate_tuples)
 
 
 def shapes(table):
@@ -427,6 +428,20 @@ def test_quotient_moore_and_unnormalized_agree_on_golden_instances(
                     == lc.unnormalized_homology(k)), (sub, k)
         if not free or m == 1:  # with lifts, Gaussian m = 2 would take 10 s more
             _moore_to_quotient_is_iso(lc)
+
+
+@pytest.mark.parametrize("name,m,truncation,max_degree", GOLDEN_INSTANCES)
+def test_restricted_boundaries_match_face_sums_on_golden_instances(
+        name, m, truncation, max_degree):
+    # one expanded face sum per level against the faces summed one by one
+    coeff = gaussian() if name == "gaussian" else load_bundled(name)
+    s = real_hochschild(m, coeff, truncation).loday_side
+    for sub in [cls[0] for cls in s.group.subgroup_classes()]:
+        lc = LevelComplex(s, sub, max_level=max_degree + 1)
+        for carved, chains in ((lc.reduced, lc.normalized), (lc.fixed, lc.unnormalized)):
+            assert chains.boundaries == [
+                _restricted(carved[n - 1], reference_boundary(s, n, carved[n].lift))
+                for n in range(1, lc.top + 1)], sub
 
 
 def _cli_pipeline(*argv):

@@ -16,8 +16,8 @@ from equiloday.spaces import (build_cayley, build_coset_cayley,
                               build_permutohedron_skeleton, build_rot_circle,
                               build_sigma_circle)
 from equiloday.suites_realhh import esigma_check
-from oracles import (_tuple_index, reference_bar, reference_induced_hom,
-                     reference_level_isos, reference_loday_free,
+from oracles import (_tuple_index, reference_bar, reference_boundary,
+                     reference_induced_hom, reference_level_isos, reference_loday_free,
                      reference_loday_normal_sub, reference_loday_one_isotropy,
                      reference_loday_two_isotropy, reference_ring_validate,
                      reference_space_identities, sd_face_column)
@@ -135,6 +135,43 @@ def test_real_hochschild_maps_match_the_replaced_routing(name, m):
     assert _map_targets(rh.bar_side) == _map_targets(old_bar)
     assert ([f.targets for f in rh.isos]
             == [f.targets for f in reference_level_isos(L, old_bar)])
+
+
+# ---------------------------------------------------------------------------
+# one expanded face sum per level against the face-by-face sum it replaced
+
+# the largest level rank compared: level 1 of cayley-s3 has rank 262,144,
+# and comparing it alone takes 3 s and 300 MB
+BOUNDARY_RANK = 4096
+
+
+def _assert_boundaries_match_face_sums(s) -> int:
+    """Compare every level up to ``BOUNDARY_RANK``; how many were compared."""
+    compared = 0
+    for n in range(1, s.top() + 1):
+        rank = s.level_rank(n)
+        if rank <= BOUNDARY_RANK:
+            want = reference_boundary(s, n, SparseMatrix.identity(rank))
+            assert s.expanded_boundary(n) == want, (s.label, n)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_expanded_boundaries_match_face_sums(name):
+    build, _, space, coeff, kwargs = PIPELINES[name]()
+    s = build(space, coeff, **kwargs)
+    if not _assert_boundaries_match_face_sums(s):
+        pytest.skip(f"level 1 has rank {s.level_rank(1)}, above {BOUNDARY_RANK}")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", INVOLUTIVE)
+def test_real_hochschild_boundaries_match_face_sums(name, m):
+    rh = real_hochschild(m, load_bundled(name), truncation=3)
+    sides = (rh.loday_side, rh.bar_side)
+    if not sum(map(_assert_boundaries_match_face_sums, sides)):
+        pytest.skip(f"level 1 has rank {sides[0].level_rank(1)}, above {BOUNDARY_RANK}")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

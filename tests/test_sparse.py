@@ -2,28 +2,32 @@
 
 ``StructuredHom.sparse`` is checked column by column against
 ``apply_basis``, the independent per-tuple oracle, and entry for entry
-against the column-by-column build it replaced; the signed-orbit carving
-of fixed points against the general Smith-form carving; the sparse
-conditions handed to the Smith-form engine against the dense matrix they
-replaced; and the homology layer is run with the dense expansion switched
-off.
+against the column-by-column build it replaced; the one expanded face sum
+kept per level, with the traced peak of the tables it serves; the
+signed-orbit carving of fixed points against the general Smith-form
+carving, and its ``express`` against the product check it replaced; the
+sparse conditions handed to the Smith-form engine against the dense matrix
+they replaced; and the homology layer is run with the dense expansion
+switched off.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from equiloday.coeffs import gaussian, load_bundled, quaternions
-from equiloday.exactalg import IntMatrix, SparseMatrix
+from equiloday.exactalg import IntMatrix, PresentedAb, SparseMatrix
 from equiloday.gring import StructuredHom
 from equiloday.homology import (_fixed_level, _generating_subset, _OrbitFixed,
-                                homology_table)
+                                homology_table, homology_tables)
 from equiloday.loday import loday_free, real_hochschild
 from equiloday.smith import _SparseWork, _condition_rows, _snf_engine
 from equiloday.spaces import build_rot_circle
 from oracles import (_conditions_subquotient, engine_layout, matrix_targets,
-                     reference_snf_engine, reference_sparse, sparse_apply)
+                     reference_boundary, reference_orbit_express, reference_snf_engine,
+                     reference_sparse, sparse_apply)
 
 # ---------------------------------------------------------------------------
 # the matrix type against IntMatrix
@@ -147,14 +151,71 @@ def test_slot_major_expansion_equals_column_by_column(build, top):
 
 
 def test_expansions_are_cached_per_ring():
+    # one face sum per level is held, never its faces
     s = real_hochschild(1, gaussian(), 2).loday_side
-    assert s.expanded_face(2, 1) is s.expanded_face(2, 1)
+    boundary = s.expanded_boundary(2)
+    assert s.expanded_boundary(2) is boundary
     assert s.expanded_act(1, 1) is s.expanded_act(1, 1)
-    assert s.expanded_face(2, 1).to_dense() == s.face(2, 1).dense()
+    assert boundary == reference_boundary(s, 2, SparseMatrix.identity(s.level_rank(2)))
+    assert sorted(s._expanded) == [("act", 1, 1), ("boundary", 2)]
+
+
+def test_realhh_tables_stay_under_their_traced_peak():
+    # the traced peak of the realhh-free tables: 1,903 KiB while every face
+    # was cached, 1,179 KiB with one face sum per level
+    rh = real_hochschild(1, gaussian(), 4)
+    tracemalloc.start()
+    try:
+        for sub in rh.loday_side.group.all_subgroups():
+            homology_tables([rh.loday_side, rh.bar_side], sub, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
-# orbit carving against the general Smith-form carving
+# orbit carving against the general Smith-form carving, and its check
+# against the generic product it replaced
+
+
+def _express_agrees(fixed, col):
+    got = fixed.express(col)
+    assert got == reference_orbit_express(fixed, col), col
+    return got
+
+
+def test_orbit_express_matches_the_product_check():
+    # x1 = x0, x3 = -x2, and x4 = -x4 kills the orbit of 4
+    fixed = _OrbitFixed(PresentedAb(5), [[(1, 1), (0, 1), (3, -1), (2, -1), (4, -1)]])
+    assert fixed.lift.data == [[(0, 1), (1, 1)], [(2, 1), (3, -1)]]
+    for col, want in [([(0, 2), (1, 2)], [(0, 2)]),
+                      ([(0, 1), (1, 1), (2, -3), (3, 3)], [(0, 1), (1, -3)]),
+                      ([], []),
+                      ([(2, 1), (3, 1)], None),  # a wrong sign
+                      ([(0, 1)], None), ([(1, 1)], None),  # a missing member
+                      ([(4, 1)], None), ([(0, 1), (1, 1), (4, 2)], None)]:  # dead
+        assert _express_agrees(fixed, col) == want
+
+
+def test_orbit_express_matches_the_product_check_on_realhh_levels():
+    s = real_hochschild(1, gaussian(), 3).loday_side
+    g = s.group
+    for sub in g.all_subgroups():
+        gens = _generating_subset(g, sub)
+        for n in range(4):
+            fixed = _fixed_level(s, n, gens)
+            assert isinstance(fixed, _OrbitFixed)
+            live = {i for col in fixed.lift.data for i, _ in col}
+            assert gens == [] or len(live) < s.level_rank(n)  # some orbit dies
+            for col in fixed.lift.data:
+                assert _express_agrees(fixed, [(i, 3 * v) for i, v in col]) is not None
+                if len(col) > 1:  # a wrong sign on the last member; no head
+                    flipped = col[:-1] + [(col[-1][0], -col[-1][1])]
+                    assert _express_agrees(fixed, flipped) is None
+                    assert _express_agrees(fixed, col[1:]) is None
+            for i in range(s.level_rank(n)):
+                assert _express_agrees(fixed, [(i, 1)]) is None or i in live
 
 
 def _same_subgroup(a, b) -> bool:
@@ -249,7 +310,7 @@ def test_pipeline_conditions_match_dense_work_matrix(coeff):
         for n in (1, 2, 3):
             fx = _fixed_level(s, n, gens)
             rels = s.levels[n - 1].tensor.dense_group().relations
-            conds = [(s.expanded_face(n, i) @ fx.lift, rels)
+            conds = [(s.face(n, i).sparse() @ fx.lift, rels)
                      for i in range(1, n + 1)]
             _assert_same_work(fx.pres.ngens, conds)
             width = fx.pres.ngens + sum(b.cols for _, b in conds)
