@@ -21,11 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
-from .coeffs import Coefficient, bundled_names, load_bundled, load_file
+from .coeffs import Coefficient, resolve
 from .gring import DENSE_BUDGET
 
 OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
@@ -59,17 +58,12 @@ def _emit_csv(header: Sequence[str], rows, out) -> None:
 
 
 def resolve_coefficient(spec: str) -> Coefficient:
-    """A bundled name, or a path to a coefficient JSON file."""
-    if spec in bundled_names():
-        return load_bundled(spec)
-    if not os.path.exists(spec):
-        raise UsageError(
-            f"coefficient {spec!r} is neither bundled "
-            f"({', '.join(bundled_names())}) nor an existing file")
+    """A bundled name, or a path to a coefficient JSON file
+    (``coeffs.resolve``)."""
     try:
-        return load_file(spec)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise UsageError(f"bad coefficient file {spec!r}: {e}")
+        return resolve(spec)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +78,7 @@ def cmd_verify(args, out) -> int:
     params = {}
     for key in ("group", "m", "coeff", "truncation", "max_degree", "budget",
                 "subgroups"):
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             params[key] = val
     try:

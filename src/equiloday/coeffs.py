@@ -148,6 +148,22 @@ def load_file(path: str) -> Coefficient:
         return coefficient_from_obj(json.load(fh))
 
 
+def resolve(spec: str) -> Coefficient:
+    """A bundled name, or else a path to a coefficient JSON file: a bundled
+    name wins over a file of the same name.  Raises ValueError, with a
+    message fit for the user, when neither gives a coefficient."""
+    if spec in bundled_names():
+        return load_bundled(spec)
+    if not os.path.exists(spec):
+        raise ValueError(
+            f"coefficient {spec!r} is neither bundled "
+            f"({', '.join(bundled_names())}) nor an existing file")
+    try:
+        return load_file(spec)
+    except (ValueError, KeyError, OSError) as e:
+        raise ValueError(f"bad coefficient file {spec!r}: {e}") from e
+
+
 # -- programmatic constructors (used across the test corpus) ------------------
 
 

@@ -20,6 +20,7 @@ it only with a faster checker.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 MAX_ORDER = 48
@@ -29,8 +30,8 @@ class FiniteGroup:
     """Immutable multiplication table plus printable element names.
 
     Since the table never changes, derived data is computed once per group:
-    the generating sequence, and per subgroup its left cosets, transversal
-    and coset index (``_coset_data``) and its ``subgroup_as_group`` table.
+    the generating sequence, and per subgroup its transversal, coset index
+    and coset split (``_coset_data``) and its ``subgroup_as_group`` table.
     Callers get fresh lists or immutable tuples, never the cached lists.
     """
 
@@ -40,8 +41,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise ValueError("empty group")
-        if n > MAX_ORDER:
-            raise ValueError(f"order {n} exceeds the validation guard ({MAX_ORDER})")
+        _guard_order(n)
         self.order = n
         self.table = tuple(tuple(row) for row in table)
         self.label = label
@@ -207,37 +207,38 @@ class FiniteGroup:
     # -- cosets -------------------------------------------------------------
 
     def _coset_data(self, sub: Sequence[int]) -> tuple:
-        """(left cosets, transversal, coset index) of ``sub``, all tuples,
-        computed on first request."""
+        """(transversal, coset index, coset split) of ``sub``, all tuples,
+        computed on first request.  Scanning g upwards, the first element
+        of each left coset met is its minimal element."""
         h = tuple(sorted(sub))
         data = self._cosets.get(h)
         if data is None:
-            seen: set[int] = set()
-            cosets = []
+            reps: list[int] = []
             index = [-1] * self.order
             for g in range(self.order):
-                if g in seen:
-                    continue
-                coset = tuple(sorted(self.table[g][x] for x in h))
-                seen.update(coset)
-                for x in coset:
-                    index[x] = len(cosets)
-                cosets.append(coset)
-            data = self._cosets[h] = (tuple(cosets), tuple(c[0] for c in cosets),
-                                      tuple(index))
+                if index[g] < 0:
+                    for x in h:
+                        index[self.table[g][x]] = len(reps)
+                    reps.append(g)
+            split = tuple((t, self.table[self._inv[reps[t]]][g])
+                          for g, t in enumerate(index))
+            data = self._cosets[h] = (tuple(reps), tuple(index), split)
         return data
 
-    def left_cosets(self, sub: Sequence[int]) -> list[tuple[int, ...]]:
-        """Left cosets gH, ordered by their minimal element."""
-        return list(self._coset_data(sub)[0])
-
     def transversal(self, sub: Sequence[int]) -> tuple[int, ...]:
-        """Minimal-element representative per left coset; identity first."""
-        return self._coset_data(sub)[1]
+        """Minimal-element representative per left coset; identity first.
+        Left cosets are numbered in this order."""
+        return self._coset_data(sub)[0]
 
     def coset_index(self, sub: Sequence[int]) -> list[int]:
-        """For each g, the index of its left coset gH in left_cosets order."""
-        return list(self._coset_data(sub)[2])
+        """For each g, the number of its left coset gH."""
+        return list(self._coset_data(sub)[1])
+
+    def coset_split(self, sub: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """For each g, the pair (t, h) with g = transversal(sub)[t] * h:
+        the number t of gH and the defect h = c(gH)^-1 g, which lies in sub.
+        Norms, coset blockings and coset collapses all read it."""
+        return self._coset_data(sub)[2]
 
     # -- quotients ----------------------------------------------------------
 
@@ -334,35 +335,21 @@ class FiniteGroup:
         return FiniteGroup(table, obj.get("names"), label=obj.get("label", "G"))
 
 
-class GroupHom:
-    """Homomorphism between table groups, stored as an image list."""
-
-    def __init__(self, src: FiniteGroup, dst: FiniteGroup,
-                 images: Sequence[int], check: bool = True):
-        if len(images) != src.order:
-            raise ValueError("need one image per source element")
-        self.src = src
-        self.dst = dst
-        self.images = tuple(images)
-        if check:
-            if self.images[0] != 0:
-                raise ValueError("identity must map to identity")
-            # enough on generators: see FiniteGroup.generator_pairs
-            for a, b in src.generator_pairs():
-                if self.images[src.table[a][b]] != dst.table[self.images[a]][self.images[b]]:
-                    raise ValueError("not a homomorphism")
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
-
 # ---------------------------------------------------------------------------
 # stock groups
+
+
+def _guard_order(order: int) -> None:
+    """Refuse an order past ``MAX_ORDER``; the makers call it before they
+    build a table of order^2 entries."""
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the validation guard ({MAX_ORDER})")
 
 
 def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
+    _guard_order(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     names = ["e"] + [f"g{'' if k == 1 else k}" for k in range(1, n)]
     return FiniteGroup(table, names, label=f"C{n}")
@@ -378,6 +365,7 @@ def make_dihedral(order: int) -> FiniteGroup:
     """
     if order < 2 or order % 2:
         raise ValueError("dihedral order must be even and >= 2")
+    _guard_order(order)
     m = order // 2
 
     def idx(a: int, b: int) -> int:
@@ -409,6 +397,9 @@ def make_symmetric(n: int) -> FiniteGroup:
     composed as (p*q)(x) = p(q(x)).  Guarded to n <= 4 by the order cap."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_ORDER:  # n! is past the guard, and may be too long to print
+        raise ValueError(f"order {n}! exceeds the validation guard ({MAX_ORDER})")
+    _guard_order(factorial(n))
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]

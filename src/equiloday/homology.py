@@ -310,10 +310,6 @@ class LevelComplex:
             [_restricted(self.fixed[n - 1], self.s.expanded_boundary(n) @ self.fixed[n].lift)
              for n in range(1, self.top + 1)])
 
-    def homology(self, k: int) -> FgAbelianGroup:
-        self._check_degree(k)
-        return self.normalized.homology(k)
-
     def homology_data(self, k: int) -> SubQuotient:
         self._check_degree(k)
         return self.normalized.homology_data(k)
@@ -386,18 +382,6 @@ def homology_table(s, sub: Sequence[int], max_k: int,
 # all subgroups at once, with restriction / transfer / conjugation
 
 
-def _relative_transversal(g: FiniteGroup, big: Sequence[int],
-                          small: Sequence[int]) -> list[int]:
-    """Coset representatives of small inside big, smallest element first."""
-    reps = []
-    covered: set[int] = set()
-    for l in sorted(big):
-        if l not in covered:
-            reps.append(l)
-            covered.update(g.mul(l, k) for k in small)
-    return reps
-
-
 def _double_coset_reps(g: FiniteGroup, left: Sequence[int], amb: Sequence[int],
                        right: Sequence[int]) -> list[int]:
     reps = []
@@ -465,7 +449,7 @@ class MackeyH:
         small, big = self._key(small), self._key(big)
         if not set(small) <= set(big):
             raise ValueError("transfer goes from a subgroup to one containing it")
-        reps = _relative_transversal(self.group, big, small)
+        reps = _double_coset_reps(self.group, (0,), big, small)
         total = self._act(small, reps[0])
         for l in reps[1:]:
             total = total + self._act(small, l)

@@ -4,7 +4,10 @@ A group power has one slot per group element; the flip action permutes the
 slots, and the diagonal action also twists each factor by the coefficient
 action.  A norm (``NormRing``, tensor induction N_H^G) has one slot per left
 coset of H, and G acts by permuting cosets, twisting each factor by the
-H-action of the transversal defect.  A norm's action is multiplicative by
+H-action of the transversal defect.  Every defect is read from one
+decomposition g = c(gH) h, ``FiniteGroup.coset_split``, and Weyl
+relabelings and conjugation switches share one coset translation
+(``_translate``).  A norm's action is multiplicative by
 construction whenever its coefficient action is, so it is not checked again.
 The maps between these - multiplication out of a power, coset blocking, Weyl
 relabelings, conjugation switches and norm projections - are all
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .fingroup import FiniteGroup, GroupHom, make_cyclic, subgroup_as_group
+from .fingroup import FiniteGroup, make_cyclic, subgroup_as_group
 from .gring import GTensorRing, StructuredHom, TensorRing
 from .rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 
@@ -119,18 +122,17 @@ class NormRing:
             raise ValueError("coefficient action is over a group of the wrong order")
         self.rwa = rwa
         self._pos = {x: i for i, x in enumerate(self.sub)}
-        self.cosets = group.left_cosets(self.sub)
         self.transversal = group.transversal(self.sub)
-        self.coset_of = group.coset_index(self.sub)
-        self.tensor = TensorRing(rwa.ring, tuple(range(len(self.cosets))))
+        self.split = group.coset_split(self.sub)
+        self.tensor = TensorRing(rwa.ring, tuple(range(len(self.transversal))))
         action = []
-        mul, inv, tr = group.mul, group.inv, self.transversal
+        mul, inv = group.mul, group.inv
         for g in range(group.order):
+            # g^-1 c_t = c_s h, so the twist c_t^-1 g c_s is h^-1
             targets = []
-            for c in tr:
-                s = self.coset_of[mul(inv(g), c)]
-                m, a = rwa.acts[self._pos[mul(mul(inv(c), g), tr[s])]]
-                targets.append([(s, m, a)])
+            for c in self.transversal:
+                s, h = self.split[mul(inv(g), c)]
+                targets.append([(s, *self.act_of(inv(h)))])
             action.append(StructuredHom(self.tensor, self.tensor, targets, check=False))
         # Valid by construction when the coefficient action is multiplicative
         # on the subgroup itself, so then not re-validated.  RingWithAction
@@ -157,7 +159,7 @@ class NormRing:
 
     def __repr__(self):
         return (f"NormRing({self.group.label}, |H|={len(self.sub)}, "
-                f"{len(self.cosets)} cosets)")
+                f"{len(self.transversal)} cosets)")
 
 
 def tensor_induce(group: FiniteGroup, sub_elems: Sequence[int],
@@ -186,13 +188,8 @@ def coset_blocking(group: FiniteGroup, sub_elems: Sequence[int],
         raise ValueError("not a subgroup")
     src = group_power_ring(group, base)
     dst = blocked_ring(group, sub, base)
-    transversal = group.transversal(sub)
-    coset_of = group.coset_index(sub)
-    routes = []
-    for g in range(group.order):
-        c = coset_of[g]
-        h = group.mul(group.inv(transversal[c]), g)
-        routes.append((g, (c, h), IDENTITY_TWIST, False))
+    routes = [(g, ch, IDENTITY_TWIST, False)
+              for g, ch in enumerate(group.coset_split(sub))]
     return StructuredHom.from_routes(src, dst, routes)
 
 
@@ -209,18 +206,17 @@ def blocked_diagonal(group: FiniteGroup, sub_elems: Sequence[int],
     """Induced action when the inner blocks carry the diagonal action of the
     subgroup: same slot shuffle, each block twisted by its defect's action."""
     sub = tuple(sorted(set(sub_elems)))
-    sub_rwa, _ = rwa_full.restrict(sub)
-    pos = {x: i for i, x in enumerate(sub)}
+    if not group.is_subgroup(sub):
+        raise ValueError("not a subgroup")
     tr = blocked_ring(group, sub, rwa_full.ring)
     transversal = group.transversal(sub)
-    coset_of = group.coset_index(sub)
+    split = group.coset_split(sub)
     action = []
     for g in range(group.order):
         routes = []
-        for c in range(len(transversal)):
-            t = coset_of[group.mul(g, transversal[c])]
-            k = group.mul(group.mul(group.inv(transversal[t]), g), transversal[c])
-            m, a = sub_rwa.acts[pos[k]]
+        for c, rep in enumerate(transversal):
+            t, k = split[group.mul(g, rep)]
+            m, a = rwa_full.acts[k]
             for h in sub:
                 routes.append(((c, h), (t, group.mul(k, h)), m, a))
         action.append(StructuredHom.from_routes(tr, tr, routes, check=False))
@@ -242,7 +238,7 @@ def blocking_diagonal_certificate(group: FiniteGroup, sub_elems: Sequence[int],
     src = diagonal_power(rwa)
     dst = blocked_diagonal(group, sub, rwa)
     transversal = group.transversal(sub)
-    coset_of = group.coset_index(sub)
+    split = group.coset_split(sub)
     twists = rwa.ring.twists
     defect = []
     witness = {}
@@ -252,10 +248,8 @@ def blocking_diagonal_certificate(group: FiniteGroup, sub_elems: Sequence[int],
         assert left.slot_permutation() == right.slot_permutation(), \
             "blocking changed the slot shuffle"
         mism = False
-        for c in range(len(transversal)):
-            t = coset_of[group.mul(g, transversal[c])]
-            k = group.mul(group.mul(group.inv(transversal[t]), g), transversal[c])
-            witness[(g, c)] = k
+        for c, rep in enumerate(transversal):
+            k = witness[(g, c)] = split[group.mul(g, rep)][1]
             if not twists.same(rwa.acts[k][0], rwa.acts[g][0]):
                 mism = True
         if mism:
@@ -296,15 +290,7 @@ def weyl_relabeling(norm: NormRing, gamma: int) -> StructuredHom:
         raise ValueError(
             "conjugation by the element moves the coefficient action; "
             "the relabeling would land on a different norm")
-    ginv = g.inv(gamma)
-    routes = []
-    for c in range(len(norm.cosets)):
-        rep = norm.transversal[c]
-        t = norm.coset_of[g.mul(rep, ginv)]
-        h = g.mul(ginv, g.mul(g.inv(norm.transversal[t]), rep))
-        m, a = norm.act_of(h)
-        routes.append((c, t, m, a))
-    return StructuredHom.from_routes(norm.tensor, norm.tensor, routes, check=False)
+    return _translate(norm, norm, gamma)
 
 
 def conjugate_switch(norm: NormRing, gamma: int) -> tuple[NormRing, StructuredHom]:
@@ -316,26 +302,27 @@ def conjugate_switch(norm: NormRing, gamma: int) -> tuple[NormRing, StructuredHo
     """
     g = norm.group
     sub = norm.sub
-    new_sub = g.conjugate_subgroup(gamma, sub)
-    new_local, new_emb = subgroup_as_group(g, new_sub)
-    old_local, old_emb = subgroup_as_group(g, sub)
-    old_pos = {x: i for i, x in enumerate(old_emb)}
+    new_local, new_emb = subgroup_as_group(g, g.conjugate_subgroup(gamma, sub))
     ginv = g.inv(gamma)
-    conj_down = GroupHom(new_local, old_local,
-                         [old_pos[g.conj(ginv, new_emb[i])] for i in range(new_local.order)],
-                         check=False)
-    new_rwa = norm.rwa.pullback(conj_down)
-    new_norm = NormRing(g, new_sub, new_rwa)
+    new_rwa = RingWithAction(new_local, norm.rwa.ring,
+                             [norm.act_of(g.conj(ginv, x)) for x in new_emb],
+                             check=False)
+    new_norm = NormRing(g, new_emb, new_rwa)
+    return new_norm, _translate(norm, new_norm, gamma)
+
+
+def _translate(src: NormRing, dst: NormRing, gamma: int) -> StructuredHom:
+    """Coset translation C -> C gamma^-1 from src onto dst, whose subgroup
+    is the gamma-conjugate of src's.  With c(C) gamma^-1 = c'(T) d, the
+    factor of C goes to T twisted by the source action at gamma^-1 d gamma
+    = gamma^-1 c'(T)^-1 c(C), an element of src's subgroup."""
+    g = src.group
+    ginv = g.inv(gamma)
     routes = []
-    for c in range(len(norm.cosets)):
-        rep = norm.transversal[c]
-        t = new_norm.coset_of[g.mul(rep, ginv)]
-        cprime = new_norm.transversal[t]
-        h = g.mul(ginv, g.mul(g.inv(cprime), rep))
-        m, a = norm.act_of(h)
-        routes.append((c, t, m, a))
-    f = StructuredHom.from_routes(norm.tensor, new_norm.tensor, routes, check=False)
-    return new_norm, f
+    for c, rep in enumerate(src.transversal):
+        t, d = dst.split[g.mul(rep, ginv)]
+        routes.append((c, t, *src.act_of(g.conj(ginv, d))))
+    return StructuredHom.from_routes(src.tensor, dst.tensor, routes, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +352,9 @@ def _collapse(src: NormRing, dst: NormRing, u: int
     twisted by the target action at d.
     """
     g = src.group
-    fibers: list[list[tuple[int, int, int, bool]]] = [[] for _ in dst.cosets]
+    fibers: list[list[tuple[int, int, int, bool]]] = [[] for _ in dst.transversal]
     for c, rep in enumerate(src.transversal):
-        cu = g.mul(rep, u)
-        t = dst.coset_of[cu]
-        d = g.mul(g.inv(dst.transversal[t]), cu)
+        t, d = dst.split[g.mul(rep, u)]
         fibers[t].append((d, c, *dst.act_of(d)))
     return fibers
 

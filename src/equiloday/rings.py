@@ -21,7 +21,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .exactalg import IntMatrix, PresentedAb, SparseMatrix, hom_is_well_defined
-from .fingroup import FiniteGroup, GroupHom, subgroup_as_group
+from .fingroup import FiniteGroup
 from .smith import SmithSolver
 
 IDENTITY_TWIST = 0  # the id of the identity matrix in every twist table
@@ -266,17 +266,3 @@ class RingWithAction:
     def trivial(group: FiniteGroup, ring: PresentedRing) -> "RingWithAction":
         return RingWithAction(group, ring, [(IDENTITY_TWIST, False)] * group.order,
                               check=False)
-
-    def restrict(self, elems: Sequence[int]) -> tuple["RingWithAction", tuple[int, ...]]:
-        """Restriction to a subgroup; returns the sub-action and the ambient
-        indices of the subgroup's elements in its local order."""
-        sub, emb = subgroup_as_group(self.group, elems)
-        acts = [self.acts[x] for x in emb]
-        return RingWithAction(sub, self.ring, acts, check=False), emb
-
-    def pullback(self, phi: GroupHom) -> "RingWithAction":
-        """Action of phi's source through phi: g acts as phi(g) did."""
-        if phi.dst.order != self.group.order or phi.dst.table != self.group.table:
-            raise ValueError("pullback along a map into a different group")
-        acts = [self.acts[phi(g)] for g in range(phi.src.order)]
-        return RingWithAction(phi.src, self.ring, acts, check=False)

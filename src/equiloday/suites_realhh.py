@@ -5,10 +5,9 @@ imports this module when it runs one of them."""
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
-from .coeffs import Coefficient, gaussian, load_bundled, load_file, quaternions
+from .coeffs import Coefficient, gaussian, load_bundled, quaternions, resolve
 from .exactalg import IntMatrix, SparseMatrix
 from .gring import DENSE_BUDGET, commutativity_uses, reset_commutativity_uses
 from .homology import budget_skip, feasible_degree, homology_tables
@@ -26,11 +25,11 @@ def _shape(h) -> list:
 
 
 def _load_coefficient(spec: str) -> Coefficient:
-    """A file path or bundled name, for the polygon pipeline (which needs
-    the coefficient's involution)."""
+    """A bundled name or file path (``coeffs.resolve``), for the polygon
+    pipeline (which needs the coefficient's involution)."""
     try:
-        coeff = load_file(spec) if os.path.exists(spec) else load_bundled(spec)
-    except (ValueError, KeyError, OSError) as e:
+        coeff = resolve(spec)
+    except ValueError as e:
         raise SuiteParameterError(str(e)) from e
     if coeff.involution is None:
         raise SuiteParameterError(f"coefficient {spec!r} carries no involution")

@@ -12,7 +12,10 @@ itself keeps only what its pipeline calls.  The oracles that read single
 faces expand them here (``StructuredHom.sparse``), since the pipeline keeps
 only their alternating sum.  ``reference_induced_hom``,
 ``reference_bar`` and ``reference_level_isos`` are the Loday-layer routings
-``norms._block_map`` replaced, each written out by hand.
+``norms._block_map`` replaced, each written out by hand.  The norm constructions
+from ``reference_norm_action`` to ``reference_norm_projection`` each work
+out the transversal defect by hand, as ``norms`` did before it read them all
+from ``FiniteGroup.coset_split``.
 """
 
 from itertools import product
@@ -23,13 +26,15 @@ from equiloday.coeffs import Coefficient
 from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
                                 SparseMatrix, SubQuotient, hom_is_well_defined,
                                 kernel_basis)
-from equiloday.fingroup import FiniteGroup, make_cyclic
-from equiloday.gring import GTensorRing, StructuredHom, equivariance_defect
+from equiloday.fingroup import FiniteGroup, make_cyclic, subgroup_as_group
+from equiloday.gring import GTensorRing, StructuredHom, TensorRing, equivariance_defect
 from equiloday.homology import (Fixed, LevelComplex, _OrbitFixed, _fixed_level,
                                 _generating_subset, _restricted)
 from equiloday.loday import SimplicialGRing, loday, transport_to_diagonal
-from equiloday.norms import (NormRing, _ordered_fold, _subgroup_rwa, group_power_ring,
-                             tensor_induce, tensor_of_actions)
+from equiloday.norms import (NormRing, _actions_agree, _ordered_fold, _subgroup_rwa,
+                             blocked_diagonal, blocked_ring, coset_blocking,
+                             diagonal_power, group_power_ring, tensor_induce,
+                             tensor_of_actions)
 from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from equiloday.simpgset import EqMap, FinSimpGSet
 from equiloday.smith import (SmithSolver, _condition_rows, invariant_factors,
@@ -700,17 +705,6 @@ def full_ring_action_check(group, ring: PresentedRing, acts):
                 raise ValueError("action matrices are not multiplicative")
 
 
-def full_grouphom_check(src, dst, images):
-    """Every-pair homomorphism check; raises ValueError where ``GroupHom``
-    must."""
-    if images[0] != 0:
-        raise ValueError("identity must map to identity")
-    for a in range(src.order):
-        for b in range(src.order):
-            if images[src.table[a][b]] != dst.table[images[a]][images[b]]:
-                raise ValueError("not a homomorphism")
-
-
 # ---------------------------------------------------------------------------
 # homology of a complex with dense boundaries, as it was before the sparse path
 
@@ -1035,10 +1029,11 @@ def project_power_to_norm(norm: NormRing, u: int = 0) -> StructuredHom:
     """
     g = norm.group
     src = group_power_ring(g, norm.rwa.ring)
-    entries: list[list[tuple[int, int, int, bool]]] = [[] for _ in norm.cosets]
+    entries: list[list[tuple[int, int, int, bool]]] = [[] for _ in norm.transversal]
+    coset_of = g.coset_index(norm.sub)
     for x in range(g.order):
         xu = g.mul(x, u)
-        c = norm.coset_of[xu]
+        c = coset_of[xu]
         h = g.mul(g.inv(norm.transversal[c]), xu)
         m, a = norm.act_of(h)
         entries[c].append((h, x, m, a))
@@ -1047,6 +1042,171 @@ def project_power_to_norm(norm: NormRing, u: int = 0) -> StructuredHom:
         lst.sort(key=lambda e: e[0])
         targets.append([(x, m, a) for (_, x, m, a) in lst])
     return StructuredHom(src, norm.tensor, targets, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the norm constructions as they read each transversal defect by hand, before
+# ``FiniteGroup.coset_split``; the rewritten ones must match them
+
+
+def reference_norm_action(group: FiniteGroup, sub_elems: Sequence[int],
+                          rwa: RingWithAction) -> list[StructuredHom]:
+    """``NormRing``'s action: element g fills slot t from s = [g^-1 c_t],
+    twisted by act(c_t^-1 g c_s)."""
+    sub = tuple(sorted(set(sub_elems)))
+    pos = {x: i for i, x in enumerate(sub)}
+    tensor = TensorRing(rwa.ring, tuple(range(len(reference_left_cosets(group, sub)))))
+    coset_of = group.coset_index(sub)
+    action = []
+    mul, inv, tr = group.mul, group.inv, group.transversal(sub)
+    for g in range(group.order):
+        targets = []
+        for c in tr:
+            s = coset_of[mul(inv(g), c)]
+            m, a = rwa.acts[pos[mul(mul(inv(c), g), tr[s])]]
+            targets.append([(s, m, a)])
+        action.append(StructuredHom(tensor, tensor, targets, check=False))
+    return action
+
+
+def reference_coset_blocking(group: FiniteGroup, sub_elems: Sequence[int],
+                             base: PresentedRing) -> StructuredHom:
+    sub = tuple(sorted(set(sub_elems)))
+    if not group.is_subgroup(sub):
+        raise ValueError("not a subgroup")
+    src = group_power_ring(group, base)
+    dst = blocked_ring(group, sub, base)
+    transversal = group.transversal(sub)
+    coset_of = group.coset_index(sub)
+    routes = []
+    for g in range(group.order):
+        c = coset_of[g]
+        h = group.mul(group.inv(transversal[c]), g)
+        routes.append((g, (c, h), IDENTITY_TWIST, False))
+    return StructuredHom.from_routes(src, dst, routes)
+
+
+def reference_blocked_diagonal(group: FiniteGroup, sub_elems: Sequence[int],
+                               rwa_full: RingWithAction) -> GTensorRing:
+    sub = tuple(sorted(set(sub_elems)))
+    sub_rwa = _subgroup_rwa(group, sub, lambda x: rwa_full.acts[x], rwa_full.ring)
+    pos = {x: i for i, x in enumerate(sub)}
+    tr = blocked_ring(group, sub, rwa_full.ring)
+    transversal = group.transversal(sub)
+    coset_of = group.coset_index(sub)
+    action = []
+    for g in range(group.order):
+        routes = []
+        for c in range(len(transversal)):
+            t = coset_of[group.mul(g, transversal[c])]
+            k = group.mul(group.mul(group.inv(transversal[t]), g), transversal[c])
+            m, a = sub_rwa.acts[pos[k]]
+            for h in sub:
+                routes.append(((c, h), (t, group.mul(k, h)), m, a))
+        action.append(StructuredHom.from_routes(tr, tr, routes, check=False))
+    return GTensorRing(group, tr, action)
+
+
+def reference_blocking_diagonal_certificate(group: FiniteGroup,
+                                            sub_elems: Sequence[int],
+                                            rwa: RingWithAction):
+    sub = tuple(sorted(set(sub_elems)))
+    xi = coset_blocking(group, sub, rwa.ring)
+    src = diagonal_power(rwa)
+    dst = blocked_diagonal(group, sub, rwa)
+    transversal = group.transversal(sub)
+    coset_of = group.coset_index(sub)
+    twists = rwa.ring.twists
+    defect = []
+    witness = {}
+    for g in range(group.order):
+        left = xi.compose(src.act(g))
+        right = dst.act(g).compose(xi)
+        assert left.slot_permutation() == right.slot_permutation(), \
+            "blocking changed the slot shuffle"
+        mism = False
+        for c in range(len(transversal)):
+            t = coset_of[group.mul(g, transversal[c])]
+            k = group.mul(group.mul(group.inv(transversal[t]), g), transversal[c])
+            witness[(g, c)] = k
+            if not twists.same(rwa.acts[k][0], rwa.acts[g][0]):
+                mism = True
+        if mism:
+            assert left != right, "twist mismatch did not break the comparison"
+            defect.append(g)
+        else:
+            assert left == right, "matching twists failed to agree"
+    return defect, witness
+
+
+def reference_weyl_relabeling(norm: NormRing, gamma: int) -> StructuredHom:
+    g = norm.group
+    sub = norm.sub
+    if g.conjugate_subgroup(gamma, sub) != sub:
+        raise ValueError("element does not normalize the subgroup")
+    if not _actions_agree(norm, norm, gamma):
+        raise ValueError(
+            "conjugation by the element moves the coefficient action; "
+            "the relabeling would land on a different norm")
+    coset_of = g.coset_index(sub)
+    ginv = g.inv(gamma)
+    routes = []
+    for c in range(len(norm.transversal)):
+        rep = norm.transversal[c]
+        t = coset_of[g.mul(rep, ginv)]
+        h = g.mul(ginv, g.mul(g.inv(norm.transversal[t]), rep))
+        m, a = norm.act_of(h)
+        routes.append((c, t, m, a))
+    return StructuredHom.from_routes(norm.tensor, norm.tensor, routes, check=False)
+
+
+def reference_conjugate_switch(norm: NormRing, gamma: int
+                               ) -> tuple[NormRing, StructuredHom]:
+    """The pullback along x -> gamma^-1 x gamma is read through the old
+    subgroup's local numbering, as the group homomorphism it went along."""
+    g = norm.group
+    sub = norm.sub
+    new_sub = g.conjugate_subgroup(gamma, sub)
+    new_local, new_emb = subgroup_as_group(g, new_sub)
+    old_local, old_emb = subgroup_as_group(g, sub)
+    old_pos = {x: i for i, x in enumerate(old_emb)}
+    ginv = g.inv(gamma)
+    conj_down = [old_pos[g.conj(ginv, new_emb[i])] for i in range(new_local.order)]
+    new_rwa = RingWithAction(new_local, norm.rwa.ring,
+                             [norm.rwa.acts[conj_down[i]] for i in range(new_local.order)],
+                             check=False)
+    new_norm = NormRing(g, new_sub, new_rwa)
+    new_coset_of = g.coset_index(new_sub)
+    routes = []
+    for c in range(len(norm.transversal)):
+        rep = norm.transversal[c]
+        t = new_coset_of[g.mul(rep, ginv)]
+        cprime = new_norm.transversal[t]
+        h = g.mul(ginv, g.mul(g.inv(cprime), rep))
+        m, a = norm.act_of(h)
+        routes.append((c, t, m, a))
+    f = StructuredHom.from_routes(norm.tensor, new_norm.tensor, routes, check=False)
+    return new_norm, f
+
+
+def reference_collapse(src: NormRing, dst: NormRing, u: int
+                       ) -> list[list[tuple[int, int, int, bool]]]:
+    g = src.group
+    coset_of = g.coset_index(dst.sub)
+    fibers: list[list[tuple[int, int, int, bool]]] = [[] for _ in dst.transversal]
+    for c, rep in enumerate(src.transversal):
+        cu = g.mul(rep, u)
+        t = coset_of[cu]
+        d = g.mul(g.inv(dst.transversal[t]), cu)
+        fibers[t].append((d, c, *dst.act_of(d)))
+    return fibers
+
+
+def reference_norm_projection(src: NormRing, dst: NormRing) -> StructuredHom:
+    """``norms.norm_projection`` past its checks, on ``reference_collapse``."""
+    targets = [[(c, m, a) for _, c, m, a in sorted(fiber)]
+               for fiber in reference_collapse(src, dst, 0)]
+    return StructuredHom(src.tensor, dst.tensor, targets, check=False)
 
 
 def hom_equal_dense(f: StructuredHom, g: StructuredHom) -> bool:
@@ -1367,9 +1527,9 @@ def reference_induced_hom(space: FinSimpGSet, norms: Sequence[NormRing],
         s_norm = norms[eq.src.orbits[o].cell]
         t_norm = norms[eq.dst.orbits[t].cell]
         same_cell = eq.src.orbits[o].cell == eq.dst.orbits[t].cell
-        for c in range(len(s_norm.cosets)):
+        for c in range(len(s_norm.transversal)):
             rep = s_norm.transversal[c]
-            tc = t_norm.coset_of[g.mul(rep, u)]
+            tc = g.coset_index(t_norm.sub)[g.mul(rep, u)]
             d = g.mul(g.inv(t_norm.transversal[tc]), g.mul(rep, u))
             m, a = t_norm.act_of(d)
             p = src_tr.slot_index((o, c))
@@ -1413,10 +1573,10 @@ def reference_bar(m_norm: NormRing, a_norm: NormRing, n_norm: NormRing,
     def block_len(tag) -> int:
         """Coset count of the norm block carrying ``tag``."""
         if tag == "left":
-            return len(m_norm.cosets)
+            return len(m_norm.transversal)
         if tag == "right":
-            return len(n_norm.cosets)
-        return len(a_norm.cosets)
+            return len(n_norm.transversal)
+        return len(a_norm.transversal)
 
     def assemble(n: int, i: int) -> StructuredHom:
         src_tr = levels[n].tensor

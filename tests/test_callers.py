@@ -57,7 +57,6 @@ SHARED_METHODS = {
     "face": {"loday.SimplicialGRing", "simpgset.FinSimpGSet"},
     "from_cols": {"exactalg.IntMatrix", "exactalg.SparseMatrix"},
     "from_rows": {"exactalg.IntMatrix", "smith._SparseWork"},
-    "homology": {"exactalg.ChainComplex", "homology.LevelComplex"},
     "homology_data": {"exactalg.ChainComplex", "homology.LevelComplex"},
     "identity": {"exactalg.IntMatrix", "exactalg.SparseMatrix", "gring.StructuredHom"},
     "inverse": {"rings.TwistTable", "gring.StructuredHom"},

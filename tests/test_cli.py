@@ -83,6 +83,25 @@ def test_ring_info_missing_file(capsys):
     assert "neither bundled" in err
 
 
+def test_verify_and_loday_run_resolve_a_coefficient_name_alike(
+        tmp_path, capsys, monkeypatch):
+    # a file named like a bundled coefficient does not shadow it, in the
+    # realhh suite as in loday run
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "ring", "info", "zmod4")
+    (tmp_path / "gaussian").write_text(out)
+    code, out, _ = run(capsys, "verify", "--suite", "realhh", "--m", "1",
+                       "--coeff", "gaussian", "--truncation", "2",
+                       "--max-degree", "0")
+    assert code == 0
+    checks = [c["name"] for c in json.loads(out)["checks"]]
+    assert checks and all(c.startswith("m=1/gaussian/") for c in checks)
+    code, out, _ = run(capsys, "loday", "run", "--kind", "polygon", "--m", "1",
+                       "--coeff", "gaussian", "--max-degree", "0", "--format", "csv")
+    assert code == 0
+    assert {line.split(",")[1] for line in out.splitlines()[1:]} == {"gaussian"}
+
+
 @pytest.mark.parametrize("relations", [[[4, 7]], [[]]], ids=["too-long", "too-short"])
 @pytest.mark.parametrize("command", [("ring", "info"),
                                      ("loday", "run", "--kind", "polygon", "--m", "1",

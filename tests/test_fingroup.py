@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from equiloday.fingroup import (
     FiniteGroup,
-    GroupHom,
     direct_product,
     make_alternating4,
     make_dicyclic,
@@ -94,9 +93,7 @@ def test_subgroup_generation(s3, d8):
 
 
 def test_cosets_and_transversal(s3):
-    h = (0, 2)  # <(12)>
-    cosets = s3.left_cosets(h)
-    assert cosets == [(0, 2), (1, 4), (3, 5)]
+    h = (0, 2)  # <(12)>: left cosets (0, 2), (1, 4), (3, 5)
     assert s3.transversal(h) == (0, 1, 3)
     look = s3.coset_index(h)
     assert [look[g] for g in range(6)] == [0, 1, 0, 2, 1, 2]
@@ -145,14 +142,6 @@ def test_automorphism_counts():
     assert len(autos) == 24
     inner = {tuple(a4.conj(g, x) for x in a4.elements()) for g in a4.elements()}
     assert len(inner) == 12 and inner < autos
-
-
-def test_group_hom_checks(s3, d6):
-    iso = isomorphisms_to(d6, s3)[0]
-    h = GroupHom(d6, s3, iso)
-    assert [h(a) for a in range(d6.order)] == list(iso)
-    with pytest.raises(ValueError):
-        GroupHom(s3, s3, [0, 1, 2, 4, 3, 5])  # not multiplicative
 
 
 def test_quaternion_table():
@@ -256,7 +245,6 @@ def test_memoized_coset_data_matches_the_uncached_oracle(g):
     for sub in g.all_subgroups() * 2:
         ask = list(reversed(sub))
         cosets = reference_left_cosets(g, sub)
-        assert g.left_cosets(ask) == cosets
         assert g.transversal(ask) == tuple(c[0] for c in cosets)
         assert g.coset_index(ask) == reference_coset_index(g, sub)
         h, emb = subgroup_as_group(g, ask)
@@ -267,16 +255,33 @@ def test_memoized_coset_data_matches_the_uncached_oracle(g):
 
 def test_callers_cannot_corrupt_the_coset_memo(d8):
     sub = (0, 4)
-    cosets, index = d8.left_cosets(sub), d8.coset_index(sub)
-    cosets.reverse()
-    cosets.append((99,))
+    index = d8.coset_index(sub)
     index[:] = [7] * len(index)
-    assert d8.left_cosets(sub) == reference_left_cosets(d8, sub)
     assert d8.coset_index(sub) == reference_coset_index(d8, sub)
-    assert d8.left_cosets(sub) is not d8.left_cosets(sub)
+    assert d8.coset_index(sub) is not d8.coset_index(sub)
     with pytest.raises(TypeError):
         d8.transversal(sub)[0] = 5  # a tuple: nothing to corrupt
+    with pytest.raises(TypeError):
+        d8.coset_split(sub)[0] = (0, 0)
     with pytest.raises(ValueError):
         subgroup_as_group(d8, (0, 1))  # {e, r} is not closed; never cached
     with pytest.raises(ValueError):
         subgroup_as_group(d8, (0, 1))
+
+
+def test_oversized_stock_groups_are_rejected_before_their_table(monkeypatch):
+    # s7 would spend half a minute on a 5,040^2 table before the order
+    # check; no maker may reach the table, the permutations or the class
+    from equiloday import fingroup
+    from equiloday.cli import UsageError
+    from equiloday.commands import resolve_group
+
+    def reached(*_args, **_kw):
+        raise AssertionError("built an oversized group")
+
+    monkeypatch.setattr(fingroup, "FiniteGroup", reached)
+    monkeypatch.setattr(fingroup, "permutations", reached)
+    for name, order in (("c49", 49), ("d98", 98), ("s7", 5040), ("s2000", "2000!")):
+        with pytest.raises(UsageError,
+                           match=f"order {order} exceeds the validation guard \\(48\\)"):
+            resolve_group(name)

@@ -25,7 +25,8 @@ from equiloday.norms import (NormRing, blocked_flip, blocking_diagonal_certifica
                              conjugate_switch, coset_blocking, diagonal_power,
                              flip_power, flip_to_diagonal, group_power_ring,
                              multiply_out_diagonal, multiply_out_flip, norm_projection,
-                             single_slot_ring, tensor_induce, tensor_of_actions)
+                             _subgroup_rwa, single_slot_ring, tensor_induce,
+                             tensor_of_actions)
 from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from oracles import (_spread_relations, coordinate_permutation_action,
                      hom_equal_dense, project_power_to_norm, reference_vec_mul)
@@ -92,14 +93,6 @@ def test_action_validation():
     with pytest.raises(ValueError):
         RingWithAction(c2, g, [(IDENTITY_TWIST, False),
                                (g.twists.intern(IntMatrix.from_rows([[1, 0], [1, 1]])), False)])
-
-
-def test_restrict_and_pullback(z3_s3):
-    sub_rwa, emb = z3_s3.restrict((0, 3, 4))
-    assert emb == (0, 3, 4)
-    assert sub_rwa.group.order == 3
-    m_local = sub_rwa.act_matrix(1)
-    assert m_local == z3_s3.act_matrix(3)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +344,9 @@ def test_trivial_norm_is_group_power():
 def test_norm_action_twists(gauss_rwa):
     s3 = make_symmetric(3)
     n = tensor_induce(s3, (0, 2), gauss_rwa)
-    assert n.cosets == [(0, 2), (1, 4), (3, 5)]
     assert n.transversal == (0, 1, 3)
+    assert [[x for x in range(6) if n.split[x][0] == t] for t in range(3)] == \
+        [[0, 2], [1, 4], [3, 5]]
     # the action of (12) fixes the identity coset and twists it by conjugation
     act = n.gt.act(2)
     slot0 = act.targets[0]
@@ -451,7 +445,7 @@ def test_weyl_relabeling_needs_defect_twists():
     ident = IDENTITY_TWIST
     bare = StructuredHom.from_routes(
         n.tensor, n.tensor,
-        [(c, n.coset_of[c4.mul(n.transversal[c], c4.inv(1))], ident, False)
+        [(c, c4.coset_index(n.sub)[c4.mul(n.transversal[c], c4.inv(1))], ident, False)
          for c in range(2)])
     assert not is_equivariant(bare, n.gt, n.gt)
     # gamma -> [gamma] is multiplicative across the whole normalizer
@@ -466,7 +460,7 @@ def test_weyl_precondition_rejects_moved_action():
     s3 = make_symmetric(3)
     perms = sorted(itertools.permutations(range(3)))
     z3rwa = coordinate_permutation_action(s3, perms)
-    rot_rwa, _ = z3rwa.restrict((0, 3, 4))
+    rot_rwa = _subgroup_rwa(s3, (0, 3, 4), lambda x: z3rwa.acts[x], z3rwa.ring)
     n = tensor_induce(s3, (0, 3, 4), rot_rwa)
     # transpositions normalize the rotations but conjugate them to inverses
     with pytest.raises(ValueError):

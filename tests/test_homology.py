@@ -116,7 +116,7 @@ def test_normalized_equals_unnormalized(name, s):
     for sub in s.group.all_subgroups():
         lc = LevelComplex(s, sub, max_level=3)
         for k in range(3):
-            assert lc.homology(k) == lc.unnormalized_homology(k), (name, sub, k)
+            assert lc.normalized.homology(k) == lc.unnormalized_homology(k), (name, sub, k)
 
 
 @pytest.mark.parametrize("name,s", all_small_instances())
@@ -351,7 +351,7 @@ def test_iso_induces_equality_on_homology(zmod4):
     iso = rh.isos[k].sparse()
     chain = _restricted(bb.reduced[k], iso @ ll.reduced[k].lift)
     m = induced_map(ll.homology_data(k), bb.homology_data(k), chain)
-    assert ll.homology(k) == bb.homology(k)
+    assert ll.normalized.homology(k) == bb.normalized.homology(k)
     # induced matrix is a bijection on the presented groups
     hom = AbHom(ll.homology_data(k).pres, bb.homology_data(k).pres, m)
     assert hom.is_isomorphism()
@@ -424,7 +424,7 @@ def test_quotient_moore_and_unnormalized_agree_on_golden_instances(
         assert _drop_levels(lc) == [free] * lc.top, sub
         _, moore = _moore_complex(lc)
         for k in range(max_degree + 1):
-            assert (lc.homology(k) == moore.homology(k)
+            assert (lc.normalized.homology(k) == moore.homology(k)
                     == lc.unnormalized_homology(k)), (sub, k)
         if not free or m == 1:  # with lifts, Gaussian m = 2 would take 10 s more
             _moore_to_quotient_is_iso(lc)
@@ -507,7 +507,7 @@ def test_unit_off_the_basis_divides_out_degenerate_images():
         lc = LevelComplex(s, sub, max_level=top)
         assert _drop_levels(lc) == [False] * lc.top, sub
         for k in range(lc.top):
-            assert lc.homology(k) == lc.unnormalized_homology(k), (sub, k)
+            assert lc.normalized.homology(k) == lc.unnormalized_homology(k), (sub, k)
 
 
 def test_free_ranks_are_the_nondegenerate_counts():
@@ -544,10 +544,10 @@ def test_quotient_matches_moore_on_small_free_rings(case):
         assert isinstance(lc.reduced[0], _Normalized)
         assert _drop_levels(lc) == [True] * lc.top, sub
         for k in range(3):
-            assert lc.homology(k) == lc.unnormalized_homology(k), (sub, k)
+            assert lc.normalized.homology(k) == lc.unnormalized_homology(k), (sub, k)
         _moore_to_quotient_is_iso(lc)
         if sub == (0,):  # both spaces are circles underneath
-            assert [lc.homology(k) for k in range(3)] == polynomial_hh(f, 0, 2)
+            assert [lc.normalized.homology(k) for k in range(3)] == polynomial_hh(f, 0, 2)
 
 
 def test_mixed_carvings_share_mackey_maps():
@@ -612,7 +612,7 @@ def test_gaussian_m2_underlying_row_through_degree_2_is_closed_form_hh():
     # built with a larger one (about 4 s)
     s = real_hochschild(2, gaussian(), truncation=3).loday_side
     lc = LevelComplex(s, (0,), max_level=3, budget=70000)
-    row = [lc.homology(k) for k in range(3)]
+    row = [lc.normalized.homology(k) for k in range(3)]
     assert row == polynomial_hh([1, 0, 1], 0, 2)
     assert shapes(row) == [(2, ()), (0, (2, 2)), (0, ())]
 
@@ -760,7 +760,7 @@ def test_each_boundary_is_smith_formed_once(monkeypatch):
         complex_ = lc.normalized
         assert not any(lv.relations.cols for lv in complex_.levels)
         calls.clear()
-        table = [lc.homology(k) for k in range(complex_.top())]
+        table = [lc.normalized.homology(k) for k in range(complex_.top())]
         assert [id(m) for m in calls] == [id(b) for b in complex_.boundaries]
-        assert [lc.homology(k) for k in range(complex_.top())] == table
+        assert [lc.normalized.homology(k) for k in range(complex_.top())] == table
         assert len(calls) == len(complex_.boundaries)  # the second pass reads the memo

@@ -262,11 +262,7 @@ def test_nested_norm_projection_composite():
     # for the order-8 dihedral group, rotations over half-rotations
     gz = gaussian()
     d8 = make_dihedral(8)
-    inv = gz.c2_action().acts[1]
     ident = IDENTITY_TWIST
-    rwa_h = RingWithAction(make_cyclic(4), gz.ring,
-                           [(ident, False), inv, (ident, False), inv])
-    rwa_k, _ = rwa_h.restrict((0, 2))
     one = make_cyclic(1)
     rwa_e = RingWithAction(one, gz.ring, [(ident, False)])
     n_e = tensor_induce(d8, (0,), rwa_e)
@@ -333,7 +329,7 @@ def independent_diagonal_action(level: GTensorRing, norms, space_level,
         targets = []
         for (o, t) in tr.slots:
             rep = norms[o].transversal[t]
-            s = norms[o].coset_of[g.mul(g.inv(gamma), rep)]
+            s = g.coset_index(norms[o].sub)[g.mul(g.inv(gamma), rep)]
             targets.append([(tr.slot_index((o, s)), m, a)])
         out.append(StructuredHom(tr, tr, targets, check=False))
     return out
