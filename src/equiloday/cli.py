@@ -2,11 +2,11 @@
 Loday pipelines, and execute the named verification suites.
 
 Exit codes: 0 everything passed, 1 a verification/validation failure (with a
-serialized witness on stdout), 2 a usage error (bad flags, missing files,
-unknown names, suite parameters the suite rejects or never reads), 3 an
-internal error: a command raised anything else, which is a bug rather than a
-verdict (its traceback and a one-line summary go to stderr, nothing to
-stdout).  For fixed inputs and flags the bytes written to stdout are
+serialized witness on stdout), 2 a usage error (bad flags, flags the command
+would ignore, missing files, unknown names, suite parameters the suite
+rejects or never reads), 3 an internal error: a command raised anything
+else, which is a bug rather than a verdict (its traceback and a one-line
+summary go to stderr, nothing to stdout).  For fixed inputs and flags the bytes written to stdout are
 deterministic; ``bench`` keeps that promise by sending its wall-clock
 timings to stderr and only the (reproducible) dimension statistics to
 stdout.
@@ -14,23 +14,31 @@ stdout.
 ``verify`` and the parser live here.  The bodies of ``group``, ``ring``,
 ``space``, ``loday`` and ``bench`` live in ``commands``, imported only to
 run one of them; the suites are reached through ``verify.run_suite``.
+
+What loads when: importing this module loads no other module of the
+package, so ``--help``, a usage error the parser or ``main`` reports, and an
+unknown suite compile none of the maths layers.  A command that runs loads
+its own layers: ``verify`` imports ``verify`` and then the one suite family
+``run_suite`` picks, every other command imports ``commands``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .coeffs import Coefficient, resolve
-from .gring import DENSE_BUDGET
+if TYPE_CHECKING:
+    from .coeffs import Coefficient
 
 OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
+# ``gring.DENSE_BUDGET`` is the default; the parser leaves ``--budget`` None
+# so that parsing loads no maths layer, and a test pins this literal to it
 _BUDGET_HELP = ("largest rank of each expanded level a fixed-point complex "
-               "builds; degrees that need a bigger level print as skips")
+               "builds; degrees that need a bigger level print as skips "
+               "(default 5000)")
 
 
 class UsageError(Exception):
@@ -47,6 +55,7 @@ def _emit_json(obj, out) -> None:
 
 
 def _emit_csv(header: Sequence[str], rows, out) -> None:
+    import csv
     w = csv.writer(out, lineterminator="\n")
     w.writerow(header)
     for row in rows:
@@ -60,6 +69,7 @@ def _emit_csv(header: Sequence[str], rows, out) -> None:
 def resolve_coefficient(spec: str) -> Coefficient:
     """A bundled name, or a path to a coefficient JSON file
     (``coeffs.resolve``)."""
+    from .coeffs import resolve
     try:
         return resolve(spec)
     except ValueError as e:
@@ -129,8 +139,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subgroups", choices=["free", "all", "classes"],
                    default="free")
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DENSE_BUDGET,
-                   help=_BUDGET_HELP + " (default %(default)s)")
+    p.add_argument("--budget", type=int, default=None, help=_BUDGET_HELP)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -184,7 +193,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--budget", type=int, default=None,
-                   help=f"realhh: {_BUDGET_HELP} (default {DENSE_BUDGET})")
+                   help="realhh: " + _BUDGET_HELP)
     p.add_argument("--subgroups", choices=["all", "classes"], default=None)
 
     p = sub.add_parser("bench", help="timing and matrix-size statistics")
@@ -199,6 +208,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "action", None) in ("info", "export") and args.name is None:
         parser.error(f"{args.command} {args.action} needs a name")
+    if args.format == "csv":
+        if getattr(args, "emit_complex", False):
+            parser.error("--emit-complex writes JSON only; drop --format csv")
+        if args.command == "group" and args.action == "export":
+            parser.error("group export writes JSON only; drop --format csv")
     try:
         if args.command == "verify":
             return cmd_verify(args, sys.stdout)

@@ -398,6 +398,12 @@ def _max_degree(args, s: SimplicialGRing, default: int) -> int:
 
 
 def _check_budget(args) -> None:
+    """Fill in ``gring.DENSE_BUDGET`` when ``--budget`` is absent (the parser
+    leaves it None, so that parsing loads no maths layer), and reject a
+    budget below one."""
+    if args.budget is None:
+        from .gring import DENSE_BUDGET
+        args.budget = DENSE_BUDGET
     if args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
 

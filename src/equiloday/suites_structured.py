@@ -86,10 +86,10 @@ def _power_instances(group_filter: Optional[str]):
     return out
 
 
-def _norm_coefficients(group: FiniteGroup, sub: tuple[int, ...]):
-    """Coefficient actions over a subgroup: trivial always, the involution
-    action where an index-2 part exists to grade it."""
-    gz = gaussian()
+def _norm_coefficients(group: FiniteGroup, sub: tuple[int, ...],
+                       gz: Coefficient):
+    """Actions of a subgroup on the Gaussian coefficient ``gz``: trivial
+    always, the involution action where an index-2 part exists to grade it."""
     sub_g, emb = subgroup_as_group(group, sub)
     out = [("trivial", RingWithAction.trivial(sub_g, gz.ring))]
     even = _even_part(sub_g)
@@ -325,7 +325,7 @@ def suite_weyl(params: Optional[dict] = None) -> dict:
     for glabel, g in _pick(_weyl_roster(), params.get("group")):
         for sub in g.all_subgroups():
             normal = g.normalizer(sub)
-            for alabel, rwa in _norm_coefficients(g, sub):
+            for alabel, rwa in _norm_coefficients(g, sub, gz):
                 n = tensor_induce(g, sub, rwa)
                 tag = f"{glabel}/H={list(sub)}/{alabel}"
                 nslots = n.tensor.nslots
@@ -395,10 +395,11 @@ def suite_weyl(params: Optional[dict] = None) -> dict:
 def suite_conjugate_switch(params: Optional[dict] = None) -> dict:
     params = params or {}
     report = _new_report("conjugate-switch")
+    gz = gaussian()
     roster = [("s3", make_symmetric(3)), ("d6", make_dihedral(12))]
     for glabel, g in _pick(roster, params.get("group")):
         for sub in g.all_subgroups():
-            for alabel, rwa in _norm_coefficients(g, sub):
+            for alabel, rwa in _norm_coefficients(g, sub, gz):
                 n = tensor_induce(g, sub, rwa)
                 tag = f"{glabel}/H={list(sub)}/{alabel}"
                 switched = {gam: conjugate_switch(n, gam)

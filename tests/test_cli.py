@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from equiloday.cli import main
+from equiloday.cli import main, make_parser
+from equiloday.gring import DENSE_BUDGET
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -204,6 +205,21 @@ def test_loday_rot_flip_vs_diagonal_faces_differ(capsys):
     assert a["homology"] == b["homology"]
 
 
+# both write JSON whatever --format says, so csv is a flag they would ignore
+@pytest.mark.parametrize("argv,message", [
+    (["group", "export", "s3"], "group export writes JSON only"),
+    (["loday", "run", "--kind", "sigma", "--coeff", "z", "--max-degree", "0",
+      "--emit-complex"], "--emit-complex writes JSON only"),
+])
+def test_json_only_output_refuses_csv(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_loday_deterministic_bytes(capsys):
     argv = ("loday", "run", "--kind", "sigma", "--coeff", "gaussian",
             "--subgroups", "all", "--max-degree", "1", "--emit-complex")
@@ -357,6 +373,27 @@ def test_budget_of_one_still_runs(capsys):
                        "--budget", "1")
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("command", ["loday", "bench", "verify"])
+def test_budget_help_names_the_default(capsys, command):
+    # the parser leaves --budget None; its help spells the default out
+    with pytest.raises(SystemExit):
+        make_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    budget_help = text.rsplit("--budget BUDGET", 1)[1].split(" --", 1)[0]
+    assert f"(default {DENSE_BUDGET})" in budget_help
+
+
+def test_no_budget_runs_as_the_default_budget(capsys):
+    argv = ("loday", "run", "--kind", "polygon", "--m", "2", "--coeff",
+            "gaussian", "--truncation", "3", "--subgroups", "classes")
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    assert any(r["status"] == "skipped" for r in json.loads(default)["homology"])
+    code, explicit, _ = run(capsys, *argv, "--budget", "5000")
+    assert code == 0
+    assert default == explicit
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
@@ -519,8 +556,12 @@ import json, sys
 bare = set(sys.modules)
 import contextlib, io
 from equiloday import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[2:])
+with contextlib.redirect_stdout(io.StringIO()), \
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[2:])
+    except SystemExit as e:  # a usage error the parser reports
+        code = e.code
 new = {m for m in set(sys.modules) - bare
        if m.startswith("equiloday.") or m == "dataclasses"}
 held = {"equiloday." + split for split, names in json.loads(sys.argv[1]).items()
@@ -536,37 +577,68 @@ _SPLIT = {"norms": ["NormRing", "tensor_induce", "psi_level"],
           "spaces": ["build_cayley", "build_sigma_circle"]}
 
 
-@pytest.mark.parametrize("argv,absent,present", [
-    (["verify", "--suite", "xi"],
-     _LAYERS | {"spaces"} | (_FAMILIES - {"suites_structured"}),
-     {"verify", "suites_structured"}),
-    (["verify", "--suite", "counit"],
-     _LAYERS | {"spaces"} | (_FAMILIES - {"suites_structured"}),
-     {"verify", "suites_structured"}),
-    (["verify", "--suite", "conjugate-switch", "--group", "s3"],
-     _LAYERS | {"spaces"} | (_FAMILIES - {"suites_structured"}),
-     {"verify", "suites_structured"}),
-    (["verify", "--suite", "one-isotropy"],
-     {"homology"} | (_FAMILIES - {"suites_isotropy"}),
-     {"verify", "loday", "simpgset", "suites_isotropy"}),
-    (["verify", "--suite", "realhh", "--m", "1", "--coeff", "z"],
-     (_FAMILIES - {"suites_realhh"}) | {"spaces"},
-     {"verify", "suites_realhh"} | _LAYERS),
-    (["group", "info", "s3"], _LAYERS | _FAMILIES | {"verify", "norms", "spaces"},
-     {"commands"}),
-])
-def test_commands_load_only_the_layers_they_run(argv, absent, present):
+def _loaded(*argv) -> tuple[int, set[str]]:
+    """Exit status of one command run in a fresh interpreter, and the
+    package's modules it loaded."""
     proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(_SPLIT), *argv],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     code, *modules = proc.stdout.split()
-    loaded = {m.split(".")[-1] for m in modules}
-    assert code == "0"
-    assert {"cli", "gring"} <= loaded
+    assert "dataclasses" not in modules
+    return int(code), {m.split(".")[-1] for m in modules}
+
+
+def test_importing_the_cli_loads_no_other_module_of_the_package():
+    # the parser needs no maths layer: each command loads its own
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; bare = set(sys.modules); import equiloday.cli; "
+         "print(*sorted(m for m in set(sys.modules) - bare "
+         "if m.startswith('equiloday.')))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.stdout.split() == ["equiloday.cli"]
+
+
+@pytest.mark.parametrize("argv,absent,present", [
+    (["verify", "--suite", "xi"],
+     _LAYERS | {"spaces"} | (_FAMILIES - {"suites_structured"}),
+     {"verify", "suites_structured", "gring"}),
+    (["verify", "--suite", "counit"],
+     _LAYERS | {"spaces"} | (_FAMILIES - {"suites_structured"}),
+     {"verify", "suites_structured", "gring"}),
+    (["verify", "--suite", "conjugate-switch", "--group", "s3"],
+     _LAYERS | {"spaces"} | (_FAMILIES - {"suites_structured"}),
+     {"verify", "suites_structured", "gring"}),
+    (["verify", "--suite", "one-isotropy"],
+     {"homology"} | (_FAMILIES - {"suites_isotropy"}),
+     {"verify", "loday", "simpgset", "suites_isotropy", "gring"}),
+    (["verify", "--suite", "realhh", "--m", "1", "--coeff", "z"],
+     (_FAMILIES - {"suites_realhh"}) | {"spaces"},
+     {"verify", "suites_realhh", "gring"} | _LAYERS),
+    (["group", "info", "s3"],
+     _LAYERS | _FAMILIES | {"verify", "norms", "spaces", "gring"},
+     {"commands"}),
+])
+def test_commands_load_only_the_layers_they_run(argv, absent, present):
+    code, loaded = _loaded(*argv)
+    assert code == 0
+    assert "cli" in loaded
     assert ("commands" in loaded) == (argv[0] != "verify")
-    assert "dataclasses" not in loaded
     assert not absent & loaded
     assert present <= loaded
+
+
+@pytest.mark.parametrize("argv,loads", [
+    # an unknown suite is named before any family loads
+    (["verify", "--suite", "nope"], {"cli", "verify"}),
+    # a flag the command would ignore is refused right after parsing
+    (["group", "export", "s3", "--format", "csv"], {"cli"}),
+    (["loday", "run", "--kind", "sigma", "--coeff", "z", "--emit-complex",
+      "--format", "csv"], {"cli"}),
+])
+def test_usage_errors_load_no_layer_of_the_command(argv, loads):
+    assert _loaded(*argv) == (2, loads)
 
 
 def test_run_as_a_module_the_commands_raise_the_usage_error_main_catches():

@@ -60,7 +60,8 @@ def _full_actions(g):
 
 @pytest.mark.parametrize("label,g", ROSTER, ids=[label for label, _ in ROSTER])
 def test_norm_maps_match_their_hand_derived_references(label, g):
-    ring = gaussian().ring
+    gz = gaussian()
+    ring = gz.ring
     norms = []
     for sub in g.all_subgroups():
         assert coset_blocking(g, sub, ring).targets == \
@@ -70,7 +71,7 @@ def test_norm_maps_match_their_hand_derived_references(label, g):
                 _targets(reference_blocked_diagonal(g, sub, rwa).action)
             assert blocking_diagonal_certificate(g, sub, rwa) == \
                 reference_blocking_diagonal_certificate(g, sub, rwa)
-        for _, rwa in _norm_coefficients(g, sub):
+        for _, rwa in _norm_coefficients(g, sub, gz):
             n = NormRing(g, sub, rwa)
             norms.append(n)
             assert _targets(n.gt.action) == _targets(reference_norm_action(g, sub, rwa))

@@ -57,3 +57,19 @@ def test_esigma_past_the_budget_skips_instead_of_crashing(m):
     assert [c["name"] for c in skips] == [f"quaternion-pipeline-m{m}/homology-tables"]
     assert skips[0]["witness"] == {
         "reason": f"level rank {4 ** (4 * m)} exceeds the dense budget {DENSE_BUDGET}"}
+
+
+@pytest.mark.parametrize("name", ["weyl", "conjugate-switch"])
+def test_norm_suites_build_the_gaussian_coefficient_once(monkeypatch, name):
+    # every subgroup's actions dress the one coefficient the suite loaded,
+    # instead of re-reading gaussian.json per subgroup
+    calls = []
+    build = suites_structured.gaussian
+
+    def counted():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(suites_structured, "gaussian", counted)
+    assert run_suite(name, {"group": "s3"})["passed"]
+    assert len(calls) == 1
