@@ -32,7 +32,7 @@ Conventions
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .smith import SmithSolver, _condition_rows, invariant_factors, kernel_columns
 
@@ -165,17 +165,24 @@ class SparseMatrix:
                 rows[i][j] = v
         return rows
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+    def _times_column(self, col: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """``self`` applied to one sparse column, as a sparse column."""
+        acc: dict[int, int] = {}
+        for k, w in col:
+            for i, v in self.data[k]:
+                acc[i] = acc.get(i, 0) + v * w
+        return sorted((i, v) for i, v in acc.items() if v)
+
+    def product_columns(self, other: "SparseMatrix") -> Iterator[list[tuple[int, int]]]:
+        """The columns of ``self @ other``, each formed only when it is read,
+        so a reader that takes one column at a time never holds the whole
+        product."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        cols = []
-        for col in other.data:
-            acc: dict[int, int] = {}
-            for k, w in col:
-                for i, v in self.data[k]:
-                    acc[i] = acc.get(i, 0) + v * w
-            cols.append(sorted((i, v) for i, v in acc.items() if v))
-        return SparseMatrix(self.rows, cols)
+        return map(self._times_column, other.data)
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return SparseMatrix(self.rows, list(self.product_columns(other)))
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -429,8 +436,9 @@ class ChainComplex:
         self.boundaries = boundaries
         self._factors: dict[int, list[int]] = {}
         for k in range(1, len(boundaries)):
-            square = boundaries[k - 1] @ boundaries[k]
-            if not all(map(levels[k - 1].is_zero_column, square.data)):
+            # each column of the composite is checked as it is formed
+            square = boundaries[k - 1].product_columns(boundaries[k])
+            if not all(map(levels[k - 1].is_zero_column, square)):
                 raise ValueError(f"boundary composite at degree {k + 1} is nonzero")
         for k, b in enumerate(boundaries, start=1):
             if not hom_is_well_defined(levels[k], levels[k - 1], b):

@@ -38,8 +38,8 @@ and action maps are column-sparse (``SparseMatrix``).  Boundaries and
 actions are cached per simplicial ring, so every subgroup reuses them: one
 alternating face sum per level (``SimplicialGRing.expanded_boundary``),
 never its n + 1 faces, which are expanded and added in one at a time.  A
-level's degeneracies are read once per complex and expanded there, so they
-are not held while higher levels are built.  Across rings,
+level's degeneracies are read once per complex and expanded there, one at
+a time, so they are not held while higher levels are built.  Across rings,
 ``homology_tables`` builds one complex per distinct
 ``SimplicialGRing.expansion_key``, so rings that are one simplicial module
 up to slot labels (the two sides of ``real_hochschild``) share a single
@@ -56,7 +56,11 @@ carving conditions reach the Smith-form engine as sparse rows
 (``smith.kernel_columns``), and the restricted boundaries and chain maps are
 ``SparseMatrix`` all the way to ``ChainComplex`` and ``induced_map``.  Only
 maps between homology groups
-(``induced_map``, ``MackeyH``) are dense ``IntMatrix``.
+(``induced_map``, ``MackeyH``) are dense ``IntMatrix``.  No whole product
+of a map with a lift is held: ``_restricted`` expresses each column of
+``map @ lift`` as soon as it is formed (``SparseMatrix.product_columns``),
+for the boundaries of both complexes, the degenerate images and the
+``MackeyH`` chain maps, and keeps only the coordinates.
 """
 
 from functools import cached_property
@@ -183,14 +187,17 @@ class _Normalized:
 Carved = Union[Fixed, _Normalized]
 
 
-def _restricted(dst: Carved, cols: SparseMatrix) -> SparseMatrix:
-    """The ambient columns ``cols`` written in the basis of a carved subgroup.
+def _restricted(dst: Carved, m: SparseMatrix,
+                lift: Optional[SparseMatrix] = None) -> SparseMatrix:
+    """The ambient columns of ``m @ lift`` (of ``m`` without a lift) written
+    in the basis of a carved subgroup.
 
-    Callers compose the map with the source lift first, e.g.
-    ``s.expanded_boundary(n) @ reduced.lift``.
+    Each column of the product is expressed as soon as it is formed, and
+    only the coordinates are kept: the whole ambient product, as large as
+    the source lift times the map's fill, is never held.
     """
     out = []
-    for col in cols.data:
+    for col in m.data if lift is None else m.product_columns(lift):
         coords = dst.express(col)
         if coords is None:
             raise ValueError("map does not carry the source subgroup into the target")
@@ -285,20 +292,29 @@ class LevelComplex:
         self.reduced = [self._normalized_level(n) for n in range(top + 1)]
         self.normalized = ChainComplex(
             [r.pres for r in self.reduced],
-            [_restricted(self.reduced[n - 1], s.expanded_boundary(n) @ self.reduced[n].lift)
+            [_restricted(self.reduced[n - 1], s.expanded_boundary(n), self.reduced[n].lift)
              for n in range(1, top + 1)])
 
     def _normalized_level(self, n: int) -> _Normalized:
         fixed = self.fixed[n]
-        degens = [self.s.degeneracy(n - 1, j).sparse() for j in range(n)]
-        if (isinstance(fixed, _OrbitFixed) and not fixed.pres.relations.cols
-                and _one_sign_per_column(degens)):
-            hit = {col[0][0] for d in degens for col in d.data}
-            return _Normalized(fixed, dropped={c for head, c in fixed._head.items()
-                                               if head in hit})
+        if isinstance(fixed, _OrbitFixed) and not fixed.pres.relations.cols:
+            # one expanded degeneracy alive at a time, only its hits kept
+            hit: set[int] = set()
+            for d in self._degeneracies(n):
+                if not _one_sign_per_column((d,)):
+                    break
+                hit.update(col[0][0] for col in d.data)
+            else:
+                return _Normalized(fixed, dropped={c for head, c in fixed._head.items()
+                                                   if head in hit})
         return _Normalized(fixed, degenerate=[
-            col for d in degens
-            for col in _restricted(fixed, d @ self.fixed[n - 1].lift).data])
+            col for d in self._degeneracies(n)
+            for col in _restricted(fixed, d, self.fixed[n - 1].lift).data])
+
+    def _degeneracies(self, n: int):
+        """The expanded degeneracies s_j into level n, each expanded only
+        when it is read."""
+        return (self.s.degeneracy(n - 1, j).sparse() for j in range(n))
 
     @cached_property
     def unnormalized(self) -> ChainComplex:
@@ -307,7 +323,7 @@ class LevelComplex:
         against the normalized complex reads it."""
         return ChainComplex(
             [f.pres for f in self.fixed],
-            [_restricted(self.fixed[n - 1], self.s.expanded_boundary(n) @ self.fixed[n].lift)
+            [_restricted(self.fixed[n - 1], self.s.expanded_boundary(n), self.fixed[n].lift)
              for n in range(1, self.top + 1)])
 
     def homology_data(self, k: int) -> SubQuotient:
@@ -428,10 +444,10 @@ class MackeyH:
                       level_map: Optional[SparseMatrix]) -> SparseMatrix:
         k = self.degree
         a, b = self._lc[src], self._lc[dst]
-        cols = a.reduced[k].lift
-        if level_map is not None:
-            cols = level_map @ cols
-        return _restricted(b.reduced[k], cols)
+        lift = a.reduced[k].lift
+        if level_map is None:
+            return _restricted(b.reduced[k], lift)
+        return _restricted(b.reduced[k], level_map, lift)
 
     def _act(self, sub: tuple[int, ...], elem: int) -> SparseMatrix:
         return self._lc[sub].s.expanded_act(self.degree, elem)

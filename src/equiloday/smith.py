@@ -19,6 +19,13 @@ Three readers take the reduction: ``invariant_factors`` the diagonal alone,
 the dense front doors ``exactalg.kernel_basis`` and
 ``exactalg.column_space_basis`` are built on these.
 
+Only the transform readers, ``kernel_columns`` and ``SmithSolver`` (and
+through them every carved basis, generator lift and ``--emit-complex``
+byte), read the engine's pivot order.  Invariant factors do not depend on
+it, so ``invariant_factors`` first takes the unit pivots in a fill-aware
+order (``_drop_unit_pivots``) and runs the engine on the unit-free rest
+alone.
+
 >>> from equiloday.exactalg import IntMatrix
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> invariant_factors(M)
@@ -320,11 +327,85 @@ def _snf_engine(A: _SparseWork, want_u: bool, want_v: bool):
     return A, U, VT, t
 
 
+def _drop_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]], int]:
+    """Eliminate unit pivots from the matrix with sparse rows ``rows``
+    (consumed).  Returns the number of pivots taken, and the rest as sparse
+    rows, columns increasing, on its nonzero columns compacted to
+    0, 1, 2, ..., with that number of columns: no entry of it is +-1.
+
+    The order is fill-aware, a greedy form of Markowitz's rule: a +-1 entry
+    of the shortest row left, in that row's unit column with the fewest
+    entries.  No transform is kept, so once the pivot's column is cleared
+    its row touches no other column, and the row and the column are
+    dropped, each a factor 1.
+
+    >>> _drop_unit_pivots([{0: 2, 1: 1}, {0: 4, 1: 3}])   # [[2, 1], [4, 3]]
+    (1, [{0: -2}], 1)
+
+    Rows wait in buckets by length, and the shortest bucket goes first.  A
+    row is queued again whenever it changes, and a queued length that is
+    stale is skipped, so every row left was looked at, and held no unit,
+    after its last change.  (A bucket queue: ``heapq`` would add a module
+    to the start-up of every command.)
+    The column index holds lists, not sets: a column has few entries, and
+    a set's table costs several times a short list's memory.
+    """
+    colidx: dict[int, list[int]] = {}
+    queue: dict[int, list[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            colidx.setdefault(j, []).append(i)
+        if r:
+            queue.setdefault(len(r), []).append(i)
+    units = 0
+    while queue:
+        size = min(queue)
+        waiting = queue[size]
+        i = waiting.pop()
+        if not waiting:
+            del queue[size]
+        r = rows[i]
+        if len(r) != size:
+            continue
+        cands = [j for j, v in r.items() if v == 1 or v == -1]
+        if not cands:
+            continue
+        pj = min(cands, key=lambda j: len(colidx[j]))
+        p = r.pop(pj)
+        rows[i] = {}
+        for j in r:
+            colidx[j].remove(i)
+        colidx[pj].remove(i)
+        # clear column pj: row k -= (its entry times p) * row i; the
+        # entry in column pj itself is dropped with the column
+        for k in colidx.pop(pj):
+            rk = rows[k]
+            mult = -rk.pop(pj) * p
+            for j, v in r.items():
+                old = rk.get(j)
+                if old is None:
+                    rk[j] = mult * v
+                    colidx[j].append(k)
+                elif nv := old + mult * v:
+                    rk[j] = nv
+                else:
+                    del rk[j]
+                    colidx[j].remove(k)
+            if rk:
+                queue.setdefault(len(rk), []).append(k)
+        units += 1
+    cmap = {j: c for c, j in enumerate(sorted(j for j, s in colidx.items() if s))}
+    rest = [{cmap[j]: v for j, v in sorted(r.items())} for r in rows if r]
+    return units, rest, len(cmap)
+
+
 def invariant_factors(M: IntMatrix | SparseMatrix) -> list[int]:
-    """Nonzero diagonal of the Smith form, cheapest path (no U or V)."""
-    A, _, _, rank = _snf_engine(_SparseWork.from_rows(M.sparse_rows(), M.cols),
-                                False, False)
-    return [A.get(i, i) for i in range(rank)]
+    """Nonzero diagonal of the Smith form, cheapest path (no U or V): the
+    unit pivots in ``_drop_unit_pivots``'s order, then the engine on the
+    unit-free rest."""
+    units, rows, ncols = _drop_unit_pivots(M.sparse_rows())
+    A, _, _, rank = _snf_engine(_SparseWork.from_rows(rows, ncols), False, False)
+    return [1] * units + [A.get(i, i) for i in range(rank)]
 
 
 def kernel_columns(rows: list[dict[int, int]], n: int,

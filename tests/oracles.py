@@ -28,8 +28,9 @@ from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, Present
                                 kernel_basis)
 from equiloday.fingroup import FiniteGroup, make_cyclic, subgroup_as_group
 from equiloday.gring import GTensorRing, StructuredHom, TensorRing, equivariance_defect
-from equiloday.homology import (Fixed, LevelComplex, _OrbitFixed, _fixed_level,
-                                _generating_subset, _restricted)
+from equiloday.homology import (Fixed, LevelComplex, _Normalized, _OrbitFixed,
+                                _fixed_level, _generating_subset,
+                                _one_sign_per_column, _restricted)
 from equiloday.loday import SimplicialGRing, loday, transport_to_diagonal
 from equiloday.norms import (NormRing, _actions_agree, _ordered_fold, _subgroup_rwa,
                              blocked_diagonal, blocked_ring, coset_blocking,
@@ -1339,6 +1340,49 @@ def reference_orbit_express(fixed: _OrbitFixed, col: list[tuple[int, int]]
     out = sorted((k, v) for i, v in col if (k := fixed._head.get(i)) is not None)
     back = fixed.lift @ SparseMatrix(fixed.lift.cols, [out])
     return out if back.data[0] == list(col) else None
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point pipeline as it was before it streamed products: every
+# product formed whole before it was read, and every degeneracy of a level
+# held at once
+
+
+def reference_restricted(dst, m: SparseMatrix, lift: SparseMatrix) -> SparseMatrix:
+    """``homology._restricted`` of the whole product ``m @ lift``, formed
+    first and then expressed column by column."""
+    out = []
+    for col in (m @ lift).data:
+        coords = dst.express(col)
+        if coords is None:
+            raise ValueError("map does not carry the source subgroup into the target")
+        out.append(coords)
+    return SparseMatrix(dst.pres.ngens, out)
+
+
+def reference_chain_check(levels: list[PresentedAb], boundaries: list[SparseMatrix]) -> None:
+    """``ChainComplex.__init__``'s composite check, each whole square
+    d_(k-1) d_k formed before its columns are read."""
+    for k in range(1, len(boundaries)):
+        square = boundaries[k - 1] @ boundaries[k]
+        if not all(map(levels[k - 1].is_zero_column, square.data)):
+            raise ValueError(f"boundary composite at degree {k + 1} is nonzero")
+
+
+def reference_normalized_level(lc: LevelComplex, n: int) -> _Normalized:
+    """``LevelComplex._normalized_level`` with every expanded degeneracy of
+    level n held at once, and the degenerate images restricted from whole
+    products."""
+    fixed = lc.fixed[n]
+    degens = [lc.s.degeneracy(n - 1, j).sparse() for j in range(n)]
+    if (isinstance(fixed, _OrbitFixed) and not fixed.pres.relations.cols
+            and _one_sign_per_column(degens)):
+        hit = {col[0][0] for d in degens for col in d.data}
+        return _Normalized(fixed, dropped={c for head, c in fixed._head.items()
+                                           if head in hit})
+    return _Normalized(fixed, degenerate=[
+        col for d in degens
+        for col in reference_restricted(fixed, d, lc.fixed[n - 1].lift).data])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from equiloday import exactalg
 from equiloday.cli import make_parser, resolve_coefficient
 from equiloday.coeffs import Coefficient, gaussian, integers, load_bundled
 from equiloday.commands import build_pipeline, build_space
-from equiloday.exactalg import (FgAbelianGroup, IntMatrix, PresentedAb,
+from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
                                 SizeBudgetExceeded, SparseMatrix, SubQuotient,
                                 induced_map)
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
@@ -24,7 +24,8 @@ from equiloday.verify import run_suite
 
 from oracles import (AbHom, _moore_complex, cyclic_bar_homology, oracle_h0,
                      polynomial_hh, polynomial_mult, reference_boundary,
-                     reference_degenerate_tuples)
+                     reference_chain_check, reference_degenerate_tuples,
+                     reference_normalized_level, reference_restricted)
 
 
 def shapes(table):
@@ -444,6 +445,84 @@ def test_restricted_boundaries_match_face_sums_on_golden_instances(
                 for n in range(1, lc.top + 1)], sub
 
 
+# the golden instances and realhh-free's own (the Gaussian 2-gon through
+# degree 3)
+STREAMED_INSTANCES = GOLDEN_INSTANCES + [("gaussian", 1, 4, 3)]
+
+
+@pytest.mark.parametrize("name,m,truncation,max_degree", STREAMED_INSTANCES)
+def test_streamed_products_match_whole_products(name, m, truncation, max_degree):
+    # every product the pipeline reads column by column, against the same
+    # product formed whole first: the boundaries of both complexes, the
+    # normalized levels (their degenerate images and dropped orbits), and
+    # the composite check, which passes on both routes
+    coeff = gaussian() if name == "gaussian" else load_bundled(name)
+    s = real_hochschild(m, coeff, truncation).loday_side
+    for sub in [cls[0] for cls in s.group.subgroup_classes()]:
+        lc = LevelComplex(s, sub, max_level=max_degree + 1)
+        for n in range(lc.top + 1):
+            got, want = lc.reduced[n], reference_normalized_level(lc, n)
+            assert got.lift == want.lift and got.pres.relations == want.pres.relations
+        for carved, chains in ((lc.reduced, lc.normalized), (lc.fixed, lc.unnormalized)):
+            assert chains.boundaries == [
+                reference_restricted(carved[n - 1], s.expanded_boundary(n), carved[n].lift)
+                for n in range(1, lc.top + 1)], sub
+            reference_chain_check(chains.levels, chains.boundaries)
+
+
+@pytest.mark.parametrize("name,m", [("gaussian", 1), ("gaussian", 2), ("zmod4", 2)])
+def test_streamed_mackey_maps_match_whole_products(name, m):
+    # the restriction and the conjugation chain maps of MackeyH (a transfer
+    # is a sum of conjugations, restricted the same way)
+    coeff = gaussian() if name == "gaussian" else load_bundled(name)
+    s = real_hochschild(m, coeff, 2).loday_side
+    mk = mackey_homology(s, 1)
+    g, k = s.group, mk.degree
+    for src in mk.subgroups:
+        for dst in mk.subgroups:
+            a, b = mk._lc[src].reduced[k], mk._lc[dst].reduced[k]
+            if set(dst) <= set(src):
+                assert (mk._chain_matrix(src, dst, None)
+                        == reference_restricted(b, SparseMatrix.identity(a.lift.rows), a.lift))
+            for elem in range(g.order):
+                if tuple(sorted(g.conjugate_subgroup(elem, src))) == dst:
+                    act = mk._act(src, elem)
+                    assert mk._chain_matrix(src, dst, act) == reference_restricted(b, act, a.lift)
+
+
+def test_streamed_restriction_raises_on_a_planted_bad_column():
+    # 1 <-> 2 and 0 negated: the fixed vectors are the multiples of e1 + e2;
+    # the second column of m @ lift is e1 alone, off the carving
+    fixed = _OrbitFixed(PresentedAb(3), [[(0, -1), (2, 1), (1, 1)]])
+    m = SparseMatrix(3, [[(1, 1), (2, 1)], [(1, 1)]])
+    good = SparseMatrix(2, [[(0, 2)], [(0, 1)]])
+    assert (_restricted(fixed, m, good)
+            == reference_restricted(fixed, m, good) == SparseMatrix(1, [[(0, 2)], [(0, 1)]]))
+    bad = SparseMatrix(2, [[(0, 1)], [(1, 1)], [(0, 1), (1, -1)]])
+    for route in (_restricted, reference_restricted):
+        with pytest.raises(ValueError, match="does not carry the source subgroup"):
+            route(fixed, m, bad)
+
+
+def test_streamed_composite_check_raises_on_a_planted_bad_column():
+    # realhh-free's normalized complex through degree 2, with one more top
+    # generator whose boundary d(e_i) is not a cycle: column i of d_2 is
+    # nonzero on a free level, so d_2 d_3 fails at degree 3 on both routes
+    lc = LevelComplex(real_hochschild(1, gaussian(), 3).loday_side, (0,), max_level=3)
+    chains = lc.normalized
+    d2, d3 = chains.boundaries[1], chains.boundaries[2]
+    i = next(j for j, col in enumerate(d2.data) if col)
+    planted = SparseMatrix(d3.rows, d3.data + [[(i, 1)]])
+    levels = chains.levels[:3] + [PresentedAb(planted.cols)]
+    bounds = chains.boundaries[:2] + [planted]
+    with pytest.raises(ValueError, match="boundary composite at degree 3 is nonzero"):
+        ChainComplex(levels, bounds)
+    with pytest.raises(ValueError, match="boundary composite at degree 3 is nonzero"):
+        reference_chain_check(levels, bounds)
+    # without the planted column both routes accept the complex
+    reference_chain_check(chains.levels, chains.boundaries)
+
+
 def _cli_pipeline(*argv):
     """The simplicial ring ``loday run`` builds from these options."""
     args = make_parser().parse_args(["loday", "run", *argv])
@@ -615,6 +694,30 @@ def test_gaussian_m2_underlying_row_through_degree_2_is_closed_form_hh():
     row = [lc.normalized.homology(k) for k in range(3)]
     assert row == polynomial_hh([1, 0, 1], 0, 2)
     assert shapes(row) == [(2, ()), (0, (2, 2)), (0, ())]
+
+
+# the Gaussian 4-gon through degree 2, one row per subgroup class of D_8;
+# degree 2 needs level 3 (rank 65,536), past the default budget
+GAUSSIAN_M2_TABLE = {
+    (0,): [(2, ()), (0, (2, 2)), (0, ())],
+    (0, 1): [(2, (2,)), (0, (2, 2, 4)), (0, (2, 2))],
+    (0, 2): [(1, (2,)), (0, (2, 2, 2)), (0, (2, 2, 2))],
+    (0, 3): [(1, (2,)), (0, (2, 2, 2)), (0, (2, 2, 2))],
+    (0, 1, 2, 3): [(1, (2, 2, 2)), (0, (2,) * 7 + (4,)), (0, (2,) * 13)],
+}
+
+
+@pytest.mark.slow
+def test_gaussian_m2_table_through_degree_2_on_every_class():
+    # every class of the realhh table at --budget 70000, both sides sharing
+    # one complex per class (about 10 s, mostly the top boundaries' Smith
+    # forms)
+    rh = real_hochschild(2, gaussian(), truncation=3)
+    classes = [cls[0] for cls in rh.loday_side.group.subgroup_classes()]
+    assert classes == list(GAUSSIAN_M2_TABLE)
+    for sub in classes:
+        tl, tb = homology_tables([rh.loday_side, rh.bar_side], sub, 2, budget=70000)
+        assert shapes(tl) == shapes(tb) == GAUSSIAN_M2_TABLE[sub], sub
 
 
 def test_reflection_rows_at_m2_equal_the_m1_c2_row():
