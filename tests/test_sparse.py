@@ -70,6 +70,18 @@ def test_sparse_matrix_agrees_with_dense(triple, vec):
         assert all(v for col in m.data for _, v in col)
 
 
+def test_product_columns_check_shapes_before_any_column_is_read():
+    a, b = SparseMatrix(2, [[(0, 1)]]), SparseMatrix(2, [[(1, 1)]])  # 2 x 1 twice
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        a.product_columns(b)
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        a @ b
+    row = SparseMatrix(1, [[(0, 2)], [], [(0, -1)]])  # (2, 0, -1)
+    cols = row.product_columns(SparseMatrix(3, [[(0, 1), (2, 2)], [(1, 5)]]))
+    assert next(cols) == []  # 2 - 2 cancels: no zero is stored
+    assert list(cols) == [[]]
+
+
 # ---------------------------------------------------------------------------
 # expansion against the per-tuple oracle
 
