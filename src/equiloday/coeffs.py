@@ -167,10 +167,6 @@ def resolve(spec: str) -> Coefficient:
 # -- programmatic constructors (used across the test corpus) ------------------
 
 
-def integers() -> Coefficient:
-    return load_bundled("z")
-
-
 def gaussian() -> Coefficient:
     return load_bundled("gaussian")
 

@@ -4,7 +4,8 @@ abelian groups, and homology of bounded chain complexes.
 Everything here is plain Python ``int`` arithmetic.  Pivots in Smith normal
 form reductions routinely overflow 64-bit words even on modest inputs, so no
 fixed-width path exists anywhere in this module or in ``smith``, which holds
-the Smith-form engine and its solvers that everything here reads.
+the one Smith-form engine and its three readers, ``invariant_factors``,
+``kernel_columns`` and ``SmithSolver``, that everything here calls.
 
 Conventions
 -----------
@@ -230,12 +231,13 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
 
 def column_space_basis(M: SparseMatrix) -> tuple[SparseMatrix, SmithSolver]:
     """A basis (as columns) of the column span of M, and a solver for
-    coordinates in it: with ``U M V = D`` the basis is the first ``rank``
-    columns of ``M V = U^-1 D``, so ``b = basis @ y`` iff ``U b = D y``."""
+    coordinates in it: with ``U M V = D``, zero but at the pivots, the
+    basis is the columns of ``M V = U^-1 D`` at the pivots, in pivot
+    order, so ``b = basis @ y`` iff ``U b = D y``."""
     solver = SmithSolver(M)
-    basis = M @ SparseMatrix(M.cols, [sorted(solver.VT.row[j].items())
-                                      for j in range(solver.rank)])
-    solver.VT, solver.cols = None, solver.rank
+    basis = M @ SparseMatrix(M.cols, [sorted(solver.VT[j].items())
+                                      for _, j, _ in solver.pivots])
+    solver.VT = None
     return basis, solver
 
 

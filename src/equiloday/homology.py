@@ -47,7 +47,9 @@ expansion, carving and Smith form.  A fixed carving is one of two kinds,
 each with a ``SparseMatrix`` lift: on free levels whose actions are signed
 permutations (and on whole levels) the fixed points are orbit sums
 (``_OrbitFixed``); elsewhere they are carved by Smith form
-(``SubQuotient``).  The fixed carving happens once per level, and the
+(``SubQuotient``).  Either way fixity is imposed at H's generators alone,
+``FiniteGroup.generating_sequence`` of H as a group (``subgroup_as_group``)
+carried into G.  The fixed carving happens once per level, and the
 normalized level (``_Normalized``) reuses its lift columns and its
 ``express`` rather than carving again at ambient size.  Sparse columns in,
 sparse columns out: the level relations (``TensorRing.dense_group``, built
@@ -69,7 +71,7 @@ from typing import Optional, Sequence, Union
 from .exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
                        SizeBudgetExceeded, SparseMatrix, SubQuotient,
                        _dedup_cols, induced_map)
-from .fingroup import FiniteGroup
+from .fingroup import FiniteGroup, subgroup_as_group
 from .gring import DENSE_BUDGET
 from .smith import _condition_rows, kernel_columns
 
@@ -205,17 +207,6 @@ def _restricted(dst: Carved, m: SparseMatrix,
     return SparseMatrix(dst.pres.ngens, out)
 
 
-def _generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
-    """A small generating set for sub; fixity only needs to be imposed there."""
-    gens: list[int] = []
-    have = (0,)
-    for k in sorted(set(sub)):
-        if k not in have:
-            gens.append(k)
-            have = g.subgroup_generated(gens)
-    return gens
-
-
 def _fixed_level(s, n: int, gens: Sequence[int]) -> Fixed:
     pres = s.levels[n].tensor.dense_group()
     rank, rels = pres.ngens, pres.relations
@@ -286,7 +277,10 @@ class LevelComplex:
         self.sub = sub
         self.top = top
 
-        gens = _generating_subset(g, sub)
+        # fixity need only be imposed at generators: H's own generating
+        # sequence, carried into G by its embedding
+        local, emb = subgroup_as_group(g, sub)
+        gens = [emb[k] for k in local.generating_sequence()]
         self.fixed: list[Fixed] = [_fixed_level(s, n, gens)
                                    for n in range(top + 1)]
         self.reduced = [self._normalized_level(n) for n in range(top + 1)]

@@ -3,10 +3,11 @@
 Most of this is deliberately built from raw multiplication tables and
 plain integer matrices, bypassing the structured-homomorphism machinery,
 so that agreement between the two is evidence rather than tautology.  The
-rest are the dense front doors and second routes that only tests read
-(``smith_normal_form``, ``solve``, ``sparse_apply``, ``tensor``,
-``AbHom``, ``isomorphisms_to``, ``project_power_to_norm``,
-``hom_equal_dense``, ``oracle_h0``, ``_moore_complex``) and the code a
+rest are the dense front doors, constructors and second routes that only
+tests read (``integers``, ``smith_normal_form``, ``check_engine``,
+``solve``, ``sparse_apply``, ``tensor``, ``AbHom``, ``isomorphisms_to``,
+``project_power_to_norm``, ``hom_equal_dense``, ``oracle_h0``,
+``_moore_complex``) and the code a
 rewrite replaced, kept as the reference it is compared against: the package
 itself keeps only what its pipeline calls.  The oracles that read single
 faces expand them here (``StructuredHom.sparse``), since the pipeline keeps
@@ -19,18 +20,18 @@ from ``FiniteGroup.coset_split``.
 """
 
 from itertools import product
+from math import gcd
 from typing import Optional, Sequence
 
 from equiloday import gring, smith
-from equiloday.coeffs import Coefficient
-from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
-                                SparseMatrix, SubQuotient, hom_is_well_defined,
-                                kernel_basis)
+from equiloday.coeffs import Coefficient, load_bundled
+from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, Lattice,
+                                PresentedAb, SparseMatrix, SubQuotient,
+                                hom_is_well_defined, kernel_basis)
 from equiloday.fingroup import FiniteGroup, make_cyclic, subgroup_as_group
 from equiloday.gring import GTensorRing, StructuredHom, TensorRing, equivariance_defect
 from equiloday.homology import (Fixed, LevelComplex, _Normalized, _OrbitFixed,
-                                _fixed_level, _generating_subset,
-                                _one_sign_per_column, _restricted)
+                                _fixed_level, _one_sign_per_column, _restricted)
 from equiloday.loday import SimplicialGRing, loday, transport_to_diagonal
 from equiloday.norms import (NormRing, _actions_agree, _ordered_fold, _subgroup_rwa,
                              blocked_diagonal, blocked_ring, coset_blocking,
@@ -40,6 +41,11 @@ from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from equiloday.simpgset import EqMap, FinSimpGSet
 from equiloday.smith import (SmithSolver, _condition_rows, invariant_factors,
                              kernel_columns)
+
+
+def integers() -> Coefficient:
+    """The integers, the bundled "z" coefficient: only tests build it."""
+    return load_bundled("z")
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +289,9 @@ def coequalizer_h0(d0: IntMatrix, d1: IntMatrix):
 
 
 # ---------------------------------------------------------------------------
-# the Smith-form engine as it was before its pivot search went sparse, on
-# its own copy of the work matrix as it was then
+# the Smith-form engine as it was before one fill-aware engine replaced it
+# (pivots swapped onto the diagonal, a divisibility sweep), on its own copy
+# of the work matrix as it was then
 
 
 class _SparseWork:
@@ -411,17 +418,19 @@ class _SparseWork:
                 r[j] = -r[j]
 
 
-def reference_snf_engine(A, want_u: bool, want_v: bool):
-    """Smith reduction with a full sorted scan per pivot and per sweep.
+def reference_snf_engine(rows: list[dict[int, int]], n: int, want_u: bool, want_v: bool):
+    """Smith reduction of the matrix with sparse rows ``rows`` (copied) and
+    ``n`` columns, with a full sorted scan per pivot and per sweep, row and
+    column swaps and a divisibility sweep: the pivot order the package
+    used before ``smith._eliminate``.  Returns ``(A, U, VT, rank)``, the
+    ``_SparseWork`` above, with the Smith form on A's diagonal.
 
-    Kept verbatim as the reference: ``smith._snf_engine`` must pick the
-    same pivots and so return the same ``A``, ``U``, ``VT`` and rank.  The
-    input, a work matrix fresh from ``smith._SparseWork.from_rows``, is
-    rebuilt row by row as the ``_SparseWork`` above, in the same order, so
-    the two engines share no row or column operation.
+    Kept as the reference: the engine must give the same invariant factors
+    and a kernel spanning the same lattice, and it shares no row or column
+    operation with this one.
     """
-    A = _SparseWork.from_rows([dict(A.row.get(i, ())) for i in range(A.m)], A.n)
-    m, n = A.m, A.n
+    A = _SparseWork.from_rows([dict(r) for r in rows], n)
+    m = A.m
     U = _SparseWork.eye(m) if want_u else None
     VT = _SparseWork.eye(n) if want_v else None  # rows of VT are columns of V
     t = 0
@@ -522,29 +531,123 @@ def reference_snf_engine(A, want_u: bool, want_v: bool):
     return A, U, VT, t
 
 
-def engine_layout(A, U, VT, rank):
-    """What a Smith-form engine returns, in iteration order: A's rows and
-    column index, U's and VT's rows (None when not wanted) and the rank.
-    Only A carries a column index in ``smith._snf_engine``."""
-    def rows(w):
-        return None if w is None else [(i, list(r.items())) for i, r in w.row.items()]
-    return rows(A), [(j, list(s)) for j, s in A.colidx.items()], rows(U), rows(VT), rank
+def reference_factors(rows: list[dict[int, int]], n: int) -> list[int]:
+    """The invariant factors on the diagonal ``reference_snf_engine`` leaves."""
+    A, _, _, rank = reference_snf_engine(rows, n, False, False)
+    return [A.get(i, i) for i in range(rank)]
+
+
+def _from_rows(rows: list[dict[int, int]], n: int) -> SparseMatrix:
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            cols[j].append((i, v))
+    return SparseMatrix(len(rows), cols)
+
+
+def _spans(a: SparseMatrix, cols: list[list[tuple[int, int]]]) -> bool:
+    """Is each of ``cols`` ``a @ x`` for an integer x?  ``SmithSolver``
+    finds the x, and each is multiplied back, so a True proves it."""
+    solve = SmithSolver(a)
+    for col in cols:
+        x = solve(col)
+        if x is None or (a @ SparseMatrix(a.cols, [x])).data[0] != col:
+            return False
+    return True
+
+
+def _unimodular(rows: list[dict[int, int]]) -> bool:
+    """Has the square matrix with sparse rows ``rows`` an integer inverse?"""
+    n = len(rows)
+    return _spans(_from_rows(rows, n), [[(i, 1)] for i in range(n)])
+
+
+def check_engine(rows: list[dict[int, int]], n: int) -> None:
+    """Assert, on the matrix M with ``n`` columns and sparse rows ``rows``
+    (not consumed), what the readers of ``smith._eliminate`` rely on:
+
+    * ``U M V`` holds exactly the returned pivots, at most one per row and
+      per column, and U and V are unimodular;
+    * the invariant factors are ``reference_snf_engine``'s;
+    * ``kernel_columns`` are killed by M and span the lattice of the
+      reference's kernel columns, each set inside the other's span;
+    * ``SmithSolver`` answers None exactly when ``Lattice.member`` rejects
+      b, and otherwise solves ``M x = b``, for columns of M, columns of M
+      divided by their gcd, columns nudged by a unit vector, and unit
+      vectors.  Past 1,000 columns, where ``Lattice``'s Hermite form costs
+      seconds, the reference's ``U b`` and diagonal decide membership.
+    """
+    M = _from_rows(rows, n)
+    pivots, U, VT = smith._eliminate([dict(r) for r in rows], n, True, True)
+    assert len({i for i, _, _ in pivots}) == len({j for _, j, _ in pivots}) == len(pivots)
+    vrows: list[dict[int, int]] = [{} for _ in range(n)]
+    for j, r in enumerate(VT):
+        for k, v in r.items():
+            vrows[k][j] = v
+    umv = {}
+    for i, u in enumerate(U):
+        um: dict[int, int] = {}
+        for k, c in u.items():
+            for j, v in rows[k].items():
+                um[j] = um.get(j, 0) + c * v
+        row: dict[int, int] = {}
+        for k, v in um.items():
+            for j, w in vrows[k].items():
+                row[j] = row.get(j, 0) + v * w
+        umv.update(((i, j), v) for j, v in row.items() if v)
+    assert umv == {(i, j): p for i, j, p in pivots}
+    assert _unimodular(U) and _unimodular(VT)
+
+    A, RU, RVT, rank = reference_snf_engine(rows, n, True, True)
+    assert invariant_factors(M) == [A.get(i, i) for i in range(rank)]
+
+    kernel = SparseMatrix(n, kernel_columns([dict(r) for r in rows], n, n))
+    ref_kernel = SparseMatrix(n, [sorted(RVT.row[j].items()) for j in range(rank, n)])
+    assert kernel.cols == ref_kernel.cols == n - len(pivots)
+    assert not any((M @ kernel).data)
+    assert _spans(kernel, ref_kernel.data) and _spans(ref_kernel, kernel.data)
+
+    def member(b: list[tuple[int, int]]) -> bool:
+        bd = dict(b)
+        ub = {i: sum(v * bd.get(j, 0) for j, v in r.items()) for i, r in RU.row.items()}
+        return all(v % A.get(i, i) == 0 if i < rank else not v for i, v in ub.items() if v)
+
+    solver = SmithSolver(M)
+    in_span = Lattice(M).member if n <= 1000 else member
+    cases = [[(i, 1)] for i in range(min(len(rows), 4))]
+    for col in M.data[:6]:
+        if col:
+            g = gcd(*(v for _, v in col))
+            nudged = dict(col)
+            nudged[0] = nudged.get(0, 0) + 1
+            cases += [col, [(i, v // g) for i, v in col], sorted(nudged.items())]
+    for b in cases:
+        b = [(i, v) for i, v in b if v]
+        x = solver(b)
+        assert (x is None) == (not in_span(b)), b
+        if x is not None:
+            assert (M @ SparseMatrix(n, [x])).data[0] == b
 
 
 # ---------------------------------------------------------------------------
 # the Smith-form solve as it was before it read right-hand sides sparsely
 
 
-def reference_smith_solve(solver, b):
-    """``SmithSolver.__call__`` with a walk over every row of ``U``.
+def reference_smith_solve(solver, b, cols: int):
+    """``SmithSolver.__call__`` with a walk over every row of ``U``, for a
+    matrix with ``cols`` columns.
 
-    Kept verbatim as the reference: ``smith.SmithSolver`` reads ``U b``
-    through the nonzeros of ``b`` and must return the same solution or None.
+    Kept as the reference: ``smith.SmithSolver`` reads ``U b`` through the
+    nonzeros of ``b`` and must return the same solution or None.  Here U's
+    rows are gathered back from the solver's columns of U.
     """
-    self = solver
-    A, rank = self.A, self.rank
-    y = [0] * self.cols
-    for i, r in self.U.row.items():
+    urows: dict[int, dict[int, int]] = {}
+    for j, col in solver.ucols.items():
+        for i, u in col:
+            urows.setdefault(i, {})[j] = u
+    at_row = {i: (j, p) for i, j, p in solver.pivots}
+    y = [0] * cols
+    for i, r in sorted(urows.items()):
         ub = 0
         for j, v in r.items():
             bv = b[j]  # b is mostly zeros on the levels this package carves
@@ -552,16 +655,17 @@ def reference_smith_solve(solver, b):
                 ub += v * bv
         if not ub:
             continue
-        if i >= rank:
+        if i not in at_row:
             return None
-        q, rem = divmod(ub, A.get(i, i))
+        j, p = at_row[i]
+        q, rem = divmod(ub, p)
         if rem:
             return None
-        y[i] = q
-    x = [0] * self.cols
+        y[j] = q
+    x = [0] * cols
     for j, yv in enumerate(y):
         if yv:
-            for i, v in self.VT.row.get(j, {}).items():
+            for i, v in solver.VT[j].items():
                 x[i] += yv * v
     return x
 
@@ -766,22 +870,53 @@ def transpose(M: IntMatrix) -> IntMatrix:
                      [[M.data[i][j] for i in range(M.rows)] for j in range(M.cols)])
 
 
-def _dense_rows(row: dict, m: int, n: int) -> IntMatrix:
-    """An engine matrix (``row[i]`` = ``{column: value}``) as ``IntMatrix``."""
-    out = [[0] * n for _ in range(m)]
-    for i, r in row.items():
-        for j, v in r.items():
-            out[i][j] = v
-    return IntMatrix(m, n, out)
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``g = gcd(a, b) = s a + t b``, for a, b > 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, t0, s1, t1 = s1, t1, s0 - q * s1, t0 - q * t1
+    return a, s0, t0
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular ``(U, D, V)`` with ``U @ M @ V == D`` diagonal and
-    each diagonal entry dividing the next."""
-    A, U, VT, _ = smith._snf_engine(
-        smith._SparseWork.from_rows(M.sparse_rows(), M.cols), True, True)
-    return (_dense_rows(U.row, M.rows, M.rows), _dense_rows(A.row, M.rows, M.cols),
-            transpose(_dense_rows(VT.row, M.cols, M.cols)))
+    """Return unimodular ``(U, D, V)`` with ``U @ M @ V == D`` diagonal,
+    nonnegative, and each diagonal entry dividing the next.
+
+    ``smith._eliminate`` gives U and V with ``U M V`` zero but at its
+    pivots.  Here the pivot rows and columns are moved to the front in the
+    order taken, the pivots made positive, and each pair of diagonal
+    entries a, b that is out of divisibility turned into gcd, lcm by
+    ``[[s, t], [-b/g, a/g]] diag(a, b) [[1, -t b/g], [1, s a/g]]``, with
+    ``s a + t b = g``: unimodular steps on U's rows and V's columns."""
+    pivots, U, VT = smith._eliminate(M.sparse_rows(), M.cols, True, True)
+    prow, pcol = {i for i, _, _ in pivots}, {j for _, j, _ in pivots}
+    urows = [[U[i].get(k, 0) for k in range(M.rows)]
+             for i in [i for i, _, _ in pivots] + [i for i in range(M.rows) if i not in prow]]
+    vcols = [[VT[j].get(k, 0) for k in range(M.cols)]
+             for j in [j for _, j, _ in pivots] + [j for j in range(M.cols) if j not in pcol]]
+    d = [p for _, _, p in pivots]
+    for t, p in enumerate(d):
+        if p < 0:
+            d[t], urows[t] = -p, [-x for x in urows[t]]
+    for a_at in range(len(d)):
+        for b_at in range(a_at + 1, len(d)):
+            a, b = d[a_at], d[b_at]
+            if b % a:
+                g, s, t = _ext_gcd(a, b)
+                ua, ub = urows[a_at], urows[b_at]
+                urows[a_at] = [s * x + t * y for x, y in zip(ua, ub)]
+                urows[b_at] = [a // g * y - b // g * x for x, y in zip(ua, ub)]
+                va, vb = vcols[a_at], vcols[b_at]
+                vcols[a_at] = [x + y for x, y in zip(va, vb)]
+                vcols[b_at] = [s * a // g * y - t * b // g * x for x, y in zip(va, vb)]
+                d[a_at], d[b_at] = g, a // g * b
+    D = [[0] * M.cols for _ in range(M.rows)]
+    for t, p in enumerate(d):
+        D[t][t] = p
+    return (IntMatrix(M.rows, M.rows, urows), IntMatrix(M.rows, M.cols, D),
+            transpose(IntMatrix(M.cols, M.cols, vcols)))
 
 
 def solve(M: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
@@ -1227,6 +1362,19 @@ def hom_equal_dense(f: StructuredHom, g: StructuredHom) -> bool:
 # degree-zero fixed-point homology as a bare coequalizer
 
 
+def generating_subset(g: FiniteGroup, sub: Sequence[int]) -> list[int]:
+    """A generating set of sub, grown in increasing element order: the one
+    ``LevelComplex`` imposed fixity at before it read
+    ``FiniteGroup.generating_sequence``, and a second choice for tests."""
+    gens: list[int] = []
+    have = (0,)
+    for k in sorted(set(sub)):
+        if k not in have:
+            gens.append(k)
+            have = g.subgroup_generated(gens)
+    return gens
+
+
 def oracle_h0(s, sub: Sequence[int]) -> FgAbelianGroup:
     """Degree-zero homology as a bare coequalizer: coker(d0 - d1) on fixed points.
 
@@ -1236,7 +1384,7 @@ def oracle_h0(s, sub: Sequence[int]) -> FgAbelianGroup:
     subt = tuple(sorted(set(sub) | {0}))
     if not g.is_subgroup(subt):
         raise ValueError(f"{subt} is not a subgroup")
-    gens = _generating_subset(g, subt)
+    gens = generating_subset(g, subt)
     sq = [_fixed_level(s, n, gens) for n in (0, 1)]
     diff = s.face(1, 0).sparse() - s.face(1, 1).sparse()
     rels = sq[0].pres.relations

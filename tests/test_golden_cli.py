@@ -86,6 +86,53 @@ def test_cli_stdout_matches_golden(name):
     _assert_same_text(out, want, name)
 
 
+# the homology rows of every loday golden and pinned output, committed
+# here as they stood before the Smith engine and the subgroup generating
+# sets changed carved bases: a regeneration may move basis fields
+# (``moore_boundaries``), never a table.  A row is (subgroup, degree,
+# free rank, torsion), or (subgroup, degree, status) for a skip.
+HOMOLOGY_ROWS = {
+    "loday-polygon-m1-gaussian-classes.json": [
+        ((0,), 0, 2, ()), ((0,), 1, 0, (2, 2)), ((0,), 2, 0, ()), ((0, 1), 0, 1, (2,)),
+        ((0, 1), 1, 0, (2, 2, 2)), ((0, 1), 2, 0, (2, 2, 2)),
+    ],
+    "loday-polygon-m2-zmod4-classes.json": [
+        ((0,), 0, 0, (4,)), ((0,), 1, 0, ()), ((0,), 2, 0, ()), ((0, 1), 0, 0, (4,)),
+        ((0, 1), 1, 0, ()), ((0, 1), 2, 0, ()), ((0, 2), 0, 0, (4,)),
+        ((0, 2), 1, 0, ()), ((0, 2), 2, 0, ()), ((0, 3), 0, 0, (4,)),
+        ((0, 3), 1, 0, ()), ((0, 3), 2, 0, ()), ((0, 1, 2, 3), 0, 0, (4,)),
+        ((0, 1, 2, 3), 1, 0, ()), ((0, 1, 2, 3), 2, 0, ()),
+    ],
+    "loday-polygon-m1-c2mod2-classes.json": [
+        ((0,), 0, 0, (2, 2)), ((0,), 1, 0, (2, 2)), ((0, 1), 0, 0, (2, 2, 2, 2)),
+        ((0, 1), 1, 0, (2, 2, 2, 2, 2, 2)),
+    ],
+    "coset-cayley-s3-gaussian": [
+        ((0,), 0, 2, ()), ((0,), 1, "skipped"), ((0, 1), 0, 1, ()),
+        ((0, 1), 1, "skipped"), ((0, 2), 0, 1, ()), ((0, 2), 1, "skipped"),
+        ((0, 5), 0, 1, ()), ((0, 5), 1, "skipped"), ((0, 3, 4), 0, 2, ()),
+        ((0, 3, 4), 1, "skipped"), ((0, 1, 2, 3, 4, 5), 0, 1, ()),
+        ((0, 1, 2, 3, 4, 5), 1, "skipped"),
+    ],
+    "rot3-rotation_z3-diagonal": [
+        ((0,), 0, 3, ()), ((0,), 1, "skipped"), ((0,), 2, "skipped"),
+        ((0, 1, 2), 0, 3, ()), ((0, 1, 2), 1, "skipped"), ((0, 1, 2), 2, "skipped"),
+    ],
+}
+
+
+def _homology_rows(out: str) -> list[tuple]:
+    return [(tuple(h["subgroup"]), h["degree"], h["free_rank"], tuple(h["torsion"]))
+            if h["status"] == "ok" else (tuple(h["subgroup"]), h["degree"], h["status"])
+            for h in json.loads(out)["homology"]]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("loday-")))
+def test_golden_homology_rows_are_the_committed_ones(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert _homology_rows(fh.read()) == HOMOLOGY_ROWS[name]
+
+
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("loday-")))
 def test_golden_complexes_match_dense_oracle(name, monkeypatch):
     # every normalized complex behind a golden, through the sparse path and
@@ -131,7 +178,7 @@ PINNED = {
     "coset-cayley-s3-gaussian": (
         ["--kind", "coset-cayley", "--group", "s3", "--sub", "0,2", "--gens", "3",
          "--coeff", "gaussian", "--action", "involution", "--truncation", "2"],
-        122_606, "1646d0e16dd23005bcfb7b4b229a517f0be517dc8fc11e8265ff53f2ce41f524"),
+        122_606, "164e285c1840049d56b6e1dee3a658206ae6f62c7506090164e21d68c2a74dbe"),
     "rot3-rotation_z3-diagonal": (
         ["--kind", "rot", "--n", "3", "--coeff", "rotation_z3", "--action", "cyclic",
          "--inner", "diagonal", "--truncation", "3"],
@@ -144,6 +191,7 @@ def test_carved_complex_output_is_pinned(name):
     argv, size, digest = PINNED[name]
     code, out = _stdout(["loday", "run", *argv, "--subgroups", "all", "--emit-complex"])
     assert code == 0
+    assert _homology_rows(out) == HOMOLOGY_ROWS[name]
     data = out.encode("utf-8")
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from equiloday.coeffs import (
     bundled_names,
     gaussian,
-    integers,
     load_bundled,
     quaternions,
 )
@@ -29,7 +28,7 @@ from equiloday.norms import (NormRing, blocked_flip, blocking_diagonal_certifica
                              tensor_of_actions)
 from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from oracles import (_spread_relations, coordinate_permutation_action,
-                     hom_equal_dense, project_power_to_norm, reference_vec_mul)
+                     hom_equal_dense, integers, project_power_to_norm, reference_vec_mul)
 
 
 @pytest.fixture(scope="module")

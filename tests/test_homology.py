@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from equiloday import exactalg
 from equiloday.cli import make_parser, resolve_coefficient
-from equiloday.coeffs import Coefficient, gaussian, integers, load_bundled
+from equiloday.coeffs import Coefficient, gaussian, load_bundled
 from equiloday.commands import build_pipeline, build_space
 from equiloday.exactalg import (ChainComplex, FgAbelianGroup, IntMatrix, PresentedAb,
                                 SizeBudgetExceeded, SparseMatrix, SubQuotient,
@@ -22,7 +22,7 @@ from equiloday.rings import IDENTITY_TWIST, PresentedRing, RingWithAction
 from equiloday.spaces import build_cayley, build_rot_circle, build_sigma_circle
 from equiloday.verify import run_suite
 
-from oracles import (AbHom, _moore_complex, cyclic_bar_homology, oracle_h0,
+from oracles import (AbHom, _moore_complex, cyclic_bar_homology, integers, oracle_h0,
                      polynomial_hh, polynomial_mult, reference_boundary,
                      reference_chain_check, reference_degenerate_tuples,
                      reference_normalized_level, reference_restricted)

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from equiloday.coeffs import bundled_names, gaussian, integers, load_bundled, quaternions
+from equiloday.coeffs import bundled_names, gaussian, load_bundled, quaternions
 from equiloday.exactalg import IntMatrix, SparseMatrix
 from equiloday.fingroup import make_cyclic, make_dihedral, make_symmetric
 from equiloday.gring import (GTensorRing, StructuredHom, commutativity_uses,
@@ -16,7 +16,7 @@ from equiloday.spaces import (build_cayley, build_coset_cayley,
                               build_permutohedron_skeleton, build_rot_circle,
                               build_sigma_circle)
 from equiloday.suites_realhh import esigma_check
-from oracles import (_tuple_index, reference_bar, reference_boundary,
+from oracles import (_tuple_index, integers, reference_bar, reference_boundary,
                      reference_induced_hom, reference_level_isos, reference_loday_free,
                      reference_loday_normal_sub, reference_loday_one_isotropy,
                      reference_loday_two_isotropy, reference_ring_validate,
