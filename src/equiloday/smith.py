@@ -72,15 +72,16 @@ def _eliminate(rows: list[dict[int, int]], n: int, want_u: bool, want_v: bool):
     least absolute value, the lowest row holding one and its lowest such
     column winning ties, found by a scan of every row.
 
-    At a pivot p in row i and column j, each other row k of column j takes
-    ``-(v // p)`` times row i.  When that leaves remainders, which are
-    smaller than p, the next pick takes one of them; otherwise column
-    operations with column j, which now touch row i alone, reduce row i
-    the same way, and when that clears it row i and column j retire.  At a
-    unit every remainder is zero.  A retired row becomes a fresh dict: one
-    emptied in place keeps its table.  The column index holds lists, not
-    sets: a column has few entries, and a set's table costs several times
-    a short list's memory.
+    At a pivot p in row i and column j, row i leaves the column index and
+    each other row k of column j takes ``-(v // p)`` times row i.  When
+    that leaves remainders, which are smaller than p, row i goes back and
+    the next pick takes one of them.  Otherwise column operations with
+    column j, which now touch row i alone, reduce row i the same way; when
+    they clear it, row i and column j retire, and row i becomes a fresh
+    empty dict, and when they leave remainders, row i goes back holding
+    them.  At a unit every remainder is zero.  The column index holds
+    lists, not sets: a column has few entries, and a set's table costs
+    several times a short list's memory.
     """
     U = [{i: 1} for i in range(len(rows))] if want_u else None
     VT = [{j: 1} for j in range(n)] if want_v else None
@@ -96,7 +97,9 @@ def _eliminate(rows: list[dict[int, int]], n: int, want_u: bool, want_v: bool):
     def pivot(i: int, j: int):
         r = rows[i]
         p = r.pop(j)
-        kept = [i]
+        for c in r:
+            colidx[c].remove(i)
+        kept = []
         for k in colidx.pop(j):
             if k == i:
                 continue
@@ -121,23 +124,23 @@ def _eliminate(rows: list[dict[int, int]], n: int, want_u: bool, want_v: bool):
                 kept.append(k)
             if queue is not None and rk:
                 queue.setdefault(len(rk), []).append(k)
-        if len(kept) == 1:
-            for c in list(r):
-                v = r[c]
+        if not kept:
+            left = {}
+            for c, v in r.items():
                 q = v // p
                 if q and VT is not None:
                     _add_row(VT[c], VT[j], -q)
                 if v := v - q * p:
-                    r[c] = v
-                else:
-                    del r[c]
-                    colidx[c].remove(i)
-            if not r:
+                    left[c] = v
+            if not left:
                 rows[i] = {}
                 pivots.append((i, j, p))
                 return
+            r = rows[i] = left
+        for c in r:
+            colidx[c].append(i)
         r[j] = p
-        colidx[j] = kept
+        colidx[j] = kept + [i]
 
     while queue:
         size = min(queue)
